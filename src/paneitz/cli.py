@@ -34,7 +34,7 @@ from .solver import (
     newton_solve,
     rescale_to_solution,
 )
-from .sweep import SweepConfig, emit, quarter_square, run_sweep
+from .sweep import MODE1_AMPLITUDE, SweepConfig, emit, quarter_square, run_sweep
 
 __all__ = ["main", "build_parser"]
 
@@ -217,10 +217,7 @@ def _cmd_solve(args) -> int:
     opts = SolverOptions(modes=args.modes)
     u_bar = a ** ((spec.n - 4) / 8.0)
     if args.init == "mode1":
-        coeffs = np.zeros(args.modes, dtype=complex)
-        coeffs[0] = u_bar
-        coeffs[1] = coeffs[-1] = 0.05 * u_bar
-        seed = PeriodicField(spec, coeffs)
+        seed = PeriodicField.cosine(spec, u_bar, MODE1_AMPLITUDE, args.modes)
         sol = rescale_to_solution(minimize_quotient(seed, params), params, opts)
     else:
         if args.init == "constant":
@@ -316,7 +313,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     # LinAlgError subclasses ValueError, so numerical failures come first
-    except (ConvergenceError, PositivityError, np.linalg.LinAlgError) as exc:
+    except (ConvergenceError, PositivityError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"paneitz {args.command}: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -1,12 +1,15 @@
 """Spectral representation of circle-reduced fields on S^1(t) x S^(n-1).
 
-A field u(s) on the circle factor is held as normalized complex Fourier
-coefficients c_m = (1/N) sum_j u(s_j) exp(-i kappa_m s_j) in numpy FFT
-ordering (kappa_m = m/t), with conjugate symmetry c_{-m} = conj(c_m) so the
-field is real.  Nonlinear powers are evaluated on an oversampled grid and
-truncated back, which dealiases integer critical powers exactly and keeps
-fractional ones well defined (values are clamped at zero before
-exponentiation).
+A field u(s) on the circle factor, sampled at N (even) grid points, is held
+as its real-FFT half spectrum c_m = (1/N) sum_j u(s_j) exp(-i kappa_m s_j),
+m = 0..N/2 (kappa_m = m/t), so it is real by construction: the negative
+modes are the conjugates c_{-m} = conj(c_m) and are never stored.  c_0 and
+the Nyquist entry c_{N/2} are real; the Nyquist entry is the amplitude of
+the cosine cos(kappa_{N/2} s).  Every sum over the spectrum counts each
+0 < m < N/2 twice, once for +m and once for -m.  Nonlinear powers are
+evaluated on an oversampled grid and truncated back, which dealiases integer
+critical powers exactly and keeps fractional ones well defined (values are
+clamped at zero before exponentiation).
 
 All "full-manifold" integrals are circle integrals times the volume of the
 unit (n-1)-sphere, since fields are constant on the sphere factor.
@@ -33,8 +36,6 @@ __all__ = [
     "load_field",
 ]
 
-_HERMITIAN_TOL = 1e-12
-
 
 def oversample_factor(two_sharp: float) -> int:
     """Grid oversampling needed to dealias the power u^(2#-1): at least 4x."""
@@ -42,61 +43,55 @@ def oversample_factor(two_sharp: float) -> int:
 
 
 def transform(values: np.ndarray) -> np.ndarray:
-    """Grid samples -> normalized full-spectrum coefficients (numpy FFT order)."""
+    """Grid samples (even count N) -> normalized half spectrum c_0..c_{N/2}."""
     values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size < 2:
-        raise ValueError("values must be a 1-d array with at least 2 samples")
-    return np.fft.fft(values) / values.size
+    if values.ndim != 1 or values.size < 2 or values.size % 2 != 0:
+        raise ValueError("values must be a 1-d array with an even number of samples")
+    return np.fft.rfft(values) / values.size
 
 
 def inverse(coeffs: np.ndarray) -> np.ndarray:
-    """Normalized full-spectrum coefficients -> grid samples."""
+    """Normalized half spectrum c_0..c_{N/2} -> the N grid samples."""
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.ndim != 1 or coeffs.size < 2:
         raise ValueError("coeffs must be a 1-d array with at least 2 entries")
-    vals = np.fft.ifft(coeffs * coeffs.size)
-    if np.max(np.abs(vals.imag)) > _HERMITIAN_TOL * max(1.0, np.max(np.abs(vals.real))):
-        raise ValueError("coefficients are not conjugate-symmetric (field not real)")
-    return vals.real
+    size = 2 * (coeffs.size - 1)
+    return np.fft.irfft(coeffs * size, size)
 
 
-def _mode_numbers(size: int) -> np.ndarray:
-    """Integer mode numbers in numpy FFT order: 0..size/2-1, -size/2..-1."""
-    m = np.arange(size)
-    m[size // 2 :] -= size
-    return m
+def _pair_counts(half: int) -> np.ndarray:
+    """Full-spectrum bins each of ``half`` half-spectrum entries stands for:
+    1 for c_0 and the Nyquist entry, 2 for each +-m pair in between."""
+    counts = np.full(half, 2.0)
+    counts[0] = counts[-1] = 1.0
+    return counts
 
 
-def _symmetrize(coeffs: np.ndarray) -> np.ndarray:
-    idx = (-np.arange(coeffs.size)) % coeffs.size
-    return 0.5 * (coeffs + np.conj(coeffs[idx]))
+def _parseval_weights(half: int) -> np.ndarray:
+    """Mean square of each half-spectrum entry's mode per |c_m|^2: the pair
+    counts, except that the Nyquist cosine's mean square is half."""
+    weights = _pair_counts(half)
+    weights[-1] = 0.5
+    return weights
 
 
-def _pad_full(coeffs: np.ndarray, fine_size: int) -> np.ndarray:
-    """Zero-pad a full spectrum of even size N to fine_size > N.
+def _pad(coeffs: np.ndarray, fine_size: int) -> np.ndarray:
+    """Zero-pad a half spectrum of grid size N to grid size fine_size > N.
 
-    The shared Nyquist bin (a pure cosine on the base grid) splits evenly
-    into the +-N/2 fine bins.
+    The Nyquist cosine of the base grid splits evenly into the +-N/2 fine
+    modes.
     """
-    n = coeffs.size
-    half = n // 2
-    out = np.zeros(fine_size, dtype=complex)
-    out[:half] = coeffs[:half]
-    if half > 1:
-        out[-half + 1 :] = coeffs[-half + 1 :]
-    out[half] = 0.5 * coeffs[half]
-    out[-half] += 0.5 * np.conj(coeffs[half])
+    out = np.zeros(fine_size // 2 + 1, dtype=complex)
+    out[: coeffs.size] = coeffs
+    out[coeffs.size - 1] *= 0.5
     return out
 
 
-def _truncate_full(fine_coeffs: np.ndarray, size: int) -> np.ndarray:
-    """Galerkin projection of a fine full spectrum onto |m| <= size/2."""
-    half = size // 2
-    out = np.zeros(size, dtype=complex)
-    out[:half] = fine_coeffs[:half]
-    if half > 1:
-        out[-half + 1 :] = fine_coeffs[-half + 1 :]
-    out[half] = (fine_coeffs[half] + fine_coeffs[-half]).real
+def _truncate(fine_coeffs: np.ndarray, size: int) -> np.ndarray:
+    """Galerkin projection of a fine half spectrum onto |m| <= size/2; the
+    Nyquist cosine takes the real part of both +-size/2 fine modes."""
+    out = fine_coeffs[: size // 2 + 1].copy()
+    out[-1] = 2.0 * out[-1].real
     return out
 
 
@@ -106,22 +101,18 @@ class PeriodicField:
     Parameters
     ----------
     spec : ManifoldSpec
-    coeffs : complex array, full spectrum in numpy FFT order, conjugate
-        symmetric.  Its length N (even, >= 16) is the mode resolution.
+    coeffs : complex array, the half spectrum c_0..c_{N/2} (c_0 and c_{N/2}
+        real).  The grid size N = 2 (len - 1) >= 16 is the mode resolution.
     """
 
     __slots__ = ("spec", "coeffs", "_values", "_fine")
 
     def __init__(self, spec: ManifoldSpec, coeffs: np.ndarray):
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.ndim != 1 or coeffs.size % 2 != 0 or coeffs.size < 16:
-            raise ValueError("coefficient array must be 1-d with even length >= 16")
-        sym = _symmetrize(coeffs)
-        scale = max(1.0, float(np.max(np.abs(sym))))
-        if np.max(np.abs(sym - coeffs)) > _HERMITIAN_TOL * scale:
-            raise ValueError("coefficients are not conjugate-symmetric (field not real)")
+        if coeffs.ndim != 1 or coeffs.size < 9:
+            raise ValueError("half spectrum must be 1-d with at least 9 entries (N >= 16)")
         self.spec = spec
-        self.coeffs = sym
+        self.coeffs = coeffs
         self._values: np.ndarray | None = None
         self._fine: tuple[int, np.ndarray] | None = None
 
@@ -135,10 +126,16 @@ class PeriodicField:
         return out
 
     @classmethod
-    def constant(cls, spec: ManifoldSpec, value: float, modes: int = 16) -> "PeriodicField":
-        c = np.zeros(modes, dtype=complex)
-        c[0] = value
+    def cosine(cls, spec: ManifoldSpec, mean: float, amplitude: float, modes: int) -> "PeriodicField":
+        """mean * (1 + amplitude * cos(s/t)) on ``modes`` grid points."""
+        c = np.zeros(modes // 2 + 1, dtype=complex)
+        c[0] = mean
+        c[1] = 0.5 * amplitude * mean
         return cls(spec, c)
+
+    @classmethod
+    def constant(cls, spec: ManifoldSpec, value: float, modes: int = 16) -> "PeriodicField":
+        return cls.cosine(spec, value, 0.0, modes)
 
     @classmethod
     def from_function(cls, spec: ManifoldSpec, fn, modes: int = 64) -> "PeriodicField":
@@ -149,7 +146,7 @@ class PeriodicField:
 
     @property
     def modes(self) -> int:
-        return self.coeffs.size
+        return 2 * (self.coeffs.size - 1)
 
     @property
     def grid(self) -> np.ndarray:
@@ -159,7 +156,7 @@ class PeriodicField:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = np.fft.ifft(self.coeffs * self.modes).real
+            self._values = np.fft.irfft(self.coeffs * self.modes, self.modes)
         return self._values
 
     @property
@@ -172,7 +169,7 @@ class PeriodicField:
     def fine_values(self, factor: int | None = None) -> np.ndarray:
         nf = self.fine_size(factor)
         if self._fine is None or self._fine[0] != nf:
-            vals = np.fft.ifft(_pad_full(self.coeffs, nf) * nf).real
+            vals = np.fft.irfft(_pad(self.coeffs, nf) * nf, nf)
             self._fine = (nf, vals)
         return self._fine[1]
 
@@ -186,22 +183,21 @@ class PeriodicField:
 
     def nonconstant_fraction(self) -> float:
         """Relative L2 weight of the nonzero modes (0 for exact constants)."""
-        total = float(np.sum(np.abs(self.coeffs) ** 2))
+        power = _pair_counts(self.coeffs.size) * np.abs(self.coeffs) ** 2
+        total = float(np.sum(power))
         if total == 0.0:
             return 0.0
-        return math.sqrt(float(np.sum(np.abs(self.coeffs[1:]) ** 2)) / total)
+        return math.sqrt(float(np.sum(power[1:])) / total)
 
     # --- calculus -------------------------------------------------------
 
     def wavenumbers(self) -> np.ndarray:
-        return _mode_numbers(self.modes) / self.spec.t
+        return np.arange(self.coeffs.size) / self.spec.t
 
     def derivative(self, order: int = 1) -> "PeriodicField":
-        kap = self.wavenumbers()
-        mult = (1j * kap) ** order
+        mult = (1j * self.wavenumbers()) ** order
         if order % 2 == 1:
-            mult = mult.copy()
-            mult[self.modes // 2] = 0.0  # odd derivative of the Nyquist cosine
+            mult[-1] = 0.0  # odd derivative of the Nyquist cosine
         return PeriodicField(self.spec, self.coeffs * mult)
 
     def laplacian(self) -> "PeriodicField":
@@ -212,15 +208,15 @@ class PeriodicField:
         """The translate s -> u(s + s0)."""
         kap = self.wavenumbers()
         mult = np.exp(1j * kap * s0)
-        mult[self.modes // 2] = math.cos(kap[self.modes // 2] * s0)
+        mult[-1] = math.cos(kap[-1] * s0)
         return PeriodicField(self.spec, self.coeffs * mult)
 
     def resample(self, modes: int) -> "PeriodicField":
         if modes == self.modes:
             return self
         if modes > self.modes:
-            return PeriodicField(self.spec, _pad_full(self.coeffs, modes))
-        return PeriodicField(self.spec, _truncate_full(self.coeffs, modes))
+            return PeriodicField(self.spec, _pad(self.coeffs, modes))
+        return PeriodicField(self.spec, _truncate(self.coeffs, modes))
 
     def scaled(self, factor: float) -> "PeriodicField":
         return PeriodicField(self.spec, self.coeffs * factor)
@@ -252,9 +248,7 @@ def norms(u: PeriodicField, params: OperatorParams | None = None) -> NormReport:
     omega = sphere_volume(spec.sphere_dim)
     length = spec.period
     kap = u.wavenumbers()
-    w2 = np.abs(u.coeffs) ** 2
-    # the Nyquist bin stores the cosine amplitude, whose mean square is half
-    w2[u.modes // 2] *= 0.5
+    w2 = _parseval_weights(u.coeffs.size) * np.abs(u.coeffs) ** 2
     l2 = omega * length * float(np.sum(w2))
     grad = omega * length * float(np.sum(kap**2 * w2))
     hess = omega * length * float(np.sum(kap**4 * w2))
@@ -292,14 +286,12 @@ def _arc_integral(density: np.ndarray, spec: ManifoldSpec, center: float, delta:
     the sharp (unsmoothed) arc, so the window boundary is exact and the only
     error is the interpolant's truncation tail.
     """
-    nf = density.size
-    g = np.fft.fft(density) / nf
-    kap = _mode_numbers(nf) / spec.t
-    window = np.empty(nf, dtype=complex)
+    g = np.fft.rfft(density) / density.size
+    kap = np.arange(1, g.size) / spec.t
+    window = np.empty(g.size, dtype=complex)
     window[0] = 2.0 * delta
-    nz = kap != 0.0
-    window[nz] = 2.0 * np.exp(1j * kap[nz] * center) * np.sin(kap[nz] * delta) / kap[nz]
-    return float(np.real(np.sum(g * window)))
+    window[1:] = 2.0 * np.exp(1j * kap * center) * np.sin(kap * delta) / kap
+    return float(np.sum(_pair_counts(g.size) * np.real(g * window)))
 
 
 def localized_mass(u: PeriodicField, center: float, delta: float, kind: str) -> float:

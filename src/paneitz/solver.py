@@ -5,11 +5,13 @@ Two routes produce solutions:
 
 * ``newton_solve``: damped Newton in Fourier coefficient space.  The linear
   part is the diagonal symbol mu^2 + alpha mu + a (mu = (m/t)^2); the
-  nonlinearity is evaluated on an oversampled grid (dealiased) and its
-  Jacobian is the dense Toeplitz convolution matrix of (2#-1) u_+^(2#-2).
-  Translation invariance makes the Jacobian singular along u', so for
-  nonconstant iterates the linear solves are bordered with the phase
-  constraint <delta, u'> = 0.
+  nonlinearity is evaluated on an oversampled grid (dealiased).  The
+  Jacobian is one dense real symmetric matrix in orthonormal cosine/sine
+  coordinates (the symbol minus the Toeplitz-plus-Hankel matrix of
+  multiplication by (2#-1) u_+^(2#-2)); it also serves the continuation
+  predictor and the linearized spectrum.  Translation invariance makes it
+  singular along u', so for nonconstant iterates the linear solves are
+  bordered with the phase constraint <delta, u'> = 0.
 
 * ``minimize_quotient``: monotone descent on the Sobolev quotient
   Q(u) = <Pu, u> / ||u||_{2#}^2 with the natural preconditioner P^{-1}
@@ -31,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import OperatorParams, critical_exponent, sharp_constant
-from .field import PeriodicField, _mode_numbers, _truncate_full, norms
-from .geometry import ManifoldSpec
+from .field import PeriodicField, _pair_counts, _parseval_weights, _truncate, norms
 
 __all__ = [
     "ConvergenceError",
@@ -102,8 +103,8 @@ class Solution:
 # --- residual ----------------------------------------------------------------
 
 
-def _symbol(spec: ManifoldSpec, params: OperatorParams, size: int) -> np.ndarray:
-    mu = (_mode_numbers(size) / spec.t) ** 2
+def _symbol(u: PeriodicField, params: OperatorParams) -> np.ndarray:
+    mu = u.wavenumbers() ** 2
     return mu * mu + params.alpha * mu + params.a_alpha
 
 
@@ -113,14 +114,13 @@ def _nonlinear_coeffs(u: PeriodicField, exponent: float, penalty: float = 0.0) -
     g = np.where(fine > 0.0, fine, 0.0) ** exponent
     if penalty:
         g = g - penalty * np.minimum(fine, 0.0)
-    return _truncate_full(np.fft.fft(g) / g.size, u.modes)
+    return _truncate(np.fft.rfft(g) / g.size, u.modes)
 
 
 def residual(u: PeriodicField, params: OperatorParams, penalty: float = 0.0) -> PeriodicField:
     """F(u) = Delta^2 u + alpha Delta u + a u - u_+^(2#-1) (plus penalty term)."""
     p = critical_exponent(u.spec.n) - 1.0
-    sym = _symbol(u.spec, params, u.modes)
-    coeffs = sym * u.coeffs - _nonlinear_coeffs(u, p, penalty)
+    coeffs = _symbol(u, params) * u.coeffs - _nonlinear_coeffs(u, p, penalty)
     return PeriodicField(u.spec, coeffs)
 
 
@@ -131,36 +131,72 @@ def _residual_sup(u: PeriodicField, params: OperatorParams, penalty: float = 0.0
 # --- Newton ------------------------------------------------------------------
 
 
+def _to_real(coeffs: np.ndarray) -> np.ndarray:
+    """Half spectrum -> its N orthonormal cosine/sine coordinates.
+
+    These are Re c_0..c_{N/2}, then Im c_1..c_{N/2-1}, each times the square
+    root of its Parseval weight, so the Euclidean norm is the L2 norm over
+    the circle divided by its length.
+    """
+    root = np.sqrt(_parseval_weights(coeffs.size))
+    return np.concatenate([root * coeffs.real, root[1:-1] * coeffs.imag[1:-1]])
+
+
+def _from_real(x: np.ndarray) -> np.ndarray:
+    """Inverse of ``_to_real``."""
+    half = x.size // 2 + 1
+    root = np.sqrt(_parseval_weights(half))
+    coeffs = (x[:half] / root).astype(complex)
+    coeffs[1:-1] += 1j * (x[half:] / root[1:-1])
+    return coeffs
+
+
 def _jacobian(u: PeriodicField, params: OperatorParams, penalty: float = 0.0) -> np.ndarray:
-    """Dense coefficient-space Jacobian diag(symbol) - Toeplitz(weight)."""
+    """Real symmetric Jacobian in the coordinates of ``_to_real``.
+
+    The basis functions are 1, sqrt(2) cos(k s/t) and -sqrt(2) sin(k s/t).
+    With R_k + i I_k the Fourier coefficients of the weight w on the fine
+    grid, the mean of w cos(a) cos(b) is (R_|a-b| + R_(a+b))/2, of
+    w sin(a) sin(b) it is (R_|a-b| - R_(a+b))/2, and of w cos(a) sin(b) it
+    is (I_(a-b) - I_(a+b))/2, so multiplication by w is Toeplitz plus Hankel.
+    """
     p = critical_exponent(u.spec.n) - 1.0
     fine = u.fine_values()
     weight = p * np.where(fine > 0.0, fine, 0.0) ** (p - 1.0)
     if penalty:
         weight = weight - penalty * (fine < 0.0)
-    nf = fine.size
-    what = np.fft.fft(weight) / nf
-    m = _mode_numbers(u.modes)
-    sym = _symbol(u.spec, params, u.modes)
-    conv = what[(m[:, None] - m[None, :]) % nf]
-    return np.diag(sym.astype(complex)) - conv
+    what = np.fft.rfft(weight) / weight.size
+    re, im = what.real, what.imag
+    half, n = u.coeffs.size, u.modes
+    k = np.arange(half)
+    diff = k[:, None] - k[None, :]
+    near, far = np.abs(diff), k[:, None] + k[None, :]
+    amp = np.full(half, math.sqrt(2.0))
+    amp[0] = 1.0
+    jac = np.empty((n, n))
+    jac[:half, :half] = -0.5 * np.outer(amp, amp) * (re[near] + re[far])
+    jac[half:, half:] = (re[far] - re[near])[1:-1, 1:-1]
+    cross = (amp / math.sqrt(2.0))[:, None] * (np.sign(diff) * im[near] - im[far])
+    jac[:half, half:] = cross[:, 1:-1]
+    jac[half:, :half] = cross[:, 1:-1].T
+    sym = _symbol(u, params)
+    jac.flat[:: n + 1] += np.concatenate([sym, sym[1:-1]])
+    return jac
 
 
-def _solve_step(jac: np.ndarray, rhs: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
-    n = rhs.size
-    if phase is None:
-        return np.linalg.solve(jac, rhs)
-    bordered = np.zeros((n + 1, n + 1), dtype=complex)
-    bordered[:n, :n] = jac
-    bordered[:n, n] = phase
-    bordered[n, :n] = np.conj(phase)
-    out = np.linalg.solve(bordered, np.concatenate([rhs, [0.0]]))
-    return out[:n]
-
-
-def _symmetrize(coeffs: np.ndarray) -> np.ndarray:
-    idx = (-np.arange(coeffs.size)) % coeffs.size
-    return 0.5 * (coeffs + np.conj(coeffs[idx]))
+def _solve_linearized(
+    u: PeriodicField, params: OperatorParams, rhs: np.ndarray, penalty: float = 0.0
+) -> np.ndarray:
+    """Half spectrum delta solving J(u) delta = rhs; for nonconstant u the
+    system is bordered with the phase constraint <delta, u'> = 0."""
+    jac, b = _jacobian(u, params, penalty), _to_real(rhs)
+    n = b.size
+    if u.nonconstant_fraction() > _CONSTANT_FRACTION:
+        bordered = np.zeros((n + 1, n + 1))
+        bordered[:n, :n] = jac
+        bordered[:n, n] = bordered[n, :n] = _to_real(u.derivative(1).coeffs)
+        jac, b = bordered, np.append(b, 0.0)
+    return _from_real(np.linalg.solve(jac, b)[:n])
 
 
 def _nonlinear_scale(u: PeriodicField) -> float:
@@ -179,8 +215,9 @@ def _recenter(u: PeriodicField) -> PeriodicField:
     fine = u.fine_values()
     s0 = float(u.fine_grid()[int(np.argmax(fine))])
     kap = u.wavenumbers()
-    c1 = u.coeffs * (1j * kap)
-    c2 = u.coeffs * -(kap**2)
+    counted = _pair_counts(u.coeffs.size) * u.coeffs
+    c1 = counted * (1j * kap)
+    c2 = counted * -(kap**2)
 
     def at(coeffs: np.ndarray, s: float) -> float:
         return float(np.real(np.sum(coeffs * np.exp(1j * kap * s))))
@@ -208,18 +245,13 @@ def _newton_fixed(init: PeriodicField, params: OperatorParams, opts: SolverOptio
     if res_sup <= tol_eff:
         return u, _residual_sup(u, params), 0
     for it in range(1, opts.max_iter + 1):
-        jac = _jacobian(u, params, pen)
-        rhs = residual(u, params, pen).coeffs
-        phase = None
-        if u.nonconstant_fraction() > _CONSTANT_FRACTION:
-            phase = u.derivative(1).coeffs
         try:
-            step = _solve_step(jac, rhs, phase)
+            step = _solve_linearized(u, params, residual(u, params, pen).coeffs, pen)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"linear solve failed: {exc}", u, res_sup) from exc
         eta, improved = 1.0, False
         for _ in range(opts.max_backtracks):
-            cand = PeriodicField(u.spec, _symmetrize(u.coeffs - eta * step))
+            cand = PeriodicField(u.spec, u.coeffs - eta * step)
             cand_sup = _residual_sup(cand, params, pen)
             if cand_sup < res_sup:
                 improved = True
@@ -249,12 +281,11 @@ def _newton_fixed(init: PeriodicField, params: OperatorParams, opts: SolverOptio
 
 
 def _tail_fraction(u: PeriodicField) -> float:
-    mags = np.abs(u.coeffs)
+    mags = _pair_counts(u.coeffs.size) * np.abs(u.coeffs)
     total = float(np.sum(mags))
     if total == 0.0:
         return 0.0
-    m = np.abs(_mode_numbers(u.modes))
-    return float(np.sum(mags[m > u.modes // 4])) / total
+    return float(np.sum(mags[u.modes // 4 + 1 :])) / total
 
 
 def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOptions | None = None) -> Solution:
@@ -281,6 +312,8 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
         u = _recenter(u)
         res_sup = _residual_sup(u, params)
     report = norms(u, params)
+    if not report.energy > 0.0:
+        raise FloatingPointError(f"critical energy of the solution underflows float64 ({report.energy!r})")
     return Solution(
         field=u,
         params=params,
@@ -315,6 +348,8 @@ class QuotientMinimum:
 
 def _normalize_critical(u: PeriodicField) -> PeriodicField:
     e = norms(u).energy
+    if not 0.0 < e < math.inf:
+        raise FloatingPointError(f"critical energy of the field is outside the float64 range ({e!r})")
     two_sharp = critical_exponent(u.spec.n)
     return u.scaled(e ** (-1.0 / two_sharp))
 
@@ -335,7 +370,8 @@ def minimize_quotient(
     if float(np.max(np.abs(init.values))) == 0.0:
         raise ValueError("initial guess must be nonzero")
     p = critical_exponent(init.spec.n) - 1.0
-    sym = _symbol(init.spec, params, init.modes)
+    sym = _symbol(init, params)
+    counts = _pair_counts(init.coeffs.size)
     u = _normalize_critical(init)
     q = quotient(u, params)
     grad_norm = math.inf
@@ -343,12 +379,14 @@ def minimize_quotient(
     for it in range(1, max_iter + 1):
         z = _nonlinear_coeffs(u, p) / sym   # P^{-1} u_+^(2#-1)
         rho = u.coeffs - q * z
-        grad_norm = float(np.linalg.norm(rho) / np.linalg.norm(u.coeffs))
+        grad_norm = math.sqrt(
+            float(np.sum(counts * np.abs(rho) ** 2)) / float(np.sum(counts * np.abs(u.coeffs) ** 2))
+        )
         if grad_norm <= tol:
             break
         eta, accepted = 1.0, False
         for _ in range(40):
-            cand = _normalize_critical(PeriodicField(u.spec, _symmetrize(u.coeffs - eta * rho)))
+            cand = _normalize_critical(PeriodicField(u.spec, u.coeffs - eta * rho))
             q_cand = quotient(cand, params)
             if q_cand < q:
                 accepted = True
@@ -402,7 +440,8 @@ def rescale_to_solution(
 
 
 def linearized_operator(u: PeriodicField, params: OperatorParams) -> np.ndarray:
-    """Dense coefficient-space matrix of P - (2#-1) u_+^(2#-2) (no penalty)."""
+    """Real symmetric matrix of P - (2#-1) u_+^(2#-2) (no penalty) in
+    orthonormal cosine/sine coordinates; index 0 is the constant mode."""
     return _jacobian(u, params, penalty=0.0)
 
 
@@ -413,9 +452,9 @@ def linearized_spectrum(
 
     For constant solutions (method "auto" or "closed-form") the values are
     mu_m^2 + alpha mu_m + a - (2#-1) a for m = 0..kmax; each m >= 1 entry is
-    doubly degenerate (cos and sin).  Otherwise the dense Hermitian
-    coefficient-space eigenproblem is solved and the smallest ``kmax``
-    eigenvalues are returned in ascending order.
+    doubly degenerate (cos and sin).  Otherwise the dense real symmetric
+    Jacobian's eigenproblem is solved and the smallest ``kmax`` eigenvalues
+    are returned in ascending order.
     """
     u, params = sol.field, sol.params
     two_sharp = critical_exponent(u.spec.n)
@@ -430,9 +469,7 @@ def linearized_spectrum(
         mu = (m / u.spec.t) ** 2
         shift = (two_sharp - 1.0) * params.a_alpha
         return mu * mu + params.alpha * mu + params.a_alpha - shift
-    op = linearized_operator(u, params)
-    op = 0.5 * (op + op.conj().T)
-    eig = np.linalg.eigvalsh(op)
+    eig = np.linalg.eigvalsh(linearized_operator(u, params))
     return eig if kmax is None else eig[: kmax + 1]
 
 
@@ -469,14 +506,9 @@ def continuation_init(
         return u
     if da_dalpha is None:
         da_dalpha = (params.a_alpha - prev.params.a_alpha) / dalpha
-    mu = (_mode_numbers(u.modes) / u.spec.t) ** 2
-    dF = (mu + da_dalpha) * u.coeffs
-    jac = _jacobian(u, prev.params)
-    phase = None
-    if u.nonconstant_fraction() > _CONSTANT_FRACTION:
-        phase = u.derivative(1).coeffs
+    dF = (u.wavenumbers() ** 2 + da_dalpha) * u.coeffs
     try:
-        tangent = _solve_step(jac, dF, phase)
+        tangent = _solve_linearized(u, prev.params, dF)
     except np.linalg.LinAlgError:
         return u
-    return PeriodicField(u.spec, _symmetrize(u.coeffs - dalpha * tangent))
+    return PeriodicField(u.spec, u.coeffs - dalpha * tangent)

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .constants import OperatorParams, constant_branch, critical_exponent, sharp_constant
 from .diagnostics import concentration_ratios
@@ -32,7 +30,6 @@ from .solver import (
     continuation_init,
     minimize_quotient,
     newton_solve,
-    quotient,
     rescale_to_solution,
 )
 
@@ -47,6 +44,9 @@ __all__ = [
 ]
 
 
+MODE1_AMPLITUDE = 0.1  # relative amplitude of the mode-1 seed's cosine
+
+
 def quarter_square(alpha: float) -> float:
     """Default coefficient schedule a = alpha^2/4."""
     return alpha * alpha / 4.0
@@ -59,7 +59,6 @@ class SweepConfig:
     schedule: Callable[[float], float] = quarter_square
     delta: float | None = None          # diagnostics ball radius, default L/8
     solver: SolverOptions = dc_field(default_factory=SolverOptions)
-    perturbation: float = 0.1           # mode-1 seed amplitude, relative
 
     def __post_init__(self):
         alphas = tuple(float(a) for a in self.alphas)
@@ -143,14 +142,6 @@ def branch_continuation(
     )
 
 
-def _mode1_seed(spec: ManifoldSpec, u_bar: float, amplitude: float, modes: int) -> PeriodicField:
-    coeffs = np.zeros(modes, dtype=complex)
-    coeffs[0] = u_bar
-    coeffs[1] = 0.5 * amplitude * u_bar
-    coeffs[-1] = 0.5 * amplitude * u_bar
-    return PeriodicField(spec, coeffs)
-
-
 def _mode1_unstable(spec: ManifoldSpec, params: OperatorParams) -> bool:
     mu = (1.0 / spec.t) ** 2
     two_sharp = critical_exponent(spec.n)
@@ -170,7 +161,7 @@ def _nonconstant_solution(
         except (ConvergenceError, PositivityError):
             pass
     u_bar = params.a_alpha ** ((spec.n - 4) / 8.0)
-    seed = _mode1_seed(spec, u_bar, config.perturbation, opts.modes)
+    seed = PeriodicField.cosine(spec, u_bar, MODE1_AMPLITUDE, opts.modes)
     try:
         qm = minimize_quotient(seed, params)
         sol = rescale_to_solution(qm, params, opts)
@@ -235,45 +226,20 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
 
 # --- emission ----------------------------------------------------------------
 
-CSV_COLUMNS = [
-    "alpha",
-    "a_alpha",
-    "c_alpha",
-    "d_alpha",
-    "E_const",
-    "E_nonconst",
-    "E_m_estimate",
-    "lambda_quotient",
-    "lambda_below_k0_inv2",
-    "is_nonconstant",
-    "R_L2",
-    "R_gradL2",
-    "hessian_ratio_over_a",
-    "modes_used",
-    "newton_iters",
-    "residual_sup",
-]
+# output column names of the SweepRecord fields that are not spelled alike
+_COLUMN_NAMES = {
+    "e_const": "E_const",
+    "e_nonconst": "E_nonconst",
+    "e_m_estimate": "E_m_estimate",
+    "r_l2": "R_L2",
+    "r_grad_l2": "R_gradL2",
+}
+_FIELDS = [f.name for f in fields(SweepRecord)]
+CSV_COLUMNS = [_COLUMN_NAMES.get(name, name) for name in _FIELDS]
 
 
 def _record_fields(r: SweepRecord) -> list:
-    return [
-        r.alpha,
-        r.a_alpha,
-        r.c_alpha,
-        r.d_alpha,
-        r.e_const,
-        r.e_nonconst,
-        r.e_m_estimate,
-        r.lambda_quotient,
-        r.lambda_below_k0_inv2,
-        r.is_nonconstant,
-        r.r_l2,
-        r.r_grad_l2,
-        r.hessian_ratio_over_a,
-        r.modes_used,
-        r.newton_iters,
-        r.residual_sup,
-    ]
+    return [getattr(r, name) for name in _FIELDS]
 
 
 def _csv_cell(value) -> str:

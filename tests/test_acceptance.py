@@ -148,10 +148,7 @@ def test_criterion_5_constant_branch(sweep_records):
 
     for alpha in (2.0, 8.0):
         params = OperatorParams(alpha, alpha * alpha / 4.0)
-        coeffs = np.zeros(64, dtype=complex)
-        coeffs[0] = params.a_alpha**0.125
-        coeffs[1] = coeffs[-1] = 0.05 * coeffs[0]
-        seed = PeriodicField(SPEC, coeffs)
+        seed = PeriodicField.cosine(SPEC, params.a_alpha**0.125, 0.1, 64)
         sol = rescale_to_solution(minimize_quotient(seed, params), params)
         rep = norms(sol.field, params)
         worst_identity = max(worst_identity, abs(rep.pairing - sol.energy) / sol.energy)

@@ -1,13 +1,17 @@
 import csv
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from paneitz.cli import main
+from paneitz.constants import critical_exponent
 from paneitz.field import PeriodicField, save_field
 from paneitz.geometry import ManifoldSpec
+from paneitz.solver import SolverOptions
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +171,45 @@ class TestSweepCommand:
         run_cli(capsys, *args, str(f1))
         run_cli(capsys, *args, str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+    # Regression: both sweeps used to stop with "coefficients are not
+    # conjugate-symmetric" (exit 1) when a residual's rounding exceeded the
+    # real-field check.
+    @pytest.mark.parametrize("grid", [("--dim", "7"), ("--dim", "5", "--alpha", "2:512:9:log")])
+    def test_sweep_rows_within_solver_acceptance(self, capsys, tmp_path, grid):
+        out = tmp_path / "sweep.csv"
+        code, _, err = run_cli(capsys, "sweep", *grid, "--out", str(out))
+        assert code == 0, err
+        with open(out, encoding="ascii") as fh:
+            rows = list(csv.DictReader(fh))
+        # the peak grows along the branch, so the solve at the largest
+        # nonconstant alpha bounds the acceptance of every row
+        top = max((r["alpha"] for r in rows if r["is_nonconstant"] == "true"), key=float)
+        code, text, err = run_cli(capsys, "solve", grid[0], grid[1], "--alpha", top)
+        assert code == 0, err
+        opts, p = SolverOptions(), critical_exponent(int(grid[1])) - 1.0
+        acceptance = 10.0 * max(opts.tol, opts.rtol * json.loads(text)["max_value"] ** p)
+        assert all(float(r["residual_sup"]) <= acceptance for r in rows)
+
+
+class TestSolveDomain:
+    # Every run in the supported domain ends verified (exit 0) or as a named
+    # numerical failure (exit 2); exit 1 is for usage and domain errors only.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(5, 12),
+        t=st.floats(0.3, 3.0),
+        alpha=st.floats(0.5, 256.0),
+        frac=st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_solve_never_reports_a_usage_error(self, n, t, alpha, frac):
+        a = frac * alpha * alpha / 4.0
+        assume(a > 0.0)
+        argv = ["solve", "--dim", str(n), "--t", repr(t), "--alpha", repr(alpha), "--a", repr(a)]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code == 0 or (code == 2 and "numerical failure: " in err.getvalue()), err.getvalue()
 
 
 class TestDiagnoseCommand:

@@ -27,11 +27,7 @@ SPEC = ManifoldSpec(5, 1.0)
 
 def spectral_solution(alpha, a, spec=SPEC, modes=64):
     params = OperatorParams(alpha, a)
-    u_bar = a ** ((spec.n - 4) / 8.0)
-    coeffs = np.zeros(modes, dtype=complex)
-    coeffs[0] = u_bar
-    coeffs[1] = coeffs[-1] = 0.05 * u_bar
-    seed = PeriodicField(spec, coeffs)
+    seed = PeriodicField.cosine(spec, a ** ((spec.n - 4) / 8.0), 0.1, modes)
     return rescale_to_solution(minimize_quotient(seed, params), params)
 
 

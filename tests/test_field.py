@@ -34,10 +34,12 @@ class TestTransform:
         assert np.max(np.abs(c[1:])) < 1e-15
 
     def test_cosine_modes(self):
+        # the half spectrum keeps m = 0..N/2; cos is c_1 = 1/2 (c_-1 is its conjugate)
         s = np.arange(64) * L / 64
         c = transform(np.cos(2 * math.pi * s / L))
+        assert c.size == 33
         assert c[1] == pytest.approx(0.5, abs=1e-14)
-        assert c[-1] == pytest.approx(0.5, abs=1e-14)
+        assert np.max(np.abs(np.delete(c, 1))) < 1e-15
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=200))
@@ -46,24 +48,22 @@ class TestTransform:
         assert np.max(np.abs(inverse(transform(vals)) - vals)) < 1e-12
 
     def test_parseval(self, rng):
+        # discrete Parseval: c_0 and c_{N/2} once, every 0 < m < N/2 for its +-m pair
         vals = rng.normal(size=128)
         c = transform(vals)
-        assert np.sum(np.abs(c) ** 2) == pytest.approx(np.mean(vals**2), rel=1e-12)
+        counts = np.full(c.size, 2.0)
+        counts[0] = counts[-1] = 1.0
+        assert np.sum(counts * np.abs(c) ** 2) == pytest.approx(np.mean(vals**2), rel=1e-12)
 
-    def test_inverse_rejects_asymmetric(self):
-        bad = np.zeros(32, complex)
-        bad[3] = 1.0  # no conjugate partner
-        with pytest.raises(ValueError):
-            inverse(bad)
+    def test_any_half_spectrum_is_a_real_field(self, rng):
+        c = rng.normal(size=17) + 1j * rng.normal(size=17)
+        c[0], c[-1] = c[0].real, c[-1].real
+        vals = inverse(c)
+        assert vals.dtype == np.float64 and vals.size == 32
+        assert np.max(np.abs(transform(vals) - c)) < 1e-15
 
 
 class TestPeriodicField:
-    def test_construction_enforces_symmetry(self):
-        bad = np.zeros(32, complex)
-        bad[5] = 1.0
-        with pytest.raises(ValueError):
-            PeriodicField(SPEC, bad)
-
     def test_round_trip_through_values(self, rng):
         vals = rng.normal(size=64)
         u = PeriodicField.from_values(SPEC, vals)
@@ -73,9 +73,27 @@ class TestPeriodicField:
         # mode numbers stay exact integers for any even size
         vals = rng.normal(size=96)
         u = PeriodicField.from_values(SPEC, vals)
-        assert np.max(np.abs(np.fft.ifft(u.coeffs * 96).real - vals)) < 1e-12
+        assert u.modes == 96 and u.coeffs.size == 49
+        assert np.max(np.abs(np.fft.irfft(u.coeffs * 96, 96) - vals)) < 1e-12
         kap = u.wavenumbers()
-        assert kap[1] == 1.0 and kap[48] == -48.0 and kap[-1] == -1.0
+        assert kap[1] == 1.0 and kap[47] == 47.0 and kap[48] == 48.0
+
+    def test_cosine_seed(self):
+        u = PeriodicField.cosine(SPEC, 2.0, 0.1, 32)
+        s = u.grid
+        assert u.modes == 32
+        assert np.max(np.abs(u.values - 2.0 * (1.0 + 0.1 * np.cos(s / SPEC.t)))) < 1e-15
+        assert np.array_equal(PeriodicField.constant(SPEC, 2.0, 32).values, np.full(32, 2.0))
+
+    def test_nyquist_cosine_is_kept_in_galerkin_space(self):
+        # cos(N s / 2) splits evenly when padded and comes back whole when truncated
+        u = PeriodicField.from_function(SPEC, lambda s: np.cos(16 * s / SPEC.t), 32)
+        assert u.coeffs[-1] == pytest.approx(1.0, abs=1e-14)
+        up = u.resample(64)
+        assert np.max(np.abs(up.values - np.cos(16 * up.grid / SPEC.t))) < 1e-13
+        assert np.max(np.abs(up.resample(32).coeffs - u.coeffs)) < 1e-15
+        assert u.derivative(1).coeffs[-1] == 0.0
+        assert norms(u).l2 == pytest.approx(0.5 * OMEGA4 * L, rel=1e-13)
 
     def test_fine_values_interpolate(self):
         u = cosine_field()

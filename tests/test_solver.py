@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from paneitz.constants import OperatorParams, constant_branch, critical_exponent
-from paneitz.field import PeriodicField, norms
+from paneitz.field import PeriodicField, load_field, norms, save_field
 from paneitz.geometry import ManifoldSpec, product_volume
 from paneitz.solver import (
     SolverOptions,
@@ -15,6 +15,7 @@ from paneitz.solver import (
     rescale_to_solution,
     residual,
 )
+from paneitz.solver import _from_real, _to_real
 
 SPEC = ManifoldSpec(5, 1.0)
 L = SPEC.period
@@ -28,10 +29,7 @@ def constant_init(a, modes=64, spec=SPEC):
 
 def perturbed_init(a, amplitude=0.1, modes=64, spec=SPEC):
     u_bar = a ** ((spec.n - 4) / 8.0)
-    coeffs = np.zeros(modes, dtype=complex)
-    coeffs[0] = u_bar
-    coeffs[1] = coeffs[-1] = 0.5 * amplitude * u_bar
-    return PeriodicField(spec, coeffs)
+    return PeriodicField.cosine(spec, u_bar, amplitude, modes)
 
 
 class TestResidual:
@@ -125,6 +123,26 @@ class TestNewton:
         sol = rescale_to_solution(qm, params, opts)
         assert sol.modes > 32  # concentration demands refinement
         assert sol.residual_sup <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def concentrated():
+    """The n=5, alpha=128 mode1 solution, refined to 512 modes."""
+    params = OperatorParams(128.0, 4096.0)
+    return rescale_to_solution(minimize_quotient(perturbed_init(params.a_alpha), params), params)
+
+
+class TestMovedStarts:
+    # Regression: a translated and rescaled copy of a concentrated solution,
+    # read back from its field file, must return to the same solution
+    # (Newton used to stagnate for half of these starts).
+    @pytest.mark.parametrize("s0", [0.3, 1.0, 2.6425, 5.0907])
+    @pytest.mark.parametrize("scale", [0.98, 1.0005, 1.04])
+    def test_returns_to_unshifted_energy(self, concentrated, tmp_path, s0, scale):
+        path = tmp_path / "moved.field"
+        save_field(concentrated.field.shift(s0).scaled(scale), path)
+        sol = newton_solve(load_field(path), concentrated.params)
+        assert sol.energy == pytest.approx(concentrated.energy, rel=1e-9)
 
 
 class TestQuotient:
@@ -239,10 +257,27 @@ class TestLinearization:
         assert np.allclose(np.sort(dense), expected, atol=1e-9)
 
     def test_operator_is_hermitian(self):
+        # real and exactly symmetric by construction, one row per real coordinate
         params = OperatorParams(2.0, 1.0)
         sol = newton_solve(perturbed_init(1.0, modes=32), params)
         op = linearized_operator(sol.field, params)
-        assert np.max(np.abs(op - op.conj().T)) < 1e-10 * np.max(np.abs(op))
+        assert op.dtype == np.float64
+        assert op.shape == (sol.modes, sol.modes)
+        assert np.array_equal(op, op.T)
+
+    def test_operator_matches_finite_differences(self):
+        # column j is the residual's response to the j-th orthonormal
+        # cosine/sine coordinate (Re c_0..c_{N/2}, then Im c_1..c_{N/2-1})
+        params = OperatorParams(2.0, 1.0)
+        u = PeriodicField.from_function(SPEC, lambda s: 1.0 + 0.3 * np.cos(s) + 0.1 * np.sin(2 * s), 16)
+        op = linearized_operator(u, params)
+        x0, h = _to_real(u.coeffs), 1e-6
+
+        def res(x):
+            return _to_real(residual(PeriodicField(SPEC, _from_real(x)), params).coeffs)
+
+        fd = np.column_stack([(res(x0 + h * e) - res(x0 - h * e)) / (2 * h) for e in np.eye(x0.size)])
+        assert np.max(np.abs(op - fd)) < 1e-8 * np.max(np.abs(op))
 
 
 class TestBifurcationAlpha:

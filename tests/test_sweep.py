@@ -78,12 +78,13 @@ class TestRunSweep:
             assert rec.c_alpha * rec.d_alpha == pytest.approx(rec.a_alpha, rel=1e-12)
 
     def test_solver_failure_keeps_constant_row(self):
-        # an absurdly strict iteration cap forces the nonconstant attempts to
-        # fail; the sweep must still produce rows
+        # with no backtracking steps Newton cannot move off a start that is
+        # not already a solution, so the nonconstant attempts fail; the sweep
+        # must still produce rows
         config = SweepConfig(
             spec=SPEC,
             alphas=(2.0,),
-            solver=SolverOptions(modes=16, max_iter=1, adapt_modes=False),
+            solver=SolverOptions(modes=16, max_backtracks=0, adapt_modes=False),
         )
         (rec,) = run_sweep(config)
         assert rec.e_nonconst is None
@@ -125,6 +126,13 @@ class TestEmit:
         lines = text.strip().split("\n")
         assert len(lines) == 2
         assert lines[0] == ",".join(CSV_COLUMNS)
+
+    def test_csv_header_is_fixed(self, short_records):
+        assert emit(short_records[:1], "csv").split("\n")[0] == (
+            "alpha,a_alpha,c_alpha,d_alpha,E_const,E_nonconst,E_m_estimate,lambda_quotient,"
+            "lambda_below_k0_inv2,is_nonconstant,R_L2,R_gradL2,hessian_ratio_over_a,"
+            "modes_used,newton_iters,residual_sup"
+        )
 
     def test_csv_round_trip_17_digits(self, short_records):
         text = emit(short_records, "csv")
