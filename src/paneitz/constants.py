@@ -99,7 +99,8 @@ def factorize(alpha: float, a: float) -> tuple[float, float]:
             f"no real factorization: a={a} exceeds alpha^2/4={alpha*alpha/4.0}"
         )
     c = alpha / 2.0 + math.sqrt(disc)
-    d = a / c
+    # at the double root a/c can round one ulp above c
+    d = min(a / c, c)
     return c, d
 
 

@@ -121,6 +121,12 @@ class TestFactorize:
         assert c * d == pytest.approx(a, rel=1e-12)
         assert (mu + c) * (mu + d) == pytest.approx(mu * mu + alpha * mu + a, rel=1e-10)
 
+    def test_double_root_keeps_order(self):
+        # a = alpha^2/4 up to rounding: a/c must not land one ulp above c
+        alpha = 1.4936672528516937
+        c, d = factorize(alpha, alpha * alpha / 4.0)
+        assert c >= d > 0.0
+
     def test_operator_params_attach_roots(self):
         p = OperatorParams(5.0, 4.0)
         assert (p.c_alpha, p.d_alpha) == (pytest.approx(4.0), pytest.approx(1.0))
