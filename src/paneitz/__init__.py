@@ -66,6 +66,7 @@ from .solver import (
     linearized_operator,
     linearized_spectrum,
     minimize_quotient,
+    mode1_solution,
     newton_solve,
     quotient,
     rescale_to_solution,

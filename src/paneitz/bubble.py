@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -76,15 +76,12 @@ class BubbleParams:
 class RadialField:
     """A radial function on R^dim with closed-form derivative callbacks.
 
-    ``radii``/``values`` are samples (radii strictly increasing from near 0);
-    the callables, when available, give exact pointwise evaluations used by
+    The callables, when available, give exact pointwise evaluations used by
     the residual and integral routines.  No numerical differentiation happens
     anywhere in this module.
     """
 
     dim: int
-    radii: np.ndarray
-    values: np.ndarray
     value: Callable[[np.ndarray], np.ndarray]
     deriv1: Callable[[np.ndarray], np.ndarray] | None = None
     deriv2: Callable[[np.ndarray], np.ndarray] | None = None
@@ -92,14 +89,6 @@ class RadialField:
     deriv4: Callable[[np.ndarray], np.ndarray] | None = None
     laplacian: Callable[[np.ndarray], np.ndarray] | None = None
     bilaplacian: Callable[[np.ndarray], np.ndarray] | None = None
-    label: str = dc_field(default="")
-
-    def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
-        if r.ndim != 1 or np.any(np.diff(r) <= 0):
-            raise ValueError("sample radii must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("sample values must be finite")
 
 
 def _power_profile_laplacian(n: int, m: float, lam: float, r: np.ndarray) -> np.ndarray:
@@ -137,9 +126,6 @@ def power_profile_field(
     exponent: float,
     scale: float = 1.0,
     amplitude: float = 1.0,
-    rmax: float = 50.0,
-    samples: int = 64,
-    label: str = "",
 ) -> RadialField:
     """amplitude * (1 + (scale r)^2)^(-exponent) with exact derivative callbacks."""
     m, lam, amp = float(exponent), float(scale), float(amplitude)
@@ -183,11 +169,8 @@ def power_profile_field(
     def bilaplacian(r):
         return amp * _power_profile_bilaplacian(dim, m, lam, np.asarray(r, dtype=float))
 
-    radii = np.linspace(0.0, rmax, samples)
     return RadialField(
         dim=dim,
-        radii=radii,
-        values=value(radii),
         value=value,
         deriv1=deriv1,
         deriv2=deriv2,
@@ -195,13 +178,10 @@ def power_profile_field(
         deriv4=deriv4,
         laplacian=laplacian,
         bilaplacian=bilaplacian,
-        label=label or f"power_profile(dim={dim}, exponent={m}, scale={lam})",
     )
 
 
-def bubble_field(
-    params: BubbleParams, scale: float = 1.0, rmax: float = 50.0, samples: int = 64
-) -> RadialField:
+def bubble_field(params: BubbleParams, scale: float = 1.0) -> RadialField:
     """The (optionally amplitude-scaled) extremal as a RadialField with exact
     closed-form derivative callbacks."""
     n = params.n
@@ -210,25 +190,18 @@ def bubble_field(
         exponent=(n - 4) / 2.0,
         scale=params.lambda0,
         amplitude=scale * params.amplitude,
-        rmax=rmax,
-        samples=samples,
-        label=f"bubble(n={n}, lambda0={params.lambda0}, scale={scale})",
     )
 
 
-def constant_field(n: int, value: float, rmax: float = 50.0) -> RadialField:
-    radii = np.linspace(0.0, rmax, 16)
+def constant_field(n: int, value: float) -> RadialField:
     c = float(value)
     zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
     return RadialField(
         dim=n,
-        radii=radii,
-        values=np.full(16, c),
         value=lambda r: np.full_like(np.asarray(r, dtype=float), c),
         deriv1=zero,
         laplacian=zero,
         bilaplacian=zero,
-        label=f"constant({c})",
     )
 
 
@@ -245,7 +218,7 @@ def pde_residual(
     """
     if rmax <= 0:
         raise ValueError("rmax must be positive")
-    f = field if field is not None else bubble_field(params, rmax=rmax)
+    f = field if field is not None else bubble_field(params)
     if f.bilaplacian is None:
         raise ValueError("pde_residual needs a closed-form bilaplacian callback")
     r = np.concatenate(
@@ -265,13 +238,18 @@ def expected_bubble_energy(n: int, lambda_inf: float = 1.0) -> float:
     return (lambda_inf / k0_inv_sq) ** (-n / 4.0)
 
 
-def bubble_energy(params: BubbleParams, nodes: int = 240, check: bool = True) -> float:
+_ENERGY_NODES = 240  # Gauss-Legendre order of the coarse bubble-energy rule
+_RADIAL_ORDER = 24   # per-panel Gauss-Legendre order of the radial integrals
+
+
+def bubble_energy(params: BubbleParams) -> float:
     """Critical energy integral of the extremal over R^n.
 
     Substituting r = tan(theta)/lambda0 maps the half line onto [0, pi/2)
     with an analytic integrand, so composite Gauss-Legendre converges
     spectrally and no truncation radius is involved.  Convergence is verified
-    by doubling the node count; disagreement raises a warning.
+    by doubling the node count (from ``_ENERGY_NODES``); disagreement raises
+    a warning.
     """
     n = params.n
     omega = sphere_volume(n - 1)
@@ -285,9 +263,9 @@ def bubble_energy(params: BubbleParams, nodes: int = 240, check: bool = True) ->
         vals = bubble_eval(params, r) ** p * r ** (n - 1) * jac
         return omega * float(np.sum(w * vals))
 
-    coarse = quad(nodes)
-    fine = quad(2 * nodes)
-    if check and abs(fine - coarse) > 1e-9 * abs(fine):
+    coarse = quad(_ENERGY_NODES)
+    fine = quad(2 * _ENERGY_NODES)
+    if abs(fine - coarse) > 1e-9 * abs(fine):
         warnings.warn(
             f"critical energy quadrature not converged: {coarse!r} vs {fine!r}",
             RuntimeWarning,
@@ -295,12 +273,12 @@ def bubble_energy(params: BubbleParams, nodes: int = 240, check: bool = True) ->
     return fine
 
 
-def _radial_quadrature(rmax: float, order: int = 24) -> tuple[np.ndarray, np.ndarray]:
+def _radial_quadrature(rmax: float) -> tuple[np.ndarray, np.ndarray]:
     edges = geometric_edges(rmax * 2.0 ** (-20), rmax)
-    return panel_rule(edges, order=order)
+    return panel_rule(edges, order=_RADIAL_ORDER)
 
 
-def pohozaev_identity_residual(w: RadialField, rmax: float = 40.0, order: int = 24) -> float:
+def pohozaev_identity_residual(w: RadialField, rmax: float = 40.0) -> float:
     """Normalized defect of the scaling identity
 
         int Delta^2 w (x . grad w) dx + (n-4)/2 int (Delta w)^2 dx = 0
@@ -312,7 +290,7 @@ def pohozaev_identity_residual(w: RadialField, rmax: float = 40.0, order: int = 
     if w.bilaplacian is None or w.deriv1 is None or w.laplacian is None:
         raise ValueError("identity check needs deriv1, laplacian and bilaplacian callbacks")
     n = w.dim
-    r, wq = _radial_quadrature(rmax, order)
+    r, wq = _radial_quadrature(rmax)
     meas = r ** (n - 1)
     omega = sphere_volume(n - 1)
     g1 = np.asarray(w.bilaplacian(r)) * r * np.asarray(w.deriv1(r)) * meas
@@ -333,7 +311,7 @@ def pohozaev_identity_residual(w: RadialField, rmax: float = 40.0, order: int = 
     return (i1 + 0.5 * (n - 4) * i2) / i2
 
 
-def pohozaev_witness(w: RadialField, lam: float, mu: float, radius: float, order: int = 24) -> float:
+def pohozaev_witness(w: RadialField, lam: float, mu: float, radius: float) -> float:
     """lam int_{B_R} |grad w|^2 dx + 2 mu int_{B_R} w^2 dx.
 
     This is the limiting obstruction of the truncated scaling identity: it
@@ -348,7 +326,7 @@ def pohozaev_witness(w: RadialField, lam: float, mu: float, radius: float, order
     if w.deriv1 is None:
         raise ValueError("witness needs the first-derivative callback")
     n = w.dim
-    r, wq = _radial_quadrature(radius, order)
+    r, wq = _radial_quadrature(radius)
     meas = r ** (n - 1)
     omega = sphere_volume(n - 1)
     grad_sq = omega * float(np.sum(wq * np.asarray(w.deriv1(r)) ** 2 * meas))

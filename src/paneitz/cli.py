@@ -26,15 +26,8 @@ from .constants import (
 from .diagnostics import concentration_ratios
 from .field import PeriodicField, load_field, save_field
 from .geometry import ManifoldSpec
-from .solver import (
-    ConvergenceError,
-    PositivityError,
-    SolverOptions,
-    minimize_quotient,
-    newton_solve,
-    rescale_to_solution,
-)
-from .sweep import MODE1_AMPLITUDE, SweepConfig, emit, quarter_square, run_sweep
+from .solver import ConvergenceError, PositivityError, SolverOptions, mode1_solution, newton_solve
+from .sweep import SweepConfig, emit, quarter_square, run_sweep
 
 __all__ = ["main", "build_parser"]
 
@@ -62,14 +55,9 @@ def _resolve_a(alpha: float, text: str) -> float:
     if text == "auto":
         return quarter_square(alpha)
     try:
-        a = float(text)
+        return float(text)
     except ValueError:
         raise ValueError(f"--a must be a number or 'auto', got {text!r}") from None
-    if a > alpha * alpha / 4.0:
-        raise ValueError(
-            f"coefficient schedule must satisfy a <= alpha^2/4; got a={a} > {alpha*alpha/4.0}"
-        )
-    return a
 
 
 def _parse_alpha_grid(text: str) -> tuple[float, ...]:
@@ -178,7 +166,7 @@ def _cmd_bubble_check(args) -> int:
     energy = bubble_mod.bubble_energy(params)
     expected = bubble_mod.expected_bubble_energy(args.dim)
     poh = bubble_mod.pohozaev_identity_residual(
-        bubble_mod.bubble_field(params, rmax=args.rmax), rmax=args.rmax
+        bubble_mod.bubble_field(params), rmax=args.rmax
     )
     _print_json(
         {
@@ -212,16 +200,13 @@ def _solution_payload(sol) -> dict:
 
 def _cmd_solve(args) -> int:
     spec = ManifoldSpec(args.dim, args.t)
-    a = _resolve_a(args.alpha, args.a)
-    params = OperatorParams(args.alpha, a)
+    params = OperatorParams(args.alpha, _resolve_a(args.alpha, args.a))
     opts = SolverOptions(modes=args.modes)
-    u_bar = a ** ((spec.n - 4) / 8.0)
     if args.init == "mode1":
-        seed = PeriodicField.cosine(spec, u_bar, MODE1_AMPLITUDE, args.modes)
-        sol = rescale_to_solution(minimize_quotient(seed, params), params, opts)
+        sol = mode1_solution(spec, params, opts)
     else:
         if args.init == "constant":
-            init = PeriodicField.constant(spec, u_bar, args.modes)
+            init = PeriodicField.constant(spec, params.a_alpha ** ((spec.n - 4) / 8.0), args.modes)
         else:
             if not args.field_in:
                 raise ValueError("--init file requires --field-in PATH")
@@ -248,11 +233,7 @@ def _cmd_sweep(args) -> int:
             raise ValueError("give either --alpha or a schedule file, not both")
         rows = _read_schedule_file(args.schedule)
         alphas = tuple(a for a, _ in rows)
-        table = dict(rows)
-
-        def schedule(alpha: float, _table=table) -> float:
-            return _table[alpha]
-
+        schedule = dict(rows).__getitem__
     config = SweepConfig(
         spec=spec,
         alphas=alphas,

@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _GRADLESS = 1e-13
+_PANEL_ORDER = 16  # per-panel Gauss-Legendre order of multi_bubble_energy
 
 
 @dataclass(frozen=True)
@@ -183,15 +184,14 @@ def multi_bubble_energy(
     centers: np.ndarray,
     lambda0s: np.ndarray,
     lambda_inf: float = 1.0,
-    order: int = 16,
-    r_out: float | None = None,
 ) -> float:
     """Critical energy of a sum of collinear radial extremals on R^n.
 
     The integrand depends only on the axis coordinate and the distance to
     the axis, so the integral reduces to a 2-d quadrature weighted by
-    omega_(n-2) rho^(n-2).  Panels are geometrically refined toward every
-    center at its own concentration scale, which resolves superposed
+    omega_(n-2) rho^(n-2), truncated 300 widths of the widest extremal
+    beyond the outermost centers.  Panels are geometrically refined toward
+    every center at its own concentration scale, which resolves superposed
     features whose widths differ by many orders of magnitude.
     """
     centers = np.asarray(centers, dtype=float)
@@ -199,12 +199,11 @@ def multi_bubble_energy(
     if centers.shape != lambda0s.shape or centers.ndim != 1:
         raise ValueError("centers and lambda0s must be matching 1-d arrays")
     two_sharp = critical_exponent(n)
-    if r_out is None:
-        r_out = 300.0 / float(np.min(lambda0s))
+    r_out = 300.0 / float(np.min(lambda0s))
     lo, hi = float(np.min(centers)) - r_out, float(np.max(centers)) + r_out
-    x_nodes, x_w = panel_rule(refined_axis_edges(centers, lambda0s, lo, hi), order)
+    x_nodes, x_w = panel_rule(refined_axis_edges(centers, lambda0s, lo, hi), _PANEL_ORDER)
     inner = 0.25 / float(np.max(lambda0s))
-    rho_nodes, rho_w = panel_rule(geometric_edges(inner, r_out), order)
+    rho_nodes, rho_w = panel_rule(geometric_edges(inner, r_out), _PANEL_ORDER)
     xx, rr = np.meshgrid(x_nodes, rho_nodes, indexing="ij")
     ww = x_w[:, None] * rho_w[None, :]
     total_field = np.zeros_like(xx)

@@ -114,7 +114,7 @@ class PeriodicField:
         self.spec = spec
         self.coeffs = coeffs
         self._values: np.ndarray | None = None
-        self._fine: tuple[int, np.ndarray] | None = None
+        self._fine: np.ndarray | None = None
 
     # --- constructors -------------------------------------------------
 
@@ -159,22 +159,17 @@ class PeriodicField:
             self._values = np.fft.irfft(self.coeffs * self.modes, self.modes)
         return self._values
 
-    @property
-    def oversample(self) -> int:
-        return oversample_factor(critical_exponent(self.spec.n))
+    def fine_size(self) -> int:
+        return self.modes * oversample_factor(critical_exponent(self.spec.n))
 
-    def fine_size(self, factor: int | None = None) -> int:
-        return self.modes * (factor or self.oversample)
+    def fine_values(self) -> np.ndarray:
+        if self._fine is None:
+            nf = self.fine_size()
+            self._fine = np.fft.irfft(_pad(self.coeffs, nf) * nf, nf)
+        return self._fine
 
-    def fine_values(self, factor: int | None = None) -> np.ndarray:
-        nf = self.fine_size(factor)
-        if self._fine is None or self._fine[0] != nf:
-            vals = np.fft.irfft(_pad(self.coeffs, nf) * nf, nf)
-            self._fine = (nf, vals)
-        return self._fine[1]
-
-    def fine_grid(self, factor: int | None = None) -> np.ndarray:
-        nf = self.fine_size(factor)
+    def fine_grid(self) -> np.ndarray:
+        nf = self.fine_size()
         return np.arange(nf) * (self.spec.period / nf)
 
     @property

@@ -43,7 +43,7 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def panel_rule(edges: np.ndarray, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
+def panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of composite Gauss-Legendre over consecutive panels."""
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
@@ -56,22 +56,20 @@ def panel_rule(edges: np.ndarray, order: int = 16) -> tuple[np.ndarray, np.ndarr
     return nodes.ravel(), weights.ravel()
 
 
-def geometric_edges(inner: float, outer: float, factor: float = 2.0, include_zero: bool = True):
-    """Edges [0,] inner, inner*factor, ... up to outer."""
+def geometric_edges(inner: float, outer: float) -> np.ndarray:
+    """Edges 0, inner, 2 inner, 4 inner, ... up to outer."""
     if not 0 < inner < outer:
         raise ValueError("need 0 < inner < outer")
-    edges = [inner]
+    edges = [0.0, inner]
     while edges[-1] < outer:
-        edges.append(min(edges[-1] * factor, outer))
-    if include_zero:
-        edges.insert(0, 0.0)
+        edges.append(min(edges[-1] * 2.0, outer))
     return np.asarray(edges)
 
 
-def refined_axis_edges(centers, scales, lo: float, hi: float, start: float = 0.25) -> np.ndarray:
+def refined_axis_edges(centers, scales, lo: float, hi: float) -> np.ndarray:
     """Panel edges on [lo, hi], geometrically refined toward each center.
 
-    Around center i the first panel boundary sits at distance start/scales[i],
+    Around center i the first panel boundary sits at distance 0.25/scales[i],
     then doubles outward.  Used to resolve features of very different widths
     on a single axis.
     """
@@ -79,7 +77,7 @@ def refined_axis_edges(centers, scales, lo: float, hi: float, start: float = 0.2
     for c, s in zip(centers, scales):
         if lo < c < hi:
             edges.add(float(c))
-        off = start / s
+        off = 0.25 / s
         while off < (hi - lo):
             for e in (c - off, c + off):
                 if lo < e < hi:

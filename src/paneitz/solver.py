@@ -18,6 +18,9 @@ Two routes produce solutions:
   (descent direction u - Q(u) P^{-1} u_+^(2#-1), step halving on failure to
   decrease).  Since P^{-1} = (Delta + c)^{-1} (Delta + d)^{-1} with c, d > 0
   preserves positivity on the circle, positive iterates stay positive.
+  ``mode1_solution`` runs it from the mode-1 perturbed constant and
+  Newton-polishes the rescaled minimizer: the one fresh start of the
+  nonconstant branch.
 
 During Newton iteration the nonlinearity uses the positive part u_+ plus a
 quadratic penalty on the negative part; acceptance re-verifies the
@@ -34,6 +37,7 @@ import numpy as np
 
 from .constants import OperatorParams, critical_exponent, sharp_constant
 from .field import PeriodicField, _pair_counts, _parseval_weights, _truncate, norms
+from .geometry import ManifoldSpec
 
 __all__ = [
     "ConvergenceError",
@@ -46,6 +50,7 @@ __all__ = [
     "QuotientMinimum",
     "minimize_quotient",
     "rescale_to_solution",
+    "mode1_solution",
     "linearized_operator",
     "linearized_spectrum",
     "bifurcation_alpha",
@@ -74,7 +79,6 @@ class SolverOptions:
     max_iter: int = 50
     max_backtracks: int = 30
     penalty_weight: float = 10.0
-    adapt_modes: bool = True
     max_modes: int = 512
     tail_tol: float = 1e-10       # coefficient l1 tail mass triggering refinement
 
@@ -299,7 +303,7 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
     while True:
         u, res_sup, it = _newton_fixed(u, params, opts)
         iters += it
-        if not opts.adapt_modes or u.modes >= opts.max_modes or _tail_fraction(u) < opts.tail_tol:
+        if u.modes >= opts.max_modes or _tail_fraction(u) < opts.tail_tol:
             break
         u = u.resample(min(2 * u.modes, opts.max_modes))
 
@@ -414,10 +418,7 @@ def minimize_quotient(
 
 
 def rescale_to_solution(
-    minimum: QuotientMinimum | PeriodicField,
-    params: OperatorParams,
-    opts: SolverOptions | None = None,
-    lambda_min: float | None = None,
+    minimum: QuotientMinimum, params: OperatorParams, opts: SolverOptions | None = None
 ) -> Solution:
     """Turn a unit-norm quotient minimizer into a solution of P w = w^(2#-1).
 
@@ -425,15 +426,22 @@ def rescale_to_solution(
     w = lambda^((n-4)/8) u solves the unnormalized equation and has energy
     lambda^(n/4).  The rescaled field is polished by Newton.
     """
-    if isinstance(minimum, QuotientMinimum):
-        u, lam = minimum.field, minimum.lambda_min
-    else:
-        if lambda_min is None:
-            raise ValueError("lambda_min required when passing a bare field")
-        u, lam = minimum, lambda_min
-    n = u.spec.n
-    w = u.scaled(lam ** ((n - 4) / 8.0))
+    u = minimum.field
+    w = u.scaled(minimum.lambda_min ** ((u.spec.n - 4) / 8.0))
     return newton_solve(w, params, opts)
+
+
+MODE1_AMPLITUDE = 0.1  # relative amplitude of the mode-1 seed's cosine
+
+
+def mode1_solution(spec: ManifoldSpec, params: OperatorParams, opts: SolverOptions) -> Solution:
+    """Fresh start off the constant branch: quotient descent from the seed
+    u_bar (1 + MODE1_AMPLITUDE cos(s/t)), u_bar = a^((n-4)/8), on
+    ``opts.modes`` points, then rescaling and Newton polish.  Past the
+    mode-1 bifurcation this reaches the nonconstant branch."""
+    u_bar = params.a_alpha ** ((spec.n - 4) / 8.0)
+    seed = PeriodicField.cosine(spec, u_bar, MODE1_AMPLITUDE, opts.modes)
+    return rescale_to_solution(minimize_quotient(seed, params), params, opts)
 
 
 # --- linearization -----------------------------------------------------------
@@ -491,21 +499,19 @@ def bifurcation_alpha(n: int, t: float, m: int) -> float:
 # --- continuation helper -----------------------------------------------------
 
 
-def continuation_init(
-    prev: Solution, params: OperatorParams, da_dalpha: float | None = None
-) -> PeriodicField:
+def continuation_init(prev: Solution, params: OperatorParams) -> PeriodicField:
     """First-order predictor for continuation in alpha.
 
     Solves J delta = -(Delta u + a'(alpha) u) d(alpha) at the previous
-    solution; falls back to the unmodified previous field if the tangent
-    solve fails.
+    solution, with a'(alpha) the secant slope of a between the two
+    parameter sets; falls back to the unmodified previous field if the
+    tangent solve fails.
     """
     u = prev.field
     dalpha = params.alpha - prev.params.alpha
     if dalpha == 0.0:
         return u
-    if da_dalpha is None:
-        da_dalpha = (params.a_alpha - prev.params.a_alpha) / dalpha
+    da_dalpha = (params.a_alpha - prev.params.a_alpha) / dalpha
     dF = (u.wavenumbers() ** 2 + da_dalpha) * u.coeffs
     try:
         tangent = _solve_linearized(u, prev.params, dF)

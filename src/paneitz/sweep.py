@@ -28,9 +28,8 @@ from .solver import (
     Solution,
     SolverOptions,
     continuation_init,
-    minimize_quotient,
+    mode1_solution,
     newton_solve,
-    rescale_to_solution,
 )
 
 __all__ = [
@@ -44,7 +43,7 @@ __all__ = [
 ]
 
 
-MODE1_AMPLITUDE = 0.1  # relative amplitude of the mode-1 seed's cosine
+MAX_HALVINGS = 4  # continuation step halvings before a branch counts as lost
 
 
 def quarter_square(alpha: float) -> float:
@@ -54,27 +53,30 @@ def quarter_square(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """Sweep grid and options; ``params`` holds the operator of each grid
+    alpha, built (and so checked against 0 < a <= alpha^2/4) at construction."""
+
     spec: ManifoldSpec
     alphas: tuple[float, ...]
     schedule: Callable[[float], float] = quarter_square
     delta: float | None = None          # diagnostics ball radius, default L/8
     solver: SolverOptions = dc_field(default_factory=SolverOptions)
+    params: tuple[OperatorParams, ...] = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         alphas = tuple(float(a) for a in self.alphas)
-        if len(alphas) == 0 or alphas[0] <= 0:
-            raise ValueError("alpha grid must be nonempty and positive")
+        if not alphas:
+            raise ValueError("alpha grid must be nonempty")
         if any(b <= a for a, b in zip(alphas, alphas[1:])):
             raise ValueError("alpha grid must be strictly increasing")
-        for al in alphas:
-            a = self.schedule(al)
-            if a > al * al / 4.0:
-                raise ValueError(
-                    f"schedule violates a <= alpha^2/4 at alpha={al}: a={a}"
-                )
-            if a <= 0:
-                raise ValueError(f"schedule must be positive, got a={a} at alpha={al}")
+        params = []
+        for alpha in alphas:
+            try:
+                params.append(OperatorParams(alpha, self.schedule(alpha)))
+            except ValueError as exc:
+                raise ValueError(f"grid point alpha={alpha}: {exc}") from None
         object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "params", tuple(params))
 
     @property
     def ball_radius(self) -> float:
@@ -102,36 +104,35 @@ class SweepRecord:
 
 
 def branch_continuation(
-    prev: Solution,
-    params: OperatorParams,
-    opts: SolverOptions | None = None,
-    schedule: Callable[[float], float] | None = None,
-    max_halvings: int = 4,
+    prev: Solution, params: OperatorParams, opts: SolverOptions | None = None
 ) -> Solution:
     """Continue a converged solution to new parameters.
 
     Newton is seeded with a first-order predictor; on failure the alpha step
-    is halved (up to ``max_halvings`` times) and walked in substeps.
-    Persistent failure raises ConvergenceError ("branch lost").
+    is halved (up to ``MAX_HALVINGS`` times) and walked in substeps.  A
+    substep's a is alpha^2 times the linear interpolation of a/alpha^2
+    between the two ends, so it keeps 0 < a <= alpha^2/4 whenever both ends
+    do; the last substep is ``params`` itself.  Persistent failure raises
+    ConvergenceError ("branch lost").
     """
     opts = opts or SolverOptions()
     a0, a1 = prev.params.alpha, params.alpha
+    r0 = prev.params.a_alpha / (a0 * a0)
+    r1 = params.a_alpha / (a1 * a1)
 
-    def params_at(alpha: float) -> OperatorParams:
-        if alpha == a1:
+    def params_at(i: int, steps: int) -> OperatorParams:
+        if i == steps:
             return params
-        if schedule is not None:
-            return OperatorParams(alpha, schedule(alpha))
-        frac = (alpha - a0) / (a1 - a0) if a1 != a0 else 1.0
-        return OperatorParams(alpha, prev.params.a_alpha + frac * (params.a_alpha - prev.params.a_alpha))
+        alpha = a0 + (a1 - a0) * i / steps
+        return OperatorParams(alpha, alpha * alpha * (r0 + (r1 - r0) * i / steps))
 
     last_error: Exception | None = None
-    for halvings in range(max_halvings + 1):
+    for halvings in range(MAX_HALVINGS + 1):
         steps = 2**halvings
         sol = prev
         try:
             for i in range(1, steps + 1):
-                target = params_at(a0 + (a1 - a0) * i / steps)
+                target = params_at(i, steps)
                 init = continuation_init(sol, target)
                 sol = newton_solve(init, target, opts)
             return sol
@@ -151,20 +152,15 @@ def _mode1_unstable(spec: ManifoldSpec, params: OperatorParams) -> bool:
 def _nonconstant_solution(
     config: SweepConfig, params: OperatorParams, prev: Solution | None
 ) -> Solution | None:
-    spec = config.spec
-    opts = config.solver
     if prev is not None:
         try:
-            sol = branch_continuation(prev, params, opts, config.schedule)
+            sol = branch_continuation(prev, params, config.solver)
             if not sol.is_constant:
                 return sol
         except (ConvergenceError, PositivityError):
             pass
-    u_bar = params.a_alpha ** ((spec.n - 4) / 8.0)
-    seed = PeriodicField.cosine(spec, u_bar, MODE1_AMPLITUDE, opts.modes)
     try:
-        qm = minimize_quotient(seed, params)
-        sol = rescale_to_solution(qm, params, opts)
+        sol = mode1_solution(config.spec, params, config.solver)
         return None if sol.is_constant else sol
     except (ConvergenceError, PositivityError):
         return None
@@ -182,8 +178,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     delta = config.ball_radius
     records: list[SweepRecord] = []
     prev_nc: Solution | None = None
-    for alpha in config.alphas:
-        params = OperatorParams(alpha, config.schedule(alpha))
+    for alpha, params in zip(config.alphas, config.params):
         u_bar, e_const = constant_branch(spec.n, params.a_alpha, volume)
         sol_nc = (
             _nonconstant_solution(config, params, prev_nc)

@@ -40,7 +40,7 @@ def _poly_gauss(coeffs: np.ndarray, sigma: float):
     return fn
 
 
-def even_gaussian_field(dim: int, sigma: float, coeffs, rmax: float = 40.0) -> RadialField:
+def even_gaussian_field(dim: int, sigma: float, coeffs) -> RadialField:
     coeffs = np.asarray(coeffs, dtype=float)
     lap1 = _lap_coeffs(coeffs, sigma, dim)
     lap2 = _lap_coeffs(lap1, sigma, dim)
@@ -54,17 +54,12 @@ def even_gaussian_field(dim: int, sigma: float, coeffs, rmax: float = 40.0) -> R
         q[k] += -2.0 * sigma * c
     qg = _poly_gauss(q, sigma)
 
-    value = _poly_gauss(coeffs, sigma)
-    radii = np.linspace(0.0, rmax, 64)
     return RadialField(
         dim=dim,
-        radii=radii,
-        values=value(radii),
-        value=value,
+        value=_poly_gauss(coeffs, sigma),
         deriv1=lambda r: np.asarray(r, dtype=float) * qg(r),
         laplacian=_poly_gauss(lap1, sigma),
         bilaplacian=_poly_gauss(lap2, sigma),
-        label=f"even_gaussian(sigma={sigma})",
     )
 
 

@@ -105,7 +105,7 @@ def test_criterion_4_scaling_identity(rng):
         coeffs[0] += 2.0
         w = even_gaussian_field(5, sigma, coeffs)
         worst = max(worst, abs(pohozaev_identity_residual(w, rmax=30.0)))
-    v = bubble_field(BubbleParams(5), rmax=60.0)
+    v = bubble_field(BubbleParams(5))
     zero_witness = pohozaev_witness(v, 0.0, 0.0, 50.0)
     grad_witness = pohozaev_witness(v, 1.0, 0.0, 50.0)
     r, wq = panel_rule(geometric_edges(50.0 * 2.0**-20, 50.0), 24)

@@ -148,14 +148,14 @@ class TestPohozaevIdentity:
             assert abs(pohozaev_identity_residual(w, rmax=30.0)) <= 1e-6
 
     def test_truncated_bubble_residual_decays(self):
-        w = bubble_field(BubbleParams(5), rmax=80.0)
+        w = bubble_field(BubbleParams(5))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             vals = [abs(pohozaev_identity_residual(w, rmax=R)) for R in (10.0, 20.0, 40.0)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_slow_decay_warns(self):
-        w = bubble_field(BubbleParams(5), rmax=20.0)
+        w = bubble_field(BubbleParams(5))
         with pytest.warns(RuntimeWarning):
             pohozaev_identity_residual(w, rmax=10.0)
 

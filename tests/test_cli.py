@@ -95,7 +95,7 @@ class TestSolveCommand:
 
         original = cli_mod.SolverOptions
         cli_mod.SolverOptions = lambda modes: original(
-            modes=modes, max_iter=1, adapt_modes=False, max_backtracks=1
+            modes=modes, max_iter=1, max_modes=modes, max_backtracks=1
         )
         try:
             code, _, err = run_cli(
@@ -150,6 +150,39 @@ class TestSweepCommand:
         )
         assert code == 1
         assert "alpha^2/4" in err
+
+    # Regression: a halved continuation substep used to look its alpha up in
+    # the file's table and crash with "KeyError: 9.0".
+    def test_quarter_square_schedule_file_matches_grid(self, capsys, tmp_path):
+        sched = tmp_path / "quarter.txt"
+        sched.write_text("2 1\n16 64\n128 4096\n")
+        from_file, from_grid = tmp_path / "file.csv", tmp_path / "grid.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--dim", "5", "--schedule", str(sched), "--out", str(from_file)
+        )
+        assert code == 0, err
+        code, _, err = run_cli(
+            capsys, "sweep", "--dim", "5", "--alpha", "2:128:3:log", "--out", str(from_grid)
+        )
+        assert code == 0, err
+        assert from_file.read_bytes() == from_grid.read_bytes()
+
+    def test_eighth_square_schedule_file_within_solver_acceptance(self, capsys, tmp_path):
+        sched = tmp_path / "eighth.txt"
+        sched.write_text("2 0.5\n16 32\n128 2048\n")
+        out = tmp_path / "sweep.csv"
+        code, _, err = run_cli(
+            capsys, "sweep", "--dim", "5", "--schedule", str(sched), "--out", str(out)
+        )
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [float(r["a_alpha"]) for r in rows] == [0.5, 32.0, 2048.0]
+        # the peak grows with alpha, so the top row's solve bounds every row
+        code, text, err = run_cli(capsys, "solve", "--dim", "5", "--alpha", "128", "--a", "2048")
+        assert code == 0, err
+        opts, p = SolverOptions(), critical_exponent(5) - 1.0
+        acceptance = 10.0 * max(opts.tol, opts.rtol * json.loads(text)["max_value"] ** p)
+        assert all(float(r["residual_sup"]) <= acceptance for r in rows)
 
     def test_csv_requires_out(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--dim", "5", "--alpha", "2:4:2")

@@ -5,6 +5,7 @@ from paneitz.constants import OperatorParams, constant_branch, critical_exponent
 from paneitz.field import PeriodicField, load_field, norms, save_field
 from paneitz.geometry import ManifoldSpec, product_volume
 from paneitz.solver import (
+    QuotientMinimum,
     SolverOptions,
     bifurcation_alpha,
     linearized_operator,
@@ -211,8 +212,11 @@ class TestRescale:
 
     def test_unit_multiplier_is_identity(self):
         params = OperatorParams(2.0, 1.0)
-        u = perturbed_init(1.0)
-        w = rescale_to_solution(u, params, lambda_min=1.0)
+        qm = QuotientMinimum(
+            field=perturbed_init(1.0), lambda_min=1.0, iterations=0, grad_norm=0.0,
+            below_sharp_threshold=True,
+        )
+        w = rescale_to_solution(qm, params)
         # lambda = 1 leaves the field unchanged before polishing
         assert w.params is params
 

@@ -34,6 +34,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="alpha\\^2/4"):
             SweepConfig(spec=SPEC, alphas=(1.0, 2.0), schedule=lambda al: al)
 
+    def test_rejects_nan_schedule_value(self):
+        # caught at construction, not when the sweep reaches the row
+        with pytest.raises(ValueError, match="alpha=2.0: .*got nan"):
+            SweepConfig(
+                spec=SPEC,
+                alphas=(1.0, 2.0, 4.0),
+                schedule=lambda al: math.nan if al == 2.0 else quarter_square(al),
+            )
+
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
             SweepConfig(spec=SPEC, alphas=(2.0, 1.0))
@@ -84,7 +93,7 @@ class TestRunSweep:
         config = SweepConfig(
             spec=SPEC,
             alphas=(2.0,),
-            solver=SolverOptions(modes=16, max_backtracks=0, adapt_modes=False),
+            solver=SolverOptions(modes=16, max_backtracks=0, max_modes=16),
         )
         (rec,) = run_sweep(config)
         assert rec.e_nonconst is None
@@ -99,7 +108,7 @@ class TestContinuation:
         )
         sol0 = rescale_to_solution(minimize_quotient(seed, params0), params0)
         params1 = OperatorParams(2.5, quarter_square(2.5))
-        sol1 = branch_continuation(sol0, params1, schedule=quarter_square)
+        sol1 = branch_continuation(sol0, params1)
         assert not sol1.is_constant
         assert sol1.params.alpha == 2.5
         assert sol1.energy > sol0.energy
@@ -114,7 +123,7 @@ class TestContinuation:
         sol0 = newton_solve(u0, params0, SolverOptions(modes=32))
         for alpha in (0.8, 1.5):
             params1 = OperatorParams(alpha, quarter_square(alpha))
-            sol1 = branch_continuation(sol0, params1, schedule=quarter_square)
+            sol1 = branch_continuation(sol0, params1)
             assert sol1.is_constant
             u_bar, _ = constant_branch(5, quarter_square(alpha), V)
             assert sol1.field.mean == pytest.approx(u_bar, rel=1e-10)
