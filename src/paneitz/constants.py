@@ -88,11 +88,14 @@ def factorize(alpha: float, a: float) -> tuple[float, float]:
 
     c and d are the roots of x^2 - alpha x + a, with c >= d > 0.  The small
     root is computed as a/c to avoid cancellation when a << alpha^2.
+    alpha^2 and a must be finite floats, or a root comes out NaN or zero.
     """
     if not a > 0:
         raise ValueError(f"zeroth-order coefficient must be positive, got {a}")
     if not alpha > 0:
         raise ValueError(f"first-order coefficient must be positive, got {alpha}")
+    if not math.isfinite(alpha * alpha + a):
+        raise ValueError(f"alpha^2 and a must be finite in float64, got alpha={alpha}, a={a}")
     disc = alpha * alpha / 4.0 - a
     if disc < 0:
         raise FactorizationError(

@@ -6,12 +6,15 @@ Two routes produce solutions:
 * ``newton_solve``: damped Newton in Fourier coefficient space.  The linear
   part is the diagonal symbol mu^2 + alpha mu + a (mu = (m/t)^2); the
   nonlinearity is evaluated on an oversampled grid (dealiased).  The
-  Jacobian is one dense real symmetric matrix in orthonormal cosine/sine
-  coordinates (the symbol minus the Toeplitz-plus-Hankel matrix of
-  multiplication by (2#-1) u_+^(2#-2)); it also serves the continuation
-  predictor and the linearized spectrum.  Translation invariance makes it
-  singular along u', so for nonconstant iterates the linear solves are
-  bordered with the phase constraint <delta, u'> = 0.
+  Jacobian is real symmetric in orthonormal cosine/sine coordinates (the
+  symbol minus the Toeplitz-plus-Hankel matrix of multiplication by
+  (2#-1) u_+^(2#-2)).  One helper solves it for the Newton step and the
+  continuation predictor: by dense LU below N = 256, and from there up by
+  GMRES with FFT products on the oversampled grid, the system scaled
+  symmetrically by symbol^(-1/2).  The linearized spectrum uses the dense
+  matrix.  Translation invariance makes the Jacobian singular along u', so
+  for nonconstant iterates the linear solves are bordered with the phase
+  constraint <delta, u'> = 0.
 
 * ``minimize_quotient``: monotone descent on the Sobolev quotient
   Q(u) = <Pu, u> / ||u||_{2#}^2 with the natural preconditioner P^{-1}
@@ -30,13 +33,14 @@ silently returned.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import OperatorParams, critical_exponent, sharp_constant
-from .field import PeriodicField, _pair_counts, _parseval_weights, _truncate, norms
+from .field import PeriodicField, _pad, _pair_counts, _parseval_weights, _truncate, norms
 from .geometry import ManifoldSpec
 
 __all__ = [
@@ -135,6 +139,13 @@ def _residual_sup(u: PeriodicField, params: OperatorParams, penalty: float = 0.0
 # --- Newton ------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _root_weights(half: int) -> np.ndarray:
+    root = np.sqrt(_parseval_weights(half))
+    root.flags.writeable = False
+    return root
+
+
 def _to_real(coeffs: np.ndarray) -> np.ndarray:
     """Half spectrum -> its N orthonormal cosine/sine coordinates.
 
@@ -142,17 +153,28 @@ def _to_real(coeffs: np.ndarray) -> np.ndarray:
     root of its Parseval weight, so the Euclidean norm is the L2 norm over
     the circle divided by its length.
     """
-    root = np.sqrt(_parseval_weights(coeffs.size))
+    root = _root_weights(coeffs.size)
     return np.concatenate([root * coeffs.real, root[1:-1] * coeffs.imag[1:-1]])
 
 
 def _from_real(x: np.ndarray) -> np.ndarray:
     """Inverse of ``_to_real``."""
     half = x.size // 2 + 1
-    root = np.sqrt(_parseval_weights(half))
+    root = _root_weights(half)
     coeffs = (x[:half] / root).astype(complex)
     coeffs[1:-1] += 1j * (x[half:] / root[1:-1])
     return coeffs
+
+
+def _jacobian_weight(u: PeriodicField, penalty: float = 0.0) -> np.ndarray:
+    """Fine-grid samples of w = (2#-1) u_+^(2#-2) (minus penalty where u < 0):
+    the Jacobian is the symbol minus multiplication by w."""
+    p = critical_exponent(u.spec.n) - 1.0
+    fine = u.fine_values()
+    weight = p * np.where(fine > 0.0, fine, 0.0) ** (p - 1.0)
+    if penalty:
+        weight = weight - penalty * (fine < 0.0)
+    return weight
 
 
 def _jacobian(u: PeriodicField, params: OperatorParams, penalty: float = 0.0) -> np.ndarray:
@@ -164,11 +186,7 @@ def _jacobian(u: PeriodicField, params: OperatorParams, penalty: float = 0.0) ->
     w sin(a) sin(b) it is (R_|a-b| - R_(a+b))/2, and of w cos(a) sin(b) it
     is (I_(a-b) - I_(a+b))/2, so multiplication by w is Toeplitz plus Hankel.
     """
-    p = critical_exponent(u.spec.n) - 1.0
-    fine = u.fine_values()
-    weight = p * np.where(fine > 0.0, fine, 0.0) ** (p - 1.0)
-    if penalty:
-        weight = weight - penalty * (fine < 0.0)
+    weight = _jacobian_weight(u, penalty)
     what = np.fft.rfft(weight) / weight.size
     re, im = what.real, what.imag
     half, n = u.coeffs.size, u.modes
@@ -188,19 +206,126 @@ def _jacobian(u: PeriodicField, params: OperatorParams, penalty: float = 0.0) ->
     return jac
 
 
+def _jacobian_action(u: PeriodicField, params: OperatorParams, penalty: float = 0.0):
+    """x -> ``_jacobian(u, params, penalty) @ x`` by FFTs on the fine grid:
+    the symbol times the coefficients minus the Galerkin projection of w
+    times the zero-padded field, O(N log N) per product."""
+    weight = _jacobian_weight(u, penalty)
+    sym = _symbol(u, params)
+    nf, n = weight.size, u.modes
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        c = _from_real(x)
+        wc = np.fft.rfft(weight * np.fft.irfft(_pad(c, nf) * nf, nf)) / nf
+        return _to_real(sym * c - _truncate(wc, n))
+
+    return apply
+
+
+# Krylov solves replace the dense LU from this grid size up: per solve, the
+# LU is faster at N <= 128 and the Krylov solve from N = 256.
+_KRYLOV_MIN_MODES = 256
+_KRYLOV_RTOL = 1e-14      # relative residual of the scaled system
+_KRYLOV_MAX_ITER = 60     # the sweeps take 7-11 iterations
+_SINGULAR_TOL = 1e-13     # rotated Hessenberg pivot treated as zero
+
+
+def _gmres(apply, b: np.ndarray) -> np.ndarray:
+    """Solve apply(x) = b by GMRES from x = 0, for an operator that is the
+    identity plus a compact part (so its norm is at least about 1).
+
+    Arnoldi uses classical Gram-Schmidt applied twice, so the basis stays
+    orthonormal to rounding and the Givens-rotated residual estimate tracks
+    the true residual.  A pivot of the rotated Hessenberg matrix below
+    ``_SINGULAR_TOL`` (the system is singular to rounding), or no
+    convergence to ``_KRYLOV_RTOL`` in ``_KRYLOV_MAX_ITER`` steps, raises
+    ``np.linalg.LinAlgError``.
+    """
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b)
+    m = _KRYLOV_MAX_ITER
+    basis = np.empty((m + 1, b.size))
+    basis[0] = b / beta
+    tri = np.zeros((m, m))  # the rotated Hessenberg matrix, upper triangular
+    rot = []                # Givens rotations (cos, sin) applied so far
+    g = [beta]              # rotated right-hand side beta e_1
+    for k in range(m):
+        w = apply(basis[k])
+        h = basis[: k + 1] @ w
+        w -= h @ basis[: k + 1]
+        again = basis[: k + 1] @ w
+        w -= again @ basis[: k + 1]
+        col = (h + again).tolist()
+        norm_w = float(np.linalg.norm(w))
+        for j, (cs, sn) in enumerate(rot):
+            col[j], col[j + 1] = cs * col[j] + sn * col[j + 1], cs * col[j + 1] - sn * col[j]
+        r = math.hypot(col[k], norm_w)
+        if r <= _SINGULAR_TOL:
+            raise np.linalg.LinAlgError("Krylov solve: linearized system is singular")
+        cs, sn = col[k] / r, norm_w / r
+        rot.append((cs, sn))
+        col[k] = r
+        tri[: k + 1, k] = col
+        g[k], resid = cs * g[k], -sn * g[k]
+        if abs(resid) <= _KRYLOV_RTOL * beta:
+            y = np.linalg.solve(tri[: k + 1, : k + 1], g)
+            return y @ basis[: k + 1]
+        g.append(resid)
+        basis[k + 1] = w / norm_w
+    raise np.linalg.LinAlgError(
+        f"Krylov solve: relative residual above {_KRYLOV_RTOL:g} after {m} GMRES iterations"
+    )
+
+
+def _solve_dense(
+    u: PeriodicField, params: OperatorParams, b: np.ndarray, border: np.ndarray | None, penalty: float
+) -> np.ndarray:
+    """LU solve of J x = b, bordered with <x, border> = 0 when given."""
+    jac = _jacobian(u, params, penalty)
+    if border is None:
+        return np.linalg.solve(jac, b)
+    n = b.size
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = jac
+    bordered[:n, n] = bordered[n, :n] = border
+    return np.linalg.solve(bordered, np.append(b, 0.0))[:n]
+
+
+def _solve_krylov(
+    u: PeriodicField, params: OperatorParams, b: np.ndarray, border: np.ndarray | None, penalty: float
+) -> np.ndarray:
+    """GMRES solve of J x = b (bordered as in ``_solve_dense``), with FFT
+    products and the system scaled symmetrically by symbol^(-1/2): the
+    scaled Jacobian is the identity minus a compact part, so its spectrum
+    clusters at 1 and GMRES needs about ten iterations at every N."""
+    sym = _symbol(u, params)
+    scale = 1.0 / np.sqrt(np.concatenate([sym, sym[1:-1]]))
+    jac = _jacobian_action(u, params, penalty)
+    n = b.size
+    if border is None:
+        y = _gmres(lambda z: scale * jac(scale * z), scale * b)
+    else:
+        h = scale * border
+        h /= np.linalg.norm(h)
+        y = _gmres(
+            lambda z: np.append(scale * jac(scale * z[:n]) + z[n] * h, h @ z[:n]),
+            np.append(scale * b, 0.0),
+        )[:n]
+    return scale * y
+
+
 def _solve_linearized(
     u: PeriodicField, params: OperatorParams, rhs: np.ndarray, penalty: float = 0.0
 ) -> np.ndarray:
     """Half spectrum delta solving J(u) delta = rhs; for nonconstant u the
-    system is bordered with the phase constraint <delta, u'> = 0."""
-    jac, b = _jacobian(u, params, penalty), _to_real(rhs)
-    n = b.size
+    system is bordered with the phase constraint <delta, u'> = 0.  Dense LU
+    below ``_KRYLOV_MIN_MODES``, Krylov from there up."""
+    border = None
     if u.nonconstant_fraction() > _CONSTANT_FRACTION:
-        bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = jac
-        bordered[:n, n] = bordered[n, :n] = _to_real(u.derivative(1).coeffs)
-        jac, b = bordered, np.append(b, 0.0)
-    return _from_real(np.linalg.solve(jac, b)[:n])
+        border = _to_real(u.derivative(1).coeffs)
+    solve = _solve_krylov if u.modes >= _KRYLOV_MIN_MODES else _solve_dense
+    return _from_real(solve(u, params, _to_real(rhs), border, penalty))
 
 
 def _nonlinear_scale(u: PeriodicField) -> float:

@@ -11,6 +11,7 @@ from paneitz.cli import main
 from paneitz.constants import critical_exponent
 from paneitz.field import PeriodicField, save_field
 from paneitz.geometry import ManifoldSpec
+from paneitz import solver
 from paneitz.solver import SolverOptions
 
 
@@ -74,6 +75,15 @@ class TestSolveCommand:
         code, _, err = run_cli(capsys, "solve", "--dim", "5", "--alpha", "2", "--a", "2")
         assert code == 1
         assert "alpha^2/4" in err
+
+    @pytest.mark.parametrize(
+        "coeffs", [("--alpha", "inf"), ("--alpha", "2", "--a", "inf"), ("--alpha", "1e200", "--a", "1")]
+    )
+    def test_infinite_coefficients_rejected(self, capsys, coeffs):
+        # alpha = inf used to pass the domain check and fail later on NaN roots
+        code, _, err = run_cli(capsys, "solve", "--dim", "5", *coeffs)
+        assert code == 1
+        assert "must be finite" in err
 
     def test_unknown_flag_lists_usage(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--dim", "5", "--alpha", "2", "--bogus", "1")
@@ -183,6 +193,28 @@ class TestSweepCommand:
         opts, p = SolverOptions(), critical_exponent(5) - 1.0
         acceptance = 10.0 * max(opts.tol, opts.rtol * json.loads(text)["max_value"] ** p)
         assert all(float(r["residual_sup"]) <= acceptance for r in rows)
+
+    def test_default_grid_columns_pinned(self, capsys, tmp_path, monkeypatch):
+        # literals from the all-dense-LU solver; the rows past N = 128 now
+        # take Krylov linear solves
+        out, dense_out = tmp_path / "sweep.csv", tmp_path / "dense.csv"
+        code, _, err = run_cli(capsys, "sweep", "--dim", "5", "--out", str(out))
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="ascii"))))
+        assert [int(r["modes_used"]) for r in rows] == [64, 128, 128, 256, 256, 512, 512]
+        assert [int(r["newton_iters"]) for r in rows] == [1, 6, 6, 7, 6, 7, 6]
+        expected = [
+            141.49379223251881, 590.28125871870316, 2371.9550695931944, 9489.3852139126084,
+            37957.589216351313, 151830.35703796826, 607321.42815190193,
+        ]
+        assert [float(r["E_m_estimate"]) for r in rows] == pytest.approx(expected, rel=1e-13)
+        # the rows that never leave N <= 128 keep the dense path's bytes (the
+        # LU's rounding, and so the bytes, depend on the BLAS thread count)
+        monkeypatch.setattr(solver, "_KRYLOV_MIN_MODES", 1 << 30)
+        code, _, err = run_cli(capsys, "sweep", "--dim", "5", "--out", str(dense_out))
+        assert code == 0, err
+        lines, dense_lines = (f.read_text(encoding="ascii").splitlines() for f in (out, dense_out))
+        assert lines[:4] == dense_lines[:4]
 
     def test_csv_requires_out(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--dim", "5", "--alpha", "2:4:2")

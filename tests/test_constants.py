@@ -133,6 +133,14 @@ class TestFactorize:
         with pytest.raises(FactorizationError):
             OperatorParams(2.0, 2.0)
 
+    @pytest.mark.parametrize(
+        "alpha,a", [(math.inf, math.inf), (2.0, math.inf), (math.inf, 1.0), (1e200, 1.0)]
+    )
+    def test_infinite_coefficients_rejected(self, alpha, a):
+        # alpha = inf used to give NaN roots (inf - inf under the square root)
+        with pytest.raises(ValueError, match="must be finite"):
+            OperatorParams(alpha, a)
+
 
 class TestConstantBranch:
     def test_unit_point(self):

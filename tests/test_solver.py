@@ -11,12 +11,22 @@ from paneitz.solver import (
     linearized_operator,
     linearized_spectrum,
     minimize_quotient,
+    mode1_solution,
     newton_solve,
     quotient,
     rescale_to_solution,
     residual,
 )
-from paneitz.solver import _from_real, _to_real
+from paneitz.solver import (
+    _from_real,
+    _jacobian,
+    _jacobian_action,
+    _solve_dense,
+    _solve_krylov,
+    _solve_linearized,
+    _tail_fraction,
+    _to_real,
+)
 
 SPEC = ManifoldSpec(5, 1.0)
 L = SPEC.period
@@ -144,6 +154,77 @@ class TestMovedStarts:
         save_field(concentrated.field.shift(s0).scaled(scale), path)
         sol = newton_solve(load_field(path), concentrated.params)
         assert sol.energy == pytest.approx(concentrated.energy, rel=1e-9)
+
+
+class TestLargerModeCap:
+    # Cheap linear solves let a concentrated solution go past the default
+    # 512-mode cap, where its coefficient tail is still above tail_tol.
+    def test_alpha_256_resolved_at_1024_modes(self):
+        params = OperatorParams(256.0, 256.0**2 / 4.0)
+        capped = mode1_solution(SPEC, params, SolverOptions())
+        wide = mode1_solution(SPEC, params, SolverOptions(max_modes=1024))
+        assert capped.modes == 512
+        assert _tail_fraction(capped.field) > SolverOptions().tail_tol
+        assert wide.modes == 1024
+        assert _tail_fraction(wide.field) < SolverOptions().tail_tol
+        assert float(np.min(wide.field.fine_values())) > 0.0
+        assert wide.energy == pytest.approx(capped.energy, rel=1e-12)
+
+
+def sign_changing_field(modes):
+    """Shifted (not even) field with negative parts, so the penalty acts."""
+    u = PeriodicField.from_function(
+        SPEC, lambda s: 0.3 + np.cos(s) + 0.4 * np.sin(3 * s) + 0.2 * np.cos(7 * s), modes
+    )
+    return u.shift(0.7)
+
+
+class TestKrylovSolve:
+    PEN = SolverOptions().penalty_weight
+
+    def test_matvec_matches_dense_jacobian(self):
+        # every column, the Nyquist cosine's included
+        params = OperatorParams(8.0, 16.0)
+        u = sign_changing_field(256)
+        assert float(np.min(u.fine_values())) < 0.0
+        jac = _jacobian(u, params, self.PEN)
+        action = _jacobian_action(u, params, self.PEN)
+        cols = np.column_stack([action(e) for e in np.eye(u.modes)])
+        assert np.max(np.abs(cols - jac)) <= 1e-13 * np.max(np.abs(jac))
+
+    @pytest.mark.parametrize("modes", [128, 256])
+    @pytest.mark.parametrize("bordered", [False, True])
+    def test_matches_dense_solve(self, modes, bordered):
+        params = OperatorParams(8.0, 16.0)
+        u = sign_changing_field(modes)
+        b = _to_real(residual(u, params, self.PEN).coeffs)
+        border = _to_real(u.derivative(1).coeffs) if bordered else None
+        dense = _solve_dense(u, params, b, border, self.PEN)
+        krylov = _solve_krylov(u, params, b, border, self.PEN)
+        assert np.linalg.norm(krylov - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    def test_step_keeps_phase_at_512_modes(self, concentrated):
+        # shifted, scaled and pushed off its symmetry axis by a few low
+        # modes, so the step has a component along u' to remove
+        params = concentrated.params
+        coeffs = concentrated.field.shift(1.0).coeffs * 1.001
+        bump = np.zeros_like(coeffs)
+        bump[1:5] = np.random.default_rng(7).standard_normal((4, 2)) @ [1.0, 1j]
+        u = PeriodicField(SPEC, coeffs + 1e-3 * coeffs[0].real * bump)
+        assert u.modes == 512
+        delta = _to_real(_solve_linearized(u, params, residual(u, params, self.PEN).coeffs, self.PEN))
+        du = _to_real(u.derivative(1).coeffs)
+        assert abs(delta @ du) <= 1e-12 * np.linalg.norm(delta) * np.linalg.norm(du)
+
+    def test_singular_system_is_named(self):
+        # constant field at the mode-1 bifurcation: J vanishes on mode 1
+        alpha = bifurcation_alpha(5, 1.0, 1)
+        params = OperatorParams(alpha, alpha * alpha / 4.0)
+        u = constant_init(params.a_alpha, modes=256)
+        rhs = np.zeros(u.coeffs.size, dtype=complex)
+        rhs[1] = 1.0
+        with pytest.raises(np.linalg.LinAlgError, match="Krylov solve: linearized system is singular"):
+            _solve_linearized(u, params, rhs)
 
 
 class TestQuotient:
