@@ -265,7 +265,7 @@ def _cmd_diagnose(args) -> int:
             "delta": report.delta,
             "R_L2": report.r_l2,
             "R_gradL2": report.r_grad_l2,
-            "R_strong": report.r_strong,
+            "R_strong": report.r_grad_l2,
             "R_gradL2_weak": report.r_grad_l2_weak,
             "grad_ratios_defined": report.grad_ratios_defined,
             "strong_supported": report.strong_supported,

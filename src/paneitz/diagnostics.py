@@ -7,7 +7,7 @@ period).  All ratios are invariant under positive scaling of the field.
 
 Two normalizations of the gradient ratio are reported:
 
-* ``r_grad_l2`` (and its alias ``r_strong``): complement gradient mass over
+* ``r_grad_l2`` (deprecated alias ``r_strong``): complement gradient mass over
   total gradient mass.  A genuine fraction in [0, 1]; undefined (NaN, with
   ``grad_ratios_defined = False``) for gradient-free fields.  The decay of
   this strong-normalized ratio along concentrating families is established
@@ -21,6 +21,7 @@ Two normalizations of the gradient ratio are reported:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +52,17 @@ class ConcentrationReport:
     delta: float
     r_l2: float
     r_grad_l2: float
-    r_strong: float
     r_grad_l2_weak: float
     grad_ratios_defined: bool
     strong_supported: bool          # decay of the strong ratio established for n >= 8 only
     hessian_ratio: float | None
     hessian_ratio_over_a: float | None
+
+    @property
+    def r_strong(self) -> float:
+        """Deprecated alias of ``r_grad_l2``."""
+        warnings.warn("r_strong is deprecated; use r_grad_l2", DeprecationWarning, stacklevel=2)
+        return self.r_grad_l2
 
 
 def _argmax_location(u: PeriodicField) -> float:
@@ -98,7 +104,6 @@ def concentration_ratios(
         delta=delta,
         r_l2=float(np.clip(r_l2, 0.0, 1.0)),
         r_grad_l2=r_grad,
-        r_strong=r_grad,
         r_grad_l2_weak=r_weak,
         grad_ratios_defined=not gradless,
         strong_supported=u.spec.n >= 8,

@@ -9,12 +9,11 @@ Two routes produce solutions:
   Jacobian is real symmetric in orthonormal cosine/sine coordinates (the
   symbol minus the Toeplitz-plus-Hankel matrix of multiplication by
   (2#-1) u_+^(2#-2)).  One helper solves it for the Newton step and the
-  continuation predictor: by dense LU below N = 256, and from there up by
-  GMRES with FFT products on the oversampled grid, the system scaled
-  symmetrically by symbol^(-1/2).  The linearized spectrum uses the dense
-  matrix.  Translation invariance makes the Jacobian singular along u', so
-  for nonconstant iterates the linear solves are bordered with the phase
-  constraint <delta, u'> = 0.
+  continuation predictor at every N: GMRES with FFT products on the
+  oversampled grid, the system scaled symmetrically by symbol^(-1/2).  The
+  linearized spectrum uses the dense matrix.  Translation invariance makes
+  the Jacobian singular along u', so for nonconstant iterates the linear
+  solves are bordered with the phase constraint <delta, u'> = 0.
 
 * ``minimize_quotient``: monotone descent on the Sobolev quotient
   Q(u) = <Pu, u> / ||u||_{2#}^2 with the natural preconditioner P^{-1}
@@ -57,6 +56,7 @@ __all__ = [
     "mode1_solution",
     "linearized_operator",
     "linearized_spectrum",
+    "constant_eigenvalue",
     "bifurcation_alpha",
     "continuation_init",
 ]
@@ -222,9 +222,6 @@ def _jacobian_action(u: PeriodicField, params: OperatorParams, penalty: float = 
     return apply
 
 
-# Krylov solves replace the dense LU from this grid size up: per solve, the
-# LU is faster at N <= 128 and the Krylov solve from N = 256.
-_KRYLOV_MIN_MODES = 256
 _KRYLOV_RTOL = 1e-14      # relative residual of the scaled system
 _KRYLOV_MAX_ITER = 60     # the sweeps take 7-11 iterations
 _SINGULAR_TOL = 1e-13     # rotated Hessenberg pivot treated as zero
@@ -278,27 +275,15 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _solve_dense(
-    u: PeriodicField, params: OperatorParams, b: np.ndarray, border: np.ndarray | None, penalty: float
-) -> np.ndarray:
-    """LU solve of J x = b, bordered with <x, border> = 0 when given."""
-    jac = _jacobian(u, params, penalty)
-    if border is None:
-        return np.linalg.solve(jac, b)
-    n = b.size
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = jac
-    bordered[:n, n] = bordered[n, :n] = border
-    return np.linalg.solve(bordered, np.append(b, 0.0))[:n]
-
-
 def _solve_krylov(
     u: PeriodicField, params: OperatorParams, b: np.ndarray, border: np.ndarray | None, penalty: float
 ) -> np.ndarray:
-    """GMRES solve of J x = b (bordered as in ``_solve_dense``), with FFT
-    products and the system scaled symmetrically by symbol^(-1/2): the
-    scaled Jacobian is the identity minus a compact part, so its spectrum
-    clusters at 1 and GMRES needs about ten iterations at every N."""
+    """GMRES solve of J x = b, bordered with <x, border> = 0 when given,
+    with FFT products and the system scaled symmetrically by
+    symbol^(-1/2): the scaled Jacobian is the identity minus a compact part,
+    so its spectrum clusters at 1 and GMRES needs about ten iterations at
+    every N.  A singular or unconverged system raises a named
+    ``np.linalg.LinAlgError``."""
     sym = _symbol(u, params)
     scale = 1.0 / np.sqrt(np.concatenate([sym, sym[1:-1]]))
     jac = _jacobian_action(u, params, penalty)
@@ -319,13 +304,12 @@ def _solve_linearized(
     u: PeriodicField, params: OperatorParams, rhs: np.ndarray, penalty: float = 0.0
 ) -> np.ndarray:
     """Half spectrum delta solving J(u) delta = rhs; for nonconstant u the
-    system is bordered with the phase constraint <delta, u'> = 0.  Dense LU
-    below ``_KRYLOV_MIN_MODES``, Krylov from there up."""
+    system is bordered with the phase constraint <delta, u'> = 0.  The one
+    linear-solve route at every N is ``_solve_krylov``."""
     border = None
     if u.nonconstant_fraction() > _CONSTANT_FRACTION:
         border = _to_real(u.derivative(1).coeffs)
-    solve = _solve_krylov if u.modes >= _KRYLOV_MIN_MODES else _solve_dense
-    return _from_real(solve(u, params, _to_real(rhs), border, penalty))
+    return _from_real(_solve_krylov(u, params, _to_real(rhs), border, penalty))
 
 
 def _nonlinear_scale(u: PeriodicField) -> float:
@@ -590,7 +574,6 @@ def linearized_spectrum(
     are returned in ascending order.
     """
     u, params = sol.field, sol.params
-    two_sharp = critical_exponent(u.spec.n)
     if method not in ("auto", "closed-form", "dense"):
         raise ValueError(f"unknown method {method!r}")
     use_closed = sol.is_constant and method != "dense"
@@ -598,12 +581,17 @@ def linearized_spectrum(
         raise ValueError("closed-form spectrum only applies to constant solutions")
     if use_closed:
         kmax = u.modes // 2 if kmax is None else kmax
-        m = np.arange(kmax + 1)
-        mu = (m / u.spec.t) ** 2
-        shift = (two_sharp - 1.0) * params.a_alpha
-        return mu * mu + params.alpha * mu + params.a_alpha - shift
+        return constant_eigenvalue(u.spec, params, np.arange(kmax + 1))
     eig = np.linalg.eigvalsh(linearized_operator(u, params))
     return eig if kmax is None else eig[: kmax + 1]
+
+
+def constant_eigenvalue(spec: ManifoldSpec, params: OperatorParams, m):
+    """Eigenvalue mu^2 + alpha mu + a - (2#-1) a, mu = (m/t)^2, of the
+    linearization at the constant solution on circle mode m (int or array)."""
+    mu = (m / spec.t) ** 2
+    shift = (critical_exponent(spec.n) - 1.0) * params.a_alpha
+    return mu * mu + params.alpha * mu + params.a_alpha - shift
 
 
 def bifurcation_alpha(n: int, t: float, m: int) -> float:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field as dc_field, fields
 from typing import Callable, Sequence
 
-from .constants import OperatorParams, constant_branch, critical_exponent, sharp_constant
+from .constants import OperatorParams, constant_branch, sharp_constant
 from .diagnostics import concentration_ratios
 from .field import PeriodicField
 from .geometry import ManifoldSpec, product_volume
@@ -27,6 +27,7 @@ from .solver import (
     PositivityError,
     Solution,
     SolverOptions,
+    constant_eigenvalue,
     continuation_init,
     mode1_solution,
     newton_solve,
@@ -143,12 +144,6 @@ def branch_continuation(
     )
 
 
-def _mode1_unstable(spec: ManifoldSpec, params: OperatorParams) -> bool:
-    mu = (1.0 / spec.t) ** 2
-    two_sharp = critical_exponent(spec.n)
-    return mu * mu + params.alpha * mu + params.a_alpha - (two_sharp - 1.0) * params.a_alpha < 0.0
-
-
 def _nonconstant_solution(
     config: SweepConfig, params: OperatorParams, prev: Solution | None
 ) -> Solution | None:
@@ -182,7 +177,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         u_bar, e_const = constant_branch(spec.n, params.a_alpha, volume)
         sol_nc = (
             _nonconstant_solution(config, params, prev_nc)
-            if _mode1_unstable(spec, params)
+            if constant_eigenvalue(spec, params, 1) < 0.0
             else None
         )
         if sol_nc is not None:

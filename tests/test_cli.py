@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from paneitz.cli import main
 from paneitz.constants import critical_exponent
 from paneitz.field import PeriodicField, save_field
 from paneitz.geometry import ManifoldSpec
-from paneitz import solver
+import paneitz
 from paneitz.solver import SolverOptions
 
 
@@ -194,10 +198,9 @@ class TestSweepCommand:
         acceptance = 10.0 * max(opts.tol, opts.rtol * json.loads(text)["max_value"] ** p)
         assert all(float(r["residual_sup"]) <= acceptance for r in rows)
 
-    def test_default_grid_columns_pinned(self, capsys, tmp_path, monkeypatch):
-        # literals from the all-dense-LU solver; the rows past N = 128 now
-        # take Krylov linear solves
-        out, dense_out = tmp_path / "sweep.csv", tmp_path / "dense.csv"
+    def test_default_grid_columns_pinned(self, capsys, tmp_path):
+        # literals from an earlier dense-LU solver, so compared to 1e-13
+        out = tmp_path / "sweep.csv"
         code, _, err = run_cli(capsys, "sweep", "--dim", "5", "--out", str(out))
         assert code == 0, err
         rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="ascii"))))
@@ -208,13 +211,20 @@ class TestSweepCommand:
             37957.589216351313, 151830.35703796826, 607321.42815190193,
         ]
         assert [float(r["E_m_estimate"]) for r in rows] == pytest.approx(expected, rel=1e-13)
-        # the rows that never leave N <= 128 keep the dense path's bytes (the
-        # LU's rounding, and so the bytes, depend on the BLAS thread count)
-        monkeypatch.setattr(solver, "_KRYLOV_MIN_MODES", 1 << 30)
-        code, _, err = run_cli(capsys, "sweep", "--dim", "5", "--out", str(dense_out))
-        assert code == 0, err
-        lines, dense_lines = (f.read_text(encoding="ascii").splitlines() for f in (out, dense_out))
-        assert lines[:4] == dense_lines[:4]
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # a fresh process per thread count, since BLAS reads it at load time
+        src = str(Path(paneitz.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            cmd = [sys.executable, "-m", "paneitz.cli", "sweep", "--dim", "5", "--out", str(out)]
+            proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_csv_requires_out(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--dim", "5", "--alpha", "2:4:2")
@@ -294,6 +304,7 @@ class TestDiagnoseCommand:
         payload = json.loads(out)
         assert 0.0 <= payload["R_L2"] <= 1.0
         assert 0.0 <= payload["R_gradL2"] <= 1.0
+        assert payload["R_strong"] == payload["R_gradL2"]
         assert payload["grad_ratios_defined"] is True
         assert payload["hessian_ratio_over_a"] == pytest.approx(
             payload["hessian_ratio"] / 1.0

@@ -35,7 +35,6 @@ class TestConcentrationRatios:
         assert rep.r_l2 == pytest.approx(0.75, rel=1e-10)
         assert not rep.grad_ratios_defined
         assert math.isnan(rep.r_grad_l2)
-        assert math.isnan(rep.r_strong)
         assert math.isnan(rep.r_grad_l2_weak)
 
     def test_narrow_bump(self):
@@ -60,7 +59,11 @@ class TestConcentrationRatios:
         rep = concentration_ratios(u, L / 8)
         assert 0.0 <= rep.r_l2 <= 1.0
         assert 0.0 <= rep.r_grad_l2 <= 1.0
-        assert 0.0 <= rep.r_strong <= 1.0
+
+    def test_r_strong_is_deprecated_alias(self):
+        rep = concentration_ratios(gaussian_bump(0.5, L / 15.0, floor=0.2), L / 8)
+        with pytest.warns(DeprecationWarning, match="r_grad_l2"):
+            assert rep.r_strong == rep.r_grad_l2
 
     def test_strong_support_flag(self):
         assert not concentration_ratios(gaussian_bump(0.0, L / 10), L / 8).strong_supported

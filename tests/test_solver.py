@@ -21,7 +21,6 @@ from paneitz.solver import (
     _from_real,
     _jacobian,
     _jacobian_action,
-    _solve_dense,
     _solve_krylov,
     _solve_linearized,
     _tail_fraction,
@@ -192,14 +191,20 @@ class TestKrylovSolve:
         cols = np.column_stack([action(e) for e in np.eye(u.modes)])
         assert np.max(np.abs(cols - jac)) <= 1e-13 * np.max(np.abs(jac))
 
-    @pytest.mark.parametrize("modes", [128, 256])
+    @pytest.mark.parametrize("modes", [64, 128, 256])
     @pytest.mark.parametrize("bordered", [False, True])
     def test_matches_dense_solve(self, modes, bordered):
+        # reference: LU of the dense Jacobian, bordered by the phase row
         params = OperatorParams(8.0, 16.0)
         u = sign_changing_field(modes)
         b = _to_real(residual(u, params, self.PEN).coeffs)
         border = _to_real(u.derivative(1).coeffs) if bordered else None
-        dense = _solve_dense(u, params, b, border, self.PEN)
+        jac = _jacobian(u, params, self.PEN)
+        if border is None:
+            dense = np.linalg.solve(jac, b)
+        else:
+            bordered_jac = np.block([[jac, border[:, None]], [border[None, :], np.zeros((1, 1))]])
+            dense = np.linalg.solve(bordered_jac, np.append(b, 0.0))[:modes]
         krylov = _solve_krylov(u, params, b, border, self.PEN)
         assert np.linalg.norm(krylov - dense) <= 1e-12 * np.linalg.norm(dense)
 
@@ -216,11 +221,12 @@ class TestKrylovSolve:
         du = _to_real(u.derivative(1).coeffs)
         assert abs(delta @ du) <= 1e-12 * np.linalg.norm(delta) * np.linalg.norm(du)
 
-    def test_singular_system_is_named(self):
+    @pytest.mark.parametrize("modes", [64, 128, 256])
+    def test_singular_system_is_named(self, modes):
         # constant field at the mode-1 bifurcation: J vanishes on mode 1
         alpha = bifurcation_alpha(5, 1.0, 1)
         params = OperatorParams(alpha, alpha * alpha / 4.0)
-        u = constant_init(params.a_alpha, modes=256)
+        u = constant_init(params.a_alpha, modes=modes)
         rhs = np.zeros(u.coeffs.size, dtype=complex)
         rhs[1] = 1.0
         with pytest.raises(np.linalg.LinAlgError, match="Krylov solve: linearized system is singular"):
