@@ -7,8 +7,8 @@ period).  All ratios are invariant under positive scaling of the field.
 
 Two normalizations of the gradient ratio are reported:
 
-* ``r_grad_l2`` (deprecated alias ``r_strong``): complement gradient mass over
-  total gradient mass.  A genuine fraction in [0, 1]; undefined (NaN, with
+* ``r_grad_l2``: complement gradient mass over total gradient mass.  A
+  genuine fraction in [0, 1]; undefined (NaN, with
   ``grad_ratios_defined = False``) for gradient-free fields.  The decay of
   this strong-normalized ratio along concentrating families is established
   only for n >= 8, hence the ``strong_supported`` flag.
@@ -21,7 +21,6 @@ Two normalizations of the gradient ratio are reported:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +56,6 @@ class ConcentrationReport:
     strong_supported: bool          # decay of the strong ratio established for n >= 8 only
     hessian_ratio: float | None
     hessian_ratio_over_a: float | None
-
-    @property
-    def r_strong(self) -> float:
-        """Deprecated alias of ``r_grad_l2``."""
-        warnings.warn("r_strong is deprecated; use r_grad_l2", DeprecationWarning, stacklevel=2)
-        return self.r_grad_l2
 
 
 def _argmax_location(u: PeriodicField) -> float:

@@ -243,13 +243,17 @@ def norms(u: PeriodicField, params: OperatorParams | None = None) -> NormReport:
     omega = sphere_volume(spec.sphere_dim)
     length = spec.period
     kap = u.wavenumbers()
-    w2 = _parseval_weights(u.coeffs.size) * np.abs(u.coeffs) ** 2
-    l2 = omega * length * float(np.sum(w2))
-    grad = omega * length * float(np.sum(kap**2 * w2))
-    hess = omega * length * float(np.sum(kap**4 * w2))
     two_sharp = critical_exponent(spec.n)
-    fine = u.fine_values()
-    energy = omega * length * float(np.mean(np.abs(fine) ** two_sharp))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = _parseval_weights(u.coeffs.size) * np.abs(u.coeffs) ** 2
+        l2 = omega * length * float(np.sum(w2))
+        grad = omega * length * float(np.sum(kap**2 * w2))
+        hess = omega * length * float(np.sum(kap**4 * w2))
+        energy = omega * length * float(np.mean(np.abs(u.fine_values()) ** two_sharp))
+    if not all(map(math.isfinite, (l2, grad, hess, energy))):
+        raise FloatingPointError(
+            f"norms of the field are outside the float64 range (L2 {l2!r}, energy {energy!r})"
+        )
     pairing = None
     if params is not None:
         pairing = hess + params.alpha * grad + params.a_alpha * l2

@@ -3,17 +3,19 @@ circle-reduced from S^1(t) x S^(n-1).
 
 Two routes produce solutions:
 
-* ``newton_solve``: damped Newton in Fourier coefficient space.  The linear
-  part is the diagonal symbol mu^2 + alpha mu + a (mu = (m/t)^2); the
-  nonlinearity is evaluated on an oversampled grid (dealiased).  The
-  Jacobian is real symmetric in orthonormal cosine/sine coordinates (the
-  symbol minus the Toeplitz-plus-Hankel matrix of multiplication by
-  (2#-1) u_+^(2#-2)).  One helper solves it for the Newton step and the
-  continuation predictor at every N: GMRES with FFT products on the
-  oversampled grid, the system scaled symmetrically by symbol^(-1/2).  The
-  linearized spectrum uses the dense matrix.  Translation invariance makes
-  the Jacobian singular along u', so for nonconstant iterates the linear
-  solves are bordered with the phase constraint <delta, u'> = 0.
+* ``newton_solve``: damped Newton on even fields.  The equation is
+  reversible (s -> -s); the start is recentered to put its maximum at
+  s = 0 and its odd part dropped, so every iterate is even with real
+  coefficients.  The linear part is the diagonal symbol mu^2 + alpha mu + a
+  (mu = (m/t)^2); the nonlinearity is evaluated on an oversampled grid
+  (dealiased).  The Jacobian is real symmetric in orthonormal cosine/sine
+  coordinates (the symbol minus the Toeplitz-plus-Hankel matrix of
+  multiplication by (2#-1) u_+^(2#-2)); Newton uses its cosine block, which
+  needs no phase condition because the translation mode u' is odd.  One
+  helper solves it for the Newton step and the continuation predictor at
+  every N: GMRES with FFT products on the oversampled grid, the system
+  scaled symmetrically by symbol^(-1/2).  The linearized spectrum uses the
+  full dense matrix.
 
 * ``minimize_quotient``: monotone descent on the Sobolev quotient
   Q(u) = <Pu, u> / ||u||_{2#}^2 with the natural preconditioner P^{-1}
@@ -147,23 +149,16 @@ def _root_weights(half: int) -> np.ndarray:
 
 
 def _to_real(coeffs: np.ndarray) -> np.ndarray:
-    """Half spectrum -> its N orthonormal cosine/sine coordinates.
-
-    These are Re c_0..c_{N/2}, then Im c_1..c_{N/2-1}, each times the square
-    root of its Parseval weight, so the Euclidean norm is the L2 norm over
-    the circle divided by its length.
-    """
-    root = _root_weights(coeffs.size)
-    return np.concatenate([root * coeffs.real, root[1:-1] * coeffs.imag[1:-1]])
+    """Half spectrum of an even field -> its N/2+1 orthonormal cosine
+    coordinates Re c_0..c_{N/2}, each times the square root of its Parseval
+    weight, so the Euclidean norm is the L2 norm over the circle divided by
+    its length.  Imaginary parts (the sine coordinates) are dropped."""
+    return _root_weights(coeffs.size) * coeffs.real
 
 
 def _from_real(x: np.ndarray) -> np.ndarray:
-    """Inverse of ``_to_real``."""
-    half = x.size // 2 + 1
-    root = _root_weights(half)
-    coeffs = (x[:half] / root).astype(complex)
-    coeffs[1:-1] += 1j * (x[half:] / root[1:-1])
-    return coeffs
+    """Inverse of ``_to_real``: the real half spectrum of an even field."""
+    return x / _root_weights(x.size)
 
 
 def _jacobian_weight(u: PeriodicField, penalty: float = 0.0) -> np.ndarray:
@@ -178,7 +173,10 @@ def _jacobian_weight(u: PeriodicField, penalty: float = 0.0) -> np.ndarray:
 
 
 def _jacobian(u: PeriodicField, params: OperatorParams, penalty: float = 0.0) -> np.ndarray:
-    """Real symmetric Jacobian in the coordinates of ``_to_real``.
+    """Real symmetric Jacobian in orthonormal cosine/sine coordinates: the
+    cosine coordinates of ``_to_real`` (Re c_0..c_{N/2}), then the sine ones
+    (Im c_1..c_{N/2-1}, times the same square-root weights).  Its leading
+    (N/2+1)-square block is the cosine block that Newton solves.
 
     The basis functions are 1, sqrt(2) cos(k s/t) and -sqrt(2) sin(k s/t).
     With R_k + i I_k the Fourier coefficients of the weight w on the fine
@@ -207,9 +205,10 @@ def _jacobian(u: PeriodicField, params: OperatorParams, penalty: float = 0.0) ->
 
 
 def _jacobian_action(u: PeriodicField, params: OperatorParams, penalty: float = 0.0):
-    """x -> ``_jacobian(u, params, penalty) @ x`` by FFTs on the fine grid:
-    the symbol times the coefficients minus the Galerkin projection of w
-    times the zero-padded field, O(N log N) per product."""
+    """x -> the cosine block of ``_jacobian(u, params, penalty)`` times x, by
+    FFTs on the fine grid: the symbol times the coefficients minus the
+    Galerkin projection of w times the zero-padded field, O(N log N) per
+    product."""
     weight = _jacobian_weight(u, penalty)
     sym = _symbol(u, params)
     nf, n = weight.size, u.modes
@@ -275,41 +274,24 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _solve_krylov(
-    u: PeriodicField, params: OperatorParams, b: np.ndarray, border: np.ndarray | None, penalty: float
-) -> np.ndarray:
-    """GMRES solve of J x = b, bordered with <x, border> = 0 when given,
-    with FFT products and the system scaled symmetrically by
-    symbol^(-1/2): the scaled Jacobian is the identity minus a compact part,
-    so its spectrum clusters at 1 and GMRES needs about ten iterations at
-    every N.  A singular or unconverged system raises a named
-    ``np.linalg.LinAlgError``."""
-    sym = _symbol(u, params)
-    scale = 1.0 / np.sqrt(np.concatenate([sym, sym[1:-1]]))
+def _solve_krylov(u: PeriodicField, params: OperatorParams, b: np.ndarray, penalty: float) -> np.ndarray:
+    """GMRES solve of J x = b in cosine coordinates, with FFT products and
+    the system scaled symmetrically by symbol^(-1/2): the scaled Jacobian is
+    the identity minus a compact part, so its spectrum clusters at 1 and
+    GMRES needs about ten iterations at every N.  A singular or unconverged
+    system raises a named ``np.linalg.LinAlgError``."""
+    scale = 1.0 / np.sqrt(_symbol(u, params))
     jac = _jacobian_action(u, params, penalty)
-    n = b.size
-    if border is None:
-        y = _gmres(lambda z: scale * jac(scale * z), scale * b)
-    else:
-        h = scale * border
-        h /= np.linalg.norm(h)
-        y = _gmres(
-            lambda z: np.append(scale * jac(scale * z[:n]) + z[n] * h, h @ z[:n]),
-            np.append(scale * b, 0.0),
-        )[:n]
-    return scale * y
+    return scale * _gmres(lambda z: scale * jac(scale * z), scale * b)
 
 
 def _solve_linearized(
     u: PeriodicField, params: OperatorParams, rhs: np.ndarray, penalty: float = 0.0
 ) -> np.ndarray:
-    """Half spectrum delta solving J(u) delta = rhs; for nonconstant u the
-    system is bordered with the phase constraint <delta, u'> = 0.  The one
-    linear-solve route at every N is ``_solve_krylov``."""
-    border = None
-    if u.nonconstant_fraction() > _CONSTANT_FRACTION:
-        border = _to_real(u.derivative(1).coeffs)
-    return _from_real(_solve_krylov(u, params, _to_real(rhs), border, penalty))
+    """Real half spectrum delta solving J(u) delta = rhs for even u and rhs,
+    by ``_solve_krylov`` at every N.  The translation mode u' is odd, so the
+    even system needs no phase condition."""
+    return _from_real(_solve_krylov(u, params, _to_real(rhs), penalty))
 
 
 def _nonlinear_scale(u: PeriodicField) -> float:
@@ -319,11 +301,13 @@ def _nonlinear_scale(u: PeriodicField) -> float:
 
 
 def _recenter(u: PeriodicField) -> PeriodicField:
-    """Translate so the maximum sits at s = 0 (deterministic representative).
+    """Translate so the maximum sits at s = 0, the axis about which Newton
+    keeps its iterates even.
 
     The discrete argmax is refined to a critical point of u by Newton on u',
     so recentered translates of the same solution agree beyond the grid
-    resolution.
+    resolution.  A field with real coefficients and its fine-grid maximum at
+    s = 0 is returned unchanged.
     """
     fine = u.fine_values()
     s0 = float(u.fine_grid()[int(np.argmax(fine))])
@@ -403,11 +387,17 @@ def _tail_fraction(u: PeriodicField) -> float:
 
 def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOptions | None = None) -> Solution:
     """Damped Newton from ``init``; adapts the mode count until the
-    coefficient tail is resolved (or ``opts.max_modes`` is reached)."""
+    coefficient tail is resolved (or ``opts.max_modes`` is reached).
+
+    The start is recentered to put its maximum at s = 0 and projected onto
+    the even (cosine) fields, which the equation maps to themselves; every
+    iterate, and so the solution, is even with real coefficients.
+    """
     opts = opts or SolverOptions()
     if float(np.max(init.values)) <= 0.0:
         raise ValueError("initial guess must be positive somewhere")
     u = init if init.modes >= opts.modes else init.resample(opts.modes)
+    u = PeriodicField(u.spec, _recenter(u).coeffs.real)
     iters = 0
     while True:
         u, res_sup, it = _newton_fixed(u, params, opts)
@@ -421,9 +411,6 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
             f"converged field is not strictly positive (min {float(np.min(u.fine_values())):.3e})"
         )
     is_const = u.nonconstant_fraction() <= _CONSTANT_FRACTION
-    if not is_const:
-        u = _recenter(u)
-        res_sup = _residual_sup(u, params)
     report = norms(u, params)
     if not report.energy > 0.0:
         raise FloatingPointError(f"critical energy of the solution underflows float64 ({report.energy!r})")
@@ -492,9 +479,14 @@ def minimize_quotient(
     for it in range(1, max_iter + 1):
         z = _nonlinear_coeffs(u, p) / sym   # P^{-1} u_+^(2#-1)
         rho = u.coeffs - q * z
-        grad_norm = math.sqrt(
-            float(np.sum(counts * np.abs(rho) ** 2)) / float(np.sum(counts * np.abs(u.coeffs) ** 2))
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad_norm = math.sqrt(
+                float(np.sum(counts * np.abs(rho) ** 2)) / float(np.sum(counts * np.abs(u.coeffs) ** 2))
+            )
+        if not math.isfinite(grad_norm):
+            raise FloatingPointError(
+                f"quotient descent gradient norm is outside the float64 range ({grad_norm!r})"
+            )
         if grad_norm <= tol:
             break
         eta, accepted = 1.0, False
@@ -562,24 +554,17 @@ def linearized_operator(u: PeriodicField, params: OperatorParams) -> np.ndarray:
     return _jacobian(u, params, penalty=0.0)
 
 
-def linearized_spectrum(
-    sol: Solution, kmax: int | None = None, method: str = "auto"
-) -> np.ndarray:
+def linearized_spectrum(sol: Solution, kmax: int | None = None) -> np.ndarray:
     """Eigenvalues of the linearization at a solution, restricted to circle modes.
 
-    For constant solutions (method "auto" or "closed-form") the values are
+    For constant solutions the values are the closed form
     mu_m^2 + alpha mu_m + a - (2#-1) a for m = 0..kmax; each m >= 1 entry is
     doubly degenerate (cos and sin).  Otherwise the dense real symmetric
-    Jacobian's eigenproblem is solved and the smallest ``kmax`` eigenvalues
-    are returned in ascending order.
+    Jacobian's eigenproblem, odd modes included, is solved and the smallest
+    ``kmax`` + 1 eigenvalues are returned in ascending order.
     """
     u, params = sol.field, sol.params
-    if method not in ("auto", "closed-form", "dense"):
-        raise ValueError(f"unknown method {method!r}")
-    use_closed = sol.is_constant and method != "dense"
-    if method == "closed-form" and not sol.is_constant:
-        raise ValueError("closed-form spectrum only applies to constant solutions")
-    if use_closed:
+    if sol.is_constant:
         kmax = u.modes // 2 if kmax is None else kmax
         return constant_eigenvalue(u.spec, params, np.arange(kmax + 1))
     eig = np.linalg.eigvalsh(linearized_operator(u, params))

@@ -8,6 +8,10 @@
   solutions at (t, alpha/t^2, a/t^4) with amplitude t^(-1/2), hence energies
   scale exactly by t^(-4).  This exercises every spectral weight, volume
   factor, and symbol in one identity.
+* On the quarter-square schedule a = alpha^2/4 the energy function is one
+  function of T = t sqrt(alpha): E(alpha, t) = alpha^((n-1)/2) E(1, T).  A
+  k-peak solution on S^1(t) is a 1-peak solution on S^1(t/k) repeated k
+  times, with k times its energy.
 """
 
 import math
@@ -20,7 +24,13 @@ from scipy.sparse.linalg import spsolve
 from paneitz.constants import OperatorParams
 from paneitz.field import PeriodicField
 from paneitz.geometry import ManifoldSpec, sphere_volume
-from paneitz.solver import minimize_quotient, rescale_to_solution
+from paneitz.solver import (
+    SolverOptions,
+    minimize_quotient,
+    mode1_solution,
+    newton_solve,
+    rescale_to_solution,
+)
 
 SPEC = ManifoldSpec(5, 1.0)
 
@@ -122,3 +132,25 @@ class TestCircleRescaling:
         _, e1 = constant_branch(5, 16.0, product_volume(ManifoldSpec(5, 1.0)))
         _, et = constant_branch(5, 16.0 / t**4, product_volume(ManifoldSpec(5, t)))
         assert et == pytest.approx(e1 / t**4, rel=1e-12)
+
+
+class TestEnergyFunctionIdentities:
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_alpha_t_collapse(self, n):
+        # u(s) = alpha^((n-4)/4) v(sqrt(alpha) s) maps alpha = 1 on S^1(4) to
+        # alpha = 16 on S^1(1); the discrete problems are the same up to scale
+        big = mode1_solution(ManifoldSpec(n, 1.0), OperatorParams(16.0, 64.0), SolverOptions())
+        unit = mode1_solution(ManifoldSpec(n, 4.0), OperatorParams(1.0, 0.25), SolverOptions())
+        assert not big.is_constant
+        assert big.energy == pytest.approx(16.0 ** ((n - 1) / 2) * unit.energy, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_two_peak_tiling(self, n):
+        # c'_{2m} = c_m repeats the S^1(1/2) solution twice around S^1(1)
+        params = OperatorParams(16.0, 64.0)
+        one = mode1_solution(ManifoldSpec(n, 0.5), params, SolverOptions())
+        tiled = np.zeros(2 * one.field.coeffs.size - 1, dtype=complex)
+        tiled[::2] = one.field.coeffs
+        two = newton_solve(PeriodicField(ManifoldSpec(n, 1.0), tiled), params)
+        assert not two.is_constant
+        assert two.energy == pytest.approx(2.0 * one.energy, rel=1e-13)

@@ -60,11 +60,6 @@ class TestConcentrationRatios:
         assert 0.0 <= rep.r_l2 <= 1.0
         assert 0.0 <= rep.r_grad_l2 <= 1.0
 
-    def test_r_strong_is_deprecated_alias(self):
-        rep = concentration_ratios(gaussian_bump(0.5, L / 15.0, floor=0.2), L / 8)
-        with pytest.warns(DeprecationWarning, match="r_grad_l2"):
-            assert rep.r_strong == rep.r_grad_l2
-
     def test_strong_support_flag(self):
         assert not concentration_ratios(gaussian_bump(0.0, L / 10), L / 8).strong_supported
         spec8 = ManifoldSpec(8, 1.0)

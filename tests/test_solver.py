@@ -8,6 +8,7 @@ from paneitz.solver import (
     QuotientMinimum,
     SolverOptions,
     bifurcation_alpha,
+    constant_eigenvalue,
     linearized_operator,
     linearized_spectrum,
     minimize_quotient,
@@ -18,7 +19,6 @@ from paneitz.solver import (
     residual,
 )
 from paneitz.solver import (
-    _from_real,
     _jacobian,
     _jacobian_action,
     _solve_krylov,
@@ -26,6 +26,7 @@ from paneitz.solver import (
     _tail_fraction,
     _to_real,
 )
+from paneitz.sweep import branch_continuation
 
 SPEC = ManifoldSpec(5, 1.0)
 L = SPEC.period
@@ -40,6 +41,13 @@ def constant_init(a, modes=64, spec=SPEC):
 def perturbed_init(a, amplitude=0.1, modes=64, spec=SPEC):
     u_bar = a ** ((spec.n - 4) / 8.0)
     return PeriodicField.cosine(spec, u_bar, amplitude, modes)
+
+
+def assert_even_about_origin(sol):
+    # real half spectrum exactly, so u(-s) = u(s), and the peak at s = 0
+    assert np.all(sol.field.coeffs.imag == 0.0)
+    fine = sol.field.fine_values()
+    assert fine[0] == np.max(fine)
 
 
 class TestResidual:
@@ -153,6 +161,40 @@ class TestMovedStarts:
         save_field(concentrated.field.shift(s0).scaled(scale), path)
         sol = newton_solve(load_field(path), concentrated.params)
         assert sol.energy == pytest.approx(concentrated.energy, rel=1e-9)
+        assert_even_about_origin(sol)
+
+
+class TestEvenSolutions:
+    # The equation is reversible (s -> -s), and Newton works on even fields
+    # only: every route returns real coefficients with the peak at s = 0.
+    def test_constant_route(self):
+        sol = newton_solve(constant_init(1.0), OperatorParams(2.0, 1.0))
+        assert sol.is_constant
+        assert_even_about_origin(sol)
+
+    def test_mode1_route(self):
+        sol = mode1_solution(SPEC, OperatorParams(8.0, 16.0), SolverOptions())
+        assert not sol.is_constant
+        assert_even_about_origin(sol)
+
+    def test_continuation_route(self):
+        prev = mode1_solution(SPEC, OperatorParams(8.0, 16.0), SolverOptions())
+        sol = branch_continuation(prev, OperatorParams(12.0, 36.0))
+        assert not sol.is_constant
+        assert_even_about_origin(sol)
+
+    def test_off_symmetry_start(self, concentrated):
+        # shifted, scaled and pushed off its symmetry axis by a few low
+        # modes, cosine and sine alike
+        params = concentrated.params
+        coeffs = concentrated.field.shift(1.0).coeffs * 1.001
+        bump = np.zeros_like(coeffs)
+        bump[1:5] = np.random.default_rng(7).standard_normal((4, 2)) @ [1.0, 1j]
+        u = PeriodicField(SPEC, coeffs + 1e-3 * coeffs[0].real * bump)
+        assert u.modes == 512
+        sol = newton_solve(u, params)
+        assert sol.energy == pytest.approx(concentrated.energy, rel=1e-9)
+        assert_even_about_origin(sol)
 
 
 class TestLargerModeCap:
@@ -182,44 +224,26 @@ class TestKrylovSolve:
     PEN = SolverOptions().penalty_weight
 
     def test_matvec_matches_dense_jacobian(self):
-        # every column, the Nyquist cosine's included
+        # every column of the cosine block, the Nyquist cosine's included
         params = OperatorParams(8.0, 16.0)
         u = sign_changing_field(256)
         assert float(np.min(u.fine_values())) < 0.0
-        jac = _jacobian(u, params, self.PEN)
+        h = u.coeffs.size
+        jac = _jacobian(u, params, self.PEN)[:h, :h]
         action = _jacobian_action(u, params, self.PEN)
-        cols = np.column_stack([action(e) for e in np.eye(u.modes)])
+        cols = np.column_stack([action(e) for e in np.eye(h)])
         assert np.max(np.abs(cols - jac)) <= 1e-13 * np.max(np.abs(jac))
 
     @pytest.mark.parametrize("modes", [64, 128, 256])
-    @pytest.mark.parametrize("bordered", [False, True])
-    def test_matches_dense_solve(self, modes, bordered):
-        # reference: LU of the dense Jacobian, bordered by the phase row
+    def test_matches_dense_solve(self, modes):
+        # reference: LU of the dense Jacobian's cosine block
         params = OperatorParams(8.0, 16.0)
         u = sign_changing_field(modes)
         b = _to_real(residual(u, params, self.PEN).coeffs)
-        border = _to_real(u.derivative(1).coeffs) if bordered else None
-        jac = _jacobian(u, params, self.PEN)
-        if border is None:
-            dense = np.linalg.solve(jac, b)
-        else:
-            bordered_jac = np.block([[jac, border[:, None]], [border[None, :], np.zeros((1, 1))]])
-            dense = np.linalg.solve(bordered_jac, np.append(b, 0.0))[:modes]
-        krylov = _solve_krylov(u, params, b, border, self.PEN)
+        h = u.coeffs.size
+        dense = np.linalg.solve(_jacobian(u, params, self.PEN)[:h, :h], b)
+        krylov = _solve_krylov(u, params, b, self.PEN)
         assert np.linalg.norm(krylov - dense) <= 1e-12 * np.linalg.norm(dense)
-
-    def test_step_keeps_phase_at_512_modes(self, concentrated):
-        # shifted, scaled and pushed off its symmetry axis by a few low
-        # modes, so the step has a component along u' to remove
-        params = concentrated.params
-        coeffs = concentrated.field.shift(1.0).coeffs * 1.001
-        bump = np.zeros_like(coeffs)
-        bump[1:5] = np.random.default_rng(7).standard_normal((4, 2)) @ [1.0, 1j]
-        u = PeriodicField(SPEC, coeffs + 1e-3 * coeffs[0].real * bump)
-        assert u.modes == 512
-        delta = _to_real(_solve_linearized(u, params, residual(u, params, self.PEN).coeffs, self.PEN))
-        du = _to_real(u.derivative(1).coeffs)
-        assert abs(delta @ du) <= 1e-12 * np.linalg.norm(delta) * np.linalg.norm(du)
 
     @pytest.mark.parametrize("modes", [64, 128, 256])
     def test_singular_system_is_named(self, modes):
@@ -341,8 +365,8 @@ class TestLinearization:
     def test_dense_matches_closed_form_at_constant(self):
         params = OperatorParams(2.0, 1.0)
         sol = newton_solve(constant_init(1.0, modes=32), params, SolverOptions(modes=32))
-        dense = linearized_spectrum(sol, method="dense")
-        closed = linearized_spectrum(sol, kmax=16, method="closed-form")
+        dense = np.linalg.eigvalsh(linearized_operator(sol.field, params))
+        closed = constant_eigenvalue(SPEC, params, np.arange(17))
         # each m >= 1 closed-form eigenvalue appears twice in the dense spectrum
         expected = np.sort(np.concatenate([closed[:1], np.repeat(closed[1:-1], 2), closed[-1:]]))
         assert np.allclose(np.sort(dense), expected, atol=1e-9)
@@ -362,10 +386,21 @@ class TestLinearization:
         params = OperatorParams(2.0, 1.0)
         u = PeriodicField.from_function(SPEC, lambda s: 1.0 + 0.3 * np.cos(s) + 0.1 * np.sin(2 * s), 16)
         op = linearized_operator(u, params)
-        x0, h = _to_real(u.coeffs), 1e-6
+        half = u.coeffs.size
+        root = np.sqrt(np.r_[1.0, np.full(half - 2, 2.0), 0.5])
+
+        def to_full(c):
+            return np.concatenate([root * c.real, root[1:-1] * c.imag[1:-1]])
+
+        def from_full(x):
+            c = (x[:half] / root).astype(complex)
+            c[1:-1] += 1j * x[half:] / root[1:-1]
+            return c
+
+        x0, h = to_full(u.coeffs), 1e-6
 
         def res(x):
-            return _to_real(residual(PeriodicField(SPEC, _from_real(x)), params).coeffs)
+            return to_full(residual(PeriodicField(SPEC, from_full(x)), params).coeffs)
 
         fd = np.column_stack([(res(x0 + h * e) - res(x0 - h * e)) / (2 * h) for e in np.eye(x0.size)])
         assert np.max(np.abs(op - fd)) < 1e-8 * np.max(np.abs(op))
