@@ -206,6 +206,29 @@ class PeriodicField:
         mult[-1] = math.cos(kap[-1] * s0)
         return PeriodicField(self.spec, self.coeffs * mult)
 
+    def dilated_values(self, sigma: float) -> np.ndarray:
+        """Samples u(sigma s_j) of the even field's cosine series at the N
+        grid points taken symmetric about 0, s_j = j h for j <= N/2 and
+        (j - N) h above (h = L/N), so out[j] = out[N - j].
+
+        With w_m the pair-counted real coefficients and theta = 2 pi sigma/N,
+        u(sigma j h) = sum_m w_m cos(theta m j) is a chirp z-transform.  The
+        identity m j = (m^2 + j^2 - (j - m)^2)/2 turns it into one convolution
+        (Bluestein), evaluated exactly by three FFTs in O(N log N).
+        """
+        w = _pair_counts(self.coeffs.size) * self.coeffs.real
+        half = w.size  # m and j both run over 0..N/2
+        size = 1 << (2 * half - 2).bit_length()  # at least 2 half - 1: no wraparound
+        theta = 2.0 * math.pi * sigma / self.modes
+        m = np.arange(half)
+        chirp = np.exp(0.5j * theta * (m * m))
+        kernel = np.zeros(size, dtype=complex)  # exp(-i theta d^2/2) at d = j - m, mod size
+        kernel[:half] = chirp.conj()
+        kernel[size - half + 1 :] = chirp[:0:-1].conj()
+        conv = np.fft.ifft(np.fft.fft(w * chirp, size) * np.fft.fft(kernel))
+        out = (chirp * conv[:half]).real
+        return np.concatenate([out, out[-2:0:-1]])
+
     def resample(self, modes: int) -> "PeriodicField":
         if modes == self.modes:
             return self

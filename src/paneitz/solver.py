@@ -12,10 +12,12 @@ Two routes produce solutions:
   coordinates (the symbol minus the Toeplitz-plus-Hankel matrix of
   multiplication by (2#-1) u_+^(2#-2)); Newton uses its cosine block, which
   needs no phase condition because the translation mode u' is odd.  One
-  helper solves it for the Newton step and the continuation predictor at
-  every N: GMRES with FFT products on the oversampled grid, the system
-  scaled symmetrically by symbol^(-1/2).  The linearized spectrum uses the
-  full dense matrix.
+  helper solves it for the Newton step at every N: GMRES with FFT products
+  on the oversampled grid, the system scaled symmetrically by
+  symbol^(-1/2).  The linearized spectrum uses the full dense matrix.
+  ``continuation_init`` predicts the next start of a branch from the exact
+  scaling u -> k^((n-4)/4) u(sqrt(k) s) of alpha -> k alpha, a -> k^2 a,
+  with no linear solve.
 
 * ``minimize_quotient``: monotone descent on the Sobolev quotient
   Q(u) = <Pu, u> / ||u||_{2#}^2 with the natural preconditioner P^{-1}
@@ -598,21 +600,21 @@ def bifurcation_alpha(n: int, t: float, m: int) -> float:
 
 
 def continuation_init(prev: Solution, params: OperatorParams) -> PeriodicField:
-    """First-order predictor for continuation in alpha.
+    """Scaled predictor for continuation in alpha, with no linear solve.
 
-    Solves J delta = -(Delta u + a'(alpha) u) d(alpha) at the previous
-    solution, with a'(alpha) the secant slope of a between the two
-    parameter sets; falls back to the unmodified previous field if the
-    tangent solve fails.
+    With k = alpha'/alpha, if u solves the equation at (alpha, a) then
+    k^((n-4)/4) u(sqrt(k) s) solves it at (k alpha, k^2 a) on a circle
+    sqrt(k) times shorter.  So on a schedule with a fixed ratio a/alpha^2
+    the prediction is exact but for the change of circle length, and
+    otherwise Newton also absorbs the change of ratio.  ``prev.field`` is
+    even with its peak at s = 0 (as Newton leaves it), so the stretched
+    field is sampled about that peak wherever sqrt(k) |s| <= L/2, and the
+    rest of the grid (empty for k <= 1) takes the scaled minimum of u.
     """
     u = prev.field
-    dalpha = params.alpha - prev.params.alpha
-    if dalpha == 0.0:
-        return u
-    da_dalpha = (params.a_alpha - prev.params.a_alpha) / dalpha
-    dF = (u.wavenumbers() ** 2 + da_dalpha) * u.coeffs
-    try:
-        tangent = _solve_linearized(u, prev.params, dF)
-    except np.linalg.LinAlgError:
-        return u
-    return PeriodicField(u.spec, u.coeffs - dalpha * tangent)
+    k = params.alpha / prev.params.alpha
+    sigma = math.sqrt(k)
+    size = u.modes
+    dist = np.minimum(np.arange(size), size - np.arange(size))  # |s_j| / h
+    stretched = np.where(sigma * dist <= size // 2, u.dilated_values(sigma), np.min(u.values))
+    return PeriodicField.from_values(u.spec, k ** ((u.spec.n - 4) / 4.0) * stretched)

@@ -4,7 +4,7 @@ and tabulate the minimal-energy estimate E_m(alpha).
 For every alpha the constant branch a^((n-4)/8) is available in closed form.
 A nonconstant branch is attempted once the constant's first nonzero Fourier
 mode turns linearly unstable: continuation seeds Newton with the previous
-nonconstant solution (first-order predictor, step halving on failure), and
+nonconstant solution (scaled predictor, step halving on failure), and
 the quotient-minimization route from a mode-1 perturbed constant serves as
 the fresh start and fallback.  E_m is reported as an estimate: it is an
 upper bound over the branches actually found, since the true infimum runs
@@ -109,12 +109,13 @@ def branch_continuation(
 ) -> Solution:
     """Continue a converged solution to new parameters.
 
-    Newton is seeded with a first-order predictor; on failure the alpha step
-    is halved (up to ``MAX_HALVINGS`` times) and walked in substeps.  A
-    substep's a is alpha^2 times the linear interpolation of a/alpha^2
-    between the two ends, so it keeps 0 < a <= alpha^2/4 whenever both ends
-    do; the last substep is ``params`` itself.  Persistent failure raises
-    ConvergenceError ("branch lost").
+    Newton is seeded with ``continuation_init``, the previous solution
+    stretched by the exact scaling of alpha -> k alpha, a -> k^2 a; on
+    failure the alpha step is halved (up to ``MAX_HALVINGS`` times) and
+    walked in substeps.  A substep's a is alpha^2 times the linear
+    interpolation of a/alpha^2 between the two ends, so it keeps
+    0 < a <= alpha^2/4 whenever both ends do; the last substep is ``params``
+    itself.  Persistent failure raises ConvergenceError ("branch lost").
     """
     opts = opts or SolverOptions()
     a0, a1 = prev.params.alpha, params.alpha

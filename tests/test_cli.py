@@ -205,12 +205,34 @@ class TestSweepCommand:
         assert code == 0, err
         rows = list(csv.DictReader(io.StringIO(out.read_text(encoding="ascii"))))
         assert [int(r["modes_used"]) for r in rows] == [64, 128, 128, 256, 256, 512, 512]
-        assert [int(r["newton_iters"]) for r in rows] == [1, 6, 6, 7, 6, 7, 6]
+        # provenance of the scaled continuation predictor, not a result
+        assert [int(r["newton_iters"]) for r in rows] == [1, 4, 3, 3, 2, 2, 1]
         expected = [
             141.49379223251881, 590.28125871870316, 2371.9550695931944, 9489.3852139126084,
             37957.589216351313, 151830.35703796826, 607321.42815190193,
         ]
         assert [float(r["E_m_estimate"]) for r in rows] == pytest.approx(expected, rel=1e-13)
+
+    # Regression: on (2, 4, 16, 128) the tangent predictor jumped to the
+    # 2-peak branch at alpha = 16 and stayed there (E_m(16) = 18889.0 for
+    # n = 5 against 9489.39 on the other grids).
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_energy_independent_of_alpha_grid(self, capsys, tmp_path, n):
+        grids = [(2, 4, 8, 16, 32, 64, 128), (2, 4, 16, 128), (2, 16, 128), (2, 8, 32, 128)]
+        energies = []
+        for i, grid in enumerate(grids):
+            sched = tmp_path / f"grid{i}.txt"
+            sched.write_text("".join(f"{alpha} {alpha * alpha / 4}\n" for alpha in grid))
+            out = tmp_path / f"grid{i}.csv"
+            code, _, err = run_cli(
+                capsys, "sweep", "--dim", str(n), "--schedule", str(sched), "--out", str(out)
+            )
+            assert code == 0, err
+            rows = csv.DictReader(io.StringIO(out.read_text(encoding="ascii")))
+            energies.append({float(r["alpha"]): float(r["E_m_estimate"]) for r in rows})
+        for grid, found in zip(grids, energies):
+            for alpha in grid:
+                assert found[alpha] == pytest.approx(energies[0][alpha], rel=1e-12), (grid, alpha)
 
     def test_bytes_independent_of_blas_threads(self, tmp_path):
         # a fresh process per thread count, since BLAS reads it at load time

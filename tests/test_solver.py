@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from paneitz.constants import OperatorParams, constant_branch, critical_exponent
-from paneitz.field import PeriodicField, load_field, norms, save_field
+from paneitz.field import PeriodicField, _pair_counts, load_field, norms, save_field
 from paneitz.geometry import ManifoldSpec, product_volume
 from paneitz.solver import (
     QuotientMinimum,
     SolverOptions,
     bifurcation_alpha,
     constant_eigenvalue,
+    continuation_init,
     linearized_operator,
     linearized_spectrum,
     minimize_quotient,
@@ -21,6 +22,7 @@ from paneitz.solver import (
 from paneitz.solver import (
     _jacobian,
     _jacobian_action,
+    _residual_sup,
     _solve_krylov,
     _solve_linearized,
     _tail_fraction,
@@ -255,6 +257,49 @@ class TestKrylovSolve:
         rhs[1] = 1.0
         with pytest.raises(np.linalg.LinAlgError, match="Krylov solve: linearized system is singular"):
             _solve_linearized(u, params, rhs)
+
+
+class TestScaledPredictor:
+    @pytest.mark.parametrize("modes", [64, 128, 256, 512])
+    @pytest.mark.parametrize("sigma", [0.9, 1.0, 1.03, 1.5])
+    def test_dilated_values_match_cosine_sum(self, modes, sigma):
+        spec = ManifoldSpec(5, 1.3)
+        rng = np.random.default_rng(modes)
+        m = np.arange(modes // 2 + 1)
+        u = PeriodicField(spec, rng.standard_normal(m.size) * np.exp(-0.05 * m))
+        # grid points symmetric about 0: s_j = j h, then (j - N) h
+        j = np.arange(modes)
+        s = np.where(j <= modes // 2, j, j - modes) * (spec.period / modes)
+        direct = np.cos(np.outer(sigma * s / spec.t, m)) @ (_pair_counts(m.size) * u.coeffs.real)
+        got = u.dilated_values(sigma)
+        assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+        if sigma == 1.0:
+            assert np.max(np.abs(got - u.values)) <= 1e-13 * np.max(np.abs(u.values))
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_prediction_beats_previous_field(self, n):
+        prev = mode1_solution(ManifoldSpec(n, 1.0), OperatorParams(64.0, 1024.0), SolverOptions())
+        target = OperatorParams(96.0, 96.0**2 / 4.0)  # k = 1.5
+        unmoved = _residual_sup(prev.field, target)
+        predicted = _residual_sup(continuation_init(prev, target), target)
+        assert predicted * 100.0 <= unmoved
+
+    def test_downward_continuation_reaches_fresh_solves(self):
+        sol = mode1_solution(SPEC, OperatorParams(64.0, 1024.0), SolverOptions())
+        for alpha in (48.0, 32.0, 16.0, 8.0, 4.0):
+            params = OperatorParams(alpha, alpha * alpha / 4.0)
+            sol = branch_continuation(sol, params)
+            fresh = mode1_solution(SPEC, params, SolverOptions())
+            assert sol.energy == pytest.approx(fresh.energy, rel=1e-9), alpha
+
+    def test_changing_ratio_reaches_fresh_solves(self):
+        # a = alpha: a/alpha^2 falls from 1/4, so the scaling is not exact
+        sol = mode1_solution(SPEC, OperatorParams(4.0, 4.0), SolverOptions())
+        for alpha in (8.0, 16.0, 32.0, 64.0, 128.0):
+            params = OperatorParams(alpha, alpha)
+            sol = branch_continuation(sol, params)
+            fresh = mode1_solution(SPEC, params, SolverOptions())
+            assert sol.energy == pytest.approx(fresh.energy, rel=1e-9), alpha
 
 
 class TestQuotient:
