@@ -24,6 +24,10 @@ Two routes produce solutions:
   (descent direction u - Q(u) P^{-1} u_+^(2#-1), step halving on failure to
   decrease).  Since P^{-1} = (Delta + c)^{-1} (Delta + d)^{-1} with c, d > 0
   preserves positivity on the circle, positive iterates stay positive.
+  Each iteration samples the direction on the oversampled grid once; trial
+  steps are compared unnormalized (Q is scale invariant) from linear
+  combinations of those samples and a symbol-weighted Parseval sum, so they
+  cost no FFT, and only the accepted step is rescaled to unit critical norm.
   ``mode1_solution`` runs it from the mode-1 perturbed constant and
   Newton-polishes the rescaled minimizer: the one fresh start of the
   nonconstant branch.
@@ -44,7 +48,7 @@ import numpy as np
 
 from .constants import OperatorParams, critical_exponent, sharp_constant
 from .field import PeriodicField, _pad, _pair_counts, _parseval_weights, _truncate, norms
-from .geometry import ManifoldSpec
+from .geometry import ManifoldSpec, product_volume
 
 __all__ = [
     "ConvergenceError",
@@ -136,8 +140,8 @@ def residual(u: PeriodicField, params: OperatorParams, penalty: float = 0.0) -> 
     return PeriodicField(u.spec, coeffs)
 
 
-def _residual_sup(u: PeriodicField, params: OperatorParams, penalty: float = 0.0) -> float:
-    return float(np.max(np.abs(residual(u, params, penalty).values)))
+def _residual_sup(u: PeriodicField, params: OperatorParams) -> float:
+    return float(np.max(np.abs(residual(u, params).values)))
 
 
 # --- Newton ------------------------------------------------------------------
@@ -339,19 +343,21 @@ def _newton_fixed(init: PeriodicField, params: OperatorParams, opts: SolverOptio
     """Newton at fixed resolution; returns (field, penalty-free sup, iterations)."""
     u = init
     pen = opts.penalty_weight
-    res_sup = _residual_sup(u, params, pen)
+    res = residual(u, params, pen)
+    res_sup = float(np.max(np.abs(res.values)))
     tol_eff = max(opts.tol, opts.rtol * _nonlinear_scale(u))
     if res_sup <= tol_eff:
         return u, _residual_sup(u, params), 0
     for it in range(1, opts.max_iter + 1):
         try:
-            step = _solve_linearized(u, params, residual(u, params, pen).coeffs, pen)
+            step = _solve_linearized(u, params, res.coeffs, pen)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"linear solve failed: {exc}", u, res_sup) from exc
         eta, improved = 1.0, False
         for _ in range(opts.max_backtracks):
             cand = PeriodicField(u.spec, u.coeffs - eta * step)
-            cand_sup = _residual_sup(cand, params, pen)
+            cand_res = residual(cand, params, pen)
+            cand_sup = float(np.max(np.abs(cand_res.values)))
             if cand_sup < res_sup:
                 improved = True
                 break
@@ -365,7 +371,7 @@ def _newton_fixed(init: PeriodicField, params: OperatorParams, opts: SolverOptio
                 u,
                 res_sup,
             )
-        u, res_sup = cand, cand_sup
+        u, res, res_sup = cand, cand_res, cand_sup
         tol_eff = max(opts.tol, opts.rtol * _nonlinear_scale(u))
         if res_sup <= tol_eff:
             return u, _residual_sup(u, params), it
@@ -468,12 +474,25 @@ def minimize_quotient(
     step halving otherwise.  Stops when the preconditioned gradient is below
     ``tol`` relative to the iterate; stagnation away from that raises
     ConvergenceError with the last iterate attached.
+
+    Each iteration samples the direction rho on the oversampled grid once.
+    Q is scale invariant, so a trial u - eta rho is compared unnormalized:
+    its fine samples are fine(u) - eta fine(rho), since the zero-padded
+    inverse FFT is linear, its pairing is the symbol-weighted Parseval sum
+    of its coefficients, and trials cost no FFT.  Only the accepted step is
+    scaled back to unit critical norm.  A trial whose energy or pairing
+    leaves the float64 range raises ``FloatingPointError``.
     """
     if float(np.max(np.abs(init.values))) == 0.0:
         raise ValueError("initial guess must be nonzero")
-    p = critical_exponent(init.spec.n) - 1.0
+    spec = init.spec
+    two_sharp = critical_exponent(spec.n)
+    p = two_sharp - 1.0
     sym = _symbol(init, params)
     counts = _pair_counts(init.coeffs.size)
+    volume = product_volume(spec)
+    pair_weights = volume * _parseval_weights(init.coeffs.size) * sym
+    nf = init.fine_size()
     u = _normalize_critical(init)
     q = quotient(u, params)
     grad_norm = math.inf
@@ -491,10 +510,20 @@ def minimize_quotient(
             )
         if grad_norm <= tol:
             break
+        fine_u = u.fine_values()
+        fine_rho = np.fft.irfft(_pad(rho, nf) * nf, nf)
         eta, accepted = 1.0, False
         for _ in range(40):
-            cand = _normalize_critical(PeriodicField(u.spec, u.coeffs - eta * rho))
-            q_cand = quotient(cand, params)
+            coeffs = u.coeffs - eta * rho
+            with np.errstate(over="ignore", invalid="ignore"):
+                energy = volume * float(np.mean(np.abs(fine_u - eta * fine_rho) ** two_sharp))
+                pairing = float(np.sum(pair_weights * np.abs(coeffs) ** 2))
+            if not (0.0 < energy < math.inf and math.isfinite(pairing)):
+                raise FloatingPointError(
+                    f"quotient descent trial step is outside the float64 range "
+                    f"(energy {energy!r}, pairing {pairing!r})"
+                )
+            q_cand = pairing / energy ** (2.0 / two_sharp)
             if q_cand < q:
                 accepted = True
                 break
@@ -505,12 +534,12 @@ def minimize_quotient(
             raise ConvergenceError(
                 f"quotient descent stagnated (gradient norm {grad_norm:.3e})", u, grad_norm
             )
-        u, q = cand, q_cand
+        u, q = PeriodicField(spec, coeffs * energy ** (-1.0 / two_sharp)), q_cand
     else:
         raise ConvergenceError(
             f"quotient descent did not converge in {max_iter} iterations", u, grad_norm
         )
-    _, k0_inv_sq = sharp_constant(init.spec.n)
+    _, k0_inv_sq = sharp_constant(spec.n)
     return QuotientMinimum(
         field=u,
         lambda_min=q,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from paneitz.constants import OperatorParams, constant_branch, critical_exponent
 from paneitz.field import PeriodicField, _pair_counts, load_field, norms, save_field
 from paneitz.geometry import ManifoldSpec, product_volume
 from paneitz.solver import (
+    ConvergenceError,
     QuotientMinimum,
     SolverOptions,
     bifurcation_alpha,
@@ -22,9 +25,12 @@ from paneitz.solver import (
 from paneitz.solver import (
     _jacobian,
     _jacobian_action,
+    _nonlinear_coeffs,
+    _normalize_critical,
     _residual_sup,
     _solve_krylov,
     _solve_linearized,
+    _symbol,
     _tail_fraction,
     _to_real,
 )
@@ -324,7 +330,73 @@ class TestQuotient:
             quotient(PeriodicField.constant(SPEC, 0.0, 32), params)
 
 
+def reference_descent(init, params, steps):
+    """The first ``steps`` iterates of the quotient descent with the line
+    search that normalizes each trial field and takes its quotient from
+    ``norms``, as two fresh fields per trial."""
+    p = critical_exponent(init.spec.n) - 1.0
+    sym = _symbol(init, params)
+    u = _normalize_critical(init)
+    q = quotient(u, params)
+    iterates = []
+    for _ in range(steps):
+        rho = u.coeffs - q * _nonlinear_coeffs(u, p) / sym
+        eta = 1.0
+        for _ in range(40):
+            cand = _normalize_critical(PeriodicField(u.spec, u.coeffs - eta * rho))
+            q_cand = quotient(cand, params)
+            if q_cand < q:
+                break
+            eta *= 0.5
+        else:
+            raise AssertionError("reference line search found no decrease")
+        u, q = cand, q_cand
+        iterates.append(u)
+    return iterates
+
+
 class TestMinimizeQuotient:
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_line_search_matches_reference(self, n):
+        # n = 7 has the fractional critical power 2# = 14/3
+        spec = ManifoldSpec(n, 1.0)
+        params = OperatorParams(16.0, 64.0)
+        init = perturbed_init(64.0, spec=spec)
+        reference = reference_descent(init, params, 8)
+        lams = []
+        for k, ref in enumerate(reference, start=1):
+            with pytest.raises(ConvergenceError) as exc:
+                minimize_quotient(init, params, max_iter=k)
+            last = exc.value.last
+            gap = np.max(np.abs(last.coeffs - ref.coeffs))
+            assert gap <= 1e-12 * np.max(np.abs(ref.coeffs)), (k, gap)
+            lams.append(quotient(last, params))
+        assert all(b <= a for a, b in zip(lams, lams[1:])), lams
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_minimum_normalized_and_consistent(self, n):
+        spec = ManifoldSpec(n, 1.0)
+        params = OperatorParams(16.0, 64.0)
+        qm = minimize_quotient(perturbed_init(64.0, spec=spec), params)
+        assert abs(norms(qm.field).energy - 1.0) <= 1e-13
+        assert abs(qm.lambda_min - quotient(qm.field, params)) <= 1e-13 * qm.lambda_min
+
+    @pytest.mark.parametrize(
+        "params, init, reason",
+        [
+            # the start's own norms overflow
+            (OperatorParams(2.0, 1.0), perturbed_init(1.0).scaled(1e300), "norms of the field"),
+            # the unit-norm start is fine; the first trial step u - rho ~ 1e100
+            # has a critical energy beyond float64
+            (OperatorParams(1e100, 1.0), perturbed_init(1.0), "trial step"),
+        ],
+    )
+    def test_overflow_raises_named_error(self, params, init, reason):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=reason):
+                minimize_quotient(init, params)
+
     def test_below_bifurcation_constant_minimizer(self):
         params = OperatorParams(0.5, 0.0625)
         qm = minimize_quotient(perturbed_init(0.0625, 0.05), params)
