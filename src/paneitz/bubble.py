@@ -43,13 +43,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BubbleParams:
-    """Radial extremal data: dimension, concentration scale, equation
-    normalization lambda_inf, and center (evaluation uses r = |x - x0|)."""
+    """Radial extremal data: dimension, concentration scale and equation
+    normalization lambda_inf."""
 
     n: int
     lambda0: float = 1.0
     lambda_inf: float = 1.0
-    x0: float = 0.0
 
     def __post_init__(self):
         if self.n < 5:

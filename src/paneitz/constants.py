@@ -13,7 +13,7 @@ with near machine-precision relative accuracy).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 __all__ = [
@@ -114,8 +114,8 @@ class OperatorParams:
 
     alpha: float
     a_alpha: float
-    c_alpha: float = 0.0
-    d_alpha: float = 0.0
+    c_alpha: float = field(init=False)
+    d_alpha: float = field(init=False)
 
     def __post_init__(self):
         c, d = factorize(self.alpha, self.a_alpha)

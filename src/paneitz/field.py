@@ -239,11 +239,6 @@ class PeriodicField:
     def scaled(self, factor: float) -> "PeriodicField":
         return PeriodicField(self.spec, self.coeffs * factor)
 
-    def __add__(self, other: "PeriodicField") -> "PeriodicField":
-        if other.modes != self.modes or other.spec != self.spec:
-            raise ValueError("fields must share grid and manifold")
-        return PeriodicField(self.spec, self.coeffs + other.coeffs)
-
 
 @dataclass(frozen=True)
 class NormReport:

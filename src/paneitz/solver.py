@@ -348,6 +348,7 @@ def _newton_fixed(init: PeriodicField, params: OperatorParams, opts: SolverOptio
     tol_eff = max(opts.tol, opts.rtol * _nonlinear_scale(u))
     if res_sup <= tol_eff:
         return u, _residual_sup(u, params), 0
+    steps = opts.max_iter
     for it in range(1, opts.max_iter + 1):
         try:
             step = _solve_linearized(u, params, res.coeffs, pen)
@@ -365,6 +366,7 @@ def _newton_fixed(init: PeriodicField, params: OperatorParams, opts: SolverOptio
         if not improved:
             # stagnation at the rounding floor is acceptance, anything else an error
             if res_sup <= 10.0 * tol_eff:
+                steps = it - 1
                 break
             raise ConvergenceError(
                 f"Newton stagnated at residual {res_sup:.3e} after {it} iterations",
@@ -377,9 +379,9 @@ def _newton_fixed(init: PeriodicField, params: OperatorParams, opts: SolverOptio
             return u, _residual_sup(u, params), it
     free_sup = _residual_sup(u, params)
     if free_sup <= 10.0 * tol_eff:
-        return u, free_sup, opts.max_iter
+        return u, free_sup, steps
     raise ConvergenceError(
-        f"no convergence after {opts.max_iter} iterations, residual {free_sup:.3e}",
+        f"no convergence after {steps} iterations, residual {free_sup:.3e}",
         u,
         free_sup,
     )

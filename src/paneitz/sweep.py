@@ -4,11 +4,12 @@ and tabulate the minimal-energy estimate E_m(alpha).
 For every alpha the constant branch a^((n-4)/8) is available in closed form.
 A nonconstant branch is attempted once the constant's first nonzero Fourier
 mode turns linearly unstable: continuation seeds Newton with the previous
-nonconstant solution (scaled predictor, step halving on failure), and
-the quotient-minimization route from a mode-1 perturbed constant serves as
-the fresh start and fallback.  E_m is reported as an estimate: it is an
-upper bound over the branches actually found, since the true infimum runs
-over all solutions (including any that break the circle-reduced ansatz).
+nonconstant solution (scaled predictor, one Newton solve), and the
+quotient-minimization route from a mode-1 perturbed constant serves as the
+fresh start and as the fallback when that solve fails.  E_m is reported as
+an estimate: it is an upper bound over the branches actually found, since
+the true infimum runs over all solutions (including any that break the
+circle-reduced ansatz).
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ __all__ = [
     "CSV_COLUMNS",
     "quarter_square",
 ]
-
-
-MAX_HALVINGS = 4  # continuation step halvings before a branch counts as lost
 
 
 def quarter_square(alpha: float) -> float:
@@ -107,42 +105,18 @@ class SweepRecord:
 def branch_continuation(
     prev: Solution, params: OperatorParams, opts: SolverOptions | None = None
 ) -> Solution:
-    """Continue a converged solution to new parameters.
+    """Continue a converged solution to new parameters with one Newton solve.
 
     Newton is seeded with ``continuation_init``, the previous solution
-    stretched by the exact scaling of alpha -> k alpha, a -> k^2 a; on
-    failure the alpha step is halved (up to ``MAX_HALVINGS`` times) and
-    walked in substeps.  A substep's a is alpha^2 times the linear
-    interpolation of a/alpha^2 between the two ends, so it keeps
-    0 < a <= alpha^2/4 whenever both ends do; the last substep is ``params``
-    itself.  Persistent failure raises ConvergenceError ("branch lost").
+    stretched by the exact scaling of alpha -> k alpha, a -> k^2 a.  A failed
+    solve raises ConvergenceError ("branch lost"), chained to its cause.
     """
-    opts = opts or SolverOptions()
-    a0, a1 = prev.params.alpha, params.alpha
-    r0 = prev.params.a_alpha / (a0 * a0)
-    r1 = params.a_alpha / (a1 * a1)
-
-    def params_at(i: int, steps: int) -> OperatorParams:
-        if i == steps:
-            return params
-        alpha = a0 + (a1 - a0) * i / steps
-        return OperatorParams(alpha, alpha * alpha * (r0 + (r1 - r0) * i / steps))
-
-    last_error: Exception | None = None
-    for halvings in range(MAX_HALVINGS + 1):
-        steps = 2**halvings
-        sol = prev
-        try:
-            for i in range(1, steps + 1):
-                target = params_at(i, steps)
-                init = continuation_init(sol, target)
-                sol = newton_solve(init, target, opts)
-            return sol
-        except (ConvergenceError, PositivityError) as exc:
-            last_error = exc
-    raise ConvergenceError(
-        f"branch lost between alpha={a0} and alpha={a1}: {last_error}"
-    )
+    try:
+        return newton_solve(continuation_init(prev, params), params, opts)
+    except (ConvergenceError, PositivityError) as exc:
+        raise ConvergenceError(
+            f"branch lost between alpha={prev.params.alpha} and alpha={params.alpha}: {exc}"
+        ) from exc
 
 
 def _nonconstant_solution(

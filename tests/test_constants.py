@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from paneitz.bubble import BubbleParams
 from paneitz.constants import (
     FactorizationError,
     OperatorParams,
@@ -132,6 +133,21 @@ class TestFactorize:
         assert (p.c_alpha, p.d_alpha) == (pytest.approx(4.0), pytest.approx(1.0))
         with pytest.raises(FactorizationError):
             OperatorParams(2.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: OperatorParams(2.0, 1.0, 5.0, 7.0),
+            lambda: OperatorParams(2.0, 1.0, c_alpha=5.0),
+            lambda: OperatorParams(2.0, 1.0, d_alpha=7.0),
+            lambda: BubbleParams(5, x0=3.0),
+        ],
+        ids=["roots-positional", "c_alpha", "d_alpha", "bubble-x0"],
+    )
+    def test_derived_and_unused_fields_are_not_arguments(self, build):
+        # the roots come from factorize; a bubble has no center to move
+        with pytest.raises(TypeError):
+            build()
 
     @pytest.mark.parametrize(
         "alpha,a", [(math.inf, math.inf), (2.0, math.inf), (math.inf, 1.0), (1e200, 1.0)]

@@ -26,6 +26,7 @@ from paneitz.solver import (
     _jacobian,
     _jacobian_action,
     _nonlinear_coeffs,
+    _nonlinear_scale,
     _normalize_critical,
     _residual_sup,
     _solve_krylov,
@@ -85,6 +86,22 @@ class TestNewton:
         assert sol.newton_iters == 0
         assert sol.is_constant
         assert sol.residual_sup < 1e-13
+
+    def test_stagnation_acceptance_counts_accepted_steps(self):
+        # a start within 10 tol_eff that no step improves (no backtracks) is
+        # accepted by stagnation in iteration 1, after 0 accepted steps
+        params = OperatorParams(8.0, 16.0)
+        sol = mode1_solution(SPEC, params, SolverOptions(modes=128, max_modes=128))
+        coeffs = sol.field.coeffs.copy()
+        coeffs[0] += 1e-13
+        start = PeriodicField(SPEC, coeffs)
+        opts = SolverOptions(modes=128, max_backtracks=0, max_modes=128)
+        tol_eff = max(opts.tol, opts.rtol * _nonlinear_scale(start))
+        start_sup = float(np.max(np.abs(residual(start, params, opts.penalty_weight).values)))
+        assert tol_eff < start_sup <= 10.0 * tol_eff
+        moved = newton_solve(start, params, opts)
+        assert moved.newton_iters == 0
+        assert np.array_equal(moved.field.coeffs, coeffs)
 
     def test_below_bifurcation_returns_constant(self):
         params = OperatorParams(0.5, 0.0625)

@@ -9,7 +9,14 @@ import pytest
 from paneitz.constants import OperatorParams, constant_branch
 from paneitz.field import PeriodicField
 from paneitz.geometry import ManifoldSpec, product_volume
-from paneitz.solver import SolverOptions, minimize_quotient, rescale_to_solution
+from paneitz.solver import (
+    ConvergenceError,
+    PositivityError,
+    SolverOptions,
+    minimize_quotient,
+    newton_solve,
+    rescale_to_solution,
+)
 from paneitz.sweep import (
     CSV_COLUMNS,
     SweepConfig,
@@ -118,8 +125,6 @@ class TestContinuation:
         # across the mode-1 instability threshold
         params0 = OperatorParams(0.5, quarter_square(0.5))
         u0 = PeriodicField.constant(SPEC, quarter_square(0.5) ** 0.125, 32)
-        from paneitz.solver import newton_solve
-
         sol0 = newton_solve(u0, params0, SolverOptions(modes=32))
         for alpha in (0.8, 1.5):
             params1 = OperatorParams(alpha, quarter_square(alpha))
@@ -127,6 +132,24 @@ class TestContinuation:
             assert sol1.is_constant
             u_bar, _ = constant_branch(5, quarter_square(alpha), V)
             assert sol1.field.mean == pytest.approx(u_bar, rel=1e-10)
+
+    @pytest.mark.parametrize("cause", [ConvergenceError("stub"), PositivityError("stub")])
+    def test_one_solve_per_call(self, monkeypatch, cause):
+        params0 = OperatorParams(2.0, 1.0)
+        sol0 = newton_solve(PeriodicField.constant(SPEC, 1.0, 32), params0)
+        calls = []
+
+        def failing_solve(init, params, opts=None):
+            calls.append(params)
+            raise cause
+
+        monkeypatch.setattr("paneitz.sweep.newton_solve", failing_solve)
+        params1 = OperatorParams(4.0, 4.0)
+        with pytest.raises(ConvergenceError) as info:
+            branch_continuation(sol0, params1)
+        assert calls == [params1]
+        assert str(info.value) == "branch lost between alpha=2.0 and alpha=4.0: stub"
+        assert info.value.__cause__ is cause
 
 
 class TestEmit:
