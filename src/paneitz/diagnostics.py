@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubble import bubble_eval, BubbleParams, expected_bubble_energy
+from .bubble import BubbleParams, expected_bubble_energy
 from .constants import OperatorParams, critical_exponent
 from .field import PeriodicField, localized_mass, norms
 from .geometry import sphere_volume
@@ -43,6 +43,7 @@ __all__ = [
 
 _GRADLESS = 1e-13
 _PANEL_ORDER = 16  # per-panel Gauss-Legendre order of multi_bubble_energy
+_BLOCK_ROWS = 2 * _PANEL_ORDER  # x-nodes per evaluation block: two panels
 
 
 @dataclass(frozen=True)
@@ -191,25 +192,37 @@ def multi_bubble_energy(
     beyond the outermost centers.  Panels are geometrically refined toward
     every center at its own concentration scale, which resolves superposed
     features whose widths differ by many orders of magnitude.
+
+    The tensor Gauss-Legendre rule is evaluated in blocks of x-rows (two
+    panels each), with r^2 = (x - c)^2 + rho^2 formed by broadcasting, so no
+    full grid, square root or weight array is ever built.
     """
     centers = np.asarray(centers, dtype=float)
     lambda0s = np.asarray(lambda0s, dtype=float)
     if centers.shape != lambda0s.shape or centers.ndim != 1:
         raise ValueError("centers and lambda0s must be matching 1-d arrays")
+    if centers.size == 0:
+        raise ValueError("need at least one profile")
+    if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(lambda0s))):
+        raise ValueError("centers and concentration scales must be finite")
+    profiles = [BubbleParams(n=n, lambda0=float(lam), lambda_inf=lambda_inf) for lam in lambda0s]
     two_sharp = critical_exponent(n)
+    m = (n - 4) / 2.0
     r_out = 300.0 / float(np.min(lambda0s))
     lo, hi = float(np.min(centers)) - r_out, float(np.max(centers)) + r_out
     x_nodes, x_w = panel_rule(refined_axis_edges(centers, lambda0s, lo, hi), _PANEL_ORDER)
     inner = 0.25 / float(np.max(lambda0s))
     rho_nodes, rho_w = panel_rule(geometric_edges(inner, r_out), _PANEL_ORDER)
-    xx, rr = np.meshgrid(x_nodes, rho_nodes, indexing="ij")
-    ww = x_w[:, None] * rho_w[None, :]
-    total_field = np.zeros_like(xx)
-    for c, lam in zip(centers, lambda0s):
-        params = BubbleParams(n=n, lambda0=float(lam), lambda_inf=lambda_inf)
-        total_field += bubble_eval(params, np.hypot(xx - c, rr))
-    omega = sphere_volume(n - 2)
-    return omega * float(np.sum(ww * total_field**two_sharp * rr ** (n - 2)))
+    rho_sq = rho_nodes**2
+    rho_weight = rho_w * rho_nodes ** (n - 2)
+    total = 0.0
+    for start in range(0, x_nodes.size, _BLOCK_ROWS):
+        x = x_nodes[start : start + _BLOCK_ROWS, None]
+        field = np.zeros((x.shape[0], rho_sq.size))
+        for c, p in zip(centers, profiles):
+            field += p.amplitude * (1.0 / (1.0 + p.lambda0**2 * ((x - c) ** 2 + rho_sq))) ** m
+        total += x_w[start : start + _BLOCK_ROWS] @ field**two_sharp @ rho_weight
+    return sphere_volume(n - 2) * float(total)
 
 
 def quantization_check(
@@ -239,6 +252,8 @@ def quantization_check(
         raise ValueError("synthetic check needs at least one profile")
     if not separation > 0 or not lambda0 > 0:
         raise ValueError("separation and lambda0 must be positive")
+    if not 0 < scale_ratio < math.inf:
+        raise ValueError(f"scale_ratio must be positive and finite, got {scale_ratio}")
     quantum = expected_bubble_energy(n, lambda_inf)
     ratio = budget / quantum
     k_max = int(math.floor(ratio + 1e-9 * max(1.0, ratio)))

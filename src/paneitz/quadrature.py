@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -58,8 +59,8 @@ def panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def geometric_edges(inner: float, outer: float) -> np.ndarray:
     """Edges 0, inner, 2 inner, 4 inner, ... up to outer."""
-    if not 0 < inner < outer:
-        raise ValueError("need 0 < inner < outer")
+    if not 0 < inner < outer < math.inf:
+        raise ValueError(f"need 0 < inner < outer < inf, got inner={inner}, outer={outer}")
     edges = [0.0, inner]
     while edges[-1] < outer:
         edges.append(min(edges[-1] * 2.0, outer))
@@ -73,6 +74,11 @@ def refined_axis_edges(centers, scales, lo: float, hi: float) -> np.ndarray:
     then doubles outward.  Used to resolve features of very different widths
     on a single axis.
     """
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"need finite bounds lo < hi, got lo={lo}, hi={hi}")
+    scales = np.asarray(scales, dtype=float)
+    if not np.all(np.isfinite(scales) & (scales > 0)):
+        raise ValueError(f"refinement scales must be positive and finite, got {scales}")
     edges = {float(lo), float(hi)}
     for c, s in zip(centers, scales):
         if lo < c < hi:

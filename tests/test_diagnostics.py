@@ -180,3 +180,52 @@ class TestQuantization:
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             quantization_check(5, 0.0)
+
+
+# Values of the tensor Gauss-Legendre rule before its evaluation was
+# row-blocked; the nodes and weights are unchanged, so only rounding may move.
+_PINNED_ENERGIES = [
+    (5, (0.0, 20.0), (1.0, 1e4), 656.4209524840113),
+    (6, (0.0, 20.0), (1.0, 1e4), 7777.2636970128415),
+    (7, (0.0, 20.0), (1.0, 1e4), 81715.40321186866),
+    (8, (0.0, 20.0), (1.0, 1e4), 854973.507585533),
+    (5, (0.0, 20.0), (1.0, 1.0), 1419.33889203067),
+    (6, (0.0, 20.0), (1.0, 1.0), 8074.965626021528),
+    (7, (0.0, 20.0), (1.0, 1.0), 81911.86827834204),
+    (8, (0.0, 20.0), (1.0, 1.0), 855121.7519008428),
+    (5, (0.0, 20.0, 40.0), (1.0, 1e4, 1e8), 982.1231754249656),
+    (6, (0.0, 20.0, 40.0), (1.0, 1e4, 1e8), 11665.880422791539),
+    (7, (0.0, 20.0, 40.0), (1.0, 1e4, 1e8), 122573.0965875018),
+    (8, (0.0, 20.0, 40.0), (1.0, 1e4, 1e8), 1282460.1565075077),
+]
+
+
+class TestMultiBubbleEnergy:
+    @pytest.mark.parametrize("n, centers, scales, expected", _PINNED_ENERGIES)
+    def test_pinned_values(self, n, centers, scales, expected):
+        energy = multi_bubble_energy(n, np.array(centers), np.array(scales))
+        assert energy == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_single_profile_is_one_quantum(self, n):
+        energy = multi_bubble_energy(n, np.array([0.0]), np.array([1.0]))
+        assert energy == pytest.approx(expected_bubble_energy(n), rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "centers, scales, match",
+        [
+            ([0.0, 20.0], [1.0, 0.0], "concentration scale must be positive"),
+            ([0.0, 20.0], [1.0, -1.0], "concentration scale must be positive"),
+            ([], [], "need at least one profile"),
+            ([0.0, np.inf], [1.0, 1.0], "must be finite"),
+        ],
+        ids=["zero-scale", "negative-scale", "empty", "infinite-center"],
+    )
+    def test_rejects_bad_profiles(self, centers, scales, match):
+        with pytest.raises(ValueError, match=match):
+            multi_bubble_energy(5, np.array(centers), np.array(scales))
+
+    @pytest.mark.parametrize("ratio", [0.0, np.nan], ids=["zero", "nan"])
+    def test_quantization_rejects_bad_scale_ratio(self, ratio):
+        with pytest.raises(ValueError, match="scale_ratio must be positive and finite"):
+            quantization_check(5, 1.0, scale_ratio=ratio)

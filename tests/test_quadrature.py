@@ -1,12 +1,19 @@
-"""Gauss-Legendre rules: exactness, agreement with scipy, and the small
-weights next to the endpoints against a 50-digit reference."""
+"""Gauss-Legendre rules: exactness, agreement with scipy, the small weights
+next to the endpoints against a 50-digit reference, and the panel-edge
+builders' input checks."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from paneitz.quadrature import gauss_legendre, panel_rule
+import paneitz
+from paneitz.quadrature import gauss_legendre, geometric_edges, panel_rule, refined_axis_edges
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 7, 16, 24, 61])
@@ -52,3 +59,52 @@ def test_cached_and_read_only():
     nodes, weights = panel_rule(np.array([0.0, 1.0, 3.0]), order=24)
     assert weights.flags.writeable
     assert np.sum(weights * nodes**2) == pytest.approx(9.0, rel=1e-14)
+
+
+_BAD_AXIS_CALLS = [
+    "([0.0], [-1.0], 0.0, 1.0)",
+    "([0.0], [0.0], -1.0, 1.0)",
+    "([0.0], [math.inf], -1.0, 1.0)",
+    "([0.0], [math.nan], -1.0, 1.0)",
+    "([0.0], [1.0], -math.inf, 1.0)",
+    "([0.0], [1.0], 0.0, math.inf)",
+    "([0.0], [1.0], math.nan, 1.0)",
+    "([0.0], [1.0], 1.0, 0.0)",
+]
+
+
+def test_refined_axis_edges_rejects_bad_input():
+    # a negative scale or an infinite bound once made the doubling loop run
+    # forever, so the calls run in a child process under a timeout; each
+    # prints the message of the ValueError it raised
+    src = str(Path(paneitz.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import math\nfrom paneitz.quadrature import refined_axis_edges\n" + "".join(
+        f"try:\n    refined_axis_edges{args}\nexcept ValueError as exc:\n    print(exc)\n"
+        f"else:\n    print('accepted')\n"
+        for args in _BAD_AXIS_CALLS
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(_BAD_AXIS_CALLS)
+    for args, line in zip(_BAD_AXIS_CALLS[:4], lines[:4]):
+        assert line.startswith("refinement scales must be positive and finite"), args
+    for args, line in zip(_BAD_AXIS_CALLS[4:], lines[4:]):
+        assert line.startswith("need finite bounds lo < hi"), args
+
+
+@pytest.mark.parametrize("inner, outer", [(1e-300, np.inf), (0.0, 1.0), (1.0, np.nan)])
+def test_geometric_edges_rejects_bad_bounds(inner, outer):
+    with pytest.raises(ValueError, match="need 0 < inner < outer < inf"):
+        geometric_edges(inner, outer)
+
+
+def test_refined_axis_edges_refine_toward_centers():
+    edges = refined_axis_edges([0.0], [4.0], -1.0, 1.0)
+    assert np.all(np.diff(edges) > 0)
+    assert edges[0] == -1.0 and edges[-1] == 1.0
+    np.testing.assert_array_equal(edges[4:7], [-0.0625, 0.0, 0.0625])
