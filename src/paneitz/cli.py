@@ -20,12 +20,13 @@ from . import bubble as bubble_mod
 from .constants import (
     OperatorParams,
     bubble_coefficient,
+    constant_branch,
     critical_exponent,
     sharp_constant,
 )
 from .diagnostics import concentration_ratios
 from .field import PeriodicField, load_field, save_field
-from .geometry import ManifoldSpec
+from .geometry import ManifoldSpec, product_volume
 from .solver import ConvergenceError, PositivityError, SolverOptions, mode1_solution, newton_solve
 from .sweep import SweepConfig, emit, quarter_square, run_sweep
 
@@ -206,7 +207,8 @@ def _cmd_solve(args) -> int:
         sol = mode1_solution(spec, params, opts)
     else:
         if args.init == "constant":
-            init = PeriodicField.constant(spec, params.a_alpha ** ((spec.n - 4) / 8.0), args.modes)
+            u_bar, _ = constant_branch(spec.n, params.a_alpha, product_volume(spec))
+            init = PeriodicField.constant(spec, u_bar, args.modes)
         else:
             if not args.field_in:
                 raise ValueError("--init file requires --field-in PATH")

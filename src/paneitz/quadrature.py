@@ -77,6 +77,8 @@ def refined_axis_edges(centers, scales, lo: float, hi: float) -> np.ndarray:
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"need finite bounds lo < hi, got lo={lo}, hi={hi}")
     scales = np.asarray(scales, dtype=float)
+    if len(centers) != scales.size:
+        raise ValueError(f"need one refinement scale per center, got {len(centers)} and {scales.size}")
     if not np.all(np.isfinite(scales) & (scales > 0)):
         raise ValueError(f"refinement scales must be positive and finite, got {scales}")
     edges = {float(lo), float(hi)}

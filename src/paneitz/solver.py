@@ -33,9 +33,10 @@ Two routes produce solutions:
   nonconstant branch.
 
 During Newton iteration the nonlinearity uses the positive part u_+ plus a
-quadratic penalty on the negative part; acceptance re-verifies the
-penalty-free residual and min u > 0, so sign-changing roots are never
-silently returned.
+quadratic penalty on the negative part.  A solution must be strictly
+positive on the fine grid, where the penalty term is exactly zero, so the
+residual Newton iterates on is the equation's residual; sign-changing roots
+and the trivial root u = 0 raise ``PositivityError``.
 """
 
 from __future__ import annotations
@@ -43,10 +44,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .constants import OperatorParams, critical_exponent, sharp_constant
+from .constants import OperatorParams, constant_branch, critical_exponent, sharp_constant
 from .field import PeriodicField, _pad, _pair_counts, _parseval_weights, _truncate, norms
 from .geometry import ManifoldSpec, product_volume
 
@@ -80,25 +82,25 @@ class ConvergenceError(RuntimeError):
 
 
 class PositivityError(RuntimeError):
-    """Converged to a field that is not strictly positive."""
+    """Converged to a field that is not strictly positive, or to u = 0."""
 
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Mode counts of ``newton_solve``; the ClassVar settings are fixed."""
+
     modes: int = 64
-    tol: float = 1e-11            # absolute residual sup target
-    rtol: float = 5e-15           # floor relative to the nonlinear-term scale
-    max_iter: int = 50
-    max_backtracks: int = 30
-    penalty_weight: float = 10.0
     max_modes: int = 512
-    tail_tol: float = 1e-10       # coefficient l1 tail mass triggering refinement
+    tol: ClassVar[float] = 1e-11            # absolute residual sup target
+    rtol: ClassVar[float] = 5e-15           # floor relative to the nonlinear-term scale
+    max_iter: ClassVar[int] = 50
+    max_backtracks: ClassVar[int] = 30
+    penalty_weight: ClassVar[float] = 10.0
+    tail_tol: ClassVar[float] = 1e-10       # coefficient l1 tail mass triggering refinement
 
     def __post_init__(self):
         if self.modes < 16 or self.modes % 2 != 0:
             raise ValueError("mode count must be even and >= 16")
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -138,10 +140,6 @@ def residual(u: PeriodicField, params: OperatorParams, penalty: float = 0.0) -> 
     p = critical_exponent(u.spec.n) - 1.0
     coeffs = _symbol(u, params) * u.coeffs - _nonlinear_coeffs(u, p, penalty)
     return PeriodicField(u.spec, coeffs)
-
-
-def _residual_sup(u: PeriodicField, params: OperatorParams) -> float:
-    return float(np.max(np.abs(residual(u, params).values)))
 
 
 # --- Newton ------------------------------------------------------------------
@@ -280,24 +278,18 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _solve_krylov(u: PeriodicField, params: OperatorParams, b: np.ndarray, penalty: float) -> np.ndarray:
-    """GMRES solve of J x = b in cosine coordinates, with FFT products and
-    the system scaled symmetrically by symbol^(-1/2): the scaled Jacobian is
-    the identity minus a compact part, so its spectrum clusters at 1 and
-    GMRES needs about ten iterations at every N.  A singular or unconverged
-    system raises a named ``np.linalg.LinAlgError``."""
+def _solve_krylov(u: PeriodicField, params: OperatorParams, rhs: np.ndarray, penalty: float) -> np.ndarray:
+    """Real half spectrum delta solving J(u) delta = rhs for even u and rhs.
+
+    GMRES in cosine coordinates, with FFT products and the system scaled
+    symmetrically by symbol^(-1/2): the scaled Jacobian is the identity
+    minus a compact part, so its spectrum clusters at 1 and GMRES needs
+    about ten iterations at every N.  The translation mode u' is odd, so the
+    even system needs no phase condition.  A singular or unconverged system
+    raises a named ``np.linalg.LinAlgError``."""
     scale = 1.0 / np.sqrt(_symbol(u, params))
     jac = _jacobian_action(u, params, penalty)
-    return scale * _gmres(lambda z: scale * jac(scale * z), scale * b)
-
-
-def _solve_linearized(
-    u: PeriodicField, params: OperatorParams, rhs: np.ndarray, penalty: float = 0.0
-) -> np.ndarray:
-    """Real half spectrum delta solving J(u) delta = rhs for even u and rhs,
-    by ``_solve_krylov`` at every N.  The translation mode u' is odd, so the
-    even system needs no phase condition."""
-    return _from_real(_solve_krylov(u, params, _to_real(rhs), penalty))
+    return _from_real(scale * _gmres(lambda z: scale * jac(scale * z), scale * _to_real(rhs)))
 
 
 def _nonlinear_scale(u: PeriodicField) -> float:
@@ -337,54 +329,43 @@ def _recenter(u: PeriodicField) -> PeriodicField:
 
 
 _CONSTANT_FRACTION = 1e-7
+_TRIVIAL_SLACK = 1e-6     # relative slack below the bound max u >= a^((n-4)/8)
 
 
-def _newton_fixed(init: PeriodicField, params: OperatorParams, opts: SolverOptions):
-    """Newton at fixed resolution; returns (field, penalty-free sup, iterations)."""
-    u = init
-    pen = opts.penalty_weight
+def _newton_fixed(u: PeriodicField, params: OperatorParams):
+    """Newton at fixed resolution; returns (field, residual sup, accepted steps).
+
+    Converged at tol_eff; after stagnation or ``max_iter`` steps, accepted at
+    the rounding floor 10 tol_eff, else ``ConvergenceError``.  The penalty
+    term of the residual is exactly zero on the strictly positive fields
+    that ``newton_solve`` returns."""
+    pen = SolverOptions.penalty_weight
     res = residual(u, params, pen)
     res_sup = float(np.max(np.abs(res.values)))
-    tol_eff = max(opts.tol, opts.rtol * _nonlinear_scale(u))
-    if res_sup <= tol_eff:
-        return u, _residual_sup(u, params), 0
-    steps = opts.max_iter
-    for it in range(1, opts.max_iter + 1):
+    steps, stalled = 0, False
+    while True:
+        tol_eff = max(SolverOptions.tol, SolverOptions.rtol * _nonlinear_scale(u))
+        final = stalled or steps == SolverOptions.max_iter
+        if res_sup <= (10.0 * tol_eff if final else tol_eff):
+            return u, res_sup, steps
+        if final:
+            why = (f"Newton stagnated at residual {res_sup:.3e} after {steps + 1} iterations" if stalled
+                   else f"no convergence after {steps} iterations, residual {res_sup:.3e}")
+            raise ConvergenceError(why, u, res_sup)
         try:
-            step = _solve_linearized(u, params, res.coeffs, pen)
+            step = _solve_krylov(u, params, res.coeffs, pen)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"linear solve failed: {exc}", u, res_sup) from exc
-        eta, improved = 1.0, False
-        for _ in range(opts.max_backtracks):
+        stalled, eta = True, 1.0
+        for _ in range(SolverOptions.max_backtracks):
             cand = PeriodicField(u.spec, u.coeffs - eta * step)
             cand_res = residual(cand, params, pen)
             cand_sup = float(np.max(np.abs(cand_res.values)))
             if cand_sup < res_sup:
-                improved = True
+                u, res, res_sup = cand, cand_res, cand_sup
+                steps, stalled = steps + 1, False
                 break
             eta *= 0.5
-        if not improved:
-            # stagnation at the rounding floor is acceptance, anything else an error
-            if res_sup <= 10.0 * tol_eff:
-                steps = it - 1
-                break
-            raise ConvergenceError(
-                f"Newton stagnated at residual {res_sup:.3e} after {it} iterations",
-                u,
-                res_sup,
-            )
-        u, res, res_sup = cand, cand_res, cand_sup
-        tol_eff = max(opts.tol, opts.rtol * _nonlinear_scale(u))
-        if res_sup <= tol_eff:
-            return u, _residual_sup(u, params), it
-    free_sup = _residual_sup(u, params)
-    if free_sup <= 10.0 * tol_eff:
-        return u, free_sup, steps
-    raise ConvergenceError(
-        f"no convergence after {steps} iterations, residual {free_sup:.3e}",
-        u,
-        free_sup,
-    )
 
 
 def _tail_fraction(u: PeriodicField) -> float:
@@ -402,6 +383,10 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
     The start is recentered to put its maximum at s = 0 and projected onto
     the even (cosine) fields, which the equation maps to themselves; every
     iterate, and so the solution, is even with real coefficients.
+
+    Mode 0 of the equation, a mean(u) = mean(u^(2#-1)) <= max(u)^(2#-2)
+    mean(u), gives max u >= u_bar = a^((n-4)/8) for every positive solution;
+    a converged field below that bound is the trivial root u = 0.
     """
     opts = opts or SolverOptions()
     if float(np.max(init.values)) <= 0.0:
@@ -410,15 +395,19 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
     u = PeriodicField(u.spec, _recenter(u).coeffs.real)
     iters = 0
     while True:
-        u, res_sup, it = _newton_fixed(u, params, opts)
+        u, res_sup, it = _newton_fixed(u, params)
         iters += it
-        if u.modes >= opts.max_modes or _tail_fraction(u) < opts.tail_tol:
+        if u.modes >= opts.max_modes or _tail_fraction(u) < SolverOptions.tail_tol:
             break
         u = u.resample(min(2 * u.modes, opts.max_modes))
 
-    if float(np.min(u.fine_values())) <= 0.0:
+    low, peak = float(np.min(u.fine_values())), float(np.max(u.fine_values()))
+    if low <= 0.0:
+        raise PositivityError(f"converged field is not strictly positive (min {low:.3e})")
+    u_bar, _ = constant_branch(u.spec.n, params.a_alpha, product_volume(u.spec))
+    if peak < (1.0 - _TRIVIAL_SLACK) * u_bar:
         raise PositivityError(
-            f"converged field is not strictly positive (min {float(np.min(u.fine_values())):.3e})"
+            f"converged to the trivial solution (max {peak:.3e} < a^((n-4)/8) = {u_bar:.3e})"
         )
     is_const = u.nonconstant_fraction() <= _CONSTANT_FRACTION
     report = norms(u, params)
@@ -429,7 +418,7 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
         params=params,
         residual_sup=res_sup,
         energy=report.energy,
-        lambda_quotient=quotient(u, params),
+        lambda_quotient=report.pairing / report.energy ** (2.0 / critical_exponent(u.spec.n)),
         is_constant=is_const,
         newton_iters=iters,
     )
@@ -464,18 +453,19 @@ def _normalize_critical(u: PeriodicField) -> PeriodicField:
     return u.scaled(e ** (-1.0 / two_sharp))
 
 
-def minimize_quotient(
-    init: PeriodicField,
-    params: OperatorParams,
-    tol: float = 1e-9,
-    max_iter: int = 5000,
-) -> QuotientMinimum:
+_DESCENT_TOL = 1e-9        # preconditioned gradient norm, relative to the iterate
+_DESCENT_MAX_ITER = 5000
+
+
+def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMinimum:
     """Preconditioned projected descent on Q over the unit critical sphere.
 
     Monotone by construction: steps are accepted only if Q decreases, with
     step halving otherwise.  Stops when the preconditioned gradient is below
-    ``tol`` relative to the iterate; stagnation away from that raises
-    ConvergenceError with the last iterate attached.
+    ``_DESCENT_TOL`` relative to the iterate, or when no halving decreases Q
+    at a gradient norm within 1e3 ``_DESCENT_TOL`` (the usual stop: 23 of 28
+    mode-1 descents, n = 5..8 and alpha = 2..128, end there, at 1.1e-9 to
+    6.8e-9); stagnation further away raises ConvergenceError.
 
     Each iteration samples the direction rho on the oversampled grid once.
     Q is scale invariant, so a trial u - eta rho is compared unnormalized:
@@ -499,7 +489,7 @@ def minimize_quotient(
     q = quotient(u, params)
     grad_norm = math.inf
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _DESCENT_MAX_ITER + 1):
         z = _nonlinear_coeffs(u, p) / sym   # P^{-1} u_+^(2#-1)
         rho = u.coeffs - q * z
         with np.errstate(over="ignore", invalid="ignore"):
@@ -510,7 +500,7 @@ def minimize_quotient(
             raise FloatingPointError(
                 f"quotient descent gradient norm is outside the float64 range ({grad_norm!r})"
             )
-        if grad_norm <= tol:
+        if grad_norm <= _DESCENT_TOL:
             break
         fine_u = u.fine_values()
         fine_rho = np.fft.irfft(_pad(rho, nf) * nf, nf)
@@ -531,7 +521,7 @@ def minimize_quotient(
                 break
             eta *= 0.5
         if not accepted:
-            if grad_norm <= 1e3 * tol:
+            if grad_norm <= 1e3 * _DESCENT_TOL:
                 break
             raise ConvergenceError(
                 f"quotient descent stagnated (gradient norm {grad_norm:.3e})", u, grad_norm
@@ -539,7 +529,7 @@ def minimize_quotient(
         u, q = PeriodicField(spec, coeffs * energy ** (-1.0 / two_sharp)), q_cand
     else:
         raise ConvergenceError(
-            f"quotient descent did not converge in {max_iter} iterations", u, grad_norm
+            f"quotient descent did not converge in {_DESCENT_MAX_ITER} iterations", u, grad_norm
         )
     _, k0_inv_sq = sharp_constant(spec.n)
     return QuotientMinimum(
@@ -573,7 +563,7 @@ def mode1_solution(spec: ManifoldSpec, params: OperatorParams, opts: SolverOptio
     u_bar (1 + MODE1_AMPLITUDE cos(s/t)), u_bar = a^((n-4)/8), on
     ``opts.modes`` points, then rescaling and Newton polish.  Past the
     mode-1 bifurcation this reaches the nonconstant branch."""
-    u_bar = params.a_alpha ** ((spec.n - 4) / 8.0)
+    u_bar, _ = constant_branch(spec.n, params.a_alpha, product_volume(spec))
     seed = PeriodicField.cosine(spec, u_bar, MODE1_AMPLITUDE, opts.modes)
     return rescale_to_solution(minimize_quotient(seed, params), params, opts)
 

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from paneitz.cli import main
 from paneitz.constants import critical_exponent
-from paneitz.field import PeriodicField, save_field
+from paneitz.field import PeriodicField, load_field, save_field
 from paneitz.geometry import ManifoldSpec
 import paneitz
 from paneitz.solver import SolverOptions
@@ -75,6 +75,17 @@ class TestSolveCommand:
         assert payload["residual_sup"] <= 1e-10
         assert out_path.exists()
 
+    def test_trivial_root_is_a_numerical_failure(self, capsys, tmp_path):
+        # 0.6 times a solution is a start that Newton drives to u = 0
+        solved, start = tmp_path / "b.field", tmp_path / "bs.field"
+        args = ("solve", "--dim", "5", "--t", "0.5", "--alpha", "8")
+        code, _, err = run_cli(capsys, *args, "--field-out", str(solved))
+        assert code == 0, err
+        save_field(load_field(solved).scaled(0.6), start)
+        code, out, err = run_cli(capsys, *args, "--init", "file", "--field-in", str(start))
+        assert (code, out) == (2, "")
+        assert "numerical failure: converged to the trivial solution" in err
+
     def test_schedule_violation_rejected(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--dim", "5", "--alpha", "2", "--a", "2")
         assert code == 1
@@ -94,7 +105,7 @@ class TestSolveCommand:
         assert code == 1
         assert "usage" in err
 
-    def test_numerical_failure_exit_code(self, capsys, tmp_path):
+    def test_numerical_failure_exit_code(self, capsys, tmp_path, monkeypatch):
         # a wildly under-resolved, iteration-starved solve cannot converge
         spec = ManifoldSpec(5, 1.0)
         u = PeriodicField.from_function(
@@ -107,18 +118,16 @@ class TestSolveCommand:
         import paneitz.cli as cli_mod
         from paneitz.solver import SolverOptions
 
-        original = cli_mod.SolverOptions
-        cli_mod.SolverOptions = lambda modes: original(
-            modes=modes, max_iter=1, max_modes=modes, max_backtracks=1
+        monkeypatch.setattr(SolverOptions, "max_iter", 1)
+        monkeypatch.setattr(SolverOptions, "max_backtracks", 1)
+        monkeypatch.setattr(
+            cli_mod, "SolverOptions", lambda modes: SolverOptions(modes=modes, max_modes=modes)
         )
-        try:
-            code, _, err = run_cli(
-                capsys,
-                "solve", "--dim", "5", "--alpha", "8", "--a", "auto",
-                "--init", "file", "--field-in", str(path), "--modes", "16",
-            )
-        finally:
-            cli_mod.SolverOptions = original
+        code, _, err = run_cli(
+            capsys,
+            "solve", "--dim", "5", "--alpha", "8", "--a", "auto",
+            "--init", "file", "--field-in", str(path), "--modes", "16",
+        )
         assert code == 2
         assert "numerical failure" in err
 

@@ -103,6 +103,13 @@ def test_geometric_edges_rejects_bad_bounds(inner, outer):
         geometric_edges(inner, outer)
 
 
+@pytest.mark.parametrize("centers, scales", [([0.0, 5.0], [1.0]), ([0.0], [1.0, 2.0]), ([], [1.0])])
+def test_refined_axis_edges_rejects_mismatched_lengths(centers, scales):
+    # zip once dropped the unmatched centers, and their refinement with them
+    with pytest.raises(ValueError, match="need one refinement scale per center"):
+        refined_axis_edges(centers, scales, -10.0, 10.0)
+
+
 def test_refined_axis_edges_refine_toward_centers():
     edges = refined_axis_edges([0.0], [4.0], -1.0, 1.0)
     assert np.all(np.diff(edges) > 0)

@@ -1,13 +1,16 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
+from paneitz import solver as solver_mod
 from paneitz.constants import OperatorParams, constant_branch, critical_exponent
 from paneitz.field import PeriodicField, _pair_counts, load_field, norms, save_field
 from paneitz.geometry import ManifoldSpec, product_volume
 from paneitz.solver import (
     ConvergenceError,
+    PositivityError,
     QuotientMinimum,
     SolverOptions,
     bifurcation_alpha,
@@ -28,9 +31,7 @@ from paneitz.solver import (
     _nonlinear_coeffs,
     _nonlinear_scale,
     _normalize_critical,
-    _residual_sup,
     _solve_krylov,
-    _solve_linearized,
     _symbol,
     _tail_fraction,
     _to_real,
@@ -87,7 +88,7 @@ class TestNewton:
         assert sol.is_constant
         assert sol.residual_sup < 1e-13
 
-    def test_stagnation_acceptance_counts_accepted_steps(self):
+    def test_stagnation_acceptance_counts_accepted_steps(self, monkeypatch):
         # a start within 10 tol_eff that no step improves (no backtracks) is
         # accepted by stagnation in iteration 1, after 0 accepted steps
         params = OperatorParams(8.0, 16.0)
@@ -95,7 +96,8 @@ class TestNewton:
         coeffs = sol.field.coeffs.copy()
         coeffs[0] += 1e-13
         start = PeriodicField(SPEC, coeffs)
-        opts = SolverOptions(modes=128, max_backtracks=0, max_modes=128)
+        opts = SolverOptions(modes=128, max_modes=128)
+        monkeypatch.setattr(SolverOptions, "max_backtracks", 0)
         tol_eff = max(opts.tol, opts.rtol * _nonlinear_scale(start))
         start_sup = float(np.max(np.abs(residual(start, params, opts.penalty_weight).values)))
         assert tol_eff < start_sup <= 10.0 * tol_eff
@@ -166,6 +168,56 @@ class TestNewton:
         sol = rescale_to_solution(qm, params, opts)
         assert sol.modes > 32  # concentration demands refinement
         assert sol.residual_sup <= 1e-9
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_reported_residual_is_the_equations(self, n):
+        # Newton iterates on the penalized residual; on the strictly positive
+        # fields it returns the penalty term is zero, so the sup it reports is
+        # the penalty-free one bit for bit
+        spec = ManifoldSpec(n, 1.0)
+        params = OperatorParams(8.0, 16.0)
+        fresh = mode1_solution(spec, params, SolverOptions())
+        moved = newton_solve(fresh.field.shift(0.3 * spec.period).scaled(1.1), params)
+        flat = newton_solve(constant_init(16.0, spec=spec), params)
+        for sol in (fresh, moved, flat):
+            assert sol.residual_sup == float(np.max(np.abs(residual(sol.field, params).values)))
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("max_backtracks", 0, "Newton stagnated at residual 2.067e+02 after 1 iterations"),
+            ("max_backtracks", 2, "Newton stagnated at residual 3.478e+01 after 6 iterations"),
+            ("max_iter", 0, "no convergence after 0 iterations, residual 2.067e+02"),
+            ("max_iter", 5, "no convergence after 5 iterations, residual 3.478e+01"),
+        ],
+        ids=["stagnation-1", "stagnation-6", "cap-0", "cap-5"],
+    )
+    def test_failure_messages_pinned(self, monkeypatch, name, value, message):
+        params = OperatorParams(8.0, 16.0)
+        monkeypatch.setattr(SolverOptions, name, value)
+        with pytest.raises(ConvergenceError) as exc:
+            newton_solve(perturbed_init(16.0, 0.3), params)
+        assert str(exc.value) == message
+        last = exc.value.last
+        pen = SolverOptions.penalty_weight
+        assert exc.value.residual_sup == float(np.max(np.abs(residual(last, params, pen).values)))
+
+    def test_trivial_root_is_rejected(self):
+        # a start 0.6 times a solution falls to u = 0; every positive solution
+        # has max u >= a^((n-4)/8) (here 2^(1/2)), so this one is refused
+        spec = ManifoldSpec(5, 0.5)
+        params = OperatorParams(8.0, 16.0)
+        sol = mode1_solution(spec, params, SolverOptions())
+        assert float(np.max(sol.field.fine_values())) >= 16.0 ** (1.0 / 8.0)
+        with pytest.raises(PositivityError, match="converged to the trivial solution"):
+            newton_solve(sol.field.scaled(0.6), params)
+
+    def test_fixed_settings_are_not_options(self):
+        assert [f.name for f in dataclasses.fields(SolverOptions)] == ["modes", "max_modes"]
+        for name in ("tol", "rtol", "max_iter", "max_backtracks", "penalty_weight", "tail_tol"):
+            with pytest.raises(TypeError):
+                SolverOptions(**{name: getattr(SolverOptions, name)})
+        assert (SolverOptions().tol, SolverOptions().rtol) == (1e-11, 5e-15)
 
 
 @pytest.fixture(scope="module")
@@ -264,10 +316,10 @@ class TestKrylovSolve:
         # reference: LU of the dense Jacobian's cosine block
         params = OperatorParams(8.0, 16.0)
         u = sign_changing_field(modes)
-        b = _to_real(residual(u, params, self.PEN).coeffs)
+        rhs = residual(u, params, self.PEN).coeffs
         h = u.coeffs.size
-        dense = np.linalg.solve(_jacobian(u, params, self.PEN)[:h, :h], b)
-        krylov = _solve_krylov(u, params, b, self.PEN)
+        dense = np.linalg.solve(_jacobian(u, params, self.PEN)[:h, :h], _to_real(rhs))
+        krylov = _to_real(_solve_krylov(u, params, rhs, self.PEN))
         assert np.linalg.norm(krylov - dense) <= 1e-12 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("modes", [64, 128, 256])
@@ -279,7 +331,7 @@ class TestKrylovSolve:
         rhs = np.zeros(u.coeffs.size, dtype=complex)
         rhs[1] = 1.0
         with pytest.raises(np.linalg.LinAlgError, match="Krylov solve: linearized system is singular"):
-            _solve_linearized(u, params, rhs)
+            _solve_krylov(u, params, rhs, 0.0)
 
 
 class TestScaledPredictor:
@@ -303,8 +355,8 @@ class TestScaledPredictor:
     def test_prediction_beats_previous_field(self, n):
         prev = mode1_solution(ManifoldSpec(n, 1.0), OperatorParams(64.0, 1024.0), SolverOptions())
         target = OperatorParams(96.0, 96.0**2 / 4.0)  # k = 1.5
-        unmoved = _residual_sup(prev.field, target)
-        predicted = _residual_sup(continuation_init(prev, target), target)
+        unmoved = np.max(np.abs(residual(prev.field, target).values))
+        predicted = np.max(np.abs(residual(continuation_init(prev, target), target).values))
         assert predicted * 100.0 <= unmoved
 
     def test_downward_continuation_reaches_fresh_solves(self):
@@ -374,7 +426,7 @@ def reference_descent(init, params, steps):
 
 class TestMinimizeQuotient:
     @pytest.mark.parametrize("n", [5, 7])
-    def test_line_search_matches_reference(self, n):
+    def test_line_search_matches_reference(self, n, monkeypatch):
         # n = 7 has the fractional critical power 2# = 14/3
         spec = ManifoldSpec(n, 1.0)
         params = OperatorParams(16.0, 64.0)
@@ -382,8 +434,9 @@ class TestMinimizeQuotient:
         reference = reference_descent(init, params, 8)
         lams = []
         for k, ref in enumerate(reference, start=1):
+            monkeypatch.setattr(solver_mod, "_DESCENT_MAX_ITER", k)
             with pytest.raises(ConvergenceError) as exc:
-                minimize_quotient(init, params, max_iter=k)
+                minimize_quotient(init, params)
             last = exc.value.last
             gap = np.max(np.abs(last.coeffs - ref.coeffs))
             assert gap <= 1e-12 * np.max(np.abs(ref.coeffs)), (k, gap)
@@ -465,9 +518,10 @@ class TestRescale:
         # lambda = 1 leaves the field unchanged before polishing
         assert w.params is params
 
-    def test_energy_equals_lambda_power(self):
+    def test_energy_equals_lambda_power(self, monkeypatch):
         params = OperatorParams(8.0, 16.0)
-        qm = minimize_quotient(perturbed_init(16.0), params, tol=1e-11)
+        monkeypatch.setattr(solver_mod, "_DESCENT_TOL", 1e-11)
+        qm = minimize_quotient(perturbed_init(16.0), params)
         sol = rescale_to_solution(qm, params)
         assert sol.energy == pytest.approx(qm.lambda_min ** (5.0 / 4.0), rel=1e-8)
 

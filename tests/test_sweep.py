@@ -93,14 +93,15 @@ class TestRunSweep:
             assert rec.c_alpha + rec.d_alpha == pytest.approx(rec.alpha, rel=1e-12)
             assert rec.c_alpha * rec.d_alpha == pytest.approx(rec.a_alpha, rel=1e-12)
 
-    def test_solver_failure_keeps_constant_row(self):
+    def test_solver_failure_keeps_constant_row(self, monkeypatch):
         # with no backtracking steps Newton cannot move off a start that is
         # not already a solution, so the nonconstant attempts fail; the sweep
         # must still produce rows
+        monkeypatch.setattr(SolverOptions, "max_backtracks", 0)
         config = SweepConfig(
             spec=SPEC,
             alphas=(2.0,),
-            solver=SolverOptions(modes=16, max_backtracks=0, max_modes=16),
+            solver=SolverOptions(modes=16, max_modes=16),
         )
         (rec,) = run_sweep(config)
         assert rec.e_nonconst is None
