@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from paneitz.cli import main
+from paneitz.cli import build_parser, main
 from paneitz.constants import critical_exponent
 from paneitz.field import PeriodicField, load_field, save_field
 from paneitz.geometry import ManifoldSpec
@@ -345,6 +345,46 @@ class TestDiagnoseCommand:
         code, _, err = run_cli(capsys, "diagnose", "missing.field", "--alpha", "2")
         assert code == 1
         assert "missing.field" in err
+
+
+def run_fresh(*argv):
+    """(exit code, stdout, stderr) of argv in a fresh interpreter."""
+    src = str(Path(paneitz.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "paneitz.cli", *argv]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestRepeatedMain:
+    def test_in_process_sequence_matches_fresh_interpreters(self, capsys, tmp_path):
+        # main is called repeatedly in one process; no parse state may carry
+        # over from one call to the next
+        field, fresh_field = tmp_path / "F.field", tmp_path / "fresh.field"
+        solve = ["solve", "--dim", "5", "--alpha", "8"]
+        calls = [
+            solve + ["--field-out", str(field)],
+            ["solve", "--dim", "5", "--alpha", "8", "--init", "sideways"],
+            ["solve", "--dim", "5", "--alpha", "4"],
+            ["diagnose", str(field), "--alpha", "8"],
+            ["constants", "--dim", "6"],
+        ]
+        seen = []
+        for k, argv in enumerate(calls):
+            seen.append(run_cli(capsys, *argv))
+            if k == 0:
+                written, stamp = field.read_bytes(), field.stat().st_mtime_ns
+        assert field.read_bytes() == written and field.stat().st_mtime_ns == stamp
+        assert [code for code, _, _ in seen] == [0, 1, 0, 0, 0]
+
+        references = [run_fresh(*solve, "--field-out", str(fresh_field))]
+        references += [run_fresh(*argv) for argv in calls[1:]]
+        assert seen == references
+        assert fresh_field.read_bytes() == written
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
 
 class TestHelp:

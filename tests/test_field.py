@@ -223,3 +223,39 @@ class TestFieldFiles:
         path.write_text("nonsense\n1 2\n")
         with pytest.raises(ValueError):
             load_field(path)
+
+    def test_file_text_pinned(self, tmp_path):
+        u = PeriodicField.from_values(ManifoldSpec(6, 0.75), 1.0 + np.arange(16) / 7.0)
+        path = tmp_path / "u.field"
+        save_field(u, path)
+        assert path.read_bytes() == (
+            b"# 6 0.75 16\n"
+            b"0 1\n"
+            b"0.2945243112740431 1.1428571428571428\n"
+            b"0.58904862254808621 1.2857142857142856\n"
+            b"0.88357293382212931 1.4285714285714286\n"
+            b"1.1780972450961724 1.5714285714285714\n"
+            b"1.4726215563702154 1.7142857142857144\n"
+            b"1.7671458676442586 1.8571428571428572\n"
+            b"2.0616701789183018 2\n"
+            b"2.3561944901923448 2.1428571428571428\n"
+            b"2.6507188014663878 2.2857142857142856\n"
+            b"2.9452431127404308 2.4285714285714288\n"
+            b"3.2397674240144743 2.5714285714285712\n"
+            b"3.5342917352885173 2.7142857142857144\n"
+            b"3.8288160465625602 2.8571428571428572\n"
+            b"4.1233403578366037 3\n"
+            b"4.4178646691106467 3.1428571428571428\n"
+        )
+
+    def test_round_trip_bit_exact_512(self, tmp_path, rng):
+        spec = ManifoldSpec(7, 1.3)
+        u = PeriodicField.from_values(spec, np.exp(rng.normal(scale=3.0, size=512)))
+        path = tmp_path / "u.field"
+        save_field(u, path)
+        v = load_field(path)
+        assert v.spec == spec
+        assert np.array_equal(v.values, u.values)
+        # the sample column is the grid, written to 17 digits
+        grid = np.array([float(line.split()[0]) for line in path.read_text().splitlines()[1:]])
+        assert np.array_equal(grid, u.grid)
