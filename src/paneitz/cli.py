@@ -10,6 +10,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -144,6 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, help="ball radius (default L/8)")
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so repeated main calls share one
+    return build_parser()
 
 
 def _cmd_constants(args) -> int:
@@ -288,9 +295,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

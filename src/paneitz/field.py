@@ -333,25 +333,47 @@ _HEADER = "# n t N"
 
 def save_field(u: PeriodicField, path) -> None:
     """Write base-grid samples as two decimal columns, 17 significant digits."""
-    lines = [f"# {u.spec.n} {u.spec.t:.17g} {u.modes}"]
-    for s, v in zip(u.grid, u.values):
-        lines.append(f"{s:.17g} {v:.17g}")
+    rows = map("{:.17g} {:.17g}".format, u.grid.tolist(), u.values.tolist())
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# {u.spec.n} {u.spec.t:.17g} {u.modes}\n" + "\n".join(rows) + "\n")
+
+
+def _float_or_nan(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 def load_field(path) -> PeriodicField:
+    """Read a file written by ``save_field``.
+
+    Blank lines are skipped.  A bad header, a row that is not two columns, a
+    sample that is not a finite number, or a sample count other than the
+    header's N raises ValueError naming the file (and the line of a bad row).
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "#":
             raise ValueError(f"bad field file header in {path}: expected '{_HEADER}'")
         n, t, size = int(header[1]), float(header[2]), int(header[3])
-        vals = []
-        for line in fh:
-            line = line.strip()
-            if not line:
+        line_numbers, samples = [], []
+        for number, line in enumerate(fh, start=2):
+            cols = line.split()
+            if not cols:
                 continue
-            vals.append(float(line.split()[1]))
-    if len(vals) != size:
-        raise ValueError(f"field file {path} has {len(vals)} samples, header says {size}")
-    return PeriodicField.from_values(ManifoldSpec(n, t), np.asarray(vals))
+            if len(cols) != 2:
+                raise ValueError(f"{path}, line {number}: expected two columns 's u', got {line.strip()!r}")
+            line_numbers.append(number)
+            samples.append(cols[1])
+    if len(samples) != size:
+        raise ValueError(f"field file {path} has {len(samples)} samples, header says {size}")
+    try:
+        vals = np.array(samples, dtype=float)
+    except ValueError:
+        vals = np.array([_float_or_nan(text) for text in samples])
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"{path}, line {line_numbers[k]}: sample {samples[k]!r} is not a finite number")
+    return PeriodicField.from_values(ManifoldSpec(n, t), vals)

@@ -99,8 +99,10 @@ class SolverOptions:
     tail_tol: ClassVar[float] = 1e-10       # coefficient l1 tail mass triggering refinement
 
     def __post_init__(self):
-        if self.modes < 16 or self.modes % 2 != 0:
-            raise ValueError("mode count must be even and >= 16")
+        for name in ("modes", "max_modes"):
+            count = getattr(self, name)
+            if count < 16 or count % 2 != 0:
+                raise ValueError(f"{name} must be even and >= 16, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -402,13 +404,13 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
         u = u.resample(min(2 * u.modes, opts.max_modes))
 
     low, peak = float(np.min(u.fine_values())), float(np.max(u.fine_values()))
-    if low <= 0.0:
-        raise PositivityError(f"converged field is not strictly positive (min {low:.3e})")
     u_bar, _ = constant_branch(u.spec.n, params.a_alpha, product_volume(u.spec))
     if peak < (1.0 - _TRIVIAL_SLACK) * u_bar:
         raise PositivityError(
             f"converged to the trivial solution (max {peak:.3e} < a^((n-4)/8) = {u_bar:.3e})"
         )
+    if low <= 0.0:
+        raise PositivityError(f"converged field is not strictly positive (min {low:.3e})")
     is_const = u.nonconstant_fraction() <= _CONSTANT_FRACTION
     report = norms(u, params)
     if not report.energy > 0.0:

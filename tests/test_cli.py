@@ -341,20 +341,44 @@ class TestDiagnoseCommand:
             payload["hessian_ratio"] / 1.0
         )
 
+    @pytest.mark.parametrize(
+        "row, why", [("0.5", "expected two columns"), ("0.5 nan", "is not a finite number")]
+    )
+    def test_malformed_field_file_is_domain_error(self, capsys, tmp_path, row, why):
+        path = tmp_path / "bad.field"
+        save_field(PeriodicField.from_values(ManifoldSpec(5, 1.0), np.ones(16)), path)
+        lines = path.read_text().splitlines()
+        lines[5] = row
+        path.write_text("\n".join(lines) + "\n")
+        for argv in (
+            ["diagnose", str(path), "--alpha", "2"],
+            ["solve", "--dim", "5", "--alpha", "2", "--init", "file", "--field-in", str(path)],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert f"paneitz {argv[0]}: error: {path}, line 6: " in err and why in err
+
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "diagnose", "missing.field", "--alpha", "2")
         assert code == 1
         assert "missing.field" in err
 
 
-def run_fresh(*argv):
-    """(exit code, stdout, stderr) of argv in a fresh interpreter."""
+def run_fresh(*argvs):
+    """(exit code, stdout, stderr) of each argv, each in a fresh interpreter;
+    the interpreters run side by side."""
     src = str(Path(paneitz.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    cmd = [sys.executable, "-m", "paneitz.cli", *argv]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
-    return proc.returncode, proc.stdout, proc.stderr
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "paneitz.cli", *argv],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for argv in argvs
+    ]
+    outputs = [proc.communicate(timeout=300) for proc in procs]
+    return [(proc.returncode, *out) for proc, out in zip(procs, outputs)]
 
 
 class TestRepeatedMain:
@@ -378,8 +402,7 @@ class TestRepeatedMain:
         assert field.read_bytes() == written and field.stat().st_mtime_ns == stamp
         assert [code for code, _, _ in seen] == [0, 1, 0, 0, 0]
 
-        references = [run_fresh(*solve, "--field-out", str(fresh_field))]
-        references += [run_fresh(*argv) for argv in calls[1:]]
+        references = run_fresh(solve + ["--field-out", str(fresh_field)], *calls[1:])
         assert seen == references
         assert fresh_field.read_bytes() == written
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +223,32 @@ class TestFieldFiles:
         path = tmp_path / "bad.field"
         path.write_text("nonsense\n1 2\n")
         with pytest.raises(ValueError):
+            load_field(path)
+
+    @pytest.mark.parametrize(
+        "row, why",
+        [
+            ("0.5", "expected two columns"),
+            ("0.5 1 2", "expected two columns"),
+            ("0.5 nan", "sample 'nan' is not a finite number"),
+            ("0.5 -inf", "sample '-inf' is not a finite number"),
+            ("0.5 1,5", "sample '1,5' is not a finite number"),
+        ],
+    )
+    def test_malformed_row_is_named(self, tmp_path, row, why):
+        u = PeriodicField.from_values(SPEC, np.ones(16))
+        path = tmp_path / "u.field"
+        save_field(u, path)
+        lines = path.read_text().splitlines()
+        lines[3] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: {why}")):
+            load_field(path)
+
+    def test_sample_count_checked(self, tmp_path):
+        path = tmp_path / "u.field"
+        path.write_text("# 5 1 16\n" + "0 1\n" * 15 + "\n")
+        with pytest.raises(ValueError, match="has 15 samples, header says 16"):
             load_field(path)
 
     def test_file_text_pinned(self, tmp_path):

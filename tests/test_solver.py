@@ -212,6 +212,21 @@ class TestNewton:
         with pytest.raises(PositivityError, match="converged to the trivial solution"):
             newton_solve(sol.field.scaled(0.6), params)
 
+    def test_trivial_root_is_named_before_a_negative_sample(self):
+        # this start falls to u = 0 with a rounding-level negative fine
+        # sample; the trivial-root bound is checked first, so it is named
+        spec = ManifoldSpec(5, 0.5)
+        params = OperatorParams(2.0, 1.0)
+        sol = mode1_solution(spec, params, SolverOptions())
+        start = sol.field.shift(spec.period / 3.0).scaled(0.3)
+        with pytest.raises(PositivityError, match=r"converged to the trivial solution \(max 1\.96"):
+            newton_solve(start, params)
+
+    def test_bad_max_modes_is_rejected(self):
+        for max_modes in (97, 14, 0):
+            with pytest.raises(ValueError, match="max_modes must be even and >= 16"):
+                SolverOptions(modes=64, max_modes=max_modes)
+
     def test_fixed_settings_are_not_options(self):
         assert [f.name for f in dataclasses.fields(SolverOptions)] == ["modes", "max_modes"]
         for name in ("tol", "rtol", "max_iter", "max_backtracks", "penalty_weight", "tail_tol"):
