@@ -266,8 +266,7 @@ def _cmd_diagnose(args) -> int:
     u = load_field(args.field)
     a = _resolve_a(args.alpha, args.a)
     params = OperatorParams(args.alpha, a)
-    delta = args.delta if args.delta is not None else u.spec.period / 8.0
-    report = concentration_ratios(u, delta, params)
+    report = concentration_ratios(u, args.delta, params)
     _print_json(
         {
             "s_star": report.s_star,

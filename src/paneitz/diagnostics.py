@@ -27,7 +27,7 @@ import numpy as np
 
 from .bubble import BubbleParams, expected_bubble_energy
 from .constants import OperatorParams, critical_exponent
-from .field import PeriodicField, localized_mass, norms
+from .field import PeriodicField, _ball_radius, localized_mass, norms
 from .geometry import sphere_volume
 from .quadrature import geometric_edges, panel_rule, refined_axis_edges
 
@@ -65,9 +65,10 @@ def _argmax_location(u: PeriodicField) -> float:
 
 
 def concentration_ratios(
-    u: PeriodicField, delta: float, params: OperatorParams | None = None
+    u: PeriodicField, delta: float | None = None, params: OperatorParams | None = None
 ) -> ConcentrationReport:
-    """Mass-outside-the-ball ratios around the argmax of the field.
+    """Mass-outside-the-ball ratios around the argmax of the field, for the
+    ball of radius ``delta`` (default L/8).
 
     When ``params`` is given, the Hessian ratio of the same ball is attached
     (raw and divided by the zeroth-order coefficient).
@@ -75,9 +76,7 @@ def concentration_ratios(
     report = norms(u)
     if report.l2 == 0.0:
         raise ValueError("ratios undefined for the zero field")
-    length = u.spec.period
-    if not 0 < delta < length / 2:
-        raise ValueError(f"delta must lie in (0, L/2) = (0, {length/2}), got {delta}")
+    delta = _ball_radius(u.spec, delta)
     s_star = _argmax_location(u)
     ball_l2 = localized_mass(u, s_star, delta, "l2")
     r_l2 = (report.l2 - ball_l2) / report.l2
@@ -133,15 +132,13 @@ def concentration_points(
     A candidate must dominate its own ball (be the largest field value within
     distance delta), which suppresses truncation-noise wiggles riding on the
     tail of a genuine peak.  Constants have no strict local maximum and yield
-    no points; single bumps yield exactly one.
+    no points; single bumps yield exactly one.  The ball radius ``delta``
+    defaults to L/8.
     """
     if not 0 < theta < 1:
         raise ValueError(f"mass threshold must lie in (0, 1), got {theta}")
     length = u.spec.period
-    if delta is None:
-        delta = length / 8.0
-    if not 0 < delta < length / 2:
-        raise ValueError(f"delta must lie in (0, L/2), got {delta}")
+    delta = _ball_radius(u.spec, delta)
     fine = u.fine_values()
     grid = u.fine_grid()
     total = norms(u).energy

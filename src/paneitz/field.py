@@ -311,16 +311,26 @@ def _arc_integral(density: np.ndarray, spec: ManifoldSpec, center: float, delta:
     return float(np.sum(_pair_counts(g.size) * np.real(g * window)))
 
 
+def _ball_radius(spec: ManifoldSpec, delta: float | None) -> float:
+    """Radius of a diagnostics ball on the circle factor: ``delta``, by
+    default L/8.  Requires 0 < delta < L/2 (otherwise the complement arc
+    would be empty)."""
+    length = spec.period
+    if delta is None:
+        return length / 8.0
+    if not 0 < delta < length / 2:
+        raise ValueError(f"delta must lie in (0, L/2) = (0, {length/2}), got {delta}")
+    return delta
+
+
 def localized_mass(u: PeriodicField, center: float, delta: float, kind: str) -> float:
     """Mass of a quadratic/critical density over the ball of radius delta.
 
     The ball lives on the circle factor and is crossed with the whole sphere,
     so the result is the arc integral times omega_(n-1).  Requires
-    0 < delta < L/2 (otherwise the complement arc would be empty).
+    0 < delta < L/2.
     """
-    length = u.spec.period
-    if not 0 < delta < length / 2:
-        raise ValueError(f"delta must lie in (0, L/2) = (0, {length/2}), got {delta}")
+    delta = _ball_radius(u.spec, delta)
     density = _density_samples(u, kind)
     omega = sphere_volume(u.spec.sphere_dim)
     return omega * _arc_integral(density, u.spec, center, delta)

@@ -36,6 +36,8 @@ class ManifoldSpec:
             raise ValueError(f"total dimension must be an integer >= 5, got {self.n!r}")
         if not self.t > 0:
             raise ValueError(f"circle radius must be positive, got {self.t!r}")
+        if not math.isfinite(self.period):
+            raise ValueError(f"circle period 2 pi t must be finite, got t={self.t!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "t", float(self.t))
 

@@ -32,11 +32,12 @@ Two routes produce solutions:
   Newton-polishes the rescaled minimizer: the one fresh start of the
   nonconstant branch.
 
-During Newton iteration the nonlinearity uses the positive part u_+ plus a
-quadratic penalty on the negative part.  A solution must be strictly
-positive on the fine grid, where the penalty term is exactly zero, so the
-residual Newton iterates on is the equation's residual; sign-changing roots
-and the trivial root u = 0 raise ``PositivityError``.
+Newton iterates on the equation's own residual F(u) = P u - u_+^(2#-1):
+negative samples add nothing to the nonlinearity.  Each factor of
+P = (Delta + c)(Delta + d) has a positive Green's function, so every
+nontrivial root of F is positive; a converged field that is not strictly
+positive on the fine grid, or the trivial root u = 0, raises
+``PositivityError``.
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ class SolverOptions:
     rtol: ClassVar[float] = 5e-15           # floor relative to the nonlinear-term scale
     max_iter: ClassVar[int] = 50
     max_backtracks: ClassVar[int] = 30
-    penalty_weight: ClassVar[float] = 10.0
     tail_tol: ClassVar[float] = 1e-10       # coefficient l1 tail mass triggering refinement
 
     def __post_init__(self):
@@ -128,20 +128,16 @@ def _symbol(u: PeriodicField, params: OperatorParams) -> np.ndarray:
     return mu * mu + params.alpha * mu + params.a_alpha
 
 
-def _nonlinear_coeffs(u: PeriodicField, exponent: float, penalty: float = 0.0) -> np.ndarray:
-    """Coefficients of u_+^exponent (minus penalty * u_-), dealiased."""
+def _nonlinear_coeffs(u: PeriodicField) -> np.ndarray:
+    """Coefficients of u_+^(2#-1), dealiased."""
     fine = u.fine_values()
-    g = np.where(fine > 0.0, fine, 0.0) ** exponent
-    if penalty:
-        g = g - penalty * np.minimum(fine, 0.0)
+    g = np.where(fine > 0.0, fine, 0.0) ** (critical_exponent(u.spec.n) - 1.0)
     return _truncate(np.fft.rfft(g) / g.size, u.modes)
 
 
-def residual(u: PeriodicField, params: OperatorParams, penalty: float = 0.0) -> PeriodicField:
-    """F(u) = Delta^2 u + alpha Delta u + a u - u_+^(2#-1) (plus penalty term)."""
-    p = critical_exponent(u.spec.n) - 1.0
-    coeffs = _symbol(u, params) * u.coeffs - _nonlinear_coeffs(u, p, penalty)
-    return PeriodicField(u.spec, coeffs)
+def residual(u: PeriodicField, params: OperatorParams) -> PeriodicField:
+    """F(u) = Delta^2 u + alpha Delta u + a u - u_+^(2#-1)."""
+    return PeriodicField(u.spec, _symbol(u, params) * u.coeffs - _nonlinear_coeffs(u))
 
 
 # --- Newton ------------------------------------------------------------------
@@ -167,22 +163,21 @@ def _from_real(x: np.ndarray) -> np.ndarray:
     return x / _root_weights(x.size)
 
 
-def _jacobian_weight(u: PeriodicField, penalty: float = 0.0) -> np.ndarray:
-    """Fine-grid samples of w = (2#-1) u_+^(2#-2) (minus penalty where u < 0):
-    the Jacobian is the symbol minus multiplication by w."""
+def _jacobian_weight(u: PeriodicField) -> np.ndarray:
+    """Fine-grid samples of w = (2#-1) u_+^(2#-2): the Jacobian is the
+    symbol minus multiplication by w."""
     p = critical_exponent(u.spec.n) - 1.0
     fine = u.fine_values()
-    weight = p * np.where(fine > 0.0, fine, 0.0) ** (p - 1.0)
-    if penalty:
-        weight = weight - penalty * (fine < 0.0)
-    return weight
+    return p * np.where(fine > 0.0, fine, 0.0) ** (p - 1.0)
 
 
-def _jacobian(u: PeriodicField, params: OperatorParams, penalty: float = 0.0) -> np.ndarray:
-    """Real symmetric Jacobian in orthonormal cosine/sine coordinates: the
+def linearized_operator(u: PeriodicField, params: OperatorParams) -> np.ndarray:
+    """Real symmetric Jacobian of ``residual``, the matrix of
+    P - (2#-1) u_+^(2#-2), in orthonormal cosine/sine coordinates: the
     cosine coordinates of ``_to_real`` (Re c_0..c_{N/2}), then the sine ones
-    (Im c_1..c_{N/2-1}, times the same square-root weights).  Its leading
-    (N/2+1)-square block is the cosine block that Newton solves.
+    (Im c_1..c_{N/2-1}, times the same square-root weights); index 0 is the
+    constant mode.  Its leading (N/2+1)-square block is the cosine block
+    that Newton solves.
 
     The basis functions are 1, sqrt(2) cos(k s/t) and -sqrt(2) sin(k s/t).
     With R_k + i I_k the Fourier coefficients of the weight w on the fine
@@ -190,7 +185,7 @@ def _jacobian(u: PeriodicField, params: OperatorParams, penalty: float = 0.0) ->
     w sin(a) sin(b) it is (R_|a-b| - R_(a+b))/2, and of w cos(a) sin(b) it
     is (I_(a-b) - I_(a+b))/2, so multiplication by w is Toeplitz plus Hankel.
     """
-    weight = _jacobian_weight(u, penalty)
+    weight = _jacobian_weight(u)
     what = np.fft.rfft(weight) / weight.size
     re, im = what.real, what.imag
     half, n = u.coeffs.size, u.modes
@@ -210,12 +205,12 @@ def _jacobian(u: PeriodicField, params: OperatorParams, penalty: float = 0.0) ->
     return jac
 
 
-def _jacobian_action(u: PeriodicField, params: OperatorParams, penalty: float = 0.0):
-    """x -> the cosine block of ``_jacobian(u, params, penalty)`` times x, by
-    FFTs on the fine grid: the symbol times the coefficients minus the
+def _jacobian_action(u: PeriodicField, params: OperatorParams):
+    """x -> the cosine block of ``linearized_operator(u, params)`` times x,
+    by FFTs on the fine grid: the symbol times the coefficients minus the
     Galerkin projection of w times the zero-padded field, O(N log N) per
     product."""
-    weight = _jacobian_weight(u, penalty)
+    weight = _jacobian_weight(u)
     sym = _symbol(u, params)
     nf, n = weight.size, u.modes
 
@@ -280,7 +275,7 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _solve_krylov(u: PeriodicField, params: OperatorParams, rhs: np.ndarray, penalty: float) -> np.ndarray:
+def _solve_krylov(u: PeriodicField, params: OperatorParams, rhs: np.ndarray) -> np.ndarray:
     """Real half spectrum delta solving J(u) delta = rhs for even u and rhs.
 
     GMRES in cosine coordinates, with FFT products and the system scaled
@@ -290,7 +285,7 @@ def _solve_krylov(u: PeriodicField, params: OperatorParams, rhs: np.ndarray, pen
     even system needs no phase condition.  A singular or unconverged system
     raises a named ``np.linalg.LinAlgError``."""
     scale = 1.0 / np.sqrt(_symbol(u, params))
-    jac = _jacobian_action(u, params, penalty)
+    jac = _jacobian_action(u, params)
     return _from_real(scale * _gmres(lambda z: scale * jac(scale * z), scale * _to_real(rhs)))
 
 
@@ -337,12 +332,10 @@ _TRIVIAL_SLACK = 1e-6     # relative slack below the bound max u >= a^((n-4)/8)
 def _newton_fixed(u: PeriodicField, params: OperatorParams):
     """Newton at fixed resolution; returns (field, residual sup, accepted steps).
 
+    Iterates on F(u) = P u - u_+^(2#-1), the residual the solution reports.
     Converged at tol_eff; after stagnation or ``max_iter`` steps, accepted at
-    the rounding floor 10 tol_eff, else ``ConvergenceError``.  The penalty
-    term of the residual is exactly zero on the strictly positive fields
-    that ``newton_solve`` returns."""
-    pen = SolverOptions.penalty_weight
-    res = residual(u, params, pen)
+    the rounding floor 10 tol_eff, else ``ConvergenceError``."""
+    res = residual(u, params)
     res_sup = float(np.max(np.abs(res.values)))
     steps, stalled = 0, False
     while True:
@@ -355,13 +348,13 @@ def _newton_fixed(u: PeriodicField, params: OperatorParams):
                    else f"no convergence after {steps} iterations, residual {res_sup:.3e}")
             raise ConvergenceError(why, u, res_sup)
         try:
-            step = _solve_krylov(u, params, res.coeffs, pen)
+            step = _solve_krylov(u, params, res.coeffs)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"linear solve failed: {exc}", u, res_sup) from exc
         stalled, eta = True, 1.0
         for _ in range(SolverOptions.max_backtracks):
             cand = PeriodicField(u.spec, u.coeffs - eta * step)
-            cand_res = residual(cand, params, pen)
+            cand_res = residual(cand, params)
             cand_sup = float(np.max(np.abs(cand_res.values)))
             if cand_sup < res_sup:
                 u, res, res_sup = cand, cand_res, cand_sup
@@ -481,7 +474,6 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
         raise ValueError("initial guess must be nonzero")
     spec = init.spec
     two_sharp = critical_exponent(spec.n)
-    p = two_sharp - 1.0
     sym = _symbol(init, params)
     counts = _pair_counts(init.coeffs.size)
     volume = product_volume(spec)
@@ -492,7 +484,7 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
     grad_norm = math.inf
     it = 0
     for it in range(1, _DESCENT_MAX_ITER + 1):
-        z = _nonlinear_coeffs(u, p) / sym   # P^{-1} u_+^(2#-1)
+        z = _nonlinear_coeffs(u) / sym   # P^{-1} u_+^(2#-1)
         rho = u.coeffs - q * z
         with np.errstate(over="ignore", invalid="ignore"):
             grad_norm = math.sqrt(
@@ -571,12 +563,6 @@ def mode1_solution(spec: ManifoldSpec, params: OperatorParams, opts: SolverOptio
 
 
 # --- linearization -----------------------------------------------------------
-
-
-def linearized_operator(u: PeriodicField, params: OperatorParams) -> np.ndarray:
-    """Real symmetric matrix of P - (2#-1) u_+^(2#-2) (no penalty) in
-    orthonormal cosine/sine coordinates; index 0 is the constant mode."""
-    return _jacobian(u, params, penalty=0.0)
 
 
 def linearized_spectrum(sol: Solution, kmax: int | None = None) -> np.ndarray:

@@ -77,10 +77,6 @@ class SweepConfig:
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "params", tuple(params))
 
-    @property
-    def ball_radius(self) -> float:
-        return self.delta if self.delta is not None else self.spec.period / 8.0
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -145,7 +141,6 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     spec = config.spec
     volume = product_volume(spec)
     _, k0_inv_sq = sharp_constant(spec.n)
-    delta = config.ball_radius
     records: list[SweepRecord] = []
     prev_nc: Solution | None = None
     for alpha, params in zip(config.alphas, config.params):
@@ -165,7 +160,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
                 params,
                 config.solver,
             )
-        report = concentration_ratios(chosen.field, delta, params)
+        report = concentration_ratios(chosen.field, config.delta, params)
         records.append(
             SweepRecord(
                 alpha=alpha,

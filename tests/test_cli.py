@@ -100,6 +100,13 @@ class TestSolveCommand:
         assert code == 1
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("command", [("solve", "--alpha", "2"), ("sweep",)])
+    def test_infinite_circle_rejected(self, capsys, command):
+        # a circle whose period 2 pi t overflows float64 is outside the domain
+        code, out, err = run_cli(capsys, command[0], "--dim", "5", "--t", "inf", *command[1:])
+        assert (code, out) == (1, "")
+        assert "circle period 2 pi t must be finite" in err
+
     def test_unknown_flag_lists_usage(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--dim", "5", "--alpha", "2", "--bogus", "1")
         assert code == 1

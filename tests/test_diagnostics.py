@@ -80,6 +80,10 @@ class TestConcentrationRatios:
         with pytest.raises(ValueError):
             concentration_ratios(u, L / 2)
 
+    def test_default_delta_is_an_eighth_of_the_circle(self):
+        u = gaussian_bump(0.0, L / 10)
+        assert concentration_ratios(u) == concentration_ratios(u, L / 8)
+
 
 class TestHessianRatio:
     def test_constant_is_zero(self):

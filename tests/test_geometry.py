@@ -26,7 +26,7 @@ class TestManifoldSpec:
         assert spec.sphere_dim == 4
         assert spec.period == pytest.approx(math.pi)
 
-    @pytest.mark.parametrize("n,t", [(4, 1.0), (5, 0.0), (5, -1.0), (5.5, 1.0)])
+    @pytest.mark.parametrize("n,t", [(4, 1.0), (5, 0.0), (5, -1.0), (5.5, 1.0), (5, math.inf), (5, 1e308)])
     def test_rejects_bad_input(self, n, t):
         with pytest.raises(ValueError):
             ManifoldSpec(n, t)

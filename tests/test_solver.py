@@ -26,7 +26,6 @@ from paneitz.solver import (
     residual,
 )
 from paneitz.solver import (
-    _jacobian,
     _jacobian_action,
     _nonlinear_coeffs,
     _nonlinear_scale,
@@ -99,7 +98,7 @@ class TestNewton:
         opts = SolverOptions(modes=128, max_modes=128)
         monkeypatch.setattr(SolverOptions, "max_backtracks", 0)
         tol_eff = max(opts.tol, opts.rtol * _nonlinear_scale(start))
-        start_sup = float(np.max(np.abs(residual(start, params, opts.penalty_weight).values)))
+        start_sup = float(np.max(np.abs(residual(start, params).values)))
         assert tol_eff < start_sup <= 10.0 * tol_eff
         moved = newton_solve(start, params, opts)
         assert moved.newton_iters == 0
@@ -171,9 +170,8 @@ class TestNewton:
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_reported_residual_is_the_equations(self, n):
-        # Newton iterates on the penalized residual; on the strictly positive
-        # fields it returns the penalty term is zero, so the sup it reports is
-        # the penalty-free one bit for bit
+        # Newton iterates on the equation's residual P u - u_+^(2#-1), so the
+        # sup it reports is that of the field it returns, bit for bit
         spec = ManifoldSpec(n, 1.0)
         params = OperatorParams(8.0, 16.0)
         fresh = mode1_solution(spec, params, SolverOptions())
@@ -199,8 +197,7 @@ class TestNewton:
             newton_solve(perturbed_init(16.0, 0.3), params)
         assert str(exc.value) == message
         last = exc.value.last
-        pen = SolverOptions.penalty_weight
-        assert exc.value.residual_sup == float(np.max(np.abs(residual(last, params, pen).values)))
+        assert exc.value.residual_sup == float(np.max(np.abs(residual(last, params).values)))
 
     def test_trivial_root_is_rejected(self):
         # a start 0.6 times a solution falls to u = 0; every positive solution
@@ -219,8 +216,29 @@ class TestNewton:
         params = OperatorParams(2.0, 1.0)
         sol = mode1_solution(spec, params, SolverOptions())
         start = sol.field.shift(spec.period / 3.0).scaled(0.3)
-        with pytest.raises(PositivityError, match=r"converged to the trivial solution \(max 1\.96"):
+        with pytest.raises(PositivityError, match=r"converged to the trivial solution \(max 3\.747e-37"):
             newton_solve(start, params)
+
+    def test_sign_changing_start_reaches_the_constant(self):
+        # negative samples add nothing to the nonlinearity, and Newton on
+        # P u - u_+^(2#-1) takes this start to the constant, not to u = 0;
+        # residual 1e-11 and mode 0 of the Jacobian, -(2#-2) a = -2, leave
+        # mean u off by up to 5e-12
+        spec = ManifoldSpec(8, 1.0)
+        params = OperatorParams(2.0, 1.0)
+        c = (0.7841385236547793, 0.44172993062562105, -0.8612833476598551, 0.28623592376393225)
+        start = PeriodicField.from_function(
+            spec,
+            lambda s: 0.3 + c[0] * np.cos(s) + c[1] * np.sin(2 * s) + c[2] * np.cos(3 * s)
+            + c[3] * np.sin(5 * s),
+            64,
+        )
+        assert float(np.min(start.values)) < 0.0
+        sol = newton_solve(start, params)
+        assert sol.is_constant
+        u_bar, e_const = constant_branch(8, 1.0, product_volume(spec))
+        assert sol.field.mean == pytest.approx(u_bar, rel=1e-11)
+        assert sol.energy == pytest.approx(e_const, rel=1e-10)
 
     def test_bad_max_modes_is_rejected(self):
         for max_modes in (97, 14, 0):
@@ -229,7 +247,7 @@ class TestNewton:
 
     def test_fixed_settings_are_not_options(self):
         assert [f.name for f in dataclasses.fields(SolverOptions)] == ["modes", "max_modes"]
-        for name in ("tol", "rtol", "max_iter", "max_backtracks", "penalty_weight", "tail_tol"):
+        for name in ("tol", "rtol", "max_iter", "max_backtracks", "tail_tol"):
             with pytest.raises(TypeError):
                 SolverOptions(**{name: getattr(SolverOptions, name)})
         assert (SolverOptions().tol, SolverOptions().rtol) == (1e-11, 5e-15)
@@ -305,7 +323,7 @@ class TestLargerModeCap:
 
 
 def sign_changing_field(modes):
-    """Shifted (not even) field with negative parts, so the penalty acts."""
+    """Shifted (not even) field with negative parts, where u_+ is cut off."""
     u = PeriodicField.from_function(
         SPEC, lambda s: 0.3 + np.cos(s) + 0.4 * np.sin(3 * s) + 0.2 * np.cos(7 * s), modes
     )
@@ -313,16 +331,14 @@ def sign_changing_field(modes):
 
 
 class TestKrylovSolve:
-    PEN = SolverOptions().penalty_weight
-
     def test_matvec_matches_dense_jacobian(self):
         # every column of the cosine block, the Nyquist cosine's included
         params = OperatorParams(8.0, 16.0)
         u = sign_changing_field(256)
         assert float(np.min(u.fine_values())) < 0.0
         h = u.coeffs.size
-        jac = _jacobian(u, params, self.PEN)[:h, :h]
-        action = _jacobian_action(u, params, self.PEN)
+        jac = linearized_operator(u, params)[:h, :h]
+        action = _jacobian_action(u, params)
         cols = np.column_stack([action(e) for e in np.eye(h)])
         assert np.max(np.abs(cols - jac)) <= 1e-13 * np.max(np.abs(jac))
 
@@ -331,10 +347,10 @@ class TestKrylovSolve:
         # reference: LU of the dense Jacobian's cosine block
         params = OperatorParams(8.0, 16.0)
         u = sign_changing_field(modes)
-        rhs = residual(u, params, self.PEN).coeffs
+        rhs = residual(u, params).coeffs
         h = u.coeffs.size
-        dense = np.linalg.solve(_jacobian(u, params, self.PEN)[:h, :h], _to_real(rhs))
-        krylov = _to_real(_solve_krylov(u, params, rhs, self.PEN))
+        dense = np.linalg.solve(linearized_operator(u, params)[:h, :h], _to_real(rhs))
+        krylov = _to_real(_solve_krylov(u, params, rhs))
         assert np.linalg.norm(krylov - dense) <= 1e-12 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("modes", [64, 128, 256])
@@ -346,7 +362,7 @@ class TestKrylovSolve:
         rhs = np.zeros(u.coeffs.size, dtype=complex)
         rhs[1] = 1.0
         with pytest.raises(np.linalg.LinAlgError, match="Krylov solve: linearized system is singular"):
-            _solve_krylov(u, params, rhs, 0.0)
+            _solve_krylov(u, params, rhs)
 
 
 class TestScaledPredictor:
@@ -418,13 +434,12 @@ def reference_descent(init, params, steps):
     """The first ``steps`` iterates of the quotient descent with the line
     search that normalizes each trial field and takes its quotient from
     ``norms``, as two fresh fields per trial."""
-    p = critical_exponent(init.spec.n) - 1.0
     sym = _symbol(init, params)
     u = _normalize_critical(init)
     q = quotient(u, params)
     iterates = []
     for _ in range(steps):
-        rho = u.coeffs - q * _nonlinear_coeffs(u, p) / sym
+        rho = u.coeffs - q * _nonlinear_coeffs(u) / sym
         eta = 1.0
         for _ in range(40):
             cand = _normalize_critical(PeriodicField(u.spec, u.coeffs - eta * rho))

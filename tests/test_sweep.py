@@ -54,9 +54,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             SweepConfig(spec=SPEC, alphas=(2.0, 1.0))
 
-    def test_default_ball_radius(self):
-        config = SweepConfig(spec=SPEC, alphas=(1.0, 2.0))
-        assert config.ball_radius == pytest.approx(SPEC.period / 8.0)
+    def test_default_ball_radius(self, short_records):
+        # delta=None is the ball of radius L/8, bit for bit
+        config = SweepConfig(spec=SPEC, alphas=(2.0,), delta=SPEC.period / 8.0)
+        assert run_sweep(config) == short_records[:1]
 
 
 class TestRunSweep:
