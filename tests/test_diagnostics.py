@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from paneitz.bubble import expected_bubble_energy
-from paneitz.constants import OperatorParams
+from paneitz.bubble import BubbleParams, expected_bubble_energy
+from paneitz.constants import OperatorParams, critical_exponent
 from paneitz.diagnostics import (
     concentration_points,
     concentration_ratios,
@@ -13,7 +13,8 @@ from paneitz.diagnostics import (
     quantization_check,
 )
 from paneitz.field import PeriodicField, norms
-from paneitz.geometry import ManifoldSpec
+from paneitz.geometry import ManifoldSpec, sphere_volume
+from paneitz.quadrature import geometric_edges, panel_rule, refined_axis_edges
 
 SPEC = ManifoldSpec(5, 1.0)
 L = SPEC.period
@@ -204,7 +205,44 @@ _PINNED_ENERGIES = [
 ]
 
 
+def reference_multi_bubble_energy(n, centers, scales, lambda_inf):
+    # the plain formula on the full tensor grid of the same panel rule:
+    # sum_j amp_j (1/(1 + lam_j^2 ((x - c_j)^2 + rho^2)))^m, raised to 2#
+    # with a generic power
+    centers, scales = np.asarray(centers, dtype=float), np.asarray(scales, dtype=float)
+    r_out = 300.0 / scales.min()
+    lo, hi = centers.min() - r_out, centers.max() + r_out
+    x, x_w = panel_rule(refined_axis_edges(centers, scales, lo, hi), 16)
+    rho, rho_w = panel_rule(geometric_edges(0.25 / scales.max(), r_out), 16)
+    x, rho = x[:, None], rho[None, :]
+    m = (n - 4) / 2.0
+    field = np.zeros((x.size, rho.size))
+    for c, lam in zip(centers, scales):
+        amp = BubbleParams(n=n, lambda0=lam, lambda_inf=lambda_inf).amplitude
+        field += amp * (1.0 / (1.0 + lam**2 * ((x - c) ** 2 + rho**2))) ** m
+    integrand = field ** critical_exponent(n) * (rho_w * rho[0] ** (n - 2))[None, :]
+    return sphere_volume(n - 2) * float(x_w @ integrand.sum(axis=1))
+
+
+_PROFILE_SETS = {
+    "one": ((0.0,), (1.0,)),
+    "two": ((0.0, 20.0), (1.0, 1e4)),
+    "three": ((-7.5, 12.0, 40.0), (2.0, 1e4, 0.7)),
+}
+
+
 class TestMultiBubbleEnergy:
+    @pytest.mark.parametrize("lambda_inf", [1.0, 2.5])
+    @pytest.mark.parametrize("profiles", sorted(_PROFILE_SETS))
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10, 12, 20])
+    def test_matches_plain_formula(self, n, profiles, lambda_inf):
+        # odd and even n - 4, integer (n = 5, 6, 8, 12), half-integer
+        # (n = 20) and other fractional critical exponents
+        centers, scales = _PROFILE_SETS[profiles]
+        energy = multi_bubble_energy(n, np.array(centers), np.array(scales), lambda_inf)
+        expected = reference_multi_bubble_energy(n, centers, scales, lambda_inf)
+        assert energy == pytest.approx(expected, rel=1e-13)
+
     @pytest.mark.parametrize("n, centers, scales, expected", _PINNED_ENERGIES)
     def test_pinned_values(self, n, centers, scales, expected):
         energy = multi_bubble_energy(n, np.array(centers), np.array(scales))
