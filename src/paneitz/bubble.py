@@ -53,10 +53,10 @@ class BubbleParams:
     def __post_init__(self):
         if self.n < 5:
             raise ValueError(f"dimension must be >= 5, got {self.n}")
-        if not self.lambda0 > 0:
-            raise ValueError(f"concentration scale must be positive, got {self.lambda0}")
-        if not self.lambda_inf > 0:
-            raise ValueError(f"lambda_inf must be positive, got {self.lambda_inf}")
+        if not 0 < self.lambda0 < math.inf:
+            raise ValueError(f"concentration scale must be positive and finite, got {self.lambda0}")
+        if not 0 < self.lambda_inf < math.inf:
+            raise ValueError(f"lambda_inf must be positive and finite, got {self.lambda_inf}")
 
     @property
     def two_sharp(self) -> float:

@@ -21,6 +21,7 @@ Two normalizations of the gradient ratio are reported:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +176,23 @@ class QuantizationReport:
     synthetic_ok: bool              # within 2 percent of k quanta
 
 
+def _half_power(base: np.ndarray, halves: int, spare: np.ndarray) -> np.ndarray:
+    """base ** (halves / 2) for an integer halves >= 1, by binary powering and
+    at most one square root.  Works in ``spare`` and may overwrite ``base``;
+    returns whichever of the two holds the result."""
+    k, odd = divmod(halves, 2)
+    if k == 0:
+        return np.sqrt(base, out=base)
+    out = base
+    for bit in bin(k)[3:]:
+        out = np.multiply(out, out, out=spare if out is base else out)
+        if bit == "1":
+            out *= base
+    if odd:
+        out *= np.sqrt(base, out=spare if out is base else base)
+    return out
+
+
 def multi_bubble_energy(
     n: int,
     centers: np.ndarray,
@@ -191,8 +209,15 @@ def multi_bubble_energy(
     features whose widths differ by many orders of magnitude.
 
     The tensor Gauss-Legendre rule is evaluated in blocks of x-rows (two
-    panels each), with r^2 = (x - c)^2 + rho^2 formed by broadcasting, so no
-    full grid, square root or weight array is ever built.
+    panels each) in three buffers allocated once per call, so no full grid
+    or weight array is built.  Profile j is (a_j / t)^m = amp_j / t^m, with
+    m = (n-4)/2, a_j = amp_j^(1/m) and
+    t = lam_j^2 (x - c_j)^2 + (1 + lam_j^2 rho^2) added from a column and a
+    row precomputed per profile; a_j / t <= a_j cannot overflow.  Its power,
+    and the critical power whenever 2 * 2# is an integer (n = 5, 6, 8, 12,
+    20), take binary powering and at most one square root; other critical
+    powers are generic.  If lam_max^2 (hi - lo)^2 overflows float64,
+    ``FloatingPointError`` is raised before any grid is built.
     """
     centers = np.asarray(centers, dtype=float)
     lambda0s = np.asarray(lambda0s, dtype=float)
@@ -204,21 +229,41 @@ def multi_bubble_energy(
         raise ValueError("centers and concentration scales must be finite")
     profiles = [BubbleParams(n=n, lambda0=float(lam), lambda_inf=lambda_inf) for lam in lambda0s]
     two_sharp = critical_exponent(n)
-    m = (n - 4) / 2.0
     r_out = 300.0 / float(np.min(lambda0s))
     lo, hi = float(np.min(centers)) - r_out, float(np.max(centers)) + r_out
+    lam_max = float(np.max(lambda0s))
+    reach = lam_max * (hi - lo)
+    if not math.isfinite(reach * reach):
+        raise FloatingPointError(
+            f"quadrature over [{lo:.6g}, {hi:.6g}] at scale {lam_max:.6g} is outside the float64 range"
+        )
     x_nodes, x_w = panel_rule(refined_axis_edges(centers, lambda0s, lo, hi), _PANEL_ORDER)
-    inner = 0.25 / float(np.max(lambda0s))
-    rho_nodes, rho_w = panel_rule(geometric_edges(inner, r_out), _PANEL_ORDER)
-    rho_sq = rho_nodes**2
+    rho_nodes, rho_w = panel_rule(geometric_edges(0.25 / lam_max, r_out), _PANEL_ORDER)
     rho_weight = rho_w * rho_nodes ** (n - 2)
+    # a_j^m = amp_j = amp(lam = 1) lam_j^m: the inexact exponent 1/m acts on the
+    # O(1) amplitude at lam = 1, not on the large factor lam_j^m
+    root = BubbleParams(n=n, lambda_inf=lambda_inf).amplitude ** (2.0 / (n - 4))
+    terms = [
+        (p.lambda0**2 * (x_nodes - c) ** 2, 1.0 + p.lambda0**2 * rho_nodes**2, root * p.lambda0)
+        for c, p in zip(centers, profiles)
+    ]
+    sharp_halves = 4 * n // (n - 4) if (4 * n) % (n - 4) == 0 else None
+    buffers = [np.empty((_BLOCK_ROWS, rho_nodes.size)) for _ in range(3)]
     total = 0.0
     for start in range(0, x_nodes.size, _BLOCK_ROWS):
-        x = x_nodes[start : start + _BLOCK_ROWS, None]
-        field = np.zeros((x.shape[0], rho_sq.size))
-        for c, p in zip(centers, profiles):
-            field += p.amplitude * (1.0 / (1.0 + p.lambda0**2 * ((x - c) ** 2 + rho_sq))) ** m
-        total += x_w[start : start + _BLOCK_ROWS] @ field**two_sharp @ rho_weight
+        stop = min(start + _BLOCK_ROWS, x_nodes.size)
+        field, t, spare = (b[: stop - start] for b in buffers)
+        field.fill(0.0)
+        for col, row, a in terms:
+            np.copyto(t, row)
+            t += col[start:stop, None]
+            np.divide(a, t, out=t)
+            field += _half_power(t, n - 4, spare)
+        if sharp_halves is None:
+            field **= two_sharp
+        else:
+            field = _half_power(field, sharp_halves, spare)
+        total += x_w[start:stop] @ field @ rho_weight
     return sphere_volume(n - 2) * float(total)
 
 
@@ -241,12 +286,12 @@ def quantization_check(
     critical power couples the slow tails strongly in low dimensions and
     additivity fails at any modest separation.
     """
-    if not budget > 0:
-        raise ValueError("energy budget must be positive")
-    if not lambda_inf > 0:
-        raise ValueError("lambda_inf must be positive")
-    if synthetic_bubbles < 1:
-        raise ValueError("synthetic check needs at least one profile")
+    if not 0 < budget < math.inf:
+        raise ValueError(f"energy budget must be positive and finite, got {budget}")
+    if not 0 < lambda_inf < math.inf:
+        raise ValueError(f"lambda_inf must be positive and finite, got {lambda_inf}")
+    if not isinstance(synthetic_bubbles, numbers.Integral) or synthetic_bubbles < 1:
+        raise ValueError(f"synthetic_bubbles must be a positive integer, got {synthetic_bubbles!r}")
     if not separation > 0 or not lambda0 > 0:
         raise ValueError("separation and lambda0 must be positive")
     if not 0 < scale_ratio < math.inf:

@@ -437,6 +437,7 @@ class QuotientMinimum:
     lambda_min: float
     iterations: int
     grad_norm: float
+    exit: str                     # "converged" (gradient below tol) or "stagnated"
     below_sharp_threshold: bool   # lambda_min < K0^{-2}
 
 
@@ -460,7 +461,8 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
     ``_DESCENT_TOL`` relative to the iterate, or when no halving decreases Q
     at a gradient norm within 1e3 ``_DESCENT_TOL`` (the usual stop: 23 of 28
     mode-1 descents, n = 5..8 and alpha = 2..128, end there, at 1.1e-9 to
-    6.8e-9); stagnation further away raises ConvergenceError.
+    6.8e-9); ``exit`` records which of the two ended it.  Stagnation further
+    away raises ConvergenceError.
 
     Each iteration samples the direction rho on the oversampled grid once.
     Q is scale invariant, so a trial u - eta rho is compared unnormalized:
@@ -482,7 +484,7 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
     u = _normalize_critical(init)
     q = quotient(u, params)
     grad_norm = math.inf
-    it = 0
+    it, exit = 0, "converged"
     for it in range(1, _DESCENT_MAX_ITER + 1):
         z = _nonlinear_coeffs(u) / sym   # P^{-1} u_+^(2#-1)
         rho = u.coeffs - q * z
@@ -516,6 +518,7 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
             eta *= 0.5
         if not accepted:
             if grad_norm <= 1e3 * _DESCENT_TOL:
+                exit = "stagnated"
                 break
             raise ConvergenceError(
                 f"quotient descent stagnated (gradient norm {grad_norm:.3e})", u, grad_norm
@@ -531,6 +534,7 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
         lambda_min=q,
         iterations=it,
         grad_norm=grad_norm,
+        exit=exit,
         below_sharp_threshold=q < k0_inv_sq,
     )
 

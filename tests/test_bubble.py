@@ -106,6 +106,23 @@ class TestPdeResidual:
         assert np.max(np.abs(direct - f.laplacian(r))) < 1e-12 * np.max(np.abs(f.laplacian(r)))
 
 
+class TestBubbleParams:
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"lambda0": math.inf}, "concentration scale must be positive and finite"),
+            ({"lambda0": math.nan}, "concentration scale must be positive and finite"),
+            ({"lambda0": 0.0}, "concentration scale must be positive and finite"),
+            ({"lambda_inf": math.inf}, "lambda_inf must be positive and finite"),
+            ({"lambda_inf": -1.0}, "lambda_inf must be positive and finite"),
+        ],
+        ids=["inf-scale", "nan-scale", "zero-scale", "inf-lambda-inf", "negative-lambda-inf"],
+    )
+    def test_rejects_bad_scales(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            BubbleParams(5, **kwargs)
+
+
 class TestBubbleEnergy:
     def test_reference_value_n5(self):
         params = BubbleParams(5)

@@ -59,6 +59,12 @@ class TestBubbleCheckCommand:
         assert payload["energy"] == pytest.approx(payload["energy_expected"], rel=1e-6)
         assert abs(payload["pohozaev_residual"]) < 0.2
 
+    def test_infinite_scale_rejected(self, capsys):
+        # used to exit 1 with numpy's "Geometric sequence cannot include zero"
+        code, out, err = run_cli(capsys, "bubble-check", "--dim", "5", "--lambda0", "inf")
+        assert (code, out) == (1, "")
+        assert "concentration scale must be positive and finite, got inf" in err
+
 
 class TestSolveCommand:
     def test_auto_schedule_and_output(self, capsys, tmp_path):

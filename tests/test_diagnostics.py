@@ -186,6 +186,21 @@ class TestQuantization:
         with pytest.raises(ValueError):
             quantization_check(5, 0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"budget": math.inf}, "energy budget must be positive and finite"),
+            ({"lambda_inf": math.inf}, "lambda_inf must be positive and finite"),
+            ({"synthetic_bubbles": 2.5}, "synthetic_bubbles must be a positive integer"),
+        ],
+        ids=["infinite-budget", "infinite-lambda-inf", "fractional-bubbles"],
+    )
+    def test_names_bad_input(self, kwargs, match):
+        # these raised a bare OverflowError, a ZeroDivisionError and, for 2.5
+        # bubbles, built three profiles and reported 2.5
+        with pytest.raises(ValueError, match=match):
+            quantization_check(5, **{"budget": 1.0, **kwargs})
+
 
 # Values of the tensor Gauss-Legendre rule before its evaluation was
 # row-blocked; the nodes and weights are unchanged, so only rounding may move.
@@ -266,6 +281,21 @@ class TestMultiBubbleEnergy:
     def test_rejects_bad_profiles(self, centers, scales, match):
         with pytest.raises(ValueError, match=match):
             multi_bubble_energy(5, np.array(centers), np.array(scales))
+
+    @pytest.mark.parametrize(
+        "centers, scales",
+        [([0.0, 1e300], [1.0, 1.0]), ([0.0, 20.0], [1.0, 1e160]), ([0.0, 20.0], [1e-305, 1.0])],
+        ids=["far-center", "large-scale", "small-scale"],
+    )
+    def test_float64_range_is_declared(self, centers, scales):
+        # the far center used to overflow with a RuntimeWarning and return 0.0
+        with pytest.raises(FloatingPointError, match="outside the float64 range"):
+            multi_bubble_energy(5, np.array(centers), np.array(scales))
+
+    def test_rejects_infinite_lambda_inf(self):
+        # used to return 0.0
+        with pytest.raises(ValueError, match="lambda_inf must be positive and finite"):
+            multi_bubble_energy(5, np.array([0.0]), np.array([1.0]), lambda_inf=math.inf)
 
     @pytest.mark.parametrize("ratio", [0.0, np.nan], ids=["zero", "nan"])
     def test_quantization_rejects_bad_scale_ratio(self, ratio):

@@ -522,6 +522,20 @@ class TestMinimizeQuotient:
         qm = minimize_quotient(perturbed_init(1.0), params)
         assert norms(qm.field).energy == pytest.approx(1.0, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "n, exit, iterations, grad_norm",
+        [(5, "converged", 18, 5.97e-10), (7, "stagnated", 157, 6.8e-9)],
+    )
+    def test_records_its_exit(self, n, exit, iterations, grad_norm):
+        # the mode-1 seed at t = 1, alpha = 2, a = 1 on 64 modes: n = 5 gets
+        # below _DESCENT_TOL, n = 7 ends where no halving decreases Q
+        spec = ManifoldSpec(n, 1.0)
+        u_bar, _ = constant_branch(n, 1.0, product_volume(spec))
+        seed = PeriodicField.cosine(spec, u_bar, solver_mod.MODE1_AMPLITUDE, 64)
+        qm = minimize_quotient(seed, OperatorParams(2.0, 1.0))
+        assert (qm.exit, qm.iterations) == (exit, iterations)
+        assert qm.grad_norm == pytest.approx(grad_norm, rel=0.01)
+
     def test_sharp_threshold_flag(self):
         below = minimize_quotient(perturbed_init(1.0), OperatorParams(2.0, 1.0))
         assert below.below_sharp_threshold  # 52.6 < 102.4
@@ -542,7 +556,7 @@ class TestRescale:
         params = OperatorParams(2.0, 1.0)
         qm = QuotientMinimum(
             field=perturbed_init(1.0), lambda_min=1.0, iterations=0, grad_norm=0.0,
-            below_sharp_threshold=True,
+            exit="converged", below_sharp_threshold=True,
         )
         w = rescale_to_solution(qm, params)
         # lambda = 1 leaves the field unchanged before polishing
