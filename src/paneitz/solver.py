@@ -484,7 +484,7 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
     u = _normalize_critical(init)
     q = quotient(u, params)
     grad_norm = math.inf
-    it, exit = 0, "converged"
+    it, how = 0, "converged"
     for it in range(1, _DESCENT_MAX_ITER + 1):
         z = _nonlinear_coeffs(u) / sym   # P^{-1} u_+^(2#-1)
         rho = u.coeffs - q * z
@@ -518,7 +518,7 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
             eta *= 0.5
         if not accepted:
             if grad_norm <= 1e3 * _DESCENT_TOL:
-                exit = "stagnated"
+                how = "stagnated"
                 break
             raise ConvergenceError(
                 f"quotient descent stagnated (gradient norm {grad_norm:.3e})", u, grad_norm
@@ -534,7 +534,7 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
         lambda_min=q,
         iterations=it,
         grad_norm=grad_norm,
-        exit=exit,
+        exit=how,
         below_sharp_threshold=q < k0_inv_sq,
     )
 
