@@ -33,7 +33,6 @@ from .diagnostics import (
     QuantizationReport,
     concentration_points,
     concentration_ratios,
-    hessian_ratio,
     multi_bubble_energy,
     quantization_check,
 )
@@ -49,9 +48,6 @@ from .field import (
 )
 from .geometry import (
     ManifoldSpec,
-    QuadratureGrid,
-    circle_eigenvalue,
-    circle_multiplicity,
     product_volume,
     sphere_spectrum,
     sphere_volume,

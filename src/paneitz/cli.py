@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -29,7 +28,7 @@ from .diagnostics import concentration_ratios
 from .field import PeriodicField, load_field, save_field
 from .geometry import ManifoldSpec, product_volume
 from .solver import ConvergenceError, PositivityError, SolverOptions, mode1_solution, newton_solve
-from .sweep import SweepConfig, emit, quarter_square, run_sweep
+from .sweep import SweepConfig, _json_ready, emit, quarter_square, run_sweep
 
 __all__ = ["main", "build_parser"]
 
@@ -40,12 +39,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _json_ready(value):
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    return value
 
 
 def _print_json(payload: dict) -> None:

@@ -35,7 +35,6 @@ from .quadrature import geometric_edges, panel_rule, refined_axis_edges
 __all__ = [
     "ConcentrationReport",
     "concentration_ratios",
-    "hessian_ratio",
     "concentration_points",
     "QuantizationReport",
     "quantization_check",
@@ -60,25 +59,22 @@ class ConcentrationReport:
     hessian_ratio_over_a: float | None
 
 
-def _argmax_location(u: PeriodicField) -> float:
-    fine = u.fine_values()
-    return float(u.fine_grid()[int(np.argmax(fine))])
-
-
 def concentration_ratios(
     u: PeriodicField, delta: float | None = None, params: OperatorParams | None = None
 ) -> ConcentrationReport:
     """Mass-outside-the-ball ratios around the argmax of the field, for the
     ball of radius ``delta`` (default L/8).
 
-    When ``params`` is given, the Hessian ratio of the same ball is attached
-    (raw and divided by the zeroth-order coefficient).
+    When ``params`` is given, the Hessian ratio of the same ball is attached:
+    complement Hessian mass over total L2 mass, raw and divided by a.  Along
+    a concentrating family the normalized value is the decaying quantity; a
+    single evaluation is just a number.
     """
     report = norms(u)
     if report.l2 == 0.0:
         raise ValueError("ratios undefined for the zero field")
     delta = _ball_radius(u.spec, delta)
-    s_star = _argmax_location(u)
+    s_star = float(u.fine_grid()[int(np.argmax(u.fine_values()))])
     ball_l2 = localized_mass(u, s_star, delta, "l2")
     r_l2 = (report.l2 - ball_l2) / report.l2
     gradless = report.grad_l2 <= _GRADLESS * report.l2 / u.spec.t**2
@@ -92,7 +88,9 @@ def concentration_ratios(
         r_weak = out_grad / report.l2
     hess = hess_over_a = None
     if params is not None:
-        hess, hess_over_a = hessian_ratio(u, params, delta, center=s_star)
+        ball_hess = localized_mass(u, s_star, delta, "hess_l2")
+        hess = max(report.hess_l2 - ball_hess, 0.0) / report.l2
+        hess_over_a = hess / params.a_alpha
     return ConcentrationReport(
         s_star=s_star,
         delta=delta,
@@ -104,24 +102,6 @@ def concentration_ratios(
         hessian_ratio=hess,
         hessian_ratio_over_a=hess_over_a,
     )
-
-
-def hessian_ratio(
-    u: PeriodicField, params: OperatorParams, delta: float, center: float | None = None
-) -> tuple[float, float]:
-    """Complement Hessian mass over total L2 mass, raw and divided by a.
-
-    Along a concentrating family the normalized value is the decaying
-    quantity; a single evaluation is just a number.
-    """
-    report = norms(u)
-    if report.l2 == 0.0:
-        raise ValueError("ratio undefined for the zero field")
-    if center is None:
-        center = _argmax_location(u)
-    ball_hess = localized_mass(u, center, delta, "hess_l2")
-    value = max(report.hess_l2 - ball_hess, 0.0) / report.l2
-    return value, value / params.a_alpha
 
 
 def concentration_points(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import OperatorParams, critical_exponent
-from .geometry import ManifoldSpec, QuadratureGrid, sphere_volume
+from .geometry import ManifoldSpec, sphere_volume
 
 __all__ = [
     "PeriodicField",
@@ -139,8 +139,8 @@ class PeriodicField:
 
     @classmethod
     def from_function(cls, spec: ManifoldSpec, fn, modes: int = 64) -> "PeriodicField":
-        grid = QuadratureGrid(spec.period, modes)
-        return cls.from_values(spec, np.asarray(fn(grid.points), dtype=float))
+        """Samples fn(s_j) at the grid points s_j = j L / N, N = ``modes``."""
+        return cls.from_values(spec, fn(np.arange(modes) * (spec.period / modes)))
 
     # --- basic views ----------------------------------------------------
 
@@ -194,10 +194,6 @@ class PeriodicField:
         if order % 2 == 1:
             mult[-1] = 0.0  # odd derivative of the Nyquist cosine
         return PeriodicField(self.spec, self.coeffs * mult)
-
-    def laplacian(self) -> "PeriodicField":
-        """Delta u with Delta = -d^2/ds^2 (geometer sign)."""
-        return PeriodicField(self.spec, self.coeffs * self.wavenumbers() ** 2)
 
     def shift(self, s0: float) -> "PeriodicField":
         """The translate s -> u(s + s0)."""

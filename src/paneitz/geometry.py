@@ -1,9 +1,10 @@
-"""Model manifolds: the circle S^1(t), round spheres, and the product S^1(t) x S^(n-1).
+"""Model manifolds: round spheres and the product S^1(t) x S^(n-1).
 
-All Laplacians use the geometer sign convention Delta = -div grad, so the
-spectra below are nonnegative.  Solution fields are circle-reduced (constant
-on the sphere factor); the sphere enters through its volume and, for
-reporting only, its spectrum.
+Laplacians use the geometer sign convention Delta = -div grad, so spectra
+are nonnegative.  Solution fields are circle-reduced (constant on the sphere
+factor); the sphere enters through its volume and, for reporting only, its
+spectrum.  The circle modes enter only through the symbol of P
+(``solver._symbol``).
 """
 
 from __future__ import annotations
@@ -11,13 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "ManifoldSpec",
-    "QuadratureGrid",
-    "circle_eigenvalue",
-    "circle_multiplicity",
     "sphere_spectrum",
     "sphere_volume",
     "product_volume",
@@ -49,43 +45,6 @@ class ManifoldSpec:
     @property
     def sphere_dim(self) -> int:
         return self.n - 1
-
-
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Uniform arc-length grid s_j = j L / N with weights L / N.
-
-    The uniform rule is spectrally accurate for smooth periodic integrands
-    and exact for trigonometric polynomials of degree < N.
-    """
-
-    length: float
-    size: int
-
-    def __post_init__(self):
-        if not self.length > 0:
-            raise ValueError("grid length must be positive")
-        if self.size < 16 or self.size % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 16, got {self.size}")
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.arange(self.size) * (self.length / self.size)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.size, self.length / self.size)
-
-
-def circle_eigenvalue(spec: ManifoldSpec, m: int) -> float:
-    """Eigenvalue (m/t)^2 of Delta on the circle factor, mode index m >= 0."""
-    if m < 0:
-        raise ValueError("mode index must be >= 0")
-    return (m / spec.t) ** 2
-
-
-def circle_multiplicity(m: int) -> int:
-    return 1 if m == 0 else 2
 
 
 def sphere_spectrum(d: int, lmax: int) -> list[tuple[int, int]]:

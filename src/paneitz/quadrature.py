@@ -72,7 +72,9 @@ def refined_axis_edges(centers, scales, lo: float, hi: float) -> np.ndarray:
 
     Around center i the first panel boundary sits at distance 0.25/scales[i],
     then doubles outward.  Used to resolve features of very different widths
-    on a single axis.
+    on a single axis.  Edges within 4 float64 spacings of their neighbour are
+    merged; a first panel no wider than that at its center raises
+    ``FloatingPointError``, since the profile could not be resolved there.
     """
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"need finite bounds lo < hi, got lo={lo}, hi={hi}")
@@ -83,6 +85,10 @@ def refined_axis_edges(centers, scales, lo: float, hi: float) -> np.ndarray:
         raise ValueError(f"refinement scales must be positive and finite, got {scales}")
     edges = {float(lo), float(hi)}
     for c, s in zip(centers, scales):
+        if not 0.25 / s > 4.0 * np.spacing(abs(float(c))):
+            raise FloatingPointError(
+                f"refinement scale {s:.6g} at center {c:.6g} is finer than the float64 spacing there"
+            )
         if lo < c < hi:
             edges.add(float(c))
         off = 0.25 / s
@@ -93,5 +99,5 @@ def refined_axis_edges(centers, scales, lo: float, hi: float) -> np.ndarray:
             off *= 2.0
     out = np.array(sorted(edges))
     # drop near-duplicate edges, which would create zero-width panels
-    keep = np.concatenate([[True], np.diff(out) > 1e-13 * max(1.0, hi - lo)])
-    return out[keep]
+    gap = 4.0 * np.spacing(np.maximum(np.abs(out[:-1]), np.abs(out[1:])))
+    return out[np.concatenate([[True], np.diff(out) > gap])]

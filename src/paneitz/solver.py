@@ -123,8 +123,10 @@ class Solution:
 # --- residual ----------------------------------------------------------------
 
 
-def _symbol(u: PeriodicField, params: OperatorParams) -> np.ndarray:
-    mu = u.wavenumbers() ** 2
+def _symbol(spec: ManifoldSpec, params: OperatorParams, m):
+    """Symbol sigma_m = mu^2 + alpha mu + a of P on circle mode m (int or
+    array), mu = (m/t)^2."""
+    mu = (m / spec.t) ** 2
     return mu * mu + params.alpha * mu + params.a_alpha
 
 
@@ -137,7 +139,8 @@ def _nonlinear_coeffs(u: PeriodicField) -> np.ndarray:
 
 def residual(u: PeriodicField, params: OperatorParams) -> PeriodicField:
     """F(u) = Delta^2 u + alpha Delta u + a u - u_+^(2#-1)."""
-    return PeriodicField(u.spec, _symbol(u, params) * u.coeffs - _nonlinear_coeffs(u))
+    sym = _symbol(u.spec, params, np.arange(u.coeffs.size))
+    return PeriodicField(u.spec, sym * u.coeffs - _nonlinear_coeffs(u))
 
 
 # --- Newton ------------------------------------------------------------------
@@ -200,7 +203,7 @@ def linearized_operator(u: PeriodicField, params: OperatorParams) -> np.ndarray:
     cross = (amp / math.sqrt(2.0))[:, None] * (np.sign(diff) * im[near] - im[far])
     jac[:half, half:] = cross[:, 1:-1]
     jac[half:, :half] = cross[:, 1:-1].T
-    sym = _symbol(u, params)
+    sym = _symbol(u.spec, params, k)
     jac.flat[:: n + 1] += np.concatenate([sym, sym[1:-1]])
     return jac
 
@@ -211,7 +214,7 @@ def _jacobian_action(u: PeriodicField, params: OperatorParams):
     Galerkin projection of w times the zero-padded field, O(N log N) per
     product."""
     weight = _jacobian_weight(u)
-    sym = _symbol(u, params)
+    sym = _symbol(u.spec, params, np.arange(u.coeffs.size))
     nf, n = weight.size, u.modes
 
     def apply(x: np.ndarray) -> np.ndarray:
@@ -284,7 +287,7 @@ def _solve_krylov(u: PeriodicField, params: OperatorParams, rhs: np.ndarray) -> 
     about ten iterations at every N.  The translation mode u' is odd, so the
     even system needs no phase condition.  A singular or unconverged system
     raises a named ``np.linalg.LinAlgError``."""
-    scale = 1.0 / np.sqrt(_symbol(u, params))
+    scale = 1.0 / np.sqrt(_symbol(u.spec, params, np.arange(rhs.size)))
     jac = _jacobian_action(u, params)
     return _from_real(scale * _gmres(lambda z: scale * jac(scale * z), scale * _to_real(rhs)))
 
@@ -476,7 +479,7 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
         raise ValueError("initial guess must be nonzero")
     spec = init.spec
     two_sharp = critical_exponent(spec.n)
-    sym = _symbol(init, params)
+    sym = _symbol(spec, params, np.arange(init.coeffs.size))
     counts = _pair_counts(init.coeffs.size)
     volume = product_volume(spec)
     pair_weights = volume * _parseval_weights(init.coeffs.size) * sym
@@ -587,11 +590,9 @@ def linearized_spectrum(sol: Solution, kmax: int | None = None) -> np.ndarray:
 
 
 def constant_eigenvalue(spec: ManifoldSpec, params: OperatorParams, m):
-    """Eigenvalue mu^2 + alpha mu + a - (2#-1) a, mu = (m/t)^2, of the
-    linearization at the constant solution on circle mode m (int or array)."""
-    mu = (m / spec.t) ** 2
-    shift = (critical_exponent(spec.n) - 1.0) * params.a_alpha
-    return mu * mu + params.alpha * mu + params.a_alpha - shift
+    """Eigenvalue sigma_m - (2#-1) a of the linearization at the constant
+    solution on circle mode m (int or array), sigma_m the ``_symbol``."""
+    return _symbol(spec, params, m) - (critical_exponent(spec.n) - 1.0) * params.a_alpha
 
 
 def bifurcation_alpha(n: int, t: float, m: int) -> float:

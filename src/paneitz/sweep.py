@@ -123,7 +123,7 @@ def _nonconstant_solution(
             sol = branch_continuation(prev, params, config.solver)
             if not sol.is_constant:
                 return sol
-        except (ConvergenceError, PositivityError):
+        except ConvergenceError:  # branch_continuation re-raises PositivityError as this
             pass
     try:
         sol = mode1_solution(config.spec, params, config.solver)
@@ -212,6 +212,13 @@ def _csv_cell(value) -> str:
     return format(value, ".17g")
 
 
+def _json_ready(value):
+    """NaN -> None, so an undefined diagnostic is null in JSON."""
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
+
+
 def emit(records: Sequence[SweepRecord], fmt: str = "csv", path=None) -> str:
     """Render records as CSV (fixed header) or JSON; deterministic bytes.
 
@@ -226,14 +233,7 @@ def emit(records: Sequence[SweepRecord], fmt: str = "csv", path=None) -> str:
             lines.append(",".join(_csv_cell(v) for v in _record_fields(r)))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        rows = []
-        for r in records:
-            row = {}
-            for key, value in zip(CSV_COLUMNS, _record_fields(r)):
-                if isinstance(value, float) and math.isnan(value):
-                    value = None
-                row[key] = value
-            rows.append(row)
+        rows = [{k: _json_ready(v) for k, v in zip(CSV_COLUMNS, _record_fields(r))} for r in records]
         text = json.dumps(rows, indent=2) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")

@@ -8,7 +8,6 @@ from paneitz.constants import OperatorParams, critical_exponent
 from paneitz.diagnostics import (
     concentration_points,
     concentration_ratios,
-    hessian_ratio,
     multi_bubble_energy,
     quantization_check,
 )
@@ -90,8 +89,8 @@ class TestHessianRatio:
     def test_constant_is_zero(self):
         params = OperatorParams(2.0, 1.0)
         u = PeriodicField.constant(SPEC, 1.0, 32)
-        value, over_a = hessian_ratio(u, params, L / 8)
-        assert value == 0.0 and over_a == 0.0
+        rep = concentration_ratios(u, L / 8, params)
+        assert rep.hessian_ratio == 0.0 and rep.hessian_ratio_over_a == 0.0
 
     def test_mode_one_closed_form(self):
         # u = 1 + eps cos(s/t): complement Hessian mass over total L2 mass
@@ -103,9 +102,13 @@ class TestHessianRatio:
         # int_{|s|>delta} cos^2 = pi - (delta + sin(2 delta)/2)
         comp = math.pi - (delta + math.sin(2 * delta) / 2.0)
         expected = (eps**2 * kap**4 * comp) / (L * (1 + eps**2 / 2.0))
-        value, over_a = hessian_ratio(u, params, delta)
-        assert value == pytest.approx(expected, rel=1e-8)
-        assert over_a == pytest.approx(expected / params.a_alpha, rel=1e-8)
+        rep = concentration_ratios(u, delta, params)
+        assert rep.hessian_ratio == pytest.approx(expected, rel=1e-8)
+        assert rep.hessian_ratio_over_a == pytest.approx(expected / params.a_alpha, rel=1e-8)
+
+    def test_absent_without_params(self):
+        rep = concentration_ratios(PeriodicField.constant(SPEC, 1.0, 32), L / 8)
+        assert rep.hessian_ratio is None and rep.hessian_ratio_over_a is None
 
 
 class TestConcentrationPoints:
@@ -291,6 +294,26 @@ class TestMultiBubbleEnergy:
         # the far center used to overflow with a RuntimeWarning and return 0.0
         with pytest.raises(FloatingPointError, match="outside the float64 range"):
             multi_bubble_energy(5, np.array(centers), np.array(scales))
+
+    def test_narrow_profile_is_kept(self):
+        # edges merged below an absolute 1e-13 (hi - lo) once dropped a profile
+        # this narrow: -49.96% of two quanta at (1, 1e12), -77% alone at 1e14
+        quantum = expected_bubble_energy(5)
+        two = multi_bubble_energy(5, np.array([0.0, 20.0]), np.array([1.0, 1e12]))
+        assert two / (2 * quantum) - 1 == pytest.approx(0.0, abs=1e-3)
+        one = multi_bubble_energy(5, np.array([0.0]), np.array([1e14]))
+        assert one == pytest.approx(quantum, rel=1e-11)
+
+    def test_four_scale_quantization(self):
+        # scales 1, 1e4, 1e8, 1e12: read -24.6% while the 1e12 profile vanished
+        rep = quantization_check(5, 1.0, synthetic_bubbles=4)
+        assert abs(rep.synthetic_rel_dev) <= 0.01 and rep.synthetic_ok
+
+    def test_unresolvable_profile_raises(self):
+        # at center 20 a first panel of 0.25/1e14 is below 4 float64 spacings;
+        # the merge would otherwise drop the profile and read +3.3%
+        with pytest.raises(FloatingPointError, match="finer than the float64 spacing"):
+            multi_bubble_energy(5, np.array([0.0, 20.0]), np.array([1.0, 1e14]))
 
     def test_rejects_infinite_lambda_inf(self):
         # used to return 0.0

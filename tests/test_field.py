@@ -79,6 +79,17 @@ class TestPeriodicField:
         kap = u.wavenumbers()
         assert kap[1] == 1.0 and kap[47] == 47.0 and kap[48] == 48.0
 
+    def test_from_function_samples_the_grid(self):
+        u = PeriodicField.from_function(SPEC, lambda s: np.exp(np.sin(s)), 64)
+        assert u.grid[0] == 0.0 and u.grid.size == 64
+        assert np.diff(u.grid) == pytest.approx(np.full(63, L / 64), rel=1e-13)
+        assert np.array_equal(u.values, np.exp(np.sin(u.grid)))
+
+    def test_rejects_odd_or_small(self):
+        for modes in (15, 8):
+            with pytest.raises(ValueError):
+                PeriodicField.from_function(SPEC, np.cos, modes)
+
     def test_cosine_seed(self):
         u = PeriodicField.cosine(SPEC, 2.0, 0.1, 32)
         s = u.grid
@@ -119,8 +130,8 @@ class TestPeriodicField:
         kap = 2 * math.pi / L
         s = u.grid
         assert np.max(np.abs(u.derivative(1).values + kap * np.sin(kap * s))) < 1e-12
-        # geometer sign: Delta cos = +kap^2 cos
-        assert np.max(np.abs(u.laplacian().values - kap**2 * np.cos(kap * s))) < 1e-12
+        # geometer sign: Delta cos = -cos'' = +kap^2 cos
+        assert np.max(np.abs(-u.derivative(2).values - kap**2 * np.cos(kap * s))) < 1e-12
 
 
 class TestNorms:
@@ -151,6 +162,18 @@ class TestNorms:
         assert rep.pairing == pytest.approx(
             rep.hess_l2 + params.alpha * rep.grad_l2 + params.a_alpha * rep.l2, rel=1e-13
         )
+
+    def test_l2_exact_for_trig_polynomials(self, rng):
+        # the uniform rule integrates squares of degree < N/2 polynomials exactly
+        spec = ManifoldSpec(5, 0.7)
+        length, degree = spec.period, 15
+        coeffs = rng.normal(size=degree + 1)
+
+        def fn(s):
+            return sum(c * np.cos(2 * math.pi * k * s / length + 0.1 * k) for k, c in enumerate(coeffs))
+
+        exact = length * (coeffs[0] ** 2 + 0.5 * np.sum(coeffs[1:] ** 2))
+        assert norms(PeriodicField.from_function(spec, fn, 32)).l2 == pytest.approx(OMEGA4 * exact, rel=1e-12)
 
     def test_parseval_against_grid_quadrature(self, rng):
         # quadrature must resolve u^2, hence the oversampled grid

@@ -1,13 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
 from paneitz.geometry import (
     ManifoldSpec,
-    QuadratureGrid,
-    circle_eigenvalue,
-    circle_multiplicity,
     product_volume,
     sphere_spectrum,
     sphere_volume,
@@ -30,29 +26,6 @@ class TestManifoldSpec:
     def test_rejects_bad_input(self, n, t):
         with pytest.raises(ValueError):
             ManifoldSpec(n, t)
-
-
-class TestCircleSpectrum:
-    def test_values(self):
-        assert circle_eigenvalue(ManifoldSpec(5, 1.0), 0) == 0.0
-        assert circle_eigenvalue(ManifoldSpec(5, 1.0), 3) == 9.0
-        assert circle_eigenvalue(ManifoldSpec(5, 0.5), 1) == 4.0
-
-    def test_multiplicity(self):
-        assert circle_multiplicity(0) == 1
-        assert circle_multiplicity(7) == 2
-
-    def test_monotone_and_scaling(self):
-        spec1 = ManifoldSpec(5, 1.0)
-        spec_t = ManifoldSpec(5, 0.37)
-        eigs = [circle_eigenvalue(spec1, m) for m in range(8)]
-        assert all(b > a for a, b in zip(eigs, eigs[1:]))
-        for m in range(8):
-            assert circle_eigenvalue(spec_t, m) == pytest.approx(eigs[m] / 0.37**2, rel=1e-14)
-
-    def test_negative_mode_rejected(self):
-        with pytest.raises(ValueError):
-            circle_eigenvalue(ManifoldSpec(5, 1.0), -1)
 
 
 class TestSphere:
@@ -87,30 +60,3 @@ class TestProductVolume:
         assert product_volume(ManifoldSpec(n, 2 * t)) == pytest.approx(
             2 * product_volume(ManifoldSpec(n, t)), rel=1e-14
         )
-
-
-class TestQuadratureGrid:
-    def test_weights_sum_to_length(self):
-        grid = QuadratureGrid(2 * math.pi, 64)
-        assert grid.weights.sum() == pytest.approx(2 * math.pi, rel=1e-15)
-        assert grid.points[0] == 0.0
-        assert grid.points.size == 64
-
-    def test_rejects_odd_or_small(self):
-        with pytest.raises(ValueError):
-            QuadratureGrid(1.0, 15)
-        with pytest.raises(ValueError):
-            QuadratureGrid(1.0, 8)
-
-    def test_exact_for_squared_trig_polynomials(self, rng):
-        # uniform rule integrates squares of degree < N/2 polynomials exactly
-        L, N = 2 * math.pi * 0.7, 32
-        grid = QuadratureGrid(L, N)
-        s = grid.points
-        degree = N // 2 - 1
-        coeffs = rng.normal(size=degree + 1)
-        vals = np.zeros_like(s)
-        for k, c in enumerate(coeffs):
-            vals += c * np.cos(2 * math.pi * k * s / L + 0.1 * k)
-        exact = L * (coeffs[0] ** 2 + 0.5 * np.sum(coeffs[1:] ** 2))
-        assert float(np.sum(grid.weights * vals**2)) == pytest.approx(exact, rel=1e-12)

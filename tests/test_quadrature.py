@@ -115,3 +115,16 @@ def test_refined_axis_edges_refine_toward_centers():
     assert np.all(np.diff(edges) > 0)
     assert edges[0] == -1.0 and edges[-1] == 1.0
     np.testing.assert_array_equal(edges[4:7], [-0.0625, 0.0, 0.0625])
+
+
+def test_refined_axis_edges_keep_edges_spacings_apart():
+    # a panel of 2.5e-13 at x = 20 is ~70 float64 spacings wide: kept, while
+    # the old absolute threshold 1e-13 (hi - lo) merged every such edge
+    edges = refined_axis_edges([20.0], [1e12], -300.0, 320.0)
+    assert np.all(np.diff(edges) > 0)
+    assert {20.0 - 2.5e-13, 20.0, 20.0 + 2.5e-13} <= set(edges.tolist())
+
+
+def test_refined_axis_edges_reject_panels_below_the_spacing():
+    with pytest.raises(FloatingPointError, match="finer than the float64 spacing"):
+        refined_axis_edges([20.0], [1e14], -300.0, 320.0)

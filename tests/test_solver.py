@@ -434,7 +434,7 @@ def reference_descent(init, params, steps):
     """The first ``steps`` iterates of the quotient descent with the line
     search that normalizes each trial field and takes its quotient from
     ``norms``, as two fresh fields per trial."""
-    sym = _symbol(init, params)
+    sym = _symbol(init.spec, params, np.arange(init.coeffs.size))
     u = _normalize_critical(init)
     q = quotient(u, params)
     iterates = []
@@ -638,6 +638,29 @@ class TestLinearization:
         assert np.max(np.abs(op - fd)) < 1e-8 * np.max(np.abs(op))
 
 
+class TestConstantEigenvalue:
+    def test_circle_mode_values(self):
+        # sigma_m - (2# - 1) a with mu = (m/t)^2; at n = 5, alpha = 2, a = 1:
+        # mu^2 + 2 mu + 1 - 9, exact in float64
+        params = OperatorParams(2.0, 1.0)
+        assert constant_eigenvalue(ManifoldSpec(5, 1.0), params, 0) == -8.0
+        assert constant_eigenvalue(ManifoldSpec(5, 1.0), params, 3) == 91.0
+        assert constant_eigenvalue(ManifoldSpec(5, 0.5), params, 1) == 16.0
+        # an int mode and an array of modes take the same operations
+        assert constant_eigenvalue(SPEC, params, np.arange(4))[1] == constant_eigenvalue(SPEC, params, 1)
+
+    def test_monotone_and_scaling_in_t(self):
+        # the mode enters only through m/t: circle eigenvalues scale as 1/t^2
+        params = OperatorParams(2.0, 1.0)
+        eigs = constant_eigenvalue(SPEC, params, np.arange(8))
+        assert np.all(np.diff(eigs) > 0)
+        np.testing.assert_allclose(
+            constant_eigenvalue(ManifoldSpec(5, 0.37), params, np.arange(8)),
+            constant_eigenvalue(SPEC, params, np.arange(8) / 0.37),
+            rtol=1e-14,
+        )
+
+
 class TestBifurcationAlpha:
     def test_closed_form_values(self):
         assert bifurcation_alpha(5, 1.0, 1) == pytest.approx(1.0, rel=1e-14)
@@ -649,9 +672,7 @@ class TestBifurcationAlpha:
         # at alpha*, the mode-1 eigenvalue of the constant branch vanishes
         t = 0.8
         alpha = bifurcation_alpha(n, t, 1)
-        mu = (1.0 / t) ** 2
-        p = critical_exponent(n)
-        val = mu * mu + alpha * mu - (p - 2.0) * alpha * alpha / 4.0
+        val = constant_eigenvalue(ManifoldSpec(n, t), OperatorParams(alpha, alpha * alpha / 4.0), 1)
         assert val == pytest.approx(0.0, abs=1e-10 * alpha * alpha)
 
     def test_rejects_zero_mode(self):

@@ -1,12 +1,18 @@
 """The benchmark's span tracer binds every function it names.
 
-``perfbench/tracing.py`` patches functions of the package by name, so a
-deleted or renamed function fails here instead of in a traced benchmark run.
+``perfbench/tracing.py`` patches functions of the package by name, and counts
+the calls of every name in some modules' ``__all__``, so a deleted or renamed
+function fails here instead of in a traced benchmark run.
 """
 
+import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
+import pytest
+
+import paneitz
 import paneitz.cli  # noqa: F401  (the package __init__ does not import it)
 from paneitz import solver
 
@@ -30,3 +36,10 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert solver.newton_solve is original
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(paneitz.__path__)))
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"paneitz.{name}")
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert not missing, f"paneitz.{name}.__all__ names {missing}"
