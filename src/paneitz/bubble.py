@@ -217,6 +217,8 @@ def pde_residual(
     """
     if rmax <= 0:
         raise ValueError("rmax must be positive")
+    if gridsize < 1:
+        raise ValueError(f"gridsize must be at least 1, got {gridsize}")
     f = field if field is not None else bubble_field(params)
     if f.bilaplacian is None:
         raise ValueError("pde_residual needs a closed-form bilaplacian callback")
@@ -224,9 +226,11 @@ def pde_residual(
         [[0.0], np.geomspace(min(1e-3 / params.lambda0, rmax / 2), rmax, gridsize - 1)]
     )
     v = np.asarray(f.value(r), dtype=float)
-    if np.any(v <= 0):
+    if np.any(v < 0):
         raise ValueError("residual normalization requires a positive field")
     rhs = params.lambda_inf * v ** (params.two_sharp - 1.0)
+    if not np.all(rhs > 0):
+        raise FloatingPointError("residual normalization lambda_inf v^(2#-1) underflows float64")
     lhs = np.asarray(f.bilaplacian(r), dtype=float)
     return float(np.max(np.abs(lhs - rhs) / rhs))
 
@@ -293,10 +297,13 @@ def pohozaev_identity_residual(w: RadialField, rmax: float = 40.0) -> float:
     meas = r ** (n - 1)
     omega = sphere_volume(n - 1)
     g1 = np.asarray(w.bilaplacian(r)) * r * np.asarray(w.deriv1(r)) * meas
-    g2 = np.asarray(w.laplacian(r)) ** 2 * meas
+    lap = np.asarray(w.laplacian(r))
+    g2 = lap**2 * meas
     i1 = omega * float(np.sum(wq * g1))
     i2 = omega * float(np.sum(wq * g2))
     if i2 == 0.0:
+        if np.any(lap != 0.0):
+            raise FloatingPointError("identity normalization int (Delta w)^2 dx underflows float64")
         raise ValueError("identity normalization requires a nonzero Laplacian")
     # tail check: contribution of the outer half of the domain
     outer = r > rmax / 2

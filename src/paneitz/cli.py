@@ -163,12 +163,19 @@ def _cmd_constants(args) -> int:
 
 def _cmd_bubble_check(args) -> int:
     params = bubble_mod.BubbleParams(n=args.dim, lambda0=args.lambda0)
-    residual_sup = bubble_mod.pde_residual(params, rmax=args.rmax, gridsize=args.gridsize)
-    energy = bubble_mod.bubble_energy(params)
+    # the checks work in powers of lambda0; one that overflows, or a
+    # normalization that underflows, puts the scale outside float64
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            residual_sup = bubble_mod.pde_residual(params, rmax=args.rmax, gridsize=args.gridsize)
+            energy = bubble_mod.bubble_energy(params)
+            poh = bubble_mod.pohozaev_identity_residual(
+                bubble_mod.bubble_field(params), rmax=args.rmax
+            )
+    except (OverflowError, FloatingPointError) as exc:
+        why = f"concentration scale {args.lambda0!r} for n={args.dim} is outside the float64 range ({exc})"
+        raise FloatingPointError(why) from None
     expected = bubble_mod.expected_bubble_energy(args.dim)
-    poh = bubble_mod.pohozaev_identity_residual(
-        bubble_mod.bubble_field(params), rmax=args.rmax
-    )
     _print_json(
         {
             "residual_sup": residual_sup,

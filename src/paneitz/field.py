@@ -362,7 +362,10 @@ def load_field(path) -> PeriodicField:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "#":
             raise ValueError(f"bad field file header in {path}: expected '{_HEADER}'")
-        n, t, size = int(header[1]), float(header[2]), int(header[3])
+        try:
+            spec, size = ManifoldSpec(int(header[1]), float(header[2])), int(header[3])
+        except ValueError as exc:
+            raise ValueError(f"bad field file header in {path}: {exc}") from None
         line_numbers, samples = [], []
         for number, line in enumerate(fh, start=2):
             cols = line.split()
@@ -382,4 +385,4 @@ def load_field(path) -> PeriodicField:
     if bad.size:
         k = bad[0]
         raise ValueError(f"{path}, line {line_numbers[k]}: sample {samples[k]!r} is not a finite number")
-    return PeriodicField.from_values(ManifoldSpec(n, t), vals)
+    return PeriodicField.from_values(spec, vals)

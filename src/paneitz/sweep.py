@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from .constants import OperatorParams, constant_branch, sharp_constant
 from .diagnostics import concentration_ratios
-from .field import PeriodicField
+from .field import PeriodicField, _ball_radius
 from .geometry import ManifoldSpec, product_volume
 from .solver import (
     ConvergenceError,
@@ -53,7 +53,8 @@ def quarter_square(alpha: float) -> float:
 @dataclass(frozen=True)
 class SweepConfig:
     """Sweep grid and options; ``params`` holds the operator of each grid
-    alpha, built (and so checked against 0 < a <= alpha^2/4) at construction."""
+    alpha, built (and so checked against 0 < a <= alpha^2/4) at construction,
+    and ``delta`` is checked against 0 < delta < L/2 there too."""
 
     spec: ManifoldSpec
     alphas: tuple[float, ...]
@@ -74,6 +75,7 @@ class SweepConfig:
                 params.append(OperatorParams(alpha, self.schedule(alpha)))
             except ValueError as exc:
                 raise ValueError(f"grid point alpha={alpha}: {exc}") from None
+        _ball_radius(self.spec, self.delta)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "params", tuple(params))
 

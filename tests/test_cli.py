@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -64,6 +65,50 @@ class TestBubbleCheckCommand:
         code, out, err = run_cli(capsys, "bubble-check", "--dim", "5", "--lambda0", "inf")
         assert (code, out) == (1, "")
         assert "concentration scale must be positive and finite, got inf" in err
+
+    @pytest.mark.parametrize(
+        "n, scale, cause",
+        [
+            # the Python-float lam**4 of the bi-Laplacian raised OverflowError
+            (12, "1e80", "Numerical result out of range"),
+            # these exited 1 ("requires a positive field", "nonzero Laplacian")
+            # after numpy RuntimeWarnings
+            (5, "1e160", "overflow"),
+            (5, "1e-200", "underflows float64"),
+            (5, "1e-70", "underflows float64"),
+        ],
+    )
+    def test_scale_outside_float64_is_numerical_failure(self, capsys, n, scale, cause):
+        code, out, err = run_cli(capsys, "bubble-check", "--dim", str(n), "--lambda0", scale)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"paneitz bubble-check: numerical failure: concentration scale {float(scale)!r} "
+            f"for n={n} is outside the float64 range ("
+        )
+        assert cause in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [5, 6, 8, 12])
+    def test_scale_scan_ends_verified_or_named(self, capsys, n):
+        # every finite scale ends in a report (exit 0) or a named numerical
+        # failure (exit 2); the one warning is the documented slow decay
+        for scale in np.logspace(-300, 300, 31).tolist():
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                code, out, err = run_cli(capsys, "bubble-check", "--dim", str(n), "--lambda0", repr(scale))
+            assert code in (0, 2), (scale, err)
+            assert all(str(w.message).startswith("slow decay") for w in seen), (scale, seen)
+            if code == 0:
+                payload = json.loads(out)
+                assert all(np.isfinite(v) for v in payload.values()), (scale, payload)
+                assert err == ""
+            else:
+                assert "outside the float64 range" in err and err.count("\n") == 1, (scale, err)
+
+    def test_gridsize_zero_is_named(self, capsys):
+        # used to exit 1 with numpy's "Number of samples, -1, must be non-negative"
+        code, out, err = run_cli(capsys, "bubble-check", "--dim", "5", "--gridsize", "0")
+        assert (code, out) == (1, "")
+        assert err == "paneitz bubble-check: error: gridsize must be at least 1, got 0\n"
 
 
 class TestSolveCommand:
@@ -186,6 +231,19 @@ class TestSweepCommand:
         )
         assert code == 1
         assert "alpha^2/4" in err
+
+    def test_bad_ball_radius_rejected_before_any_solve(self, capsys, tmp_path, monkeypatch):
+        # used to solve the first row and only then exit 1
+        def no_solve(*args):
+            raise AssertionError("solved a row")
+
+        monkeypatch.setattr("paneitz.sweep.newton_solve", no_solve)
+        monkeypatch.setattr("paneitz.sweep.mode1_solution", no_solve)
+        out = tmp_path / "s.csv"
+        code, _, err = run_cli(capsys, "sweep", "--dim", "5", "--delta", "100", "--out", str(out))
+        assert code == 1
+        assert "delta must lie in (0, L/2)" in err
+        assert not out.exists()
 
     # Regression: a halved continuation substep used to look its alpha up in
     # the file's table and crash with "KeyError: 9.0".
@@ -370,6 +428,15 @@ class TestDiagnoseCommand:
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (1, "")
             assert f"paneitz {argv[0]}: error: {path}, line 6: " in err and why in err
+
+    def test_bad_header_value_is_domain_error(self, capsys, tmp_path):
+        # used to exit 1 with "invalid literal for int() with base 10: 'abc'",
+        # naming no file
+        path = tmp_path / "bad.field"
+        path.write_text("# 5 1 abc\n" + "0 1\n" * 16)
+        code, out, err = run_cli(capsys, "diagnose", str(path), "--alpha", "2")
+        assert (code, out) == (1, "")
+        assert err == f"paneitz diagnose: error: bad field file header in {path}: invalid literal for int() with base 10: 'abc'\n"
 
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "diagnose", "missing.field", "--alpha", "2")

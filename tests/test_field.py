@@ -249,6 +249,20 @@ class TestFieldFiles:
             load_field(path)
 
     @pytest.mark.parametrize(
+        "header, why",
+        [
+            ("# 5 1 abc", "invalid literal for int() with base 10: 'abc'"),
+            ("# 5.5 1 16", "invalid literal for int() with base 10: '5.5'"),
+            ("# 4 1 16", "total dimension must be an integer >= 5, got 4"),
+        ],
+    )
+    def test_bad_header_value_names_the_file(self, tmp_path, header, why):
+        path = tmp_path / "u.field"
+        path.write_text(header + "\n" + "0 1\n" * 16)
+        with pytest.raises(ValueError, match=re.escape(f"bad field file header in {path}: {why}")):
+            load_field(path)
+
+    @pytest.mark.parametrize(
         "row, why",
         [
             ("0.5", "expected two columns"),

@@ -54,6 +54,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SweepConfig(spec=SPEC, alphas=(2.0, 1.0))
 
+    @pytest.mark.parametrize("delta", [0.0, 100.0, math.nan])
+    def test_rejects_ball_radius_outside_half_circle(self, delta):
+        # caught at construction, not after the first row is solved
+        with pytest.raises(ValueError, match="delta must lie in"):
+            SweepConfig(spec=SPEC, alphas=(2.0, 4.0), delta=delta)
+
     def test_default_ball_radius(self, short_records):
         # delta=None is the ball of radius L/8, bit for bit
         config = SweepConfig(spec=SPEC, alphas=(2.0,), delta=SPEC.period / 8.0)
