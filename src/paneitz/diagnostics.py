@@ -28,7 +28,7 @@ import numpy as np
 
 from .bubble import BubbleParams, expected_bubble_energy
 from .constants import OperatorParams, critical_exponent
-from .field import PeriodicField, _ball_radius, localized_mass, norms
+from .field import PeriodicField, _ball_masses, _ball_radius, localized_mass, norms
 from .geometry import sphere_volume
 from .quadrature import geometric_edges, panel_rule, refined_axis_edges
 
@@ -75,20 +75,18 @@ def concentration_ratios(
         raise ValueError("ratios undefined for the zero field")
     delta = _ball_radius(u.spec, delta)
     s_star = float(u.fine_grid()[int(np.argmax(u.fine_values()))])
-    ball_l2 = localized_mass(u, s_star, delta, "l2")
+    ball_l2, ball_grad, ball_hess = _ball_masses(u, s_star, delta)
     r_l2 = (report.l2 - ball_l2) / report.l2
     gradless = report.grad_l2 <= _GRADLESS * report.l2 / u.spec.t**2
     if gradless:
         r_grad = r_weak = math.nan
     else:
-        ball_grad = localized_mass(u, s_star, delta, "grad_l2")
         out_grad = report.grad_l2 - ball_grad
         # clipping only absorbs quadrature rounding; the exact values are fractions
         r_grad = float(np.clip(out_grad / report.grad_l2, 0.0, 1.0))
         r_weak = out_grad / report.l2
     hess = hess_over_a = None
     if params is not None:
-        ball_hess = localized_mass(u, s_star, delta, "hess_l2")
         hess = max(report.hess_l2 - ball_hess, 0.0) / report.l2
         hess_over_a = hess / params.a_alpha
     return ConcentrationReport(

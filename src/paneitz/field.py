@@ -292,19 +292,23 @@ def _density_samples(u: PeriodicField, kind: str) -> np.ndarray:
     raise ValueError(f"unknown density kind {kind!r}; expected one of {_DENSITY_KINDS}")
 
 
-def _arc_integral(density: np.ndarray, spec: ManifoldSpec, center: float, delta: float) -> float:
-    """Integral of a sampled density over the arc dist(s, center) < delta.
+def _arc_integral(
+    densities: np.ndarray, spec: ManifoldSpec, center: float, delta: float, keep: int | None = None
+) -> np.ndarray:
+    """Integrals of sampled densities (last axis) over the arc dist(s, center) < delta.
 
-    The density's trigonometric interpolant is integrated mode by mode over
+    Each density's trigonometric interpolant is integrated mode by mode over
     the sharp (unsmoothed) arc, so the window boundary is exact and the only
-    error is the interpolant's truncation tail.
+    error is the interpolant's truncation tail.  Only the first ``keep``
+    modes (all by default) are summed.
     """
-    g = np.fft.rfft(density) / density.size
-    kap = np.arange(1, g.size) / spec.t
-    window = np.empty(g.size, dtype=complex)
-    window[0] = 2.0 * delta
-    window[1:] = 2.0 * np.exp(1j * kap * center) * np.sin(kap * delta) / kap
-    return float(np.sum(_pair_counts(g.size) * np.real(g * window)))
+    size = densities.shape[-1]
+    g = np.fft.rfft(densities)[..., :keep] / size
+    kap = np.arange(1, g.shape[-1]) / spec.t
+    window = np.concatenate([[delta], 2.0 * np.exp(1j * kap * center) * np.sin(kap * delta) / kap])
+    if 2 * kap.size == size:
+        window[-1] *= 0.5  # the grid's Nyquist mode, like mode 0, stands for one bin; the others for two
+    return 2.0 * (g.real @ window.real - g.imag @ window.imag)
 
 
 def _ball_radius(spec: ManifoldSpec, delta: float | None) -> float:
@@ -329,7 +333,17 @@ def localized_mass(u: PeriodicField, center: float, delta: float, kind: str) -> 
     delta = _ball_radius(u.spec, delta)
     density = _density_samples(u, kind)
     omega = sphere_volume(u.spec.sphere_dim)
-    return omega * _arc_integral(density, u.spec, center, delta)
+    return omega * float(_arc_integral(density, u.spec, center, delta))
+
+
+def _ball_masses(u: PeriodicField, center: float, delta: float) -> np.ndarray:
+    """``localized_mass`` of the l2, grad_l2 and hess_l2 densities from one
+    batched inverse FFT of u, u', u'' to the fine grid: it has at least 4N
+    points, so the squares' modes |k| <= N are exact, and only those are summed."""
+    nf = u.fine_size()
+    stack = [_pad(v.coeffs, nf) for v in (u, u.derivative(1), u.derivative(2))]
+    fine = np.fft.irfft(nf * np.array(stack), nf)
+    return sphere_volume(u.spec.sphere_dim) * _arc_integral(fine * fine, u.spec, center, delta, u.modes + 1)
 
 
 # --- plain-text serialization ----------------------------------------------

@@ -12,9 +12,9 @@ Two routes produce solutions:
   coordinates (the symbol minus the Toeplitz-plus-Hankel matrix of
   multiplication by (2#-1) u_+^(2#-2)); Newton uses its cosine block, which
   needs no phase condition because the translation mode u' is odd.  One
-  helper solves it for the Newton step at every N: GMRES with FFT products
-  on the oversampled grid, the system scaled symmetrically by
-  symbol^(-1/2).  The linearized spectrum uses the full dense matrix.
+  helper solves it for the Newton step at every N: GMRES on the system
+  scaled by symbol^(-1/2), with one fused FFT product on the oversampled
+  grid per iteration.  The linearized spectrum uses the full dense matrix.
   ``continuation_init`` predicts the next start of a branch from the exact
   scaling u -> k^((n-4)/4) u(sqrt(k) s) of alpha -> k alpha, a -> k^2 a,
   with no linear solve.
@@ -208,23 +208,6 @@ def linearized_operator(u: PeriodicField, params: OperatorParams) -> np.ndarray:
     return jac
 
 
-def _jacobian_action(u: PeriodicField, params: OperatorParams):
-    """x -> the cosine block of ``linearized_operator(u, params)`` times x,
-    by FFTs on the fine grid: the symbol times the coefficients minus the
-    Galerkin projection of w times the zero-padded field, O(N log N) per
-    product."""
-    weight = _jacobian_weight(u)
-    sym = _symbol(u.spec, params, np.arange(u.coeffs.size))
-    nf, n = weight.size, u.modes
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        c = _from_real(x)
-        wc = np.fft.rfft(weight * np.fft.irfft(_pad(c, nf) * nf, nf)) / nf
-        return _to_real(sym * c - _truncate(wc, n))
-
-    return apply
-
-
 _KRYLOV_RTOL = 1e-14      # relative residual of the scaled system
 _KRYLOV_MAX_ITER = 60     # the sweeps take 7-11 iterations
 _SINGULAR_TOL = 1e-13     # rotated Hessenberg pivot treated as zero
@@ -241,23 +224,23 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
     convergence to ``_KRYLOV_RTOL`` in ``_KRYLOV_MAX_ITER`` steps, raises
     ``np.linalg.LinAlgError``.
     """
-    beta = float(np.linalg.norm(b))
+    beta = math.sqrt(b @ b)
     if beta == 0.0:
         return np.zeros_like(b)
     m = _KRYLOV_MAX_ITER
     basis = np.empty((m + 1, b.size))
-    basis[0] = b / beta
+    np.divide(b, beta, out=basis[0])
     tri = np.zeros((m, m))  # the rotated Hessenberg matrix, upper triangular
     rot = []                # Givens rotations (cos, sin) applied so far
     g = [beta]              # rotated right-hand side beta e_1
     for k in range(m):
-        w = apply(basis[k])
-        h = basis[: k + 1] @ w
-        w -= h @ basis[: k + 1]
-        again = basis[: k + 1] @ w
-        w -= again @ basis[: k + 1]
+        w, done = apply(basis[k]), basis[: k + 1]
+        h = done @ w
+        w -= h @ done
+        again = done @ w
+        w -= again @ done
         col = (h + again).tolist()
-        norm_w = float(np.linalg.norm(w))
+        norm_w = math.sqrt(w @ w)
         for j, (cs, sn) in enumerate(rot):
             col[j], col[j + 1] = cs * col[j] + sn * col[j + 1], cs * col[j + 1] - sn * col[j]
         r = math.hypot(col[k], norm_w)
@@ -270,26 +253,46 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
         g[k], resid = cs * g[k], -sn * g[k]
         if abs(resid) <= _KRYLOV_RTOL * beta:
             y = np.linalg.solve(tri[: k + 1, : k + 1], g)
-            return y @ basis[: k + 1]
+            return y @ done
         g.append(resid)
-        basis[k + 1] = w / norm_w
+        np.divide(w, norm_w, out=basis[k + 1])
     raise np.linalg.LinAlgError(
         f"Krylov solve: relative residual above {_KRYLOV_RTOL:g} after {m} GMRES iterations"
     )
 
 
+def _scaled_jacobian(u: PeriodicField, params: OperatorParams):
+    """(scale, op): scale = symbol^(-1/2) and op(z) = scale J (scale z), J the
+    cosine block of ``linearized_operator``.  The scaled symbol is the
+    identity, so op(z) = z - e Re(rfft(w irfft(d z))), O(N log N), with
+    w = (2#-1) u_+^(2#-2) on the fine grid; d and e fold in the scale, the
+    root Parseval weights, the FFT normalization and the Nyquist halving of
+    ``_pad`` and doubling of ``_truncate``."""
+    weight = _jacobian_weight(u)
+    half, nf = u.coeffs.size, weight.size
+    scale = 1.0 / np.sqrt(_symbol(u.spec, params, np.arange(half)))
+    d, e = scale / _root_weights(half) * nf, scale * _root_weights(half) / nf
+    d[-1], e[-1] = 0.5 * d[-1], 2.0 * e[-1]
+    padded = np.zeros(nf // 2 + 1, dtype=complex)
+
+    def op(z: np.ndarray) -> np.ndarray:
+        padded[:half] = d * z
+        return z - e * np.fft.rfft(weight * np.fft.irfft(padded, nf))[:half].real
+
+    return scale, op
+
+
 def _solve_krylov(u: PeriodicField, params: OperatorParams, rhs: np.ndarray) -> np.ndarray:
     """Real half spectrum delta solving J(u) delta = rhs for even u and rhs.
 
-    GMRES in cosine coordinates, with FFT products and the system scaled
-    symmetrically by symbol^(-1/2): the scaled Jacobian is the identity
-    minus a compact part, so its spectrum clusters at 1 and GMRES needs
-    about ten iterations at every N.  The translation mode u' is odd, so the
-    even system needs no phase condition.  A singular or unconverged system
-    raises a named ``np.linalg.LinAlgError``."""
-    scale = 1.0 / np.sqrt(_symbol(u.spec, params, np.arange(rhs.size)))
-    jac = _jacobian_action(u, params)
-    return _from_real(scale * _gmres(lambda z: scale * jac(scale * z), scale * _to_real(rhs)))
+    GMRES in cosine coordinates on ``_scaled_jacobian``: scaled by
+    symbol^(-1/2), the Jacobian is the identity minus a compact part, so its
+    spectrum clusters at 1 and GMRES needs about ten iterations at every N.
+    The translation mode u' is odd, so the even system needs no phase
+    condition.  A singular or unconverged system raises a named
+    ``np.linalg.LinAlgError``."""
+    scale, op = _scaled_jacobian(u, params)
+    return _from_real(scale * _gmres(op, scale * _to_real(rhs)))
 
 
 def _nonlinear_scale(u: PeriodicField) -> float:

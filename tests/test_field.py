@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from paneitz.constants import OperatorParams
 from paneitz.field import (
     PeriodicField,
+    _ball_masses,
+    _ball_radius,
     inverse,
     load_field,
     localized_mass,
@@ -221,6 +223,24 @@ class TestLocalizedMass:
             complement = total - ball
             assert ball + complement == pytest.approx(total, rel=1e-10)
             assert 0.0 <= ball <= total * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n, factor", [(5, 6), (8, 4)])
+    @pytest.mark.parametrize("delta", [None, "L/5"])
+    def test_batched_masses_match_localized_mass(self, n, factor, delta):
+        # a shifted field with every mode, Nyquist included, and no symmetry
+        spec = ManifoldSpec(n, 1.3)
+        rng = np.random.default_rng(n)
+        u = PeriodicField.from_values(spec, 1.5 + 0.5 * rng.normal(size=64)).shift(0.123)
+        assert u.fine_size() == factor * u.modes
+        assert np.max(np.abs(u.coeffs.imag)) > 1e-3 and abs(u.coeffs[-1]) > 1e-3
+        delta = spec.period / 5 if delta else None
+        center = 0.37 * spec.period + 1e-3  # between fine grid points
+        assert center * u.fine_size() / spec.period % 1.0 > 0.1
+        report = norms(u)
+        masses = _ball_masses(u, center, _ball_radius(spec, delta))
+        totals = (report.l2, report.grad_l2, report.hess_l2)
+        for mass, kind, total in zip(masses, ("l2", "grad_l2", "hess_l2"), totals):
+            assert abs(mass - localized_mass(u, center, delta, kind)) <= 1e-12 * total, kind
 
     def test_rejects_bad_delta(self):
         u = PeriodicField.constant(SPEC, 1.0, 32)
