@@ -314,8 +314,7 @@ class TestSweepCommand:
             for alpha in grid:
                 assert found[alpha] == pytest.approx(energies[0][alpha], rel=1e-12), (grid, alpha)
 
-    @staticmethod
-    def sweep_bytes_per_blas_threads(tmp_path, *grid):
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
         # a fresh process per thread count, since BLAS reads it at load time
         src = str(Path(paneitz.__file__).resolve().parents[1])
         outputs = []
@@ -323,22 +322,28 @@ class TestSweepCommand:
             out = tmp_path / f"threads{threads}.csv"
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            cmd = [sys.executable, "-m", "paneitz.cli", "sweep", "--dim", "5", *grid, "--out", str(out)]
+            cmd = [sys.executable, "-m", "paneitz.cli", "sweep", "--dim", "5", "--out", str(out)]
             proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
-        return outputs
-
-    def test_bytes_independent_of_blas_threads(self, tmp_path):
-        first, second = self.sweep_bytes_per_blas_threads(tmp_path)
-        assert first == second
+        assert outputs[0] == outputs[1]
 
     def test_dense_grid_bytes_independent_of_blas_threads(self, tmp_path):
-        # the dense grid refines its fields up to 512 modes, so Krylov
-        # solves and ball masses run at every resolution
-        first, second = self.sweep_bytes_per_blas_threads(tmp_path, "--alpha", "2:128:16:log")
-        assert first.count(b"\n") == 17
-        assert first == second
+        # the dense grid refines its fields up to 512 modes, so Krylov solves
+        # and ball masses run at every resolution; one process per thread count
+        src = str(Path(paneitz.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            cmd = [sys.executable, "-m", "paneitz.cli", "sweep", "--dim", "5", "--alpha", "2:128:16:log",
+                   "--out", str(out)]
+            proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0].count(b"\n") == 17
+        assert outputs[0] == outputs[1]
 
     def test_csv_requires_out(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--dim", "5", "--alpha", "2:4:2")

@@ -225,15 +225,15 @@ class TestLocalizedMass:
             assert 0.0 <= ball <= total * (1 + 1e-12)
 
     @pytest.mark.parametrize("n, factor", [(5, 6), (8, 4)])
-    @pytest.mark.parametrize("delta", [None, "L/5"])
-    def test_batched_masses_match_localized_mass(self, n, factor, delta):
+    @pytest.mark.parametrize("share", [None, 0.2])  # None: the default delta, L/8
+    def test_batched_masses_match_localized_mass(self, n, factor, share):
         # a shifted field with every mode, Nyquist included, and no symmetry
         spec = ManifoldSpec(n, 1.3)
         rng = np.random.default_rng(n)
         u = PeriodicField.from_values(spec, 1.5 + 0.5 * rng.normal(size=64)).shift(0.123)
         assert u.fine_size() == factor * u.modes
         assert np.max(np.abs(u.coeffs.imag)) > 1e-3 and abs(u.coeffs[-1]) > 1e-3
-        delta = spec.period / 5 if delta else None
+        delta = None if share is None else share * spec.period
         center = 0.37 * spec.period + 1e-3  # between fine grid points
         assert center * u.fine_size() / spec.period % 1.0 > 0.1
         report = norms(u)
