@@ -77,7 +77,9 @@ class RadialField:
 
     The callables, when available, give exact pointwise evaluations used by
     the residual and integral routines.  No numerical differentiation happens
-    anywhere in this module.
+    anywhere in this module.  ``scale`` is the concentration scale: the
+    field varies on lengths down to about 1/scale, which the radial
+    quadratures resolve (0: no concentration).
     """
 
     dim: int
@@ -88,6 +90,7 @@ class RadialField:
     deriv4: Callable[[np.ndarray], np.ndarray] | None = None
     laplacian: Callable[[np.ndarray], np.ndarray] | None = None
     bilaplacian: Callable[[np.ndarray], np.ndarray] | None = None
+    scale: float = 1.0
 
 
 def _power_profile_laplacian(n: int, m: float, lam: float, r: np.ndarray) -> np.ndarray:
@@ -177,6 +180,7 @@ def power_profile_field(
         deriv4=deriv4,
         laplacian=laplacian,
         bilaplacian=bilaplacian,
+        scale=abs(lam),
     )
 
 
@@ -276,9 +280,15 @@ def bubble_energy(params: BubbleParams) -> float:
     return fine
 
 
-def _radial_quadrature(rmax: float) -> tuple[np.ndarray, np.ndarray]:
-    edges = geometric_edges(rmax * 2.0 ** (-20), rmax)
-    return panel_rule(edges, order=_RADIAL_ORDER)
+def _radial_quadrature(rmax: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Panels doubling outward to rmax from a first one no wider than
+    rmax 2^-20 or, for a positive scale, 0.25/scale (the rule of
+    ``refined_axis_edges``), so a profile concentrated at ``scale`` is
+    resolved whatever rmax is."""
+    inner = rmax * 2.0 ** (-20)
+    if scale > 0:
+        inner = min(inner, 0.25 / scale)
+    return panel_rule(geometric_edges(inner, rmax), order=_RADIAL_ORDER)
 
 
 def pohozaev_identity_residual(w: RadialField, rmax: float = 40.0) -> float:
@@ -293,7 +303,7 @@ def pohozaev_identity_residual(w: RadialField, rmax: float = 40.0) -> float:
     if w.bilaplacian is None or w.deriv1 is None or w.laplacian is None:
         raise ValueError("identity check needs deriv1, laplacian and bilaplacian callbacks")
     n = w.dim
-    r, wq = _radial_quadrature(rmax)
+    r, wq = _radial_quadrature(rmax, w.scale)
     meas = r ** (n - 1)
     omega = sphere_volume(n - 1)
     g1 = np.asarray(w.bilaplacian(r)) * r * np.asarray(w.deriv1(r)) * meas
@@ -332,7 +342,7 @@ def pohozaev_witness(w: RadialField, lam: float, mu: float, radius: float) -> fl
     if w.deriv1 is None:
         raise ValueError("witness needs the first-derivative callback")
     n = w.dim
-    r, wq = _radial_quadrature(radius)
+    r, wq = _radial_quadrature(radius, w.scale)
     meas = r ** (n - 1)
     omega = sphere_volume(n - 1)
     grad_sq = omega * float(np.sum(wq * np.asarray(w.deriv1(r)) ** 2 * meas))

@@ -30,7 +30,7 @@ from .bubble import BubbleParams, expected_bubble_energy
 from .constants import OperatorParams, critical_exponent
 from .field import PeriodicField, _ball_masses, _ball_radius, localized_mass, norms
 from .geometry import sphere_volume
-from .quadrature import geometric_edges, panel_rule, refined_axis_edges
+from .quadrature import gauss_legendre, geometric_edges, panel_rule, refined_axis_edges
 
 __all__ = [
     "ConcentrationReport",
@@ -215,21 +215,26 @@ def multi_bubble_energy(
         raise FloatingPointError(
             f"quadrature over [{lo:.6g}, {hi:.6g}] at scale {lam_max:.6g} is outside the float64 range"
         )
-    x_nodes, x_w = panel_rule(refined_axis_edges(centers, lambda0s, lo, hi), _PANEL_ORDER)
+    edges = refined_axis_edges(centers, lambda0s, lo, hi)
+    _, x_w = panel_rule(edges, _PANEL_ORDER)
     rho_nodes, rho_w = panel_rule(geometric_edges(0.25 / lam_max, r_out), _PANEL_ORDER)
     rho_weight = rho_w * rho_nodes ** (n - 2)
+    # x - c_j as half-width times node plus the mean of a - c_j and b - c_j
+    # (a, b the panel edges): next to c_j these differences are exact, so the
+    # offsets down to 0.25/lam_j carry no ulp(c_j) rounding
+    spread = (0.5 * np.diff(edges))[:, None] * gauss_legendre(_PANEL_ORDER)[0]
     # a_j^m = amp_j = amp(lam = 1) lam_j^m: the inexact exponent 1/m acts on the
     # O(1) amplitude at lam = 1, not on the large factor lam_j^m
     root = BubbleParams(n=n, lambda_inf=lambda_inf).amplitude ** (2.0 / (n - 4))
-    terms = [
-        (p.lambda0**2 * (x_nodes - c) ** 2, 1.0 + p.lambda0**2 * rho_nodes**2, root * p.lambda0)
-        for c, p in zip(centers, profiles)
-    ]
+    terms = []
+    for c, p in zip(centers, profiles):
+        offset = (spread + (0.5 * ((edges[:-1] - c) + (edges[1:] - c)))[:, None]).ravel()
+        terms.append((p.lambda0**2 * offset**2, 1.0 + p.lambda0**2 * rho_nodes**2, root * p.lambda0))
     sharp_halves = 4 * n // (n - 4) if (4 * n) % (n - 4) == 0 else None
     buffers = [np.empty((_BLOCK_ROWS, rho_nodes.size)) for _ in range(3)]
     total = 0.0
-    for start in range(0, x_nodes.size, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, x_nodes.size)
+    for start in range(0, x_w.size, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, x_w.size)
         field, t, spare = (b[: stop - start] for b in buffers)
         field.fill(0.0)
         for col, row, a in terms:

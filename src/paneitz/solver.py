@@ -13,8 +13,9 @@ Two routes produce solutions:
   multiplication by (2#-1) u_+^(2#-2)); Newton uses its cosine block, which
   needs no phase condition because the translation mode u' is odd.  One
   helper solves it for the Newton step at every N: GMRES on the system
-  scaled by symbol^(-1/2), with one fused FFT product on the oversampled
-  grid per iteration.  The linearized spectrum uses the full dense matrix.
+  scaled by symbol^(-1/2), whose cosine block is assembled once per step
+  from one FFT of the weight, so each iteration is one matrix-vector
+  product.  The linearized spectrum uses the full dense matrix.
   ``continuation_init`` predicts the next start of a branch from the exact
   scaling u -> k^((n-4)/4) u(sqrt(k) s) of alpha -> k alpha, a -> k^2 a,
   with no linear solve.
@@ -167,11 +168,41 @@ def _from_real(x: np.ndarray) -> np.ndarray:
 
 
 def _jacobian_weight(u: PeriodicField) -> np.ndarray:
-    """Fine-grid samples of w = (2#-1) u_+^(2#-2): the Jacobian is the
-    symbol minus multiplication by w."""
+    """Fourier coefficients R_k + i I_k (k = 0..nf/2) of the fine-grid samples
+    of w = (2#-1) u_+^(2#-2): the Jacobian is the symbol minus
+    multiplication by w."""
     p = critical_exponent(u.spec.n) - 1.0
     fine = u.fine_values()
-    return p * np.where(fine > 0.0, fine, 0.0) ** (p - 1.0)
+    weight = p * np.where(fine > 0.0, fine, 0.0) ** (p - 1.0)
+    return np.fft.rfft(weight) / weight.size
+
+
+def _cosine_amplitudes(half: int) -> np.ndarray:
+    """Basis amplitude over sqrt(2) per cosine coordinate: 1/sqrt(2) for the
+    constant 1, 1 for sqrt(2) cos(k s/t).  The mean of w times two basis
+    functions is (R_|a-b| + R_(a+b))/2 times both amplitudes, so the cosine
+    block of multiplication by w is T + H scaled by these on both sides."""
+    amp = np.ones(half)
+    amp[0] = math.sqrt(0.5)
+    return amp
+
+
+def _cosine_block(re: np.ndarray, diagonal: float | np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """diag(diagonal) - diag(scale) (T + H) diag(scale) for the Toeplitz
+    T_ij = R_|i-j| and the Hankel H_ij = R_(i+j) of ``re`` (i, j < h, the
+    size of ``scale``).  T and H are strided views of one sequence
+    R_(h-1), .., R_1, R_0, R_1, .., R_(2h-2); the sum is the one h x h
+    allocation, scaled in place."""
+    h = scale.size
+    seq = np.concatenate((re[h - 1 : 0 : -1], re[: 2 * h - 1]))
+    at = (h - 1) * seq.itemsize  # the entry R_0
+    toeplitz = np.ndarray((h, h), buffer=seq, offset=at, strides=(-seq.itemsize, seq.itemsize))
+    hankel = np.ndarray((h, h), buffer=seq, offset=at, strides=(seq.itemsize, seq.itemsize))
+    block = np.add(toeplitz, hankel)
+    block *= -scale[:, None]
+    block *= scale
+    block.ravel()[:: h + 1] += diagonal
+    return block
 
 
 def linearized_operator(u: PeriodicField, params: OperatorParams) -> np.ndarray:
@@ -180,7 +211,7 @@ def linearized_operator(u: PeriodicField, params: OperatorParams) -> np.ndarray:
     cosine coordinates of ``_to_real`` (Re c_0..c_{N/2}), then the sine ones
     (Im c_1..c_{N/2-1}, times the same square-root weights); index 0 is the
     constant mode.  Its leading (N/2+1)-square block is the cosine block
-    that Newton solves.
+    that Newton solves, from ``_cosine_block``.
 
     The basis functions are 1, sqrt(2) cos(k s/t) and -sqrt(2) sin(k s/t).
     With R_k + i I_k the Fourier coefficients of the weight w on the fine
@@ -188,23 +219,20 @@ def linearized_operator(u: PeriodicField, params: OperatorParams) -> np.ndarray:
     w sin(a) sin(b) it is (R_|a-b| - R_(a+b))/2, and of w cos(a) sin(b) it
     is (I_(a-b) - I_(a+b))/2, so multiplication by w is Toeplitz plus Hankel.
     """
-    weight = _jacobian_weight(u)
-    what = np.fft.rfft(weight) / weight.size
+    what = _jacobian_weight(u)
     re, im = what.real, what.imag
     half, n = u.coeffs.size, u.modes
     k = np.arange(half)
     diff = k[:, None] - k[None, :]
     near, far = np.abs(diff), k[:, None] + k[None, :]
-    amp = np.full(half, math.sqrt(2.0))
-    amp[0] = 1.0
+    sym, amp = _symbol(u.spec, params, k), _cosine_amplitudes(half)
     jac = np.empty((n, n))
-    jac[:half, :half] = -0.5 * np.outer(amp, amp) * (re[near] + re[far])
+    jac[:half, :half] = _cosine_block(re, sym, amp)
     jac[half:, half:] = (re[far] - re[near])[1:-1, 1:-1]
-    cross = (amp / math.sqrt(2.0))[:, None] * (np.sign(diff) * im[near] - im[far])
+    jac.flat[half * (n + 1) :: n + 1] += sym[1:-1]
+    cross = amp[:, None] * (np.sign(diff) * im[near] - im[far])
     jac[:half, half:] = cross[:, 1:-1]
     jac[half:, :half] = cross[:, 1:-1].T
-    sym = _symbol(u.spec, params, k)
-    jac.flat[:: n + 1] += np.concatenate([sym, sym[1:-1]])
     return jac
 
 
@@ -213,13 +241,27 @@ _KRYLOV_MAX_ITER = 60     # the sweeps take 7-11 iterations
 _SINGULAR_TOL = 1e-13     # rotated Hessenberg pivot treated as zero
 
 
+def _back_substitute(cols: list, g: list) -> np.ndarray:
+    """Solve R y = g for the upper triangular R whose column j is cols[j]
+    (entries 0..j), by column-oriented back substitution."""
+    y = list(g)
+    for j in range(len(cols) - 1, -1, -1):
+        col = cols[j]
+        y[j] /= col[j]
+        for i in range(j):
+            y[i] -= col[i] * y[j]
+    return np.array(y)
+
+
 def _gmres(apply, b: np.ndarray) -> np.ndarray:
     """Solve apply(x) = b by GMRES from x = 0, for an operator that is the
     identity plus a compact part (so its norm is at least about 1).
 
     Arnoldi uses classical Gram-Schmidt applied twice, so the basis stays
     orthonormal to rounding and the Givens-rotated residual estimate tracks
-    the true residual.  A pivot of the rotated Hessenberg matrix below
+    the true residual.  The rotated Hessenberg columns are kept as the
+    columns of an upper triangle, which ``_back_substitute`` solves at
+    convergence.  A pivot of the rotated Hessenberg matrix below
     ``_SINGULAR_TOL`` (the system is singular to rounding), or no
     convergence to ``_KRYLOV_RTOL`` in ``_KRYLOV_MAX_ITER`` steps, raises
     ``np.linalg.LinAlgError``.
@@ -230,7 +272,7 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
     m = _KRYLOV_MAX_ITER
     basis = np.empty((m + 1, b.size))
     np.divide(b, beta, out=basis[0])
-    tri = np.zeros((m, m))  # the rotated Hessenberg matrix, upper triangular
+    cols = []               # rotated Hessenberg columns, an upper triangle
     rot = []                # Givens rotations (cos, sin) applied so far
     g = [beta]              # rotated right-hand side beta e_1
     for k in range(m):
@@ -249,11 +291,10 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
         cs, sn = col[k] / r, norm_w / r
         rot.append((cs, sn))
         col[k] = r
-        tri[: k + 1, k] = col
+        cols.append(col)
         g[k], resid = cs * g[k], -sn * g[k]
         if abs(resid) <= _KRYLOV_RTOL * beta:
-            y = np.linalg.solve(tri[: k + 1, : k + 1], g)
-            return y @ done
+            return _back_substitute(cols, g) @ done
         g.append(resid)
         np.divide(w, norm_w, out=basis[k + 1])
     raise np.linalg.LinAlgError(
@@ -264,22 +305,14 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
 def _scaled_jacobian(u: PeriodicField, params: OperatorParams):
     """(scale, op): scale = symbol^(-1/2) and op(z) = scale J (scale z), J the
     cosine block of ``linearized_operator``.  The scaled symbol is the
-    identity, so op(z) = z - e Re(rfft(w irfft(d z))), O(N log N), with
-    w = (2#-1) u_+^(2#-2) on the fine grid; d and e fold in the scale, the
-    root Parseval weights, the FFT normalization and the Nyquist halving of
-    ``_pad`` and doubling of ``_truncate``."""
-    weight = _jacobian_weight(u)
-    half, nf = u.coeffs.size, weight.size
+    identity, so op is the product with the matrix
+    A = I - diag(s) (T + H) diag(s), s = scale times ``_cosine_amplitudes``,
+    assembled once by ``_cosine_block``: O(N^2) per product, one BLAS
+    matrix-vector call."""
+    half = u.coeffs.size
     scale = 1.0 / np.sqrt(_symbol(u.spec, params, np.arange(half)))
-    d, e = scale / _root_weights(half) * nf, scale * _root_weights(half) / nf
-    d[-1], e[-1] = 0.5 * d[-1], 2.0 * e[-1]
-    padded = np.zeros(nf // 2 + 1, dtype=complex)
-
-    def op(z: np.ndarray) -> np.ndarray:
-        padded[:half] = d * z
-        return z - e * np.fft.rfft(weight * np.fft.irfft(padded, nf))[:half].real
-
-    return scale, op
+    block = _cosine_block(_jacobian_weight(u).real, 1.0, scale * _cosine_amplitudes(half))
+    return scale, block.__matmul__
 
 
 def _solve_krylov(u: PeriodicField, params: OperatorParams, rhs: np.ndarray) -> np.ndarray:
@@ -288,9 +321,10 @@ def _solve_krylov(u: PeriodicField, params: OperatorParams, rhs: np.ndarray) -> 
     GMRES in cosine coordinates on ``_scaled_jacobian``: scaled by
     symbol^(-1/2), the Jacobian is the identity minus a compact part, so its
     spectrum clusters at 1 and GMRES needs about ten iterations at every N.
-    The translation mode u' is odd, so the even system needs no phase
-    condition.  A singular or unconverged system raises a named
-    ``np.linalg.LinAlgError``."""
+    The scaled block is assembled once per solve, so each iteration is one
+    matrix-vector product.  The translation mode u' is odd, so the even
+    system needs no phase condition.  A singular or unconverged system
+    raises a named ``np.linalg.LinAlgError``."""
     scale, op = _scaled_jacobian(u, params)
     return _from_real(scale * _gmres(op, scale * _to_real(rhs)))
 

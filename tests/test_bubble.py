@@ -176,6 +176,25 @@ class TestPohozaevIdentity:
         with pytest.warns(RuntimeWarning):
             pohozaev_identity_residual(w, rmax=10.0)
 
+    @pytest.mark.parametrize("lambda0", [1e5, 1e6, 1e7, 1e10])
+    @pytest.mark.parametrize("n, bound", [(5, 2e-7), (8, 1e-14), (12, 1e-14)])
+    def test_concentrated_extremal_is_resolved(self, n, bound, lambda0):
+        # panels from rmax 2^-20 whatever the scale read 8.4e-8, 0.13, -0.41
+        # and (n-4)/2 = 2.0 for n = 8 at these scales; n = 5 keeps its
+        # truncation at rmax, about 1e-2/(lambda0 rmax)
+        w = bubble_field(BubbleParams(n, lambda0=lambda0))
+        assert abs(pohozaev_identity_residual(w, rmax=50.0)) <= bound
+
+    @pytest.mark.parametrize(
+        "lambda0, pinned",
+        [(0.5, -1.1945648297439737e-05), (1.0, -7.466626552072168e-07), (2.0, -4.666665109232664e-08)],
+    )
+    def test_scales_near_one_keep_their_panels(self, lambda0, pinned):
+        # the first panel stays at rmax 2^-20 here, so the n = 8 values are
+        # those of the scale-blind rule
+        w = bubble_field(BubbleParams(8, lambda0=lambda0))
+        assert pohozaev_identity_residual(w, rmax=50.0) == pinned
+
 
 class TestPohozaevWitness:
     def test_zero_coefficients(self):

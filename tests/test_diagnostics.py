@@ -13,7 +13,7 @@ from paneitz.diagnostics import (
 )
 from paneitz.field import PeriodicField, norms
 from paneitz.geometry import ManifoldSpec, sphere_volume
-from paneitz.quadrature import geometric_edges, panel_rule, refined_axis_edges
+from paneitz.quadrature import gauss_legendre, geometric_edges, panel_rule, refined_axis_edges
 
 SPEC = ManifoldSpec(5, 1.0)
 L = SPEC.period
@@ -208,36 +208,40 @@ class TestQuantization:
 # Values of the tensor Gauss-Legendre rule before its evaluation was
 # row-blocked; the nodes and weights are unchanged, so only rounding may move.
 _PINNED_ENERGIES = [
-    (5, (0.0, 20.0), (1.0, 1e4), 656.4209524840113),
-    (6, (0.0, 20.0), (1.0, 1e4), 7777.2636970128415),
-    (7, (0.0, 20.0), (1.0, 1e4), 81715.40321186866),
-    (8, (0.0, 20.0), (1.0, 1e4), 854973.507585533),
+    (5, (0.0, 20.0), (1.0, 1e4), 656.4209524872861),
+    (6, (0.0, 20.0), (1.0, 1e4), 7777.263697058373),
+    (7, (0.0, 20.0), (1.0, 1e4), 81715.40321239579),
+    (8, (0.0, 20.0), (1.0, 1e4), 854973.5075913596),
     (5, (0.0, 20.0), (1.0, 1.0), 1419.33889203067),
     (6, (0.0, 20.0), (1.0, 1.0), 8074.965626021528),
     (7, (0.0, 20.0), (1.0, 1.0), 81911.86827834204),
     (8, (0.0, 20.0), (1.0, 1.0), 855121.7519008428),
-    (5, (0.0, 20.0, 40.0), (1.0, 1e4, 1e8), 982.1231754249656),
-    (6, (0.0, 20.0, 40.0), (1.0, 1e4, 1e8), 11665.880422791539),
-    (7, (0.0, 20.0, 40.0), (1.0, 1e4, 1e8), 122573.0965875018),
-    (8, (0.0, 20.0, 40.0), (1.0, 1e4, 1e8), 1282460.1565075077),
+    (5, (0.0, 20.0, 40.0), (1.0, 1e4, 1e8), 982.123206373003),
+    (6, (0.0, 20.0, 40.0), (1.0, 1e4, 1e8), 11665.881000330251),
+    (7, (0.0, 20.0, 40.0), (1.0, 1e4, 1e8), 122573.10472031427),
+    (8, (0.0, 20.0, 40.0), (1.0, 1e4, 1e8), 1282460.2613862942),
 ]
 
 
 def reference_multi_bubble_energy(n, centers, scales, lambda_inf):
     # the plain formula on the full tensor grid of the same panel rule:
     # sum_j amp_j (1/(1 + lam_j^2 ((x - c_j)^2 + rho^2)))^m, raised to 2#
-    # with a generic power
+    # with a generic power; x - c_j is formed per panel [a, b] as
+    # (b - a)/2 node + ((a - c_j) + (b - c_j))/2
     centers, scales = np.asarray(centers, dtype=float), np.asarray(scales, dtype=float)
     r_out = 300.0 / scales.min()
     lo, hi = centers.min() - r_out, centers.max() + r_out
-    x, x_w = panel_rule(refined_axis_edges(centers, scales, lo, hi), 16)
+    edges = refined_axis_edges(centers, scales, lo, hi)
+    _, x_w = panel_rule(edges, 16)
     rho, rho_w = panel_rule(geometric_edges(0.25 / scales.max(), r_out), 16)
-    x, rho = x[:, None], rho[None, :]
+    rho = rho[None, :]
+    a, b = edges[:-1, None], edges[1:, None]
     m = (n - 4) / 2.0
-    field = np.zeros((x.size, rho.size))
+    field = np.zeros((x_w.size, rho.size))
     for c, lam in zip(centers, scales):
+        x_c = (0.5 * (b - a) * gauss_legendre(16)[0] + 0.5 * ((a - c) + (b - c))).reshape(-1, 1)
         amp = BubbleParams(n=n, lambda0=lam, lambda_inf=lambda_inf).amplitude
-        field += amp * (1.0 / (1.0 + lam**2 * ((x - c) ** 2 + rho**2))) ** m
+        field += amp * (1.0 / (1.0 + lam**2 * (x_c**2 + rho**2))) ** m
     integrand = field ** critical_exponent(n) * (rho_w * rho[0] ** (n - 2))[None, :]
     return sphere_volume(n - 2) * float(x_w @ integrand.sum(axis=1))
 
@@ -265,6 +269,19 @@ class TestMultiBubbleEnergy:
     def test_pinned_values(self, n, centers, scales, expected):
         energy = multi_bubble_energy(n, np.array(centers), np.array(scales))
         assert energy == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_mirror_and_translation_invariant(self, n):
+        # x -> 40 - x and x -> x - 20 map the integral to itself; axis nodes
+        # formed as x - c_j read 3.2e-8 (n = 5) to 8.2e-8 (n = 8) apart on the
+        # mirror pair, from ulp(c_j) rounding at offsets down to 0.25/1e8
+        scales = np.array([1.0, 1e4, 1e8])
+        energy = multi_bubble_energy(n, np.array([0.0, 20.0, 40.0]), scales)
+        mirrored = multi_bubble_energy(n, np.array([40.0, 20.0, 0.0]), scales)
+        assert mirrored == pytest.approx(energy, rel=4e-15)
+        pair = multi_bubble_energy(n, np.array([0.0, 20.0]), scales[:2])
+        shifted = multi_bubble_energy(n, np.array([-20.0, 0.0]), scales[:2])
+        assert shifted == pytest.approx(pair, rel=4e-15)
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_single_profile_is_one_quantum(self, n):

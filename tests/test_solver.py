@@ -27,6 +27,7 @@ from paneitz.solver import (
     residual,
 )
 from paneitz.solver import (
+    _back_substitute,
     _nonlinear_coeffs,
     _nonlinear_scale,
     _scaled_jacobian,
@@ -366,6 +367,60 @@ class TestKrylovSolve:
         rhs[1] = 1.0
         with pytest.raises(np.linalg.LinAlgError, match="Krylov solve: linearized system is singular"):
             _solve_krylov(u, params, rhs)
+
+
+def reference_linearized_operator(u, params):
+    """The dense Jacobian gathered entry by entry from R_k + i I_k, the
+    Fourier coefficients of w = (2#-1) u_+^(2#-2), through index arrays."""
+    p = critical_exponent(u.spec.n) - 1.0
+    fine = u.fine_values()
+    weight = p * np.where(fine > 0.0, fine, 0.0) ** (p - 1.0)
+    what = np.fft.rfft(weight) / weight.size
+    re, im = what.real, what.imag
+    half, n = u.coeffs.size, u.modes
+    k = np.arange(half)
+    diff = k[:, None] - k[None, :]
+    near, far = np.abs(diff), k[:, None] + k[None, :]
+    amp = np.full(half, np.sqrt(2.0))
+    amp[0] = 1.0
+    jac = np.empty((n, n))
+    jac[:half, :half] = -0.5 * np.outer(amp, amp) * (re[near] + re[far])
+    jac[half:, half:] = (re[far] - re[near])[1:-1, 1:-1]
+    cross = (amp / np.sqrt(2.0))[:, None] * (np.sign(diff) * im[near] - im[far])
+    jac[:half, half:] = cross[:, 1:-1]
+    jac[half:, :half] = cross[:, 1:-1].T
+    sym = _symbol(u.spec, params, k)
+    jac.flat[:: n + 1] += np.concatenate([sym, sym[1:-1]])
+    return jac
+
+
+class TestJacobianAssembly:
+    @pytest.mark.parametrize("modes", [16, 32, 64, 128, 256, 512])
+    def test_matches_index_array_reference(self, modes):
+        # every entry, the Nyquist cosine's row and column included
+        params = OperatorParams(8.0, 16.0)
+        u = sign_changing_field(modes)
+        ref = reference_linearized_operator(u, params)
+        jac = linearized_operator(u, params)
+        assert np.max(np.abs(jac - ref)) <= 1e-14 * np.max(np.abs(ref))
+        h = u.coeffs.size
+        scale, op = _scaled_jacobian(u, params)
+        scaled = scale[:, None] * ref[:h, :h] * scale[None, :]
+        block = op.__self__
+        assert block.shape == (h, h)
+        assert np.max(np.abs(block - scaled)) <= 1e-14 * np.max(np.abs(scaled))
+        assert np.max(np.abs(block[:, -1] - scaled[:, -1])) <= 1e-14 * np.max(np.abs(scaled[:, -1]))
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 30, 60])
+    def test_back_substitution_matches_solve(self, size):
+        rng = np.random.default_rng(size)
+        tri = np.triu(rng.standard_normal((size, size)))
+        tri[np.diag_indices(size)] = rng.choice([-1.0, 1.0], size) * (size + rng.uniform(0.0, 1.0, size))
+        g = rng.standard_normal(size)
+        cols = [tri[: j + 1, j].tolist() for j in range(size)]
+        got = _back_substitute(cols, g.tolist())
+        expected = np.linalg.solve(tri, g)
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
 class TestScaledPredictor:
