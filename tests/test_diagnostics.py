@@ -205,8 +205,10 @@ class TestQuantization:
             quantization_check(5, **{"budget": 1.0, **kwargs})
 
 
-# Values of the tensor Gauss-Legendre rule before its evaluation was
-# row-blocked; the nodes and weights are unchanged, so only rounding may move.
+# Values of the tensor Gauss-Legendre rule.  The (1, 1e4) and (1, 1e4, 1e8)
+# entries moved when x - c_j came to be formed from the panel edges, which
+# removed ulp(c_j) rounding; test_mirror_and_translation_invariant is their
+# oracle.
 _PINNED_ENERGIES = [
     (5, (0.0, 20.0), (1.0, 1e4), 656.4209524872861),
     (6, (0.0, 20.0), (1.0, 1e4), 7777.263697058373),
