@@ -79,7 +79,8 @@ class RadialField:
     the residual and integral routines.  No numerical differentiation happens
     anywhere in this module.  ``scale`` is the concentration scale: the
     field varies on lengths down to about 1/scale, which the radial
-    quadratures resolve (0: no concentration).
+    quadratures resolve; the default 0 names no scale, and those
+    quadratures keep their panels from rmax 2^-20.
     """
 
     dim: int
@@ -90,7 +91,7 @@ class RadialField:
     deriv4: Callable[[np.ndarray], np.ndarray] | None = None
     laplacian: Callable[[np.ndarray], np.ndarray] | None = None
     bilaplacian: Callable[[np.ndarray], np.ndarray] | None = None
-    scale: float = 1.0
+    scale: float = 0.0
 
 
 def _power_profile_laplacian(n: int, m: float, lam: float, r: np.ndarray) -> np.ndarray:

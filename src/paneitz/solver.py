@@ -89,7 +89,10 @@ class PositivityError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Mode counts of ``newton_solve``; the ClassVar settings are fixed."""
+    """Mode counts of ``newton_solve``; the ClassVar settings are fixed.
+
+    ``modes <= max_modes``, so ``max_modes`` bounds the N of every Newton
+    step and with it the (N/2+1)-square block each linear solve assembles."""
 
     modes: int = 64
     max_modes: int = 512
@@ -104,6 +107,8 @@ class SolverOptions:
             count = getattr(self, name)
             if count < 16 or count % 2 != 0:
                 raise ValueError(f"{name} must be even and >= 16, got {count!r}")
+        if self.modes > self.max_modes:
+            raise ValueError(f"modes must not exceed max_modes ({self.max_modes}), got {self.modes!r}")
 
 
 @dataclass(frozen=True)
@@ -413,7 +418,8 @@ def _tail_fraction(u: PeriodicField) -> float:
 
 def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOptions | None = None) -> Solution:
     """Damped Newton from ``init``; adapts the mode count until the
-    coefficient tail is resolved (or ``opts.max_modes`` is reached).
+    coefficient tail is resolved (or ``opts.max_modes`` is reached).  A start
+    with more than ``opts.max_modes`` modes raises ``ValueError``.
 
     The start is recentered to put its maximum at s = 0 and projected onto
     the even (cosine) fields, which the equation maps to themselves; every
@@ -426,6 +432,8 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
     opts = opts or SolverOptions()
     if float(np.max(init.values)) <= 0.0:
         raise ValueError("initial guess must be positive somewhere")
+    if init.modes > opts.max_modes:
+        raise ValueError(f"initial field has {init.modes} modes, above max_modes ({opts.max_modes})")
     u = init if init.modes >= opts.modes else init.resample(opts.modes)
     u = PeriodicField(u.spec, _recenter(u).coeffs.real)
     iters = 0

@@ -195,6 +195,14 @@ class TestPohozaevIdentity:
         w = bubble_field(BubbleParams(8, lambda0=lambda0))
         assert pohozaev_identity_residual(w, rmax=50.0) == pinned
 
+    def test_unscaled_field_keeps_its_panels(self):
+        # no concentration scale (the default 0): the first panel starts at
+        # rmax 2^-20 = 0.5 for every rmax, and the value is the one pinned
+        # from that rule (a first panel at 0.25 reads 1.8e-15)
+        w = even_gaussian_field(8, 1.0, np.array([2.0, 0.3, -0.1]))
+        assert w.scale == 0.0
+        assert pohozaev_identity_residual(w, rmax=2.0**19) == 1.4603099071953572e-15
+
 
 class TestPohozaevWitness:
     def test_zero_coefficients(self):

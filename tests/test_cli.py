@@ -158,6 +158,23 @@ class TestSolveCommand:
         assert (code, out) == (1, "")
         assert "circle period 2 pi t must be finite" in err
 
+    @pytest.mark.parametrize("command", [("solve", "--alpha", "2"), ("sweep", "--out", "x.csv")])
+    def test_modes_above_the_cap_rejected(self, capsys, command):
+        # the CLI keeps max_modes = 512, so no Newton step assembles a
+        # cosine block above 257 x 257
+        code, out, err = run_cli(capsys, command[0], "--dim", "5", *command[1:], "--modes", "1024")
+        assert (code, out) == (1, "")
+        assert "modes must not exceed max_modes (512), got 1024" in err
+
+    def test_field_file_above_the_cap_rejected(self, capsys, tmp_path):
+        path = tmp_path / "wide.field"
+        save_field(PeriodicField.constant(ManifoldSpec(5, 1.0), 1.0, 1024), path)
+        code, out, err = run_cli(
+            capsys, "solve", "--dim", "5", "--alpha", "2", "--init", "file", "--field-in", str(path)
+        )
+        assert (code, out) == (1, "")
+        assert "initial field has 1024 modes, above max_modes (512)" in err
+
     def test_unknown_flag_lists_usage(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--dim", "5", "--alpha", "2", "--bogus", "1")
         assert code == 1

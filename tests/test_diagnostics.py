@@ -1,4 +1,6 @@
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -225,23 +227,34 @@ _PINNED_ENERGIES = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def exact_axis_offsets(edges, c):
+    # x - c for the rule's nodes x = (a + b)/2 + (b - a)/2 t on each panel
+    # [a, b], in exact rational arithmetic on the float64 edges, nodes t and
+    # center c, rounded once to float64
+    t = [Fraction(v) for v in gauss_legendre(16)[0].tolist()]
+    out = []
+    for a, b in zip(map(Fraction, edges[:-1]), map(Fraction, edges[1:])):
+        mid, half = (a + b) / 2 - Fraction(c), (b - a) / 2
+        out.extend(float(mid + half * v) for v in t)
+    return np.array(out)
+
+
 def reference_multi_bubble_energy(n, centers, scales, lambda_inf):
     # the plain formula on the full tensor grid of the same panel rule:
     # sum_j amp_j (1/(1 + lam_j^2 ((x - c_j)^2 + rho^2)))^m, raised to 2#
-    # with a generic power; x - c_j is formed per panel [a, b] as
-    # (b - a)/2 node + ((a - c_j) + (b - c_j))/2
+    # with a generic power; x - c_j is exact, then rounded once
     centers, scales = np.asarray(centers, dtype=float), np.asarray(scales, dtype=float)
     r_out = 300.0 / scales.min()
     lo, hi = centers.min() - r_out, centers.max() + r_out
-    edges = refined_axis_edges(centers, scales, lo, hi)
-    _, x_w = panel_rule(edges, 16)
+    edges = tuple(refined_axis_edges(centers, scales, lo, hi).tolist())
+    _, x_w = panel_rule(np.array(edges), 16)
     rho, rho_w = panel_rule(geometric_edges(0.25 / scales.max(), r_out), 16)
     rho = rho[None, :]
-    a, b = edges[:-1, None], edges[1:, None]
     m = (n - 4) / 2.0
     field = np.zeros((x_w.size, rho.size))
     for c, lam in zip(centers, scales):
-        x_c = (0.5 * (b - a) * gauss_legendre(16)[0] + 0.5 * ((a - c) + (b - c))).reshape(-1, 1)
+        x_c = exact_axis_offsets(edges, float(c))[:, None]
         amp = BubbleParams(n=n, lambda0=lam, lambda_inf=lambda_inf).amplitude
         field += amp * (1.0 / (1.0 + lam**2 * (x_c**2 + rho**2))) ** m
     integrand = field ** critical_exponent(n) * (rho_w * rho[0] ** (n - 2))[None, :]

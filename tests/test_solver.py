@@ -248,6 +248,20 @@ class TestNewton:
             with pytest.raises(ValueError, match="max_modes must be even and >= 16"):
                 SolverOptions(modes=64, max_modes=max_modes)
 
+    def test_modes_above_max_modes_is_rejected(self):
+        # max_modes bounds every Newton step's N, and so the dense block
+        # each linear solve assembles
+        with pytest.raises(ValueError, match=r"modes must not exceed max_modes \(512\), got 1024"):
+            SolverOptions(modes=1024)
+        assert SolverOptions(modes=1024, max_modes=1024).modes == 1024
+
+    def test_start_above_max_modes_is_rejected(self):
+        start = constant_init(1.0, modes=1024)
+        with pytest.raises(ValueError, match=r"initial field has 1024 modes, above max_modes \(512\)"):
+            newton_solve(start, OperatorParams(2.0, 1.0))
+        sol = newton_solve(start, OperatorParams(2.0, 1.0), SolverOptions(max_modes=1024))
+        assert sol.modes == 1024
+
     def test_fixed_settings_are_not_options(self):
         assert [f.name for f in dataclasses.fields(SolverOptions)] == ["modes", "max_modes"]
         for name in ("tol", "rtol", "max_iter", "max_backtracks", "tail_tol"):
