@@ -220,8 +220,8 @@ def pde_residual(
     Evaluates the field's closed-form bi-Laplacian callback; r = 0 is included
     since the callbacks are regular there.
     """
-    if rmax <= 0:
-        raise ValueError("rmax must be positive")
+    if not 0 < rmax < math.inf:
+        raise ValueError(f"rmax must be positive and finite, got {rmax!r}")
     if gridsize < 1:
         raise ValueError(f"gridsize must be at least 1, got {gridsize}")
     f = field if field is not None else bubble_field(params)

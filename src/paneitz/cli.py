@@ -59,10 +59,12 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise ValueError("--alpha expects min:max:count[:log]")
-    lo, hi = float(parts[0]), float(parts[1])
-    count = int(parts[2])
-    if count < 1 or lo <= 0 or hi < lo:
-        raise ValueError(f"bad alpha grid {text!r}")
+    try:
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValueError(f"bad alpha grid {text!r}: min and max must be numbers, count an integer") from None
+    if count < 1 or not 0 < lo <= hi < np.inf:
+        raise ValueError(f"bad alpha grid {text!r}: need 0 < min <= max < inf and count >= 1")
     if len(parts) == 4:
         if parts[3] != "log":
             raise ValueError(f"unknown alpha grid spacing {parts[3]!r}")
@@ -75,14 +77,15 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
 def _read_schedule_file(path: str) -> list[tuple[float, float]]:
     rows = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            cols = line.split()
-            if len(cols) != 2:
-                raise ValueError(f"schedule line must be 'alpha value', got {line!r}")
-            rows.append((float(cols[0]), float(cols[1])))
+            try:
+                alpha, value = map(float, line.split())
+            except ValueError:
+                raise ValueError(f"{path}, line {number}: expected 'alpha value', got {line!r}") from None
+            rows.append((alpha, value))
     if not rows:
         raise ValueError(f"schedule file {path} is empty")
     return rows

@@ -380,6 +380,8 @@ def load_field(path) -> PeriodicField:
             spec, size = ManifoldSpec(int(header[1]), float(header[2])), int(header[3])
         except ValueError as exc:
             raise ValueError(f"bad field file header in {path}: {exc}") from None
+        if size < 16 or size % 2 != 0:
+            raise ValueError(f"bad field file header in {path}: grid size must be even and >= 16, got {size}")
         line_numbers, samples = [], []
         for number, line in enumerate(fh, start=2):
             cols = line.split()

@@ -4,8 +4,8 @@ circle-reduced from S^1(t) x S^(n-1).
 Two routes produce solutions:
 
 * ``newton_solve``: damped Newton on even fields.  The equation is
-  reversible (s -> -s); the start is recentered to put its maximum at
-  s = 0 and its odd part dropped, so every iterate is even with real
+  reversible (s -> -s); the start is translated to put its fine-grid maximum
+  at s = 0 and its odd part dropped, so every iterate is even with real
   coefficients.  The linear part is the diagonal symbol mu^2 + alpha mu + a
   (mu = (m/t)^2); the nonlinearity is evaluated on an oversampled grid
   (dealiased).  The Jacobian is real symmetric in orthonormal cosine/sine
@@ -340,36 +340,6 @@ def _nonlinear_scale(u: PeriodicField) -> float:
     return max(1.0, peak**p)
 
 
-def _recenter(u: PeriodicField) -> PeriodicField:
-    """Translate so the maximum sits at s = 0, the axis about which Newton
-    keeps its iterates even.
-
-    The discrete argmax is refined to a critical point of u by Newton on u',
-    so recentered translates of the same solution agree beyond the grid
-    resolution.  A field with real coefficients and its fine-grid maximum at
-    s = 0 is returned unchanged.
-    """
-    fine = u.fine_values()
-    s0 = float(u.fine_grid()[int(np.argmax(fine))])
-    kap = u.wavenumbers()
-    counted = _pair_counts(u.coeffs.size) * u.coeffs
-    c1 = counted * (1j * kap)
-    c2 = counted * -(kap**2)
-
-    def at(coeffs: np.ndarray, s: float) -> float:
-        return float(np.real(np.sum(coeffs * np.exp(1j * kap * s))))
-
-    for _ in range(8):
-        curv = at(c2, s0)
-        if curv >= 0.0:  # not a maximum; keep the grid location
-            break
-        step = at(c1, s0) / curv
-        s0 -= step
-        if abs(step) < 1e-14 * u.spec.period:
-            break
-    return u.shift(s0) if s0 != 0.0 else u
-
-
 _CONSTANT_FRACTION = 1e-7
 _TRIVIAL_SLACK = 1e-6     # relative slack below the bound max u >= a^((n-4)/8)
 
@@ -421,9 +391,13 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
     coefficient tail is resolved (or ``opts.max_modes`` is reached).  A start
     with more than ``opts.max_modes`` modes raises ``ValueError``.
 
-    The start is recentered to put its maximum at s = 0 and projected onto
-    the even (cosine) fields, which the equation maps to themselves; every
-    iterate, and so the solution, is even with real coefficients.
+    The start is translated to put its fine-grid maximum at s = 0 and
+    projected onto the even (cosine) fields, which the equation maps to
+    themselves; every iterate, and so the solution, is even with real
+    coefficients.  The even fields hold the two translates of a solution
+    peaked at 0 and at L/2, so the projection fixes the axis: a start off it
+    by d is O(d^2) from the even solution.  A nonconstant solution peaked
+    at L/2 is translated by L/2 before it is returned, so its peak is at 0.
 
     Mode 0 of the equation, a mean(u) = mean(u^(2#-1)) <= max(u)^(2#-2)
     mean(u), gives max u >= u_bar = a^((n-4)/8) for every positive solution;
@@ -435,7 +409,8 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
     if init.modes > opts.max_modes:
         raise ValueError(f"initial field has {init.modes} modes, above max_modes ({opts.max_modes})")
     u = init if init.modes >= opts.modes else init.resample(opts.modes)
-    u = PeriodicField(u.spec, _recenter(u).coeffs.real)
+    s0 = float(u.fine_grid()[int(np.argmax(u.fine_values()))])
+    u = PeriodicField(u.spec, u.shift(s0).coeffs.real)
     iters = 0
     while True:
         u, res_sup, it = _newton_fixed(u, params)
@@ -443,6 +418,11 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
         if u.modes >= opts.max_modes or _tail_fraction(u) < SolverOptions.tail_tol:
             break
         u = u.resample(min(2 * u.modes, opts.max_modes))
+    is_const = u.nonconstant_fraction() <= _CONSTANT_FRACTION
+    fine = u.fine_values()
+    if not is_const and fine[fine.size // 2] > fine[0]:  # peaked at L/2: c_m -> (-1)^m c_m
+        u = PeriodicField(u.spec, u.coeffs * (-1.0) ** np.arange(u.coeffs.size))
+        res_sup = float(np.max(np.abs(residual(u, params).values)))
 
     low, peak = float(np.min(u.fine_values())), float(np.max(u.fine_values()))
     u_bar, _ = constant_branch(u.spec.n, params.a_alpha, product_volume(u.spec))
@@ -452,7 +432,6 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
         )
     if low <= 0.0:
         raise PositivityError(f"converged field is not strictly positive (min {low:.3e})")
-    is_const = u.nonconstant_fraction() <= _CONSTANT_FRACTION
     report = norms(u, params)
     if not report.energy > 0.0:
         raise FloatingPointError(f"critical energy of the solution underflows float64 ({report.energy!r})")
@@ -644,9 +623,11 @@ def continuation_init(prev: Solution, params: OperatorParams) -> PeriodicField:
     sqrt(k) times shorter.  So on a schedule with a fixed ratio a/alpha^2
     the prediction is exact but for the change of circle length, and
     otherwise Newton also absorbs the change of ratio.  ``prev.field`` is
-    even with its peak at s = 0 (as Newton leaves it), so the stretched
-    field is sampled about that peak wherever sqrt(k) |s| <= L/2, and the
-    rest of the grid (empty for k <= 1) takes the scaled minimum of u.
+    even with its peak at s = 0 (as ``newton_solve`` returns it), so the
+    stretched field is sampled about that peak wherever sqrt(k) |s| <= L/2,
+    and the rest of the grid (empty for k <= 1) takes the scaled minimum of
+    u.  The prediction is even with its fine-grid maximum at s = 0, so
+    Newton starts it on its axis without a translation.
     """
     u = prev.field
     k = params.alpha / prev.params.alpha

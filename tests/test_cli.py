@@ -110,6 +110,13 @@ class TestBubbleCheckCommand:
         assert (code, out) == (1, "")
         assert err == "paneitz bubble-check: error: gridsize must be at least 1, got 0\n"
 
+    @pytest.mark.parametrize("rmax", ["inf", "nan"])
+    def test_nonfinite_rmax_is_named(self, capsys, rmax):
+        # used to exit 2 blaming the concentration scale 1.0
+        code, out, err = run_cli(capsys, "bubble-check", "--dim", "5", "--rmax", rmax)
+        assert (code, out) == (1, "")
+        assert err == f"paneitz bubble-check: error: rmax must be positive and finite, got {float(rmax)!r}\n"
+
 
 class TestSolveCommand:
     def test_auto_schedule_and_output(self, capsys, tmp_path):
@@ -239,6 +246,32 @@ class TestSweepCommand:
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert [float(r["a_alpha"]) for r in rows] == [1.0, 4.0]
+
+    @pytest.mark.parametrize("row", ["4.0 x", "4.0", "4.0 4.0 1"])
+    def test_bad_schedule_row_names_file_and_line(self, capsys, tmp_path, row):
+        # a non-numeric entry used to read "could not convert string to float: 'x'"
+        sched = tmp_path / "bad.txt"
+        sched.write_text(f"# alpha a\n2.0 1.0\n{row}\n")
+        code, out, err = run_cli(capsys, "sweep", "--dim", "5", "--schedule", str(sched), "--format", "json")
+        assert (code, out) == (1, "")
+        assert err == f"paneitz sweep: error: {sched}, line 3: expected 'alpha value', got {row!r}\n"
+
+    @pytest.mark.parametrize(
+        "grid, why",
+        [
+            (grid, "min and max must be numbers, count an integer")
+            for grid in ("2:8:x", "2:x:3", "x:8:3:log", "2:8:3.5")
+        ] + [
+            (grid, "need 0 < min <= max < inf and count >= 1")
+            for grid in ("nan:8:3", "2:inf:3", "inf:inf:2", "0:8:3", "8:2:3", "2:8:0")
+        ],
+    )
+    def test_bad_alpha_grid_is_named(self, capsys, grid, why):
+        # used to read "invalid literal for int() ...", or to blame a nan or
+        # infinite bound on the schedule or the grid order
+        code, out, err = run_cli(capsys, "sweep", "--dim", "5", "--alpha", grid, "--format", "json")
+        assert (code, out) == (1, "")
+        assert err == f"paneitz sweep: error: bad alpha grid {grid!r}: {why}\n"
 
     def test_schedule_file_violating_bound_rejected(self, capsys, tmp_path):
         sched = tmp_path / "bad.txt"

@@ -274,6 +274,8 @@ class TestFieldFiles:
             ("# 5 1 abc", "invalid literal for int() with base 10: 'abc'"),
             ("# 5.5 1 16", "invalid literal for int() with base 10: '5.5'"),
             ("# 4 1 16", "total dimension must be an integer >= 5, got 4"),
+            ("# 5 1 15", "grid size must be even and >= 16, got 15"),
+            ("# 5 1 8", "grid size must be even and >= 16, got 8"),
         ],
     )
     def test_bad_header_value_names_the_file(self, tmp_path, header, why):

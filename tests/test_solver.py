@@ -146,7 +146,7 @@ class TestNewton:
         shifted = a.field.shift(1.234)
         b = newton_solve(shifted, params)
         assert b.energy == pytest.approx(a.energy, rel=1e-9)
-        # both are recentered to put the maximum at s = 0
+        # both are translated to put the maximum at s = 0
         assert np.max(np.abs(a.field.resample(b.modes).values - b.field.values)) < 1e-7
 
     def test_maximum_recentered_at_origin(self):
@@ -281,9 +281,12 @@ class TestMovedStarts:
     # Regression: a translated and rescaled copy of a concentrated solution,
     # read back from its field file, must return to the same solution
     # (Newton used to stagnate for half of these starts).
-    @pytest.mark.parametrize("s0", [0.3, 1.0, 2.6425, 5.0907])
+    # L / 6144 is half a spacing of the 512-mode field's 3072-point fine
+    # grid: the farthest a start can be from the axis the grid maximum gives
+    @pytest.mark.parametrize("s0", [0.3, 1.0, 2.6425, 5.0907, L / 6144])
     @pytest.mark.parametrize("scale", [0.98, 1.0005, 1.04])
     def test_returns_to_unshifted_energy(self, concentrated, tmp_path, s0, scale):
+        assert concentrated.field.fine_size() == 3072
         path = tmp_path / "moved.field"
         save_field(concentrated.field.shift(s0).scaled(scale), path)
         sol = newton_solve(load_field(path), concentrated.params)
@@ -309,6 +312,31 @@ class TestEvenSolutions:
         sol = branch_continuation(prev, OperatorParams(12.0, 36.0))
         assert not sol.is_constant
         assert_even_about_origin(sol)
+
+    def test_continuation_that_lands_at_half_period(self):
+        # Regression: this step of `sweep --dim 8 --alpha 2:128:64:log`
+        # converged to the translate peaked at L/2 (c_1 < 0), and the next
+        # prediction was stretched about a trough
+        alpha0, alpha1 = 2.7821312384916594, 2.9719885782738964
+        params0 = OperatorParams(alpha0, alpha0 * alpha0 / 4.0)
+        prev = mode1_solution(ManifoldSpec(8, 1.0), params0, SolverOptions())
+        sol = branch_continuation(prev, OperatorParams(alpha1, alpha1 * alpha1 / 4.0))
+        assert not sol.is_constant
+        assert_even_about_origin(sol)
+        assert sol.field.coeffs[1].real > 0.0
+        assert sol.residual_sup == float(np.max(np.abs(residual(sol.field, sol.params).values)))
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_internal_starts_peak_at_origin(self, n):
+        # the quotient descent and the scaled predictor hand Newton starts
+        # already on their axis, so its grid-maximum translation is by 0
+        params = OperatorParams(8.0, 16.0)
+        qm = minimize_quotient(perturbed_init(params.a_alpha, spec=ManifoldSpec(n, 1.0)), params)
+        assert int(np.argmax(qm.field.fine_values())) == 0
+        prev = rescale_to_solution(qm, params)
+        for alpha in (6.0, 12.0):
+            start = continuation_init(prev, OperatorParams(alpha, alpha * alpha / 4.0))
+            assert int(np.argmax(start.fine_values())) == 0, alpha
 
     def test_off_symmetry_start(self, concentrated):
         # shifted, scaled and pushed off its symmetry axis by a few low
