@@ -59,6 +59,7 @@ from .solver import (
     Solution,
     SolverOptions,
     bifurcation_alpha,
+    constant_solution,
     linearized_operator,
     linearized_spectrum,
     minimize_quotient,

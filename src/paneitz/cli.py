@@ -20,14 +20,14 @@ from . import bubble as bubble_mod
 from .constants import (
     OperatorParams,
     bubble_coefficient,
-    constant_branch,
     critical_exponent,
     sharp_constant,
 )
 from .diagnostics import concentration_ratios
-from .field import PeriodicField, load_field, save_field
-from .geometry import ManifoldSpec, product_volume
-from .solver import ConvergenceError, PositivityError, SolverOptions, mode1_solution, newton_solve
+from .field import load_field, save_field
+from .geometry import ManifoldSpec
+from .solver import ConvergenceError, PositivityError, SolverOptions
+from .solver import constant_solution, mode1_solution, newton_solve
 from .sweep import SweepConfig, _json_ready, emit, quarter_square, run_sweep
 
 __all__ = ["main", "build_parser"]
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="mode1",
         help="constant/file: Newton from that guess; mode1: perturbed-constant "
         "seed driven through quotient minimization, then Newton-polished "
-        "(reaches the nonconstant branch past its bifurcation)",
+        "(the nonconstant branch past its bifurcation, the constant at or below it)",
     )
     p.add_argument("--field-in", help="field file (required with --init file)")
     p.add_argument("--field-out", help="write the solution field to this path")
@@ -215,19 +215,17 @@ def _cmd_solve(args) -> int:
     opts = SolverOptions(modes=args.modes)
     if args.init == "mode1":
         sol = mode1_solution(spec, params, opts)
+    elif args.init == "constant":
+        sol = constant_solution(spec, params, opts)
     else:
-        if args.init == "constant":
-            u_bar, _ = constant_branch(spec.n, params.a_alpha, product_volume(spec))
-            init = PeriodicField.constant(spec, u_bar, args.modes)
-        else:
-            if not args.field_in:
-                raise ValueError("--init file requires --field-in PATH")
-            init = load_field(args.field_in)
-            if init.spec != spec:
-                raise ValueError(
-                    f"field file is for n={init.spec.n}, t={init.spec.t}; "
-                    f"requested n={spec.n}, t={spec.t}"
-                )
+        if not args.field_in:
+            raise ValueError("--init file requires --field-in PATH")
+        init = load_field(args.field_in)
+        if init.spec != spec:
+            raise ValueError(
+                f"field file is for n={init.spec.n}, t={init.spec.t}; "
+                f"requested n={spec.n}, t={spec.t}"
+            )
         sol = newton_solve(init, params, opts)
     _print_json(_solution_payload(sol))
     if args.field_out:

@@ -49,14 +49,17 @@ def sharp_constant(n: int) -> tuple[float, float]:
     """
     if n < 5:
         raise ValueError(f"sharp constant requires dimension >= 5, got {n}")
-    k0_inv_sq = (
-        math.pi**2
-        * n
-        * (n - 4)
-        * (n**2 - 4)
-        * math.gamma(n / 2.0) ** (4.0 / n)
-        * math.gamma(float(n)) ** (-4.0 / n)
-    )
+    try:
+        k0_inv_sq = (
+            math.pi**2
+            * n
+            * (n - 4)
+            * (n**2 - 4)
+            * math.gamma(n / 2.0) ** (4.0 / n)
+            * math.gamma(float(n)) ** (-4.0 / n)
+        )
+    except OverflowError:
+        raise FloatingPointError(f"sharp constant for n={n}: Gamma(n) is outside the float64 range") from None
     return 1.0 / math.sqrt(k0_inv_sq), k0_inv_sq
 
 
@@ -64,7 +67,10 @@ def bubble_coefficient(n: int) -> float:
     """Normalization c_n = (n (n-4) (n^2-4))^((n-4)/8) of the radial extremal."""
     if n < 5:
         raise ValueError(f"bubble coefficient requires dimension >= 5, got {n}")
-    return (n * (n - 4) * (n**2 - 4)) ** ((n - 4) / 8.0)
+    try:
+        return (n * (n - 4) * (n**2 - 4)) ** ((n - 4) / 8.0)
+    except OverflowError:
+        raise FloatingPointError(f"bubble coefficient for n={n} is outside the float64 range") from None
 
 
 def einstein_coefficients(n: int, scalar_curvature: float) -> tuple[float, float]:

@@ -20,18 +20,15 @@ Two routes produce solutions:
   scaling u -> k^((n-4)/4) u(sqrt(k) s) of alpha -> k alpha, a -> k^2 a,
   with no linear solve.
 
-* ``minimize_quotient``: monotone descent on the Sobolev quotient
-  Q(u) = <Pu, u> / ||u||_{2#}^2 with the natural preconditioner P^{-1}
-  (descent direction u - Q(u) P^{-1} u_+^(2#-1), step halving on failure to
-  decrease).  Since P^{-1} = (Delta + c)^{-1} (Delta + d)^{-1} with c, d > 0
-  preserves positivity on the circle, positive iterates stay positive.
-  Each iteration samples the direction on the oversampled grid once; trial
-  steps are compared unnormalized (Q is scale invariant) from linear
-  combinations of those samples and a symbol-weighted Parseval sum, so they
-  cost no FFT, and only the accepted step is rescaled to unit critical norm.
-  ``mode1_solution`` runs it from the mode-1 perturbed constant and
-  Newton-polishes the rescaled minimizer: the one fresh start of the
-  nonconstant branch.
+* ``minimize_quotient``: the nonlinear inverse power method (Hein &
+  Buehler, NIPS 2010) on the Sobolev quotient Q(u) = <Pu, u> / ||u||_{2#}^2:
+  each step is Q(u) P^{-1} u_+^(2#-1), scaled to unit critical norm.  Q is
+  a ratio of two convex 2-homogeneous functionals, so on positive iterates
+  the step never raises Q and needs no step-size search; P^{-1} =
+  (Delta + c)^{-1} (Delta + d)^{-1} with c, d > 0 keeps iterates positive.
+  ``mode1_solution`` runs it from the mode-1 perturbed constant past the
+  mode-1 threshold, then Newton: the one fresh start of the nonconstant
+  branch.
 
 Newton iterates on the equation's own residual F(u) = P u - u_+^(2#-1):
 negative samples add nothing to the nonlinearity.  Each factor of
@@ -65,6 +62,7 @@ __all__ = [
     "QuotientMinimum",
     "minimize_quotient",
     "rescale_to_solution",
+    "constant_solution",
     "mode1_solution",
     "linearized_operator",
     "linearized_spectrum",
@@ -466,28 +464,29 @@ class QuotientMinimum:
     grad_norm: float
 
 
-# preconditioned gradient norm, relative to the iterate; Q falls by about its
-# square per step, which the q_cand < q test stops resolving near 1e-8
+# relative preconditioned gradient norm; Q falls by about its square per step,
+# below one ulp of Q near 1e-8, and Newton takes back what a looser stop saves
 _DESCENT_TOL = 1e-7
 _DESCENT_MAX_ITER = 5000
 
 
 def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMinimum:
-    """Preconditioned projected descent on Q over the unit critical sphere.
+    """Nonlinear inverse power iteration for the minimum of Q on the unit
+    critical sphere: each step is u - rho = Q(u) P^{-1} u_+^(2#-1), rho the
+    preconditioned gradient, scaled to unit critical norm.
 
-    Monotone by construction: steps are accepted only if Q decreases, with
-    step halving otherwise.  It stops once the gradient is at most
-    ``_DESCENT_TOL``; a step that no halving makes decrease Q, or
-    ``_DESCENT_MAX_ITER`` iterations, raises ``ConvergenceError``.
-
-    Each iteration samples the direction rho on the oversampled grid once.
-    Q is scale invariant, so the start's quotient comes from its own norms
-    and a trial u - eta rho is compared unnormalized: its fine samples are
-    fine(u) - eta fine(rho), since the zero-padded inverse FFT is linear,
-    its pairing is the symbol-weighted Parseval sum of its coefficients,
-    and trials cost no FFT.  Only the start and each accepted step are
-    scaled to unit critical norm.  A start or trial whose energy or pairing
-    leaves the float64 range raises ``FloatingPointError``.
+    No step raises Q.  With ||u||_{2#} = 1, R(v) = <Pv, v>, lambda = R(u) and
+    g = u_+^(2#-1), the step v = lambda P^{-1} g minimizes R(w) - 2 lambda
+    <w, g>, which is -R(v) at v and -lambda at u, so R(v) >= lambda.  On
+    positive u, 2 g is the gradient of the convex S = ||.||_{2#}^2, so
+    S(v) >= 2 R(v) / lambda - 1 and Q(v) <= lambda R(v) / (2 R(v) - lambda)
+    <= lambda.  The premise is positive iterates, which P^{-1} keeps.  It
+    stops once the relative gradient norm is at most ``_DESCENT_TOL``;
+    ``_DESCENT_MAX_ITER`` iterations raise ``ConvergenceError`` with the last
+    iterate.  The step's fine samples are fine(u) - fine(rho) (the
+    zero-padded inverse FFT is linear) and its pairing a symbol-weighted
+    Parseval sum; a start or step whose energy or pairing leaves the float64
+    range raises ``FloatingPointError``.
     """
     if float(np.max(np.abs(init.values))) == 0.0:
         raise ValueError("initial guess must be nonzero")
@@ -517,28 +516,18 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
             )
         if grad_norm <= _DESCENT_TOL:
             return QuotientMinimum(field=u, lambda_min=q, iterations=it, grad_norm=grad_norm)
-        fine_u = u.fine_values()
-        fine_rho = np.fft.irfft(_pad(rho, nf) * nf, nf)
-        eta = 1.0
-        for _ in range(40):
-            coeffs = u.coeffs - eta * rho
-            with np.errstate(over="ignore", invalid="ignore"):
-                energy = volume * float(np.mean(np.abs(fine_u - eta * fine_rho) ** two_sharp))
-                pairing = float(np.sum(pair_weights * np.abs(coeffs) ** 2))
-            if not (0.0 < energy < math.inf and math.isfinite(pairing)):
-                raise FloatingPointError(
-                    f"quotient descent trial step is outside the float64 range "
-                    f"(energy {energy!r}, pairing {pairing!r})"
-                )
-            q_cand = pairing / energy ** (2.0 / two_sharp)
-            if q_cand < q:
-                break
-            eta *= 0.5
-        else:
-            raise ConvergenceError(
-                f"quotient descent stagnated (gradient norm {grad_norm:.3e})", u, grad_norm
+        coeffs = u.coeffs - rho
+        with np.errstate(over="ignore", invalid="ignore"):
+            fine = u.fine_values() - np.fft.irfft(_pad(rho, nf) * nf, nf)
+            energy = volume * float(np.mean(np.abs(fine) ** two_sharp))
+            pairing = float(np.sum(pair_weights * np.abs(coeffs) ** 2))
+        if not (0.0 < energy < math.inf and math.isfinite(pairing)):
+            raise FloatingPointError(
+                f"quotient descent step is outside the float64 range "
+                f"(energy {energy!r}, pairing {pairing!r})"
             )
-        u, q = PeriodicField(spec, coeffs * energy ** (-1.0 / two_sharp)), q_cand
+        u = PeriodicField(spec, coeffs * energy ** (-1.0 / two_sharp))
+        q = pairing / energy ** (2.0 / two_sharp)
     raise ConvergenceError(
         f"quotient descent did not converge in {_DESCENT_MAX_ITER} iterations", u, grad_norm
     )
@@ -561,11 +550,19 @@ def rescale_to_solution(
 MODE1_AMPLITUDE = 0.1  # relative amplitude of the mode-1 seed's cosine
 
 
+def constant_solution(spec: ManifoldSpec, params: OperatorParams, opts: SolverOptions) -> Solution:
+    """Newton from the exact constant a^((n-4)/8) on ``opts.modes`` points."""
+    u_bar, _ = constant_branch(spec.n, params.a_alpha, product_volume(spec))
+    return newton_solve(PeriodicField.constant(spec, u_bar, opts.modes), params, opts)
+
+
 def mode1_solution(spec: ManifoldSpec, params: OperatorParams, opts: SolverOptions) -> Solution:
-    """Fresh start off the constant branch: quotient descent from the seed
-    u_bar (1 + MODE1_AMPLITUDE cos(s/t)), u_bar = a^((n-4)/8), on
-    ``opts.modes`` points, then rescaling and Newton polish.  Past the
-    mode-1 bifurcation this reaches the nonconstant branch."""
+    """Fresh start off the constant branch past the mode-1 bifurcation:
+    quotient descent from u_bar (1 + MODE1_AMPLITUDE cos(s/t)), u_bar =
+    a^((n-4)/8), on ``opts.modes`` points, then rescaling and Newton polish.
+    At and below it (mode-1 eigenvalue >= 0) it is ``constant_solution``."""
+    if constant_eigenvalue(spec, params, 1) >= 0.0:
+        return constant_solution(spec, params, opts)
     u_bar, _ = constant_branch(spec.n, params.a_alpha, product_volume(spec))
     seed = PeriodicField.cosine(spec, u_bar, MODE1_AMPLITUDE, opts.modes)
     return rescale_to_solution(minimize_quotient(seed, params), params, opts)

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from .constants import OperatorParams, constant_branch, sharp_constant
 from .diagnostics import concentration_ratios
-from .field import PeriodicField, _ball_radius
+from .field import _ball_radius
 from .geometry import ManifoldSpec, product_volume
 from .solver import (
     ConvergenceError,
@@ -29,6 +29,7 @@ from .solver import (
     Solution,
     SolverOptions,
     constant_eigenvalue,
+    constant_solution,
     continuation_init,
     mode1_solution,
     newton_solve,
@@ -146,7 +147,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     records: list[SweepRecord] = []
     prev_nc: Solution | None = None
     for alpha, params in zip(config.alphas, config.params):
-        u_bar, e_const = constant_branch(spec.n, params.a_alpha, volume)
+        _, e_const = constant_branch(spec.n, params.a_alpha, volume)
         sol_nc = (
             _nonconstant_solution(config, params, prev_nc)
             if constant_eigenvalue(spec, params, 1) < 0.0
@@ -157,11 +158,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         if sol_nc is not None and sol_nc.energy <= e_const:
             chosen: Solution = sol_nc
         else:
-            chosen = newton_solve(
-                PeriodicField.constant(spec, u_bar, config.solver.modes),
-                params,
-                config.solver,
-            )
+            chosen = constant_solution(spec, params, config.solver)
         report = concentration_ratios(chosen.field, config.delta, params)
         records.append(
             SweepRecord(

@@ -17,7 +17,7 @@ from paneitz.constants import critical_exponent
 from paneitz.field import PeriodicField, load_field, save_field
 from paneitz.geometry import ManifoldSpec
 import paneitz
-from paneitz.solver import SolverOptions
+from paneitz.solver import SolverOptions, bifurcation_alpha
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +46,13 @@ class TestConstantsCommand:
         code, _, err = run_cli(capsys, "constants", "--dim", "4")
         assert code == 1
         assert "5" in err
+
+    def test_dim_beyond_float64_gamma_is_numerical_failure(self, capsys):
+        # used to raise an uncaught OverflowError out of main
+        assert run_cli(capsys, "constants", "--dim", "171")[0] == 0
+        code, out, err = run_cli(capsys, "constants", "--dim", "172")
+        assert (code, out) == (2, "")
+        assert "numerical failure: sharp constant for n=172: Gamma(n) is outside the float64 range" in err
 
 
 class TestBubbleCheckCommand:
@@ -132,6 +139,17 @@ class TestSolveCommand:
         assert payload["is_constant"] is True
         assert payload["residual_sup"] <= 1e-10
         assert out_path.exists()
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_mode1_at_the_threshold_is_the_constant(self, capsys, n):
+        # at alpha* the constant's mode-1 eigenvalue is 0.0 (+8.9e-16 at
+        # n = 7), so mode1 is Newton from the exact constant; the quotient
+        # descent used to creep there for 5000 iterations and exit 2
+        args = ("solve", "--dim", str(n), "--alpha", repr(bifurcation_alpha(n, 1.0, 1)))
+        code, out, err = run_cli(capsys, *args, "--init", "mode1")
+        assert code == 0, err
+        assert json.loads(out)["is_constant"] is True
+        assert run_cli(capsys, *args, "--init", "constant") == (0, out, "")
 
     def test_trivial_root_is_a_numerical_failure(self, capsys, tmp_path):
         # 0.6 times a solution is a start that Newton drives to u = 0
@@ -289,6 +307,7 @@ class TestSweepCommand:
 
         monkeypatch.setattr("paneitz.sweep.newton_solve", no_solve)
         monkeypatch.setattr("paneitz.sweep.mode1_solution", no_solve)
+        monkeypatch.setattr("paneitz.sweep.constant_solution", no_solve)
         out = tmp_path / "s.csv"
         code, _, err = run_cli(capsys, "sweep", "--dim", "5", "--delta", "100", "--out", str(out))
         assert code == 1
@@ -394,6 +413,11 @@ class TestSweepCommand:
             outputs.append(out.read_bytes())
         assert outputs[0].count(b"\n") == 17
         assert outputs[0] == outputs[1]
+
+    def test_dim_beyond_float64_gamma_is_numerical_failure(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--dim", "200", "--alpha", "2:4:2", "--format", "json")
+        assert (code, out) == (2, "")
+        assert "numerical failure: sharp constant for n=200: Gamma(n) is outside the float64 range" in err
 
     def test_csv_requires_out(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--dim", "5", "--alpha", "2:4:2")

@@ -71,6 +71,13 @@ class TestBubbleCoefficient:
         assert bubble_coefficient(8) == pytest.approx(math.sqrt(1920.0), rel=1e-14)
         assert bubble_coefficient(12) == 13440.0
 
+    def test_float64_limit_is_named(self):
+        assert bubble_coefficient(259) == pytest.approx(
+            float(mpmath.mpf(259 * 255 * (259**2 - 4)) ** (mpmath.mpf(255) / 8)), rel=1e-12
+        )
+        with pytest.raises(FloatingPointError, match=r"n=260 is outside the float64 range"):
+            bubble_coefficient(260)
+
 
 class TestEinsteinCoefficients:
     def test_zero_curvature(self):

@@ -210,17 +210,31 @@ class TestNewton:
         with pytest.raises(PositivityError, match="converged to the trivial solution"):
             newton_solve(sol.field.scaled(0.6), params)
 
-    def test_trivial_root_is_named_before_a_negative_sample(self):
+    def test_trivial_root_is_named_before_a_negative_sample(self, monkeypatch):
         # this start falls to u = 0 with a rounding-level negative fine
-        # sample; the trivial-root bound is checked first, so it is named
+        # sample; the trivial-root bound is checked first, so it is named.
+        # Below the mode-1 threshold (alpha = 2 < 4 at t = 0.5) the start is
+        # the polished quotient minimizer, constant up to rounding: from the
+        # exact constant the fall ends at exactly 0.0
         spec = ManifoldSpec(5, 0.5)
         params = OperatorParams(2.0, 1.0)
-        sol = mode1_solution(spec, params, SolverOptions())
+        sol = rescale_to_solution(minimize_quotient(perturbed_init(1.0, spec=spec), params), params)
         start = sol.field.shift(spec.period / 3.0).scaled(0.3)
+        ends = []
+        fixed = solver_mod._newton_fixed
+
+        def recording(u, params):
+            out = fixed(u, params)
+            ends.append(out[0])
+            return out
+
+        monkeypatch.setattr(solver_mod, "_newton_fixed", recording)
         with pytest.raises(PositivityError, match=r"converged to the trivial solution \(max ") as info:
             newton_solve(start, params)
         # the printed max is rounding-level; its digits move with the solver's rounding
         assert float(re.search(r"max (\S+) <", str(info.value)).group(1)) < 1e-30
+        low = float(np.min(ends[-1].fine_values()))
+        assert -1e-30 < low < 0.0
 
     def test_sign_changing_start_reaches_the_constant(self):
         # negative samples add nothing to the nonlinearity, and Newton on
@@ -559,12 +573,25 @@ def reference_descent(init, params, steps):
 
 
 class TestMinimizeQuotient:
-    @pytest.mark.parametrize("n", [5, 7])
-    def test_line_search_matches_reference(self, n, monkeypatch):
-        # n = 7 has the fractional critical power 2# = 14/3
-        spec = ManifoldSpec(n, 1.0)
-        params = OperatorParams(16.0, 64.0)
-        init = perturbed_init(64.0, spec=spec)
+    @pytest.mark.parametrize(
+        "n, t, alpha, modes",
+        [
+            pytest.param(5, 1.0, 16.0, 64, id="5"),
+            # n = 7 has the fractional critical power 2# = 14/3
+            pytest.param(7, 1.0, 16.0, 64, id="7"),
+            pytest.param(8, 1.0, 16.0, 64, id="8-t1-alpha16"),
+            pytest.param(5, 1.0, 256.0, 64, id="5-t1-alpha256"),
+            pytest.param(5, 2.0, 256.0, 128, id="5-t2-alpha256-N128"),
+            pytest.param(7, 0.5, 128.0, 64, id="7-t0.5-alpha128"),
+        ],
+    )
+    def test_line_search_matches_reference(self, n, t, alpha, modes, monkeypatch):
+        # the reference keeps the step-halving line search, so a full step
+        # that ever raised Q would leave the two apart
+        spec = ManifoldSpec(n, t)
+        a = alpha * alpha / 4.0
+        params = OperatorParams(alpha, a)
+        init = perturbed_init(a, modes=modes, spec=spec)
         reference = reference_descent(init, params, 8)
         lams = []
         for k, ref in enumerate(reference, start=1):
@@ -590,9 +617,9 @@ class TestMinimizeQuotient:
         [
             # the start's own norms overflow
             (OperatorParams(2.0, 1.0), perturbed_init(1.0).scaled(1e300), "norms of the field"),
-            # the unit-norm start is fine; the first trial step u - rho ~ 1e100
+            # the unit-norm start is fine; the first step u - rho ~ 1e100
             # has a critical energy beyond float64
-            (OperatorParams(1e100, 1.0), perturbed_init(1.0), "trial step"),
+            (OperatorParams(1e100, 1.0), perturbed_init(1.0), "descent step"),
         ],
     )
     def test_overflow_raises_named_error(self, params, init, reason):
@@ -629,7 +656,7 @@ class TestMinimizeQuotient:
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_mode1_descents_reach_the_tolerance(self, n):
         # the mode-1 seeds at t = 1, a = alpha^2/4 on 64 modes: every descent
-        # ends by its gradient test, none where no halving decreases Q
+        # ends by its gradient test
         spec = ManifoldSpec(n, 1.0)
         late = []
         for alpha in (2.0, 3.7, 8.0, 16.0, 32.0, 45.1, 128.0):
