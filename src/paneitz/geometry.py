@@ -69,10 +69,17 @@ def sphere_spectrum(d: int, lmax: int) -> list[tuple[int, int]]:
 
 
 def sphere_volume(d: int) -> float:
-    """Volume of the unit d-sphere, omega_d = 2 pi^((d+1)/2) / Gamma((d+1)/2)."""
+    """Volume of the unit d-sphere, omega_d = 2 pi^((d+1)/2) / Gamma((d+1)/2).
+    Gamma((d+1)/2) leaves float64 from d = 343 on, which raises
+    ``FloatingPointError``."""
     if d < 1:
         raise ValueError("sphere dimension must be >= 1")
-    return 2.0 * math.pi ** ((d + 1) / 2) / math.gamma((d + 1) / 2)
+    try:
+        return 2.0 * math.pi ** ((d + 1) / 2) / math.gamma((d + 1) / 2)
+    except OverflowError:
+        raise FloatingPointError(
+            f"volume of the unit {d}-sphere: Gamma({(d + 1) / 2:g}) is outside the float64 range"
+        ) from None
 
 
 def product_volume(spec: ManifoldSpec) -> float:

@@ -12,10 +12,10 @@ Two routes produce solutions:
   coordinates (the symbol minus the Toeplitz-plus-Hankel matrix of
   multiplication by (2#-1) u_+^(2#-2)); Newton uses its cosine block, which
   needs no phase condition because the translation mode u' is odd.  One
-  helper solves it for the Newton step at every N: GMRES on the system
-  scaled by symbol^(-1/2), whose cosine block is assembled once per step
-  from one FFT of the weight, so each iteration is one matrix-vector
-  product.  The linearized spectrum uses the full dense matrix.
+  function, ``_solve_krylov``, sets up and solves the Newton step at every
+  N: it assembles that block scaled by symbol^(-1/2) from one FFT of the
+  weight and runs GMRES on the matrix, one matrix-vector product per
+  iteration.  The linearized spectrum uses the full dense matrix.
   ``continuation_init`` predicts the next start of a branch from the exact
   scaling u -> k^((n-4)/4) u(sqrt(k) s) of alpha -> k alpha, a -> k^2 a,
   with no linear solve.
@@ -40,7 +40,6 @@ positive on the fine grid, or the trivial root u = 0, raises
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -129,7 +128,15 @@ class Solution:
 
 def _symbol(spec: ManifoldSpec, params: OperatorParams, m):
     """Symbol sigma_m = mu^2 + alpha mu + a of P on circle mode m (int or
-    array), mu = (m/t)^2."""
+    array), mu = (m/t)^2.  It grows with m, so it is first formed in Python
+    floats (which overflow to inf quietly) on the largest m; a value there
+    outside the float64 range raises ``FloatingPointError``."""
+    top = float(np.max(m))
+    mu = (top / spec.t) * (top / spec.t)
+    if not mu * mu + params.alpha * mu + params.a_alpha < math.inf:
+        raise FloatingPointError(
+            f"symbol of P on circle mode {top:g} at t={spec.t!r} is outside the float64 range"
+        )
     mu = (m / spec.t) ** 2
     return mu * mu + params.alpha * mu + params.a_alpha
 
@@ -148,26 +155,6 @@ def residual(u: PeriodicField, params: OperatorParams) -> PeriodicField:
 
 
 # --- Newton ------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=16)
-def _root_weights(half: int) -> np.ndarray:
-    root = np.sqrt(_parseval_weights(half))
-    root.flags.writeable = False
-    return root
-
-
-def _to_real(coeffs: np.ndarray) -> np.ndarray:
-    """Half spectrum of an even field -> its N/2+1 orthonormal cosine
-    coordinates Re c_0..c_{N/2}, each times the square root of its Parseval
-    weight, so the Euclidean norm is the L2 norm over the circle divided by
-    its length.  Imaginary parts (the sine coordinates) are dropped."""
-    return _root_weights(coeffs.size) * coeffs.real
-
-
-def _from_real(x: np.ndarray) -> np.ndarray:
-    """Inverse of ``_to_real``: the real half spectrum of an even field."""
-    return x / _root_weights(x.size)
 
 
 def _jacobian_weight(u: PeriodicField) -> np.ndarray:
@@ -210,11 +197,11 @@ def _cosine_block(re: np.ndarray, diagonal: float | np.ndarray, scale: np.ndarra
 
 def linearized_operator(u: PeriodicField, params: OperatorParams) -> np.ndarray:
     """Real symmetric Jacobian of ``residual``, the matrix of
-    P - (2#-1) u_+^(2#-2), in orthonormal cosine/sine coordinates: the
-    cosine coordinates of ``_to_real`` (Re c_0..c_{N/2}), then the sine ones
-    (Im c_1..c_{N/2-1}, times the same square-root weights); index 0 is the
-    constant mode.  Its leading (N/2+1)-square block is the cosine block
-    that Newton solves, from ``_cosine_block``.
+    P - (2#-1) u_+^(2#-2), in orthonormal cosine/sine coordinates: Re c_k
+    (k = 0..N/2), then Im c_k (k = 1..N/2-1), each times the square root of
+    its Parseval weight; index 0 is the constant mode.  Its leading
+    (N/2+1)-square block is the cosine block that Newton solves, from
+    ``_cosine_block``.
 
     The basis functions are 1, sqrt(2) cos(k s/t) and -sqrt(2) sin(k s/t).
     With R_k + i I_k the Fourier coefficients of the weight w on the fine
@@ -256,8 +243,8 @@ def _back_substitute(cols: list, g: list) -> np.ndarray:
     return np.array(y)
 
 
-def _gmres(apply, b: np.ndarray) -> np.ndarray:
-    """Solve apply(x) = b by GMRES from x = 0, for an operator that is the
+def _gmres(matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve matrix @ x = b by GMRES from x = 0, for a matrix that is the
     identity plus a compact part (so its norm is at least about 1).
 
     Arnoldi uses classical Gram-Schmidt applied twice, so the basis stays
@@ -279,7 +266,7 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
     rot = []                # Givens rotations (cos, sin) applied so far
     g = [beta]              # rotated right-hand side beta e_1
     for k in range(m):
-        w, done = apply(basis[k]), basis[: k + 1]
+        w, done = matrix @ basis[k], basis[: k + 1]
         h = done @ w
         w -= h @ done
         again = done @ w
@@ -305,37 +292,37 @@ def _gmres(apply, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _scaled_jacobian(u: PeriodicField, params: OperatorParams):
-    """(scale, op): scale = symbol^(-1/2) and op(z) = scale J (scale z), J the
-    cosine block of ``linearized_operator``.  The scaled symbol is the
-    identity, so op is the product with the matrix
-    A = I - diag(s) (T + H) diag(s), s = scale times ``_cosine_amplitudes``,
-    assembled once by ``_cosine_block``: O(N^2) per product, one BLAS
-    matrix-vector call."""
+def _solve_krylov(u: PeriodicField, params: OperatorParams, rhs: np.ndarray) -> np.ndarray:
+    """Real half spectrum delta solving J(u) delta = rhs for even u and rhs,
+    J the cosine block of ``linearized_operator``.
+
+    In orthonormal cosine coordinates (Re c_k times the square root of its
+    Parseval weight) scaled by s = symbol^(-1/2) on both sides, the symbol
+    is the identity and the matrix is A = I - diag(s') (T + H) diag(s'),
+    s' = s times ``_cosine_amplitudes``.  Its spectrum clusters at 1, so GMRES
+    needs about ten iterations at every N, each one BLAS product with A,
+    assembled once by ``_cosine_block``.  The translation mode u' is odd, so
+    the even system needs no phase condition.  A singular or unconverged
+    system raises a named ``np.linalg.LinAlgError``."""
     half = u.coeffs.size
     scale = 1.0 / np.sqrt(_symbol(u.spec, params, np.arange(half)))
+    root = np.sqrt(_parseval_weights(half))
     block = _cosine_block(_jacobian_weight(u).real, 1.0, scale * _cosine_amplitudes(half))
-    return scale, block.__matmul__
-
-
-def _solve_krylov(u: PeriodicField, params: OperatorParams, rhs: np.ndarray) -> np.ndarray:
-    """Real half spectrum delta solving J(u) delta = rhs for even u and rhs.
-
-    GMRES in cosine coordinates on ``_scaled_jacobian``: scaled by
-    symbol^(-1/2), the Jacobian is the identity minus a compact part, so its
-    spectrum clusters at 1 and GMRES needs about ten iterations at every N.
-    The scaled block is assembled once per solve, so each iteration is one
-    matrix-vector product.  The translation mode u' is odd, so the even
-    system needs no phase condition.  A singular or unconverged system
-    raises a named ``np.linalg.LinAlgError``."""
-    scale, op = _scaled_jacobian(u, params)
-    return _from_real(scale * _gmres(op, scale * _to_real(rhs)))
+    x = _gmres(block, scale * (root * rhs.real))
+    return scale * x / root
 
 
 def _nonlinear_scale(u: PeriodicField) -> float:
+    """max(1, max|u|^(2#-1)), the size of the nonlinear term; a peak whose
+    power leaves float64 raises ``FloatingPointError``."""
     p = critical_exponent(u.spec.n) - 1.0
     peak = float(np.max(np.abs(u.fine_values())))
-    return max(1.0, peak**p)
+    try:
+        return max(1.0, peak**p)
+    except OverflowError:
+        raise FloatingPointError(
+            f"nonlinear term u^(2#-1) of a field with max |u| = {peak:.3e} is outside the float64 range"
+        ) from None
 
 
 _CONSTANT_FRACTION = 1e-7
@@ -409,6 +396,7 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
     u = init if init.modes >= opts.modes else init.resample(opts.modes)
     s0 = float(u.fine_grid()[int(np.argmax(u.fine_values()))])
     u = PeriodicField(u.spec, u.shift(s0).coeffs.real)
+    _nonlinear_scale(u)  # the start's u^(2#-1) is in float64 before its first residual
     iters = 0
     while True:
         u, res_sup, it = _newton_fixed(u, params)

@@ -26,6 +26,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_named_float64_failure(capsys, reason, *argv):
+    """Exit 2 with ``reason`` on one stderr line: no traceback, no output and
+    no RuntimeWarning (which the warning filter turns into an exception)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"paneitz {argv[0]}: numerical failure: {reason}\n"
+
+
 class TestConstantsCommand:
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--dim", "5")
@@ -161,6 +171,34 @@ class TestSolveCommand:
         code, out, err = run_cli(capsys, *args, "--init", "file", "--field-in", str(start))
         assert (code, out) == (2, "")
         assert "numerical failure: converged to the trivial solution" in err
+
+    def test_dim_beyond_float64_sphere_volume_is_numerical_failure(self, capsys):
+        reason = "volume of the unit 343-sphere: Gamma(172) is outside the float64 range"
+        assert_named_float64_failure(capsys, reason, "solve", "--dim", "344", "--alpha", "4")
+
+    @pytest.mark.parametrize("t", ["1e-160", "1e-100", "1e-80"])
+    def test_circle_symbol_beyond_float64_is_numerical_failure(self, capsys, t):
+        # sigma_1 ~ t^-4 leaves float64 near t = 1e-77; mode1 forms it first
+        reason = f"symbol of P on circle mode 1 at t={t} is outside the float64 range"
+        assert_named_float64_failure(capsys, reason, "solve", "--dim", "5", "--alpha", "4", "--t", t)
+
+    def test_symbol_limit_is_on_the_top_mode(self, capsys):
+        # sigma_32 ~ (32/t)^4 leaves float64 between t = 1e-75 and 1e-76
+        args = ("solve", "--dim", "5", "--alpha", "4")
+        code, out, err = run_cli(capsys, *args, "--t", "1e-75")
+        assert code == 0, err
+        assert json.loads(out)["is_constant"] is True
+        reason = "symbol of P on circle mode 32 at t=1e-76 is outside the float64 range"
+        assert_named_float64_failure(capsys, reason, *args, "--t", "1e-76")
+
+    def test_start_whose_nonlinear_term_overflows_is_named(self, capsys, tmp_path):
+        # u^(2#-1) = 1e40^9 leaves float64, so the start fails before its first residual
+        path = tmp_path / "huge.field"
+        save_field(PeriodicField.constant(ManifoldSpec(5, 1.0), 1e40, 16), path)
+        reason = "nonlinear term u^(2#-1) of a field with max |u| = 1.000e+40 is outside the float64 range"
+        assert_named_float64_failure(
+            capsys, reason, "solve", "--dim", "5", "--alpha", "4", "--init", "file", "--field-in", str(path)
+        )
 
     def test_schedule_violation_rejected(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--dim", "5", "--alpha", "2", "--a", "2")
@@ -418,6 +456,18 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, "sweep", "--dim", "200", "--alpha", "2:4:2", "--format", "json")
         assert (code, out) == (2, "")
         assert "numerical failure: sharp constant for n=200: Gamma(n) is outside the float64 range" in err
+
+    def test_dim_beyond_float64_sphere_volume_is_numerical_failure(self, capsys):
+        reason = "volume of the unit 343-sphere: Gamma(172) is outside the float64 range"
+        assert_named_float64_failure(
+            capsys, reason, "sweep", "--dim", "344", "--alpha", "2:4:2", "--format", "json"
+        )
+
+    def test_circle_symbol_beyond_float64_is_numerical_failure(self, capsys):
+        reason = "symbol of P on circle mode 1 at t=1e-160 is outside the float64 range"
+        assert_named_float64_failure(
+            capsys, reason, "sweep", "--dim", "5", "--t", "1e-160", "--alpha", "2:4:2", "--format", "json"
+        )
 
     def test_csv_requires_out(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--dim", "5", "--alpha", "2:4:2")

@@ -7,7 +7,7 @@ import pytest
 
 from paneitz import solver as solver_mod
 from paneitz.constants import OperatorParams, constant_branch, critical_exponent, sharp_constant
-from paneitz.field import PeriodicField, _pair_counts, load_field, norms, save_field
+from paneitz.field import PeriodicField, _pair_counts, _parseval_weights, load_field, norms, save_field
 from paneitz.geometry import ManifoldSpec, product_volume
 from paneitz.solver import (
     ConvergenceError,
@@ -28,13 +28,14 @@ from paneitz.solver import (
 )
 from paneitz.solver import (
     _back_substitute,
+    _cosine_amplitudes,
+    _cosine_block,
+    _jacobian_weight,
     _nonlinear_coeffs,
     _nonlinear_scale,
-    _scaled_jacobian,
     _solve_krylov,
     _symbol,
     _tail_fraction,
-    _to_real,
 )
 from paneitz.sweep import branch_continuation
 
@@ -389,6 +390,15 @@ def sign_changing_field(modes):
     return u.shift(0.7)
 
 
+def scaled_block(u, params):
+    """(scale, A): scale = symbol^(-1/2) and the scaled cosine block
+    A = diag(scale) J diag(scale) that ``_solve_krylov`` hands to GMRES,
+    assembled by the same ``_cosine_block`` call."""
+    h = u.coeffs.size
+    scale = 1.0 / np.sqrt(_symbol(u.spec, params, np.arange(h)))
+    return scale, _cosine_block(_jacobian_weight(u).real, 1.0, scale * _cosine_amplitudes(h))
+
+
 class TestKrylovSolve:
     def test_scaled_operator_matches_dense_jacobian(self):
         # every column of the scaled cosine block, the Nyquist cosine's included
@@ -396,10 +406,9 @@ class TestKrylovSolve:
         u = sign_changing_field(256)
         assert float(np.min(u.fine_values())) < 0.0
         h = u.coeffs.size
-        scale, op = _scaled_jacobian(u, params)
-        assert np.array_equal(scale, 1.0 / np.sqrt(_symbol(u.spec, params, np.arange(h))))
+        scale, block = scaled_block(u, params)
         jac = scale[:, None] * linearized_operator(u, params)[:h, :h] * scale[None, :]
-        cols = np.column_stack([op(e) for e in np.eye(h)])
+        cols = np.column_stack([block @ e for e in np.eye(h)])
         assert np.max(np.abs(cols - jac)) <= 1e-13 * np.max(np.abs(jac))
 
     @pytest.mark.parametrize("modes", [64, 128, 256])
@@ -409,8 +418,9 @@ class TestKrylovSolve:
         u = sign_changing_field(modes)
         rhs = residual(u, params).coeffs
         h = u.coeffs.size
-        dense = np.linalg.solve(linearized_operator(u, params)[:h, :h], _to_real(rhs))
-        krylov = _to_real(_solve_krylov(u, params, rhs))
+        root = np.sqrt(_parseval_weights(h))  # orthonormal cosine coordinates
+        dense = np.linalg.solve(linearized_operator(u, params)[:h, :h], root * rhs.real)
+        krylov = root * _solve_krylov(u, params, rhs)
         assert np.linalg.norm(krylov - dense) <= 1e-12 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("modes", [64, 128, 256])
@@ -460,9 +470,8 @@ class TestJacobianAssembly:
         jac = linearized_operator(u, params)
         assert np.max(np.abs(jac - ref)) <= 1e-14 * np.max(np.abs(ref))
         h = u.coeffs.size
-        scale, op = _scaled_jacobian(u, params)
+        scale, block = scaled_block(u, params)
         scaled = scale[:, None] * ref[:h, :h] * scale[None, :]
-        block = op.__self__
         assert block.shape == (h, h)
         assert np.max(np.abs(block - scaled)) <= 1e-14 * np.max(np.abs(scaled))
         assert np.max(np.abs(block[:, -1] - scaled[:, -1])) <= 1e-14 * np.max(np.abs(scaled[:, -1]))
@@ -724,6 +733,26 @@ class TestLinearization:
         eig = linearized_spectrum(sol, kmax=0)
         p = critical_exponent(5)
         assert eig[0] == pytest.approx(-(p - 2.0) * 1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [8.0, 128.0])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_nonconstant_solution_has_morse_index_one(self, n, alpha):
+        # the quotient minimizer's Morse index is 1; the next eigenvalue is
+        # the odd translation mode u' (zero up to rounding, of either sign)
+        params = OperatorParams(alpha, alpha * alpha / 4.0)
+        sol = mode1_solution(ManifoldSpec(n, 1.0), params, SolverOptions())
+        assert not sol.is_constant
+        eig = linearized_spectrum(sol)
+        assert eig[0] < 0.0
+        assert abs(eig[1]) <= 1e-14 * np.max(np.abs(eig))
+        assert eig[2] > 0.0
+        # its eigenvector: the sine coordinates of u', sqrt(2) k c_k / t
+        u, h = sol.field, sol.field.coeffs.size
+        vec = np.linalg.eigh(linearized_operator(u, params))[1][:, 1]
+        k = np.arange(1, h - 1)
+        translation = np.sqrt(2.0) * k * u.coeffs.real[1:-1]
+        overlap = abs(vec[h:] @ translation) / np.linalg.norm(translation)
+        assert overlap >= 1.0 - 1e-10
 
     def test_dense_matches_closed_form_at_constant(self):
         params = OperatorParams(2.0, 1.0)
