@@ -257,7 +257,9 @@ def bubble_energy(params: BubbleParams) -> float:
     with an analytic integrand, so composite Gauss-Legendre converges
     spectrally and no truncation radius is involved.  Convergence is verified
     by doubling the node count (from ``_ENERGY_NODES``); disagreement raises
-    a warning.
+    a warning.  The integrand v^(2#) r^(n-1) is formed as
+    (v^(2#/(n-1)) r)^(n-1): near theta = pi/2 the factor r^(n-1) alone
+    leaves float64 from n = 63, while the product decays like r^(-n-1).
     """
     n = params.n
     omega = sphere_volume(n - 1)
@@ -268,7 +270,7 @@ def bubble_energy(params: BubbleParams) -> float:
         theta, w = panel_rule(np.array([0.0, math.pi / 2]), order=k)
         r = np.tan(theta) / lam
         jac = 1.0 / (lam * np.cos(theta) ** 2)
-        vals = bubble_eval(params, r) ** p * r ** (n - 1) * jac
+        vals = (bubble_eval(params, r) ** (p / (n - 1)) * r) ** (n - 1) * jac
         return omega * float(np.sum(w * vals))
 
     coarse = quad(_ENERGY_NODES)
@@ -300,16 +302,22 @@ def pohozaev_identity_residual(w: RadialField, rmax: float = 40.0) -> float:
     for a rapidly decaying radial field, integrated over the ball of radius
     rmax.  Returns the left-hand side divided by int (Delta w)^2 dx.  A
     tail-mass check warns when the integrands have not decayed by rmax.
+    Integrands that leave float64 (the extremal from n = 144 at
+    lambda0 = 1, whose c_n^2 is near 1e300) raise ``FloatingPointError``
+    naming them and n.
     """
     if w.bilaplacian is None or w.deriv1 is None or w.laplacian is None:
         raise ValueError("identity check needs deriv1, laplacian and bilaplacian callbacks")
     n = w.dim
     r, wq = _radial_quadrature(rmax, w.scale)
-    meas = r ** (n - 1)
     omega = sphere_volume(n - 1)
-    g1 = np.asarray(w.bilaplacian(r)) * r * np.asarray(w.deriv1(r)) * meas
-    lap = np.asarray(w.laplacian(r))
-    g2 = lap**2 * meas
+    with np.errstate(over="ignore", invalid="ignore"):
+        meas = r ** (n - 1)
+        g1 = np.asarray(w.bilaplacian(r)) * r * np.asarray(w.deriv1(r)) * meas
+        lap = np.asarray(w.laplacian(r))
+        g2 = lap**2 * meas
+    if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
+        raise FloatingPointError(f"scaling-identity integrands for n={n} overflow float64")
     i1 = omega * float(np.sum(wq * g1))
     i2 = omega * float(np.sum(wq * g2))
     if i2 == 0.0:

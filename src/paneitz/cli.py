@@ -27,7 +27,7 @@ from .diagnostics import concentration_ratios
 from .field import load_field, save_field
 from .geometry import ManifoldSpec
 from .solver import ConvergenceError, PositivityError, SolverOptions
-from .solver import constant_solution, mode1_solution, newton_solve
+from .solver import constant_solution, mode1_solution, nehari_scaled, newton_solve
 from .sweep import SweepConfig, _json_ready, emit, quarter_square, run_sweep
 
 __all__ = ["main", "build_parser"]
@@ -114,9 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--init",
         choices=("constant", "mode1", "file"),
         default="mode1",
-        help="constant/file: Newton from that guess; mode1: perturbed-constant "
-        "seed driven through quotient minimization, then Newton-polished "
-        "(the nonconstant branch past its bifurcation, the constant at or below it)",
+        help="constant: Newton from the exact constant; file: Newton from the "
+        "--field-in field, scaled onto the Nehari manifold <Pu, u> = int u_+^(2#); "
+        "mode1: perturbed-constant seed driven through quotient minimization, "
+        "then Newton-polished (the nonconstant branch past its bifurcation, "
+        "the constant at or below it)",
     )
     p.add_argument("--field-in", help="field file (required with --init file)")
     p.add_argument("--field-out", help="write the solution field to this path")
@@ -226,7 +228,7 @@ def _cmd_solve(args) -> int:
                 f"field file is for n={init.spec.n}, t={init.spec.t}; "
                 f"requested n={spec.n}, t={spec.t}"
             )
-        sol = newton_solve(init, params, opts)
+        sol = newton_solve(nehari_scaled(init, params), params, opts)
     _print_json(_solution_payload(sol))
     if args.field_out:
         save_field(sol.field, args.field_out)

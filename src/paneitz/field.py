@@ -352,10 +352,11 @@ _HEADER = "# n t N"
 
 
 def save_field(u: PeriodicField, path) -> None:
-    """Write base-grid samples as two decimal columns, 17 significant digits."""
-    rows = map("{:.17g} {:.17g}".format, u.grid.tolist(), u.values.tolist())
+    """Write base-grid samples as two decimal columns, 17 significant digits,
+    all rows in one formatting operation."""
+    rows = ("%.17g %.17g\n" * u.modes) % tuple(np.column_stack((u.grid, u.values)).ravel().tolist())
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"# {u.spec.n} {u.spec.t:.17g} {u.modes}\n" + "\n".join(rows) + "\n")
+        fh.write(f"# {u.spec.n} {u.spec.t:.17g} {u.modes}\n" + rows)
 
 
 def _float_or_nan(text: str) -> float:

@@ -57,6 +57,7 @@ __all__ = [
     "Solution",
     "residual",
     "newton_solve",
+    "nehari_scaled",
     "quotient",
     "QuotientMinimum",
     "minimize_quotient",
@@ -141,11 +142,16 @@ def _symbol(spec: ManifoldSpec, params: OperatorParams, m):
     return mu * mu + params.alpha * mu + params.a_alpha
 
 
+def _positive_power_coeffs(fine: np.ndarray, p: float, modes: int) -> np.ndarray:
+    """Coefficients on ``modes`` grid points of fine_+^p, from the fine-grid
+    samples ``fine``: one forward FFT, dealiased."""
+    g = np.where(fine > 0.0, fine, 0.0) ** p
+    return _truncate(np.fft.rfft(g) / g.size, modes)
+
+
 def _nonlinear_coeffs(u: PeriodicField) -> np.ndarray:
     """Coefficients of u_+^(2#-1), dealiased."""
-    fine = u.fine_values()
-    g = np.where(fine > 0.0, fine, 0.0) ** (critical_exponent(u.spec.n) - 1.0)
-    return _truncate(np.fft.rfft(g) / g.size, u.modes)
+    return _positive_power_coeffs(u.fine_values(), critical_exponent(u.spec.n) - 1.0, u.modes)
 
 
 def residual(u: PeriodicField, params: OperatorParams) -> PeriodicField:
@@ -254,9 +260,13 @@ def _gmres(matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
     convergence.  A pivot of the rotated Hessenberg matrix below
     ``_SINGULAR_TOL`` (the system is singular to rounding), or no
     convergence to ``_KRYLOV_RTOL`` in ``_KRYLOV_MAX_ITER`` steps, raises
-    ``np.linalg.LinAlgError``.
+    ``np.linalg.LinAlgError``; a right-hand side whose norm leaves float64
+    raises ``FloatingPointError``.
     """
-    beta = math.sqrt(b @ b)
+    with np.errstate(over="ignore"):
+        beta = math.sqrt(b @ b)
+    if not beta < math.inf:
+        raise FloatingPointError("right-hand side of the Newton step has a norm outside the float64 range")
     if beta == 0.0:
         return np.zeros_like(b)
     m = _KRYLOV_MAX_ITER
@@ -371,18 +381,51 @@ def _tail_fraction(u: PeriodicField) -> float:
     return float(np.sum(mags[u.modes // 4 + 1 :])) / total
 
 
+def nehari_scaled(u: PeriodicField, params: OperatorParams) -> PeriodicField:
+    """The multiple k u on the Nehari manifold <Pw, w> = int w_+^(2#), which
+    holds every solution: k^(2#-2) = <Pu, u> / int u_+^(2#), 2# - 2 =
+    8/(n-4).  ``rescale_to_solution`` applies the same projection to a
+    unit-norm quotient minimizer, where k = lambda^((n-4)/8).
+
+    It is the Newton start for a field of unknown amplitude (a field file).
+    Both sums are formed for u over its largest fine sample, so neither
+    leaves float64 before k does.  A field with no positive sample raises
+    ``ValueError``; one whose u^(2#-1) leaves float64 (checked first, as
+    ``newton_solve`` checks its start), or whose k does, raises
+    ``FloatingPointError``.
+    """
+    if float(np.max(u.values)) <= 0.0:
+        raise ValueError("initial guess must be positive somewhere")
+    _nonlinear_scale(u)
+    fine, half = u.fine_values(), u.coeffs.size
+    peak = float(np.max(fine))
+    sym = _symbol(u.spec, params, np.arange(half))
+    with np.errstate(over="ignore"):
+        pairing = np.sum(_parseval_weights(half) * sym * np.abs(u.coeffs / peak) ** 2)
+        positive = np.mean(np.where(fine > 0.0, fine / peak, 0.0) ** critical_exponent(u.spec.n))
+        k = float((pairing / positive) ** ((u.spec.n - 4) / 8.0) / peak)
+    if not 0.0 < k < math.inf:
+        raise FloatingPointError(f"Nehari scale of the start is outside the float64 range ({k!r})")
+    return u.scaled(k)
+
+
 def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOptions | None = None) -> Solution:
     """Damped Newton from ``init``; adapts the mode count until the
     coefficient tail is resolved (or ``opts.max_modes`` is reached).  A start
     with more than ``opts.max_modes`` modes raises ``ValueError``.
 
-    The start is translated to put its fine-grid maximum at s = 0 and
-    projected onto the even (cosine) fields, which the equation maps to
-    themselves; every iterate, and so the solution, is even with real
-    coefficients.  The even fields hold the two translates of a solution
-    peaked at 0 and at L/2, so the projection fixes the axis: a start off it
-    by d is O(d^2) from the even solution.  A nonconstant solution peaked
-    at L/2 is translated by L/2 before it is returned, so its peak is at 0.
+    The start is translated to put its maximum at s = 0 and projected onto
+    the even (cosine) fields, which the equation maps to themselves; every
+    iterate, and so the solution, is even with real coefficients.  The
+    maximum is the vertex of the parabola through the fine-grid maximum and
+    its two neighbours, which is within half a fine spacing of it; where
+    their curvature is not negative the grid maximum is kept.  The even
+    fields hold the two translates of a solution peaked at 0 and at L/2, so
+    the projection fixes the axis: a start off it by d is O(d^2) from the
+    even solution.  A nonconstant solution peaked at L/2 is translated by
+    L/2 before it is returned, so its peak is at 0.  The start is not
+    scaled; ``nehari_scaled`` puts a field of unknown amplitude on the
+    Nehari manifold first.
 
     Mode 0 of the equation, a mean(u) = mean(u^(2#-1)) <= max(u)^(2#-2)
     mean(u), gives max u >= u_bar = a^((n-4)/8) for every positive solution;
@@ -394,7 +437,12 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
     if init.modes > opts.max_modes:
         raise ValueError(f"initial field has {init.modes} modes, above max_modes ({opts.max_modes})")
     u = init if init.modes >= opts.modes else init.resample(opts.modes)
-    s0 = float(u.fine_grid()[int(np.argmax(u.fine_values()))])
+    fine = u.fine_values()
+    j = int(np.argmax(fine))
+    left, peak, right = fine[j - 1], fine[j], fine[(j + 1) % fine.size]
+    curvature = left - 2.0 * peak + right
+    vertex = 0.5 * (left - right) / curvature if curvature < 0.0 else 0.0
+    s0 = (j + min(0.5, max(-0.5, vertex))) * (u.spec.period / fine.size)
     u = PeriodicField(u.spec, u.shift(s0).coeffs.real)
     _nonlinear_scale(u)  # the start's u^(2#-1) is in float64 before its first residual
     iters = 0
@@ -471,10 +519,14 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
     <= lambda.  The premise is positive iterates, which P^{-1} keeps.  It
     stops once the relative gradient norm is at most ``_DESCENT_TOL``;
     ``_DESCENT_MAX_ITER`` iterations raise ``ConvergenceError`` with the last
-    iterate.  The step's fine samples are fine(u) - fine(rho) (the
-    zero-padded inverse FFT is linear) and its pairing a symbol-weighted
-    Parseval sum; a start or step whose energy or pairing leaves the float64
-    range raises ``FloatingPointError``.
+    iterate.  The iterate's fine samples are carried from step to step: the
+    step's are fine(u) - fine(rho) (the zero-padded inverse FFT is linear),
+    scaled with the coefficients, so each step makes one forward FFT (of
+    u_+^(2#-1)) and one inverse FFT (of rho).  Its pairing is a
+    symbol-weighted Parseval sum.  A start or step whose energy or pairing
+    leaves the float64 range raises ``FloatingPointError``.  The minimizer
+    is returned as a field of its coefficients, whose samples are
+    recomputed on demand.
     """
     if float(np.max(np.abs(init.values))) == 0.0:
         raise ValueError("initial guess must be nonzero")
@@ -484,40 +536,46 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
     counts = _pair_counts(init.coeffs.size)
     volume = product_volume(spec)
     pair_weights = volume * _parseval_weights(init.coeffs.size) * sym
-    nf = init.fine_size()
+    nf, modes = init.fine_size(), init.modes
     report = norms(init, params)
     e = report.energy
     if not 0.0 < e < math.inf:
         raise FloatingPointError(f"critical energy of the field is outside the float64 range ({e!r})")
-    u = init.scaled(e ** (-1.0 / two_sharp))
+    unit = e ** (-1.0 / two_sharp)
+    coeffs, fine = init.coeffs * unit, init.fine_values() * unit
     q = report.pairing / e ** (2.0 / two_sharp)
     for it in range(1, _DESCENT_MAX_ITER + 1):
-        z = _nonlinear_coeffs(u) / sym   # P^{-1} u_+^(2#-1)
-        rho = u.coeffs - q * z
+        z = _positive_power_coeffs(fine, two_sharp - 1.0, modes) / sym   # P^{-1} u_+^(2#-1)
+        rho = coeffs - q * z
         with np.errstate(over="ignore", invalid="ignore"):
             grad_norm = math.sqrt(
-                float(np.sum(counts * np.abs(rho) ** 2)) / float(np.sum(counts * np.abs(u.coeffs) ** 2))
+                float(np.sum(counts * np.abs(rho) ** 2)) / float(np.sum(counts * np.abs(coeffs) ** 2))
             )
         if not math.isfinite(grad_norm):
             raise FloatingPointError(
                 f"quotient descent gradient norm is outside the float64 range ({grad_norm!r})"
             )
         if grad_norm <= _DESCENT_TOL:
-            return QuotientMinimum(field=u, lambda_min=q, iterations=it, grad_norm=grad_norm)
-        coeffs = u.coeffs - rho
+            return QuotientMinimum(
+                field=PeriodicField(spec, coeffs), lambda_min=q, iterations=it, grad_norm=grad_norm
+            )
+        step = coeffs - rho
         with np.errstate(over="ignore", invalid="ignore"):
-            fine = u.fine_values() - np.fft.irfft(_pad(rho, nf) * nf, nf)
+            fine = fine - np.fft.irfft(_pad(rho, nf) * nf, nf)
             energy = volume * float(np.mean(np.abs(fine) ** two_sharp))
-            pairing = float(np.sum(pair_weights * np.abs(coeffs) ** 2))
+            pairing = float(np.sum(pair_weights * np.abs(step) ** 2))
         if not (0.0 < energy < math.inf and math.isfinite(pairing)):
             raise FloatingPointError(
                 f"quotient descent step is outside the float64 range "
                 f"(energy {energy!r}, pairing {pairing!r})"
             )
-        u = PeriodicField(spec, coeffs * energy ** (-1.0 / two_sharp))
+        unit = energy ** (-1.0 / two_sharp)
+        coeffs, fine = step * unit, fine * unit
         q = pairing / energy ** (2.0 / two_sharp)
     raise ConvergenceError(
-        f"quotient descent did not converge in {_DESCENT_MAX_ITER} iterations", u, grad_norm
+        f"quotient descent did not converge in {_DESCENT_MAX_ITER} iterations",
+        PeriodicField(spec, coeffs),
+        grad_norm,
     )
 
 
@@ -528,7 +586,10 @@ def rescale_to_solution(
 
     With ||u||_{2#} = 1 and P u = lambda u^(2#-1), the multiple
     w = lambda^((n-4)/8) u solves the unnormalized equation and has energy
-    lambda^(n/4).  The rescaled field is polished by Newton.
+    lambda^(n/4).  This is the projection of ``nehari_scaled`` onto
+    <Pw, w> = int w_+^(2#), in closed form: for the positive unit-norm
+    minimizer <Pu, u> = lambda and int u_+^(2#) = 1.  The rescaled field is
+    polished by Newton.
     """
     u = minimum.field
     w = u.scaled(minimum.lambda_min ** ((u.spec.n - 4) / 8.0))

@@ -121,6 +121,26 @@ class TestBubbleCheckCommand:
             else:
                 assert "outside the float64 range" in err and err.count("\n") == 1, (scale, err)
 
+    @pytest.mark.parametrize("n", [63, 100])
+    def test_high_dimension_energy(self, capsys, n):
+        # the energy integrand used to form r^(n-1) alone, which leaves
+        # float64 near theta = pi/2 from n = 63 ("concentration scale 1.0 ...")
+        code, out, err = run_cli(capsys, "bubble-check", "--dim", str(n))
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert abs(payload["energy"] - payload["energy_expected"]) <= 1e-12 * payload["energy_expected"]
+        assert payload["residual_sup"] <= 1e-12
+
+    def test_scaling_identity_overflow_names_its_integrands(self, capsys):
+        # c_n^2 is near 1e300 at n = 144: the product bilaplacian * r * v'
+        # leaves float64 at lambda0 = 1 (and 0.9 still runs)
+        assert run_cli(capsys, "bubble-check", "--dim", "144", "--lambda0", "0.9")[0] == 0
+        reason = (
+            "concentration scale 1.0 for n=144 is outside the float64 range "
+            "(scaling-identity integrands for n=144 overflow float64)"
+        )
+        assert_named_float64_failure(capsys, reason, "bubble-check", "--dim", "144")
+
     def test_gridsize_zero_is_named(self, capsys):
         # used to exit 1 with numpy's "Number of samples, -1, must be non-negative"
         code, out, err = run_cli(capsys, "bubble-check", "--dim", "5", "--gridsize", "0")
@@ -161,16 +181,92 @@ class TestSolveCommand:
         assert json.loads(out)["is_constant"] is True
         assert run_cli(capsys, *args, "--init", "constant") == (0, out, "")
 
-    def test_trivial_root_is_a_numerical_failure(self, capsys, tmp_path):
-        # 0.6 times a solution is a start that Newton drives to u = 0
+    def test_trivial_root_is_a_numerical_failure(self, capsys, tmp_path, monkeypatch):
+        # 0.6 times a solution is a start that Newton drives to u = 0; the
+        # file route scales it onto the Nehari manifold first, so it reaches
+        # the trivial root only with that projection taken out
+        import paneitz.cli as cli_mod
+
         solved, start = tmp_path / "b.field", tmp_path / "bs.field"
         args = ("solve", "--dim", "5", "--t", "0.5", "--alpha", "8")
         code, _, err = run_cli(capsys, *args, "--field-out", str(solved))
         assert code == 0, err
         save_field(load_field(solved).scaled(0.6), start)
+        monkeypatch.setattr(cli_mod, "nehari_scaled", lambda u, params: u)
         code, out, err = run_cli(capsys, *args, "--init", "file", "--field-in", str(start))
         assert (code, out) == (2, "")
         assert "numerical failure: converged to the trivial solution" in err
+
+    def test_scaled_solution_file_start_returns_to_it(self, capsys, tmp_path):
+        # the start of the trivial-root test above, through the file route
+        solved, start = tmp_path / "b.field", tmp_path / "bs.field"
+        args = ("solve", "--dim", "5", "--t", "0.5", "--alpha", "8")
+        code, out, err = run_cli(capsys, *args, "--field-out", str(solved))
+        assert code == 0, err
+        energy = json.loads(out)["energy"]
+        save_field(load_field(solved).scaled(0.6), start)
+        code, out, err = run_cli(capsys, *args, "--init", "file", "--field-in", str(start))
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["newton_iters"] <= 1
+        assert payload["energy"] == pytest.approx(energy, rel=1e-12)
+
+    def test_moved_file_starts_take_at_most_one_step(self, capsys, tmp_path):
+        # mode1 solutions for n = 5..8 and alpha = 2, 8, 32, 128, each saved
+        # translated by s in [0, 2 pi) and scaled by f in [0.95, 1.05], four
+        # draws each.  The file route scales a start onto the Nehari manifold
+        # and Newton puts it on its axis by the three-point vertex; these
+        # starts took 248 steps when Newton started them as they came.  A
+        # save/load round trip alone costs the one step left: its rounding in
+        # the top modes, times the symbol (N/2)^4, is above the tolerance
+        rng = np.random.default_rng(2002)
+        solved, moved = tmp_path / "sol.field", tmp_path / "moved.field"
+        steps, nonconstant = [], 0
+        for n in (5, 6, 7, 8):
+            for alpha in ("2", "8", "32", "128"):
+                args = ("solve", "--dim", str(n), "--alpha", alpha)
+                code, out, err = run_cli(capsys, *args, "--field-out", str(solved))
+                assert code == 0, err
+                base = json.loads(out)
+                nonconstant += 4 * (not base["is_constant"])
+                for _ in range(4):
+                    s0, scale = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.95, 1.05)
+                    save_field(load_field(solved).shift(s0).scaled(scale), moved)
+                    code, out, err = run_cli(capsys, *args, "--init", "file", "--field-in", str(moved))
+                    assert code == 0, err
+                    payload = json.loads(out)
+                    steps.append(payload["newton_iters"])
+                    assert abs(payload["energy"] - base["energy"]) <= 1e-11 * base["energy"], (n, alpha)
+        assert len(steps) == 64
+        assert max(steps) <= 1
+        assert sum(steps) <= nonconstant == 56
+
+    def test_nonpositive_file_start_is_named(self, capsys, tmp_path):
+        # the Nehari scaling needs a positive part; a start without one keeps
+        # the error Newton gives it
+        path = tmp_path / "negative.field"
+        save_field(PeriodicField.constant(ManifoldSpec(5, 1.0), -1.0, 16), path)
+        code, out, err = run_cli(
+            capsys, "solve", "--dim", "5", "--alpha", "4", "--init", "file", "--field-in", str(path)
+        )
+        assert (code, out) == (1, "")
+        assert err == "paneitz solve: error: initial guess must be positive somewhere\n"
+
+    def test_start_whose_newton_rhs_overflowed_now_solves(self, capsys, tmp_path):
+        # a constant 1e20 start's residual, 1e180 at n = 5, used to overflow
+        # the GMRES norm ("linearized system is singular"); the file route
+        # scales it onto the Nehari manifold, here the constant solution
+        path = tmp_path / "large.field"
+        save_field(PeriodicField.constant(ManifoldSpec(5, 1.0), 1e20, 16), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(
+                capsys, "solve", "--dim", "5", "--alpha", "4", "--init", "file", "--field-in", str(path)
+            )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["is_constant"] is True
+        assert payload["max_value"] == pytest.approx(4.0 ** (1.0 / 8.0), rel=1e-14)
 
     def test_dim_beyond_float64_sphere_volume_is_numerical_failure(self, capsys):
         reason = "volume of the unit 343-sphere: Gamma(172) is outside the float64 range"

@@ -21,6 +21,7 @@ from paneitz.solver import (
     linearized_spectrum,
     minimize_quotient,
     mode1_solution,
+    nehari_scaled,
     newton_solve,
     quotient,
     rescale_to_solution,
@@ -277,6 +278,16 @@ class TestNewton:
         sol = newton_solve(start, OperatorParams(2.0, 1.0), SolverOptions(max_modes=1024))
         assert sol.modes == 1024
 
+    def test_newton_rhs_beyond_float64_is_named(self):
+        # the residual of a constant 1e20 start, 1e180 at n = 5, is within
+        # float64, but the norm of the Newton step's right-hand side is not
+        start = PeriodicField.constant(SPEC, 1e20, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FloatingPointError) as exc:
+                newton_solve(start, OperatorParams(4.0, 4.0))
+        assert str(exc.value) == "right-hand side of the Newton step has a norm outside the float64 range"
+
     def test_fixed_settings_are_not_options(self):
         assert [f.name for f in dataclasses.fields(SolverOptions)] == ["modes", "max_modes"]
         for name in ("tol", "rtol", "max_iter", "max_backtracks", "tail_tol"):
@@ -307,6 +318,50 @@ class TestMovedStarts:
         sol = newton_solve(load_field(path), concentrated.params)
         assert sol.energy == pytest.approx(concentrated.energy, rel=1e-9)
         assert_even_about_origin(sol)
+
+    # the fine grid of the 512-mode field has spacing L / 3072; these starts
+    # took 2 steps each when the axis was the grid maximum itself
+    @pytest.mark.parametrize("spacings", [0.5, 0.25])
+    def test_sub_grid_shift_takes_at_most_one_step(self, concentrated, spacings):
+        sol = newton_solve(concentrated.field.shift(spacings * L / 3072), concentrated.params)
+        assert sol.newton_iters <= 1
+        assert sol.energy == pytest.approx(concentrated.energy, rel=1e-12)
+        assert_even_about_origin(sol)
+
+
+class TestNehariScaled:
+    @pytest.mark.parametrize("n", [5, 7, 8])
+    @pytest.mark.parametrize("factor", [0.6, 1.3])
+    def test_scaled_solution_returns_to_it(self, n, factor):
+        params = OperatorParams(8.0, 16.0)
+        sol = mode1_solution(ManifoldSpec(n, 1.0), params, SolverOptions())
+        # a solution is on the manifold to its residual (here up to 3e-12)
+        back = nehari_scaled(sol.field.scaled(factor), params)
+        assert np.max(np.abs(back.coeffs - sol.field.coeffs)) <= 1e-12 * sol.field.mean
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_is_the_minimizer_rescaling(self, n):
+        # on a unit-norm minimizer the projection is lambda^((n-4)/8)
+        params = OperatorParams(16.0, 64.0)
+        qm = minimize_quotient(perturbed_init(64.0, spec=ManifoldSpec(n, 1.0)), params)
+        closed = qm.field.scaled(qm.lambda_min ** ((n - 4) / 8.0))
+        assert np.max(np.abs(nehari_scaled(qm.field, params).coeffs - closed.coeffs)) <= 1e-14 * closed.mean
+
+    def test_constant_start_goes_to_the_constant_solution(self):
+        # max |u| = 1e33 at n = 5: u^(2#-1) is in float64 and u^(2#) is not
+        params = OperatorParams(4.0, 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for value in (1e-30, 1.0, 1e33):
+                start = nehari_scaled(PeriodicField.constant(SPEC, value, 16), params)
+                assert start.mean == pytest.approx(4.0 ** (1.0 / 8.0), rel=1e-15)
+
+    def test_named_failures(self):
+        params = OperatorParams(4.0, 4.0)
+        with pytest.raises(ValueError, match="initial guess must be positive somewhere"):
+            nehari_scaled(PeriodicField.constant(SPEC, -1.0, 16), params)
+        with pytest.raises(FloatingPointError, match="nonlinear term u\\^\\(2#-1\\) of a field with max"):
+            nehari_scaled(PeriodicField.constant(SPEC, 1e40, 16), params)
 
 
 class TestEvenSolutions:
@@ -662,20 +717,65 @@ class TestMinimizeQuotient:
         qm = minimize_quotient(perturbed_init(1.0), params)
         assert norms(qm.field).energy == pytest.approx(1.0, rel=1e-10)
 
-    @pytest.mark.parametrize("n", [5, 6, 7, 8])
-    def test_mode1_descents_reach_the_tolerance(self, n):
+    @pytest.mark.parametrize(
+        "n, counts",
+        [
+            (5, [14, 12, 12, 13, 13, 13, 13]),
+            (6, [35, 17, 16, 16, 16, 16, 17]),
+            (7, [127, 23, 18, 19, 19, 19, 20]),
+            (8, [43, 37, 21, 21, 22, 22, 23]),
+        ],
+        ids=["5", "6", "7", "8"],
+    )
+    def test_mode1_descents_reach_the_tolerance(self, n, counts):
         # the mode-1 seeds at t = 1, a = alpha^2/4 on 64 modes: every descent
-        # ends by its gradient test
+        # ends by its gradient test, after the iterations it took with its
+        # samples recomputed from the coefficients on every step (carrying
+        # them changes the rounding only)
         spec = ManifoldSpec(n, 1.0)
-        late = []
+        late, iterations = [], []
         for alpha in (2.0, 3.7, 8.0, 16.0, 32.0, 45.1, 128.0):
             a = alpha * alpha / 4.0
             u_bar, _ = constant_branch(n, a, product_volume(spec))
             seed = PeriodicField.cosine(spec, u_bar, solver_mod.MODE1_AMPLITUDE, 64)
             qm = minimize_quotient(seed, OperatorParams(alpha, a))
+            iterations.append(qm.iterations)
             if not qm.grad_norm <= solver_mod._DESCENT_TOL:
                 late.append((alpha, qm.grad_norm))
         assert not late
+        assert iterations == counts
+
+    def test_step_makes_one_forward_and_one_inverse_fft(self, monkeypatch):
+        # the step's samples are carried, so a descent one step longer makes
+        # one more rfft (of u_+^(2#-1)) and one more irfft (of rho) only
+        params = OperatorParams(16.0, 64.0)
+        init = perturbed_init(64.0)
+        calls = {"rfft": 0, "irfft": 0}
+        for name in calls:
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        made = []
+        for steps in (3, 4, 5):
+            monkeypatch.setattr(solver_mod, "_DESCENT_MAX_ITER", steps)
+            calls.update(rfft=0, irfft=0)
+            with pytest.raises(ConvergenceError):
+                minimize_quotient(PeriodicField(init.spec, init.coeffs), params)
+            made.append(dict(calls))
+        for fewer, more in zip(made, made[1:]):
+            assert {k: more[k] - fewer[k] for k in calls} == {"rfft": 1, "irfft": 1}
+
+    def test_minimizer_samples_are_recomputed(self):
+        # the returned field holds its coefficients only; its samples are
+        # those of the coefficients, not the carried ones
+        params = OperatorParams(16.0, 64.0)
+        qm = minimize_quotient(perturbed_init(64.0), params)
+        fresh = PeriodicField(qm.field.spec, qm.field.coeffs)
+        assert np.array_equal(qm.field.fine_values(), fresh.fine_values())
 
     def test_sharp_threshold_flag(self):
         _, k0_inv_sq = sharp_constant(5)
