@@ -260,6 +260,7 @@ def bubble_energy(params: BubbleParams) -> float:
     a warning.  The integrand v^(2#) r^(n-1) is formed as
     (v^(2#/(n-1)) r)^(n-1): near theta = pi/2 the factor r^(n-1) alone
     leaves float64 from n = 63, while the product decays like r^(-n-1).
+    From n = 162 its peak, about c_n^(2#), leaves float64 and is named.
     """
     n = params.n
     omega = sphere_volume(n - 1)
@@ -273,8 +274,11 @@ def bubble_energy(params: BubbleParams) -> float:
         vals = (bubble_eval(params, r) ** (p / (n - 1)) * r) ** (n - 1) * jac
         return omega * float(np.sum(w * vals))
 
-    coarse = quad(_ENERGY_NODES)
-    fine = quad(2 * _ENERGY_NODES)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = quad(_ENERGY_NODES)
+        fine = quad(2 * _ENERGY_NODES)
+    if not math.isfinite(coarse + fine):
+        raise FloatingPointError(f"critical-energy integrand for n={n} overflows float64")
     if abs(fine - coarse) > 1e-9 * abs(fine):
         warnings.warn(
             f"critical energy quadrature not converged: {coarse!r} vs {fine!r}",

@@ -168,8 +168,8 @@ def _cmd_constants(args) -> int:
 
 def _cmd_bubble_check(args) -> int:
     params = bubble_mod.BubbleParams(n=args.dim, lambda0=args.lambda0)
-    # the checks work in powers of lambda0; one that overflows, or a
-    # normalization that underflows, puts the scale outside float64
+    # the checks work in powers of lambda0 and c_n; one that overflows, or a
+    # normalization that underflows, puts the extremal outside float64
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             residual_sup = bubble_mod.pde_residual(params, rmax=args.rmax, gridsize=args.gridsize)
@@ -178,7 +178,7 @@ def _cmd_bubble_check(args) -> int:
                 bubble_mod.bubble_field(params), rmax=args.rmax
             )
     except (OverflowError, FloatingPointError) as exc:
-        why = f"concentration scale {args.lambda0!r} for n={args.dim} is outside the float64 range ({exc})"
+        why = f"extremal for n={args.dim} at lambda0={args.lambda0!r} is outside the float64 range ({exc})"
         raise FloatingPointError(why) from None
     expected = bubble_mod.expected_bubble_energy(args.dim)
     _print_json(

@@ -8,14 +8,15 @@ Two routes produce solutions:
   at s = 0 and its odd part dropped, so every iterate is even with real
   coefficients.  The linear part is the diagonal symbol mu^2 + alpha mu + a
   (mu = (m/t)^2); the nonlinearity is evaluated on an oversampled grid
-  (dealiased).  The Jacobian is real symmetric in orthonormal cosine/sine
-  coordinates (the symbol minus the Toeplitz-plus-Hankel matrix of
-  multiplication by (2#-1) u_+^(2#-2)); Newton uses its cosine block, which
-  needs no phase condition because the translation mode u' is odd.  One
-  function, ``_solve_krylov``, sets up and solves the Newton step at every
-  N: it assembles that block scaled by symbol^(-1/2) from one FFT of the
-  weight and runs GMRES on the matrix, one matrix-vector product per
-  iteration.  The linearized spectrum uses the full dense matrix.
+  (dealiased).  At an even field the Jacobian is block diagonal in
+  orthonormal cosine/sine coordinates: the symbol minus T + H and T - H, the
+  Toeplitz and Hankel matrices of multiplication by (2#-1) u_+^(2#-2), both
+  from ``_cosine_block``; a field that is not even is refused.  Newton uses
+  the cosine block, which needs no phase condition because the translation
+  mode u' is odd.  One function, ``_solve_krylov``, sets up and solves the
+  Newton step at every N: it assembles that block scaled by symbol^(-1/2)
+  from one FFT of the weight and runs GMRES on the matrix, one
+  matrix-vector product per iteration.
   ``continuation_init`` predicts the next start of a branch from the exact
   scaling u -> k^((n-4)/4) u(sqrt(k) s) of alpha -> k alpha, a -> k^2 a,
   with no linear solve.
@@ -164,13 +165,13 @@ def residual(u: PeriodicField, params: OperatorParams) -> PeriodicField:
 
 
 def _jacobian_weight(u: PeriodicField) -> np.ndarray:
-    """Fourier coefficients R_k + i I_k (k = 0..nf/2) of the fine-grid samples
-    of w = (2#-1) u_+^(2#-2): the Jacobian is the symbol minus
-    multiplication by w."""
+    """Cosine coefficients R_k (k = 0..nf/2) of the fine-grid samples of
+    w = (2#-1) u_+^(2#-2), which is even for even u: the Jacobian is the
+    symbol minus multiplication by w."""
     p = critical_exponent(u.spec.n) - 1.0
     fine = u.fine_values()
     weight = p * np.where(fine > 0.0, fine, 0.0) ** (p - 1.0)
-    return np.fft.rfft(weight) / weight.size
+    return (np.fft.rfft(weight) / weight.size).real
 
 
 def _cosine_amplitudes(half: int) -> np.ndarray:
@@ -183,18 +184,18 @@ def _cosine_amplitudes(half: int) -> np.ndarray:
     return amp
 
 
-def _cosine_block(re: np.ndarray, diagonal: float | np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """diag(diagonal) - diag(scale) (T + H) diag(scale) for the Toeplitz
+def _cosine_block(re: np.ndarray, diagonal: float | np.ndarray, scale: np.ndarray, sign: int) -> np.ndarray:
+    """diag(diagonal) - diag(scale) (T + sign H) diag(scale) for the Toeplitz
     T_ij = R_|i-j| and the Hankel H_ij = R_(i+j) of ``re`` (i, j < h, the
     size of ``scale``).  T and H are strided views of one sequence
-    R_(h-1), .., R_1, R_0, R_1, .., R_(2h-2); the sum is the one h x h
-    allocation, scaled in place."""
+    R_(h-1), .., R_1, R_0, R_1, .., R_(2h-2); the sum (``sign`` +1) or
+    difference (-1) is the one h x h allocation, scaled in place."""
     h = scale.size
     seq = np.concatenate((re[h - 1 : 0 : -1], re[: 2 * h - 1]))
     at = (h - 1) * seq.itemsize  # the entry R_0
     toeplitz = np.ndarray((h, h), buffer=seq, offset=at, strides=(-seq.itemsize, seq.itemsize))
     hankel = np.ndarray((h, h), buffer=seq, offset=at, strides=(seq.itemsize, seq.itemsize))
-    block = np.add(toeplitz, hankel)
+    block = np.add(toeplitz, hankel) if sign > 0 else np.subtract(toeplitz, hankel)
     block *= -scale[:, None]
     block *= scale
     block.ravel()[:: h + 1] += diagonal
@@ -202,33 +203,24 @@ def _cosine_block(re: np.ndarray, diagonal: float | np.ndarray, scale: np.ndarra
 
 
 def linearized_operator(u: PeriodicField, params: OperatorParams) -> np.ndarray:
-    """Real symmetric Jacobian of ``residual``, the matrix of
-    P - (2#-1) u_+^(2#-2), in orthonormal cosine/sine coordinates: Re c_k
+    """Real symmetric Jacobian of ``residual`` at an even field, the matrix
+    of P - (2#-1) u_+^(2#-2), in orthonormal cosine/sine coordinates: Re c_k
     (k = 0..N/2), then Im c_k (k = 1..N/2-1), each times the square root of
-    its Parseval weight; index 0 is the constant mode.  Its leading
-    (N/2+1)-square block is the cosine block that Newton solves, from
-    ``_cosine_block``.
+    its Parseval weight; index 0 is the constant mode.
 
     The basis functions are 1, sqrt(2) cos(k s/t) and -sqrt(2) sin(k s/t).
-    With R_k + i I_k the Fourier coefficients of the weight w on the fine
-    grid, the mean of w cos(a) cos(b) is (R_|a-b| + R_(a+b))/2, of
-    w sin(a) sin(b) it is (R_|a-b| - R_(a+b))/2, and of w cos(a) sin(b) it
-    is (I_(a-b) - I_(a+b))/2, so multiplication by w is Toeplitz plus Hankel.
-    """
-    what = _jacobian_weight(u)
-    re, im = what.real, what.imag
-    half, n = u.coeffs.size, u.modes
-    k = np.arange(half)
-    diff = k[:, None] - k[None, :]
-    near, far = np.abs(diff), k[:, None] + k[None, :]
-    sym, amp = _symbol(u.spec, params, k), _cosine_amplitudes(half)
-    jac = np.empty((n, n))
-    jac[:half, :half] = _cosine_block(re, sym, amp)
-    jac[half:, half:] = (re[far] - re[near])[1:-1, 1:-1]
-    jac.flat[half * (n + 1) :: n + 1] += sym[1:-1]
-    cross = amp[:, None] * (np.sign(diff) * im[near] - im[far])
-    jac[:half, half:] = cross[:, 1:-1]
-    jac[half:, :half] = cross[:, 1:-1].T
+    The weight w is even with cosine coefficients R_k, so w cos(a) sin(b)
+    has mean 0 and the matrix is block diagonal: the cosine block from
+    (R_|a-b| + R_(a+b))/2, which Newton solves, and the sine block from
+    (R_|a-b| - R_(a+b))/2, both built by ``_cosine_block``.  A field with a
+    nonzero imaginary coefficient is not even and raises ``ValueError``."""
+    if np.any(u.coeffs.imag):
+        raise ValueError("linearization needs an even field: a coefficient has a nonzero imaginary part")
+    re, half = _jacobian_weight(u), u.coeffs.size
+    sym = _symbol(u.spec, params, np.arange(half))
+    jac = np.zeros((u.modes, u.modes))
+    jac[:half, :half] = _cosine_block(re, sym, _cosine_amplitudes(half), 1)
+    jac[half:, half:] = _cosine_block(re, sym, np.ones(half), -1)[1:-1, 1:-1]
     return jac
 
 
@@ -317,7 +309,7 @@ def _solve_krylov(u: PeriodicField, params: OperatorParams, rhs: np.ndarray) -> 
     half = u.coeffs.size
     scale = 1.0 / np.sqrt(_symbol(u.spec, params, np.arange(half)))
     root = np.sqrt(_parseval_weights(half))
-    block = _cosine_block(_jacobian_weight(u).real, 1.0, scale * _cosine_amplitudes(half))
+    block = _cosine_block(_jacobian_weight(u), 1.0, scale * _cosine_amplitudes(half), 1)
     x = _gmres(block, scale * (root * rhs.real))
     return scale * x / root
 
@@ -625,15 +617,16 @@ def linearized_spectrum(sol: Solution, kmax: int | None = None) -> np.ndarray:
 
     For constant solutions the values are the closed form
     mu_m^2 + alpha mu_m + a - (2#-1) a for m = 0..kmax; each m >= 1 entry is
-    doubly degenerate (cos and sin).  Otherwise the dense real symmetric
-    Jacobian's eigenproblem, odd modes included, is solved and the smallest
-    ``kmax`` + 1 eigenvalues are returned in ascending order.
+    doubly degenerate (cos and sin).  Otherwise the eigenvalues of the
+    cosine and sine blocks of ``linearized_operator`` are merged and the
+    smallest ``kmax`` + 1 are returned in ascending order.
     """
     u, params = sol.field, sol.params
     if sol.is_constant:
         kmax = u.modes // 2 if kmax is None else kmax
         return constant_eigenvalue(u.spec, params, np.arange(kmax + 1))
-    eig = np.linalg.eigvalsh(linearized_operator(u, params))
+    jac, h = linearized_operator(u, params), u.coeffs.size
+    eig = np.sort(np.concatenate((np.linalg.eigvalsh(jac[:h, :h]), np.linalg.eigvalsh(jac[h:, h:]))))
     return eig if kmax is None else eig[: kmax + 1]
 
 

@@ -99,8 +99,8 @@ class TestBubbleCheckCommand:
         code, out, err = run_cli(capsys, "bubble-check", "--dim", str(n), "--lambda0", scale)
         assert (code, out) == (2, "")
         assert err.startswith(
-            f"paneitz bubble-check: numerical failure: concentration scale {float(scale)!r} "
-            f"for n={n} is outside the float64 range ("
+            f"paneitz bubble-check: numerical failure: extremal for n={n} at lambda0={float(scale)!r} "
+            "is outside the float64 range ("
         )
         assert cause in err and err.count("\n") == 1
 
@@ -136,10 +136,21 @@ class TestBubbleCheckCommand:
         # leaves float64 at lambda0 = 1 (and 0.9 still runs)
         assert run_cli(capsys, "bubble-check", "--dim", "144", "--lambda0", "0.9")[0] == 0
         reason = (
-            "concentration scale 1.0 for n=144 is outside the float64 range "
+            "extremal for n=144 at lambda0=1.0 is outside the float64 range "
             "(scaling-identity integrands for n=144 overflow float64)"
         )
         assert_named_float64_failure(capsys, reason, "bubble-check", "--dim", "144")
+
+    def test_energy_integrand_overflow_is_named(self, capsys):
+        # the integrand's peak carries c_n^(2#): from n = 162 it leaves
+        # float64 at every lambda0 (n = 161 still runs up to the identity
+        # check); it used to exit 2 with numpy's "overflow encountered in power"
+        assert "scaling-identity" in run_cli(capsys, "bubble-check", "--dim", "161")[2]
+        reason = (
+            "extremal for n=162 at lambda0=1.0 is outside the float64 range "
+            "(critical-energy integrand for n=162 overflows float64)"
+        )
+        assert_named_float64_failure(capsys, reason, "bubble-check", "--dim", "162")
 
     def test_gridsize_zero_is_named(self, capsys):
         # used to exit 1 with numpy's "Number of samples, -1, must be non-negative"

@@ -438,11 +438,11 @@ class TestLargerModeCap:
 
 
 def sign_changing_field(modes):
-    """Shifted (not even) field with negative parts, where u_+ is cut off."""
-    u = PeriodicField.from_function(
-        SPEC, lambda s: 0.3 + np.cos(s) + 0.4 * np.sin(3 * s) + 0.2 * np.cos(7 * s), modes
-    )
-    return u.shift(0.7)
+    """Even field 0.3 + cos(s) + 0.2 cos(7s), negative near s = pi where u_+
+    is cut off, from its real coefficients."""
+    coeffs = np.zeros(modes // 2 + 1)
+    coeffs[[0, 1, 7]] = 0.3, 0.5, 0.1
+    return PeriodicField(SPEC, coeffs)
 
 
 def scaled_block(u, params):
@@ -451,7 +451,7 @@ def scaled_block(u, params):
     assembled by the same ``_cosine_block`` call."""
     h = u.coeffs.size
     scale = 1.0 / np.sqrt(_symbol(u.spec, params, np.arange(h)))
-    return scale, _cosine_block(_jacobian_weight(u).real, 1.0, scale * _cosine_amplitudes(h))
+    return scale, _cosine_block(_jacobian_weight(u), 1.0, scale * _cosine_amplitudes(h), 1)
 
 
 class TestKrylovSolve:
@@ -843,6 +843,8 @@ class TestLinearization:
         sol = mode1_solution(ManifoldSpec(n, 1.0), params, SolverOptions())
         assert not sol.is_constant
         eig = linearized_spectrum(sol)
+        ref = np.linalg.eigvalsh(reference_linearized_operator(sol.field, params))
+        assert np.max(np.abs(eig - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert eig[0] < 0.0
         assert abs(eig[1]) <= 1e-14 * np.max(np.abs(eig))
         assert eig[2] > 0.0
@@ -872,11 +874,18 @@ class TestLinearization:
         assert op.shape == (sol.modes, sol.modes)
         assert np.array_equal(op, op.T)
 
+    def test_field_that_is_not_even_is_refused(self):
+        # a nonzero imaginary coefficient is an odd part: no block-diagonal
+        # linearization exists there
+        u = PeriodicField(SPEC, np.r_[1.0, 0.15, 1e-300j, np.zeros(6)])
+        with pytest.raises(ValueError, match="linearization needs an even field"):
+            linearized_operator(u, OperatorParams(2.0, 1.0))
+
     def test_operator_matches_finite_differences(self):
         # column j is the residual's response to the j-th orthonormal
         # cosine/sine coordinate (Re c_0..c_{N/2}, then Im c_1..c_{N/2-1})
         params = OperatorParams(2.0, 1.0)
-        u = PeriodicField.from_function(SPEC, lambda s: 1.0 + 0.3 * np.cos(s) + 0.1 * np.sin(2 * s), 16)
+        u = PeriodicField(SPEC, np.r_[1.0, 0.15, 0.05, np.zeros(6)])  # 1 + 0.3 cos(s) + 0.1 cos(2s)
         op = linearized_operator(u, params)
         half = u.coeffs.size
         root = np.sqrt(np.r_[1.0, np.full(half - 2, 2.0), 0.5])
