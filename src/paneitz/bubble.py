@@ -218,7 +218,9 @@ def pde_residual(
     """sup over an (0, rmax] grid of |Delta^2 v - lambda_inf v^(2#-1)| / v^(2#-1).
 
     Evaluates the field's closed-form bi-Laplacian callback; r = 0 is included
-    since the callbacks are regular there.
+    since the callbacks are regular there.  A normalization that overflows
+    (checked once, at the field's peak) or underflows float64 raises
+    ``FloatingPointError`` naming it.
     """
     if not 0 < rmax < math.inf:
         raise ValueError(f"rmax must be positive and finite, got {rmax!r}")
@@ -233,7 +235,14 @@ def pde_residual(
     v = np.asarray(f.value(r), dtype=float)
     if np.any(v < 0):
         raise ValueError("residual normalization requires a positive field")
-    rhs = params.lambda_inf * v ** (params.two_sharp - 1.0)
+    power = params.two_sharp - 1.0
+    try:
+        peak = params.lambda_inf * float(np.max(v)) ** power
+    except OverflowError:
+        peak = math.inf
+    if not math.isfinite(peak):
+        raise FloatingPointError("residual normalization lambda_inf v^(2#-1) overflows float64")
+    rhs = params.lambda_inf * v**power
     if not np.all(rhs > 0):
         raise FloatingPointError("residual normalization lambda_inf v^(2#-1) underflows float64")
     lhs = np.asarray(f.bilaplacian(r), dtype=float)

@@ -152,6 +152,16 @@ class TestBubbleCheckCommand:
         )
         assert_named_float64_failure(capsys, reason, "bubble-check", "--dim", "162")
 
+    @pytest.mark.parametrize("dim", ["253", "259"])
+    def test_residual_normalization_overflow_is_named(self, capsys, dim):
+        # lambda_inf v(0)^(2#-1) leaves float64 for n = 253..259 at lambda0 = 1;
+        # it used to exit 2 with numpy's "overflow encountered in power"
+        reason = (
+            f"extremal for n={dim} at lambda0=1.0 is outside the float64 range "
+            "(residual normalization lambda_inf v^(2#-1) overflows float64)"
+        )
+        assert_named_float64_failure(capsys, reason, "bubble-check", "--dim", dim)
+
     def test_gridsize_zero_is_named(self, capsys):
         # used to exit 1 with numpy's "Number of samples, -1, must be non-negative"
         code, out, err = run_cli(capsys, "bubble-check", "--dim", "5", "--gridsize", "0")

@@ -280,6 +280,19 @@ class TestMultiBubbleEnergy:
         expected = reference_multi_bubble_energy(n, centers, scales, lambda_inf)
         assert energy == pytest.approx(expected, rel=1e-13)
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 12, 20])
+    @pytest.mark.parametrize(
+        "centers, scales",
+        [((5.0, 5.0, 30.0), (1.0, 1e4, 2.0)), ((0.0, 1000.0), (1.0, 1e4))],
+        ids=["coincident", "beyond-two-reaches"],
+    )
+    def test_matches_plain_formula_at_extreme_spacings(self, n, centers, scales):
+        # two profiles at one point share their cells; centers more than
+        # 2 r_out apart leave pieces wider than r_out, tiled by x-bands
+        energy = multi_bubble_energy(n, np.array(centers), np.array(scales))
+        expected = reference_multi_bubble_energy(n, centers, scales, 1.0)
+        assert energy == pytest.approx(expected, rel=1e-13)
+
     @pytest.mark.parametrize("n, centers, scales, expected", _PINNED_ENERGIES)
     def test_pinned_values(self, n, centers, scales, expected):
         energy = multi_bubble_energy(n, np.array(centers), np.array(scales))
