@@ -39,7 +39,6 @@ from .diagnostics import (
 from .field import (
     NormReport,
     PeriodicField,
-    inverse,
     load_field,
     localized_mass,
     norms,

@@ -9,8 +9,9 @@ The profile (1 + lambda^2 r^2)^(-m) and all its radial Laplacians are
 polynomials in w = 1/(1 + lambda^2 r^2).  Assembling Delta and Delta^2 in
 that variable (using r^2 w = (1-w)/lambda^2) removes the 1/r^k divisions of
 the naive four-derivative formula, whose cancellation error grows like r^4
-and breaks ~1e-10 accuracy already at r ~ 50.  The w-forms are exact down to
-r = 0, so no series fallback is needed for this family.
+and breaks ~1e-10 accuracy already at r ~ 50, so no radial derivative above
+the first is formed.  The w-forms are exact down to r = 0, so no series
+fallback is needed for this family.
 """
 
 from __future__ import annotations
@@ -73,22 +74,20 @@ class BubbleParams:
 
 @dataclass
 class RadialField:
-    """A radial function on R^dim with closed-form derivative callbacks.
+    """A radial function on R^dim with closed-form callbacks.
 
-    The callables, when available, give exact pointwise evaluations used by
-    the residual and integral routines.  No numerical differentiation happens
-    anywhere in this module.  ``scale`` is the concentration scale: the
-    field varies on lengths down to about 1/scale, which the radial
-    quadratures resolve; the default 0 names no scale, and those
-    quadratures keep their panels from rmax 2^-20.
+    The callables, when available, give exact pointwise evaluations of f,
+    f', Delta f and Delta^2 f, the four quantities the residual and integral
+    routines read.  No numerical differentiation happens anywhere in this
+    module.  ``scale`` is the concentration scale: the field varies on
+    lengths down to about 1/scale, which the radial quadratures resolve; the
+    default 0 names no scale, and those quadratures keep their panels from
+    rmax 2^-20.
     """
 
     dim: int
     value: Callable[[np.ndarray], np.ndarray]
     deriv1: Callable[[np.ndarray], np.ndarray] | None = None
-    deriv2: Callable[[np.ndarray], np.ndarray] | None = None
-    deriv3: Callable[[np.ndarray], np.ndarray] | None = None
-    deriv4: Callable[[np.ndarray], np.ndarray] | None = None
     laplacian: Callable[[np.ndarray], np.ndarray] | None = None
     bilaplacian: Callable[[np.ndarray], np.ndarray] | None = None
     scale: float = 0.0
@@ -130,7 +129,8 @@ def power_profile_field(
     scale: float = 1.0,
     amplitude: float = 1.0,
 ) -> RadialField:
-    """amplitude * (1 + (scale r)^2)^(-exponent) with exact derivative callbacks."""
+    """amplitude * (1 + (scale r)^2)^(-exponent) with exact callbacks; its
+    Laplacians are the w-forms of the module docstring."""
     m, lam, amp = float(exponent), float(scale), float(amplitude)
 
     def value(r):
@@ -142,30 +142,6 @@ def power_profile_field(
         w = 1.0 / (1.0 + x * x)
         return amp * lam * (-2.0 * m) * x * w ** (m + 1.0)
 
-    def deriv2(r):
-        x = lam * np.asarray(r, dtype=float)
-        w = 1.0 / (1.0 + x * x)
-        return amp * lam**2 * (
-            -2.0 * m * w ** (m + 1.0) + 4.0 * m * (m + 1.0) * x * x * w ** (m + 2.0)
-        )
-
-    def deriv3(r):
-        x = lam * np.asarray(r, dtype=float)
-        w = 1.0 / (1.0 + x * x)
-        return amp * lam**3 * (
-            12.0 * m * (m + 1.0) * x * w ** (m + 2.0)
-            - 8.0 * m * (m + 1.0) * (m + 2.0) * x**3 * w ** (m + 3.0)
-        )
-
-    def deriv4(r):
-        x = lam * np.asarray(r, dtype=float)
-        w = 1.0 / (1.0 + x * x)
-        return amp * lam**4 * (
-            12.0 * m * (m + 1.0) * w ** (m + 2.0)
-            - 48.0 * m * (m + 1.0) * (m + 2.0) * x * x * w ** (m + 3.0)
-            + 16.0 * m * (m + 1.0) * (m + 2.0) * (m + 3.0) * x**4 * w ** (m + 4.0)
-        )
-
     def laplacian(r):
         return amp * _power_profile_laplacian(dim, m, lam, np.asarray(r, dtype=float))
 
@@ -176,9 +152,6 @@ def power_profile_field(
         dim=dim,
         value=value,
         deriv1=deriv1,
-        deriv2=deriv2,
-        deriv3=deriv3,
-        deriv4=deriv4,
         laplacian=laplacian,
         bilaplacian=bilaplacian,
         scale=abs(lam),
@@ -187,7 +160,7 @@ def power_profile_field(
 
 def bubble_field(params: BubbleParams, scale: float = 1.0) -> RadialField:
     """The (optionally amplitude-scaled) extremal as a RadialField with exact
-    closed-form derivative callbacks."""
+    closed-form callbacks."""
     n = params.n
     return power_profile_field(
         dim=n,

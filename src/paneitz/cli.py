@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--init",
         choices=("constant", "mode1", "file"),
         default="mode1",
-        help="constant: Newton from the exact constant; file: Newton from the "
+        help="constant: the exact constant, no Newton step; file: Newton from the "
         "--field-in field, scaled onto the Nehari manifold <Pu, u> = int u_+^(2#); "
         "mode1: perturbed-constant seed driven through quotient minimization, "
         "then Newton-polished (the nonconstant branch past its bifurcation, "

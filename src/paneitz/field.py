@@ -29,7 +29,6 @@ __all__ = [
     "PeriodicField",
     "NormReport",
     "transform",
-    "inverse",
     "norms",
     "localized_mass",
     "save_field",
@@ -48,15 +47,6 @@ def transform(values: np.ndarray) -> np.ndarray:
     if values.ndim != 1 or values.size < 2 or values.size % 2 != 0:
         raise ValueError("values must be a 1-d array with an even number of samples")
     return np.fft.rfft(values) / values.size
-
-
-def inverse(coeffs: np.ndarray) -> np.ndarray:
-    """Normalized half spectrum c_0..c_{N/2} -> the N grid samples."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.ndim != 1 or coeffs.size < 2:
-        raise ValueError("coeffs must be a 1-d array with at least 2 entries")
-    size = 2 * (coeffs.size - 1)
-    return np.fft.irfft(coeffs * size, size)
 
 
 def _pair_counts(half: int) -> np.ndarray:

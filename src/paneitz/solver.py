@@ -28,8 +28,10 @@ Two routes produce solutions:
   the step never raises Q and needs no step-size search; P^{-1} =
   (Delta + c)^{-1} (Delta + d)^{-1} with c, d > 0 keeps iterates positive.
   ``mode1_solution`` runs it from the mode-1 perturbed constant past the
-  mode-1 threshold, then Newton: the one fresh start of the nonconstant
-  branch.
+  mode-1 threshold, then Newton from the minimizer's ``nehari_scaled``
+  multiple: the one fresh start of the nonconstant branch.  At and below
+  the threshold it returns ``constant_solution``, the exact constant
+  a^((n-4)/8) with no Newton step.
 
 Newton iterates on the equation's own residual F(u) = P u - u_+^(2#-1):
 negative samples add nothing to the nonlinearity.  Each factor of
@@ -376,10 +378,10 @@ def _tail_fraction(u: PeriodicField) -> float:
 def nehari_scaled(u: PeriodicField, params: OperatorParams) -> PeriodicField:
     """The multiple k u on the Nehari manifold <Pw, w> = int w_+^(2#), which
     holds every solution: k^(2#-2) = <Pu, u> / int u_+^(2#), 2# - 2 =
-    8/(n-4).  ``rescale_to_solution`` applies the same projection to a
-    unit-norm quotient minimizer, where k = lambda^((n-4)/8).
+    8/(n-4).
 
-    It is the Newton start for a field of unknown amplitude (a field file).
+    It is the Newton start for a field of unknown amplitude: a field file or
+    a quotient minimizer.
     Both sums are formed for u over its largest fine sample, so neither
     leaves float64 before k does.  A field with no positive sample raises
     ``ValueError``; one whose u^(2#-1) leaves float64 (checked first, as
@@ -417,11 +419,8 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
     even solution.  A nonconstant solution peaked at L/2 is translated by
     L/2 before it is returned, so its peak is at 0.  The start is not
     scaled; ``nehari_scaled`` puts a field of unknown amplitude on the
-    Nehari manifold first.
-
-    Mode 0 of the equation, a mean(u) = mean(u^(2#-1)) <= max(u)^(2#-2)
-    mean(u), gives max u >= u_bar = a^((n-4)/8) for every positive solution;
-    a converged field below that bound is the trivial root u = 0.
+    Nehari manifold first.  A converged field below the bound max u >=
+    a^((n-4)/8), or not strictly positive, raises ``PositivityError``.
     """
     opts = opts or SolverOptions()
     if float(np.max(init.values)) <= 0.0:
@@ -449,7 +448,18 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
     if not is_const and fine[fine.size // 2] > fine[0]:  # peaked at L/2: c_m -> (-1)^m c_m
         u = PeriodicField(u.spec, u.coeffs * (-1.0) ** np.arange(u.coeffs.size))
         res_sup = float(np.max(np.abs(residual(u, params).values)))
+    return _checked_solution(u, params, res_sup, is_const, iters)
 
+
+def _checked_solution(
+    u: PeriodicField, params: OperatorParams, res_sup: float, is_const: bool, iters: int
+) -> Solution:
+    """The ``Solution`` at a converged field u.  Mode 0 of the equation,
+    a mean(u) = mean(u^(2#-1)) <= max(u)^(2#-2) mean(u), gives max u >= u_bar
+    = a^((n-4)/8) for every positive solution, so a field below that bound
+    is the trivial root u = 0 and raises ``PositivityError``, as does one
+    that is not strictly positive on the fine grid; an energy that underflows
+    float64 raises ``FloatingPointError``."""
     low, peak = float(np.min(u.fine_values())), float(np.max(u.fine_values()))
     u_bar, _ = constant_branch(u.spec.n, params.a_alpha, product_volume(u.spec))
     if peak < (1.0 - _TRIVIAL_SLACK) * u_bar:
@@ -574,27 +584,23 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
 def rescale_to_solution(
     minimum: QuotientMinimum, params: OperatorParams, opts: SolverOptions | None = None
 ) -> Solution:
-    """Turn a unit-norm quotient minimizer into a solution of P w = w^(2#-1).
-
-    With ||u||_{2#} = 1 and P u = lambda u^(2#-1), the multiple
-    w = lambda^((n-4)/8) u solves the unnormalized equation and has energy
-    lambda^(n/4).  This is the projection of ``nehari_scaled`` onto
-    <Pw, w> = int w_+^(2#), in closed form: for the positive unit-norm
-    minimizer <Pu, u> = lambda and int u_+^(2#) = 1.  The rescaled field is
-    polished by Newton.
-    """
-    u = minimum.field
-    w = u.scaled(minimum.lambda_min ** ((u.spec.n - 4) / 8.0))
-    return newton_solve(w, params, opts)
+    """Newton from the quotient minimizer put on the Nehari manifold by
+    ``nehari_scaled``: the solution of P w = w^(2#-1) it is a multiple of."""
+    return newton_solve(nehari_scaled(minimum.field, params), params, opts)
 
 
 MODE1_AMPLITUDE = 0.1  # relative amplitude of the mode-1 seed's cosine
 
 
 def constant_solution(spec: ManifoldSpec, params: OperatorParams, opts: SolverOptions) -> Solution:
-    """Newton from the exact constant a^((n-4)/8) on ``opts.modes`` points."""
+    """The exact constant u_bar = a^((n-4)/8) on ``opts.modes`` points, with
+    no Newton step; its residual and checks are those ``newton_solve``
+    reports for it."""
     u_bar, _ = constant_branch(spec.n, params.a_alpha, product_volume(spec))
-    return newton_solve(PeriodicField.constant(spec, u_bar, opts.modes), params, opts)
+    u = PeriodicField.constant(spec, u_bar, opts.modes)
+    _nonlinear_scale(u)  # named, as for a Newton start, before the residual forms u^(2#-1)
+    res_sup = float(np.max(np.abs(residual(u, params).values)))
+    return _checked_solution(u, params, res_sup, True, 0)
 
 
 def mode1_solution(spec: ManifoldSpec, params: OperatorParams, opts: SolverOptions) -> Solution:

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -36,6 +37,19 @@ def radial_energy_oracle(params: BubbleParams) -> float:
         val, _ = quad(integrand, a, b, limit=200)
         total += val
     return sphere_volume(n - 1) * total
+
+
+def profile_derivatives(params: BubbleParams, radii, order: int) -> list:
+    """Radial derivatives 1..order of the extremal amp (1 + lam^2 r^2)^(-m)
+    at each radius, by mpmath at 40 digits: an oracle independent of the
+    closed-form w-forms it checks."""
+    with mpmath.workdps(40):
+        m, lam = mpmath.mpf(params.n - 4) / 2, mpmath.mpf(params.lambda0)
+        amp = mpmath.mpf(params.amplitude)
+        return [
+            list(mpmath.diffs(lambda x: amp * (1 + (lam * x) ** 2) ** (-m), mpmath.mpf(r), order))[1:]
+            for r in radii
+        ]
 
 
 class TestBubbleEval:
@@ -86,24 +100,24 @@ class TestPdeResidual:
     @pytest.mark.parametrize("n", [5, 8, 12])
     def test_stable_assembly_matches_derivative_form(self, n):
         # away from the large-r cancellation regime, the reduced bi-Laplacian
-        # must agree with the direct f'''' + 2(n-1)f'''/r + ... assembly
-        f = bubble_field(BubbleParams(n, lambda0=1.3))
-        r = np.linspace(0.1, 5.0, 173)
-        direct = (
-            f.deriv4(r)
-            + 2 * (n - 1) * f.deriv3(r) / r
-            + (n - 1) * (n - 3) * f.deriv2(r) / r**2
-            - (n - 1) * (n - 3) * f.deriv1(r) / r**3
-        )
-        stable = f.bilaplacian(r)
-        assert np.max(np.abs(direct - stable)) < 1e-11 * np.max(np.abs(stable))
+        # must agree with the direct f'''' + 2(n-1)f'''/r + ... assembly, here
+        # on derivatives of the profile taken by mpmath
+        params = BubbleParams(n, lambda0=1.3)
+        r = np.linspace(0.1, 5.0, 25)
+        direct = [
+            d4 + 2 * (n - 1) * d3 / x + (n - 1) * (n - 3) * (d2 / x**2 - d1 / x**3)
+            for x, (d1, d2, d3, d4) in zip(r, profile_derivatives(params, r, 4))
+        ]
+        stable = bubble_field(params).bilaplacian(r)
+        assert np.max(np.abs(np.array(direct, dtype=float) - stable)) < 1e-14 * np.max(np.abs(stable))
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_laplacian_matches_derivative_form(self, n):
-        f = bubble_field(BubbleParams(n, lambda0=0.7))
-        r = np.linspace(0.05, 10.0, 211)
-        direct = f.deriv2(r) + (n - 1) * f.deriv1(r) / r
-        assert np.max(np.abs(direct - f.laplacian(r))) < 1e-12 * np.max(np.abs(f.laplacian(r)))
+        params = BubbleParams(n, lambda0=0.7)
+        r = np.linspace(0.05, 10.0, 25)
+        direct = [d2 + (n - 1) * d1 / x for x, (d1, d2) in zip(r, profile_derivatives(params, r, 2))]
+        lap = bubble_field(params).laplacian(r)
+        assert np.max(np.abs(np.array(direct, dtype=float) - lap)) < 1e-14 * np.max(np.abs(lap))
 
 
 class TestBubbleParams:

@@ -194,7 +194,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_mode1_at_the_threshold_is_the_constant(self, capsys, n):
         # at alpha* the constant's mode-1 eigenvalue is 0.0 (+8.9e-16 at
-        # n = 7), so mode1 is Newton from the exact constant; the quotient
+        # n = 7), so mode1 returns the exact constant; the quotient
         # descent used to creep there for 5000 iterations and exit 2
         args = ("solve", "--dim", str(n), "--alpha", repr(bifurcation_alpha(n, 1.0, 1)))
         code, out, err = run_cli(capsys, *args, "--init", "mode1")
@@ -307,6 +307,14 @@ class TestSolveCommand:
         assert json.loads(out)["is_constant"] is True
         reason = "symbol of P on circle mode 32 at t=1e-76 is outside the float64 range"
         assert_named_float64_failure(capsys, reason, *args, "--t", "1e-76")
+
+    def test_constant_that_underflows_is_a_numerical_failure(self, capsys):
+        # u_bar = a^((n-4)/8) = (1e-200)^2 is 0 in float64; this used to exit 1
+        # with the usage error "initial guess must be positive somewhere"
+        reason = "converged field is not strictly positive (min 0.000e+00)"
+        assert_named_float64_failure(
+            capsys, reason, "solve", "--dim", "20", "--alpha", "1", "--a", "1e-200", "--init", "constant"
+        )
 
     def test_start_whose_nonlinear_term_overflows_is_named(self, capsys, tmp_path):
         # u^(2#-1) = 1e40^9 leaves float64, so the start fails before its first residual
@@ -516,6 +524,21 @@ class TestSweepCommand:
             37957.589216351313, 151830.35703796826, 607321.42815190193,
         ]
         assert [float(r["E_m_estimate"]) for r in rows] == pytest.approx(expected, rel=1e-13)
+
+    # the alpha = 2 row is the exact constant with no Newton step; its
+    # energy and quotient come from the same quadrature as every other row
+    @pytest.mark.parametrize(
+        "n, row",
+        [
+            (7, "2,1,1,1,207.80606087253852,,207.80606087253852,21.104551148876837,true,false,0.75,nan,0,64,0,0"),
+            (8, "2,1,1,1,204.0131231901876,,204.0131231901876,14.283316253244118,true,false,0.75,nan,0,64,0,0"),
+        ],
+    )
+    def test_constant_row_pinned(self, capsys, tmp_path, n, row):
+        out = tmp_path / "sweep.csv"
+        code, _, err = run_cli(capsys, "sweep", "--dim", str(n), "--out", str(out))
+        assert code == 0, err
+        assert out.read_text(encoding="ascii").splitlines()[1] == row
 
     # Regression: on (2, 4, 16, 128) the tangent predictor jumped to the
     # 2-peak branch at alpha = 16 and stayed there (E_m(16) = 18889.0 for

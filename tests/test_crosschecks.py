@@ -12,6 +12,12 @@
   function of T = t sqrt(alpha): E(alpha, t) = alpha^((n-1)/2) E(1, T).  A
   k-peak solution on S^1(t) is a 1-peak solution on S^1(t/k) repeated k
   times, with k times its energy.
+* At the geometric point (alpha_g, a_g) = ((n^2 - 4n + 8)/2, (n(n-4)/4)^2) P is
+  the Paneitz operator of the product metric on fields constant on the
+  sphere.  R^n minus 0 is conformal to the cylinder R x S^(n-1), so the
+  extremal becomes the homoclinic c_n (2 cosh s)^(-(n-4)/2), of energy one
+  quantum q; the circle solution tends to it as t grows, its deficit q - E
+  falling like e^(-(n-4) pi t).
 """
 
 import math
@@ -21,9 +27,10 @@ import pytest
 from scipy.sparse import csr_matrix, diags, identity
 from scipy.sparse.linalg import spsolve
 
-from paneitz.constants import OperatorParams
+from paneitz.bubble import expected_bubble_energy
+from paneitz.constants import OperatorParams, constant_branch
 from paneitz.field import PeriodicField
-from paneitz.geometry import ManifoldSpec, sphere_volume
+from paneitz.geometry import ManifoldSpec, product_volume, sphere_volume
 from paneitz.solver import (
     SolverOptions,
     minimize_quotient,
@@ -154,3 +161,38 @@ class TestEnergyFunctionIdentities:
         two = newton_solve(PeriodicField(ManifoldSpec(n, 1.0), tiled), params)
         assert not two.is_constant
         assert two.energy == pytest.approx(2.0 * one.energy, rel=1e-13)
+
+
+def geometric_solution(n, t):
+    """``mode1_solution`` at the geometric point on S^1(t) x S^(n-1)."""
+    params = OperatorParams((n * n - 4 * n + 8) / 2.0, (n * (n - 4) / 4.0) ** 2)
+    return mode1_solution(ManifoldSpec(n, t), params, SolverOptions(max_modes=1024))
+
+
+class TestGeometricPoint:
+    # where the deficit q - E is above rounding
+    DEFICIT_POINTS = [(n, t) for n in (5, 6, 7) for t in (1, 2, 3)] + [(8, 1), (8, 2)]
+    QUANTUM_POINTS = [(8, 4), (8, 6), (7, 4), (6, 6)]
+
+    @pytest.fixture(scope="class")
+    def solutions(self):
+        return {point: geometric_solution(*point) for point in self.DEFICIT_POINTS + self.QUANTUM_POINTS}
+
+    @pytest.mark.parametrize("n, t", QUANTUM_POINTS)
+    def test_long_circle_carries_one_quantum(self, solutions, n, t):
+        # measured within 1.1e-15
+        assert solutions[n, t].energy == pytest.approx(expected_bubble_energy(n), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_deficit_falls_like_the_homoclinic_tail_squared(self, solutions, n):
+        q = expected_bubble_energy(n)
+        deficits = [q - solutions[n, t].energy for t in ((1, 2) if n == 8 else (1, 2, 3))]
+        assert all(d > 0.0 for d in deficits)
+        # measured within 5.3% of e^((n-4) pi) per unit t
+        for ratio in np.array(deficits[:-1]) / np.array(deficits[1:]):
+            assert ratio == pytest.approx(math.exp((n - 4) * math.pi), rel=0.1)
+
+    def test_constant_is_not_the_minimizer(self, solutions):
+        for (n, t), sol in solutions.items():
+            assert not sol.is_constant
+            assert sol.energy < constant_branch(n, sol.params.a_alpha, product_volume(sol.field.spec))[1]

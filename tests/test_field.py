@@ -10,7 +10,6 @@ from paneitz.field import (
     PeriodicField,
     _ball_masses,
     _ball_radius,
-    inverse,
     load_field,
     localized_mass,
     norms,
@@ -48,7 +47,7 @@ class TestTransform:
     @given(st.integers(min_value=1, max_value=200))
     def test_round_trip_random_fields(self, seed):
         vals = np.random.default_rng(seed).normal(size=64)
-        assert np.max(np.abs(inverse(transform(vals)) - vals)) < 1e-12
+        assert np.max(np.abs(PeriodicField(SPEC, transform(vals)).values - vals)) < 1e-12
 
     def test_parseval(self, rng):
         # discrete Parseval: c_0 and c_{N/2} once, every 0 < m < N/2 for its +-m pair
@@ -61,7 +60,7 @@ class TestTransform:
     def test_any_half_spectrum_is_a_real_field(self, rng):
         c = rng.normal(size=17) + 1j * rng.normal(size=17)
         c[0], c[-1] = c[0].real, c[-1].real
-        vals = inverse(c)
+        vals = PeriodicField(SPEC, c).values
         assert vals.dtype == np.float64 and vals.size == 32
         assert np.max(np.abs(transform(vals) - c)) < 1e-15
 

@@ -55,6 +55,13 @@ def perturbed_init(a, amplitude=0.1, modes=64, spec=SPEC):
     return PeriodicField.cosine(spec, u_bar, amplitude, modes)
 
 
+def assert_same_solution(sol, ref):
+    # bit for bit: coefficients, residual, energy and quotient
+    assert np.array_equal(sol.field.coeffs, ref.field.coeffs)
+    assert (sol.residual_sup, sol.energy, sol.lambda_quotient) == (ref.residual_sup, ref.energy, ref.lambda_quotient)
+    assert (sol.is_constant, sol.newton_iters) == (ref.is_constant, ref.newton_iters)
+
+
 def assert_even_about_origin(sol):
     # real half spectrum exactly, so u(-s) = u(s), and the peak at s = 0
     assert np.all(sol.field.coeffs.imag == 0.0)
@@ -347,6 +354,13 @@ class TestNehariScaled:
         closed = qm.field.scaled(qm.lambda_min ** ((n - 4) / 8.0))
         assert np.max(np.abs(nehari_scaled(qm.field, params).coeffs - closed.coeffs)) <= 1e-14 * closed.mean
 
+    # alphas where lambda^((n-4)/8) and the projection differ in the last bit
+    @pytest.mark.parametrize("n, alpha", [(5, 16.0), (8, 45.1)])
+    def test_rescale_is_newton_from_the_projection(self, n, alpha):
+        params = OperatorParams(alpha, alpha * alpha / 4.0)
+        qm = minimize_quotient(perturbed_init(params.a_alpha, spec=ManifoldSpec(n, 1.0)), params)
+        assert_same_solution(rescale_to_solution(qm, params), newton_solve(nehari_scaled(qm.field, params), params))
+
     def test_constant_start_goes_to_the_constant_solution(self):
         # max |u| = 1e33 at n = 5: u^(2#-1) is in float64 and u^(2#) is not
         params = OperatorParams(4.0, 4.0)
@@ -362,6 +376,29 @@ class TestNehariScaled:
             nehari_scaled(PeriodicField.constant(SPEC, -1.0, 16), params)
         with pytest.raises(FloatingPointError, match="nonlinear term u\\^\\(2#-1\\) of a field with max"):
             nehari_scaled(PeriodicField.constant(SPEC, 1e40, 16), params)
+
+
+class TestConstantSolution:
+    # The constant branch is closed-form: no Newton call, and the same bits
+    # Newton returns from the exact constant, on both sides of the mode-1
+    # threshold.
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    @pytest.mark.parametrize("t", [0.3, 1.0, 4.0])
+    @pytest.mark.parametrize("side", [0.5, 2.0])
+    def test_is_newton_from_the_exact_constant_without_newton(self, monkeypatch, n, t, side):
+        spec, opts = ManifoldSpec(n, t), SolverOptions()
+        alpha = side * bifurcation_alpha(n, t, 1)
+        params = OperatorParams(alpha, alpha * alpha / 4.0)
+        u_bar, _ = constant_branch(n, params.a_alpha, product_volume(spec))
+        newton = newton_solve(PeriodicField.constant(spec, u_bar, opts.modes), params, opts)
+
+        def no_newton(*args, **kwargs):
+            raise AssertionError("constant_solution called newton_solve")
+
+        monkeypatch.setattr(solver_mod, "newton_solve", no_newton)
+        sol = solver_mod.constant_solution(spec, params, opts)
+        assert_same_solution(sol, newton)
+        assert sol.is_constant and sol.newton_iters == 0
 
 
 class TestEvenSolutions:
