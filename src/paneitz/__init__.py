@@ -34,6 +34,7 @@ from .diagnostics import (
     concentration_points,
     concentration_ratios,
     multi_bubble_energy,
+    pair_bubble_energy,
     quantization_check,
 )
 from .field import (

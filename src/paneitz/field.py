@@ -339,6 +339,7 @@ def _ball_masses(u: PeriodicField, center: float, delta: float) -> np.ndarray:
 # --- plain-text serialization ----------------------------------------------
 
 _HEADER = "# n t N"
+_NON_SPACE = bytes(b for b in range(128) if not chr(b).isspace())  # what str.split() keeps
 
 
 def save_field(u: PeriodicField, path) -> None:
@@ -362,6 +363,9 @@ def load_field(path) -> PeriodicField:
     Blank lines are skipped.  A bad header, a row that is not two columns, a
     sample that is not a finite number, or a sample count other than the
     header's N raises ValueError naming the file (and the line of a bad row).
+    A body in ``save_field``'s layout, N rows of two columns split by one
+    space, is parsed from one whitespace split of the whole text; any other
+    body is read row by row.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
@@ -373,8 +377,14 @@ def load_field(path) -> PeriodicField:
             raise ValueError(f"bad field file header in {path}: {exc}") from None
         if size < 16 or size % 2 != 0:
             raise ValueError(f"bad field file header in {path}: grid size must be even and >= 16, got {size}")
+        body = fh.read()
+    words = body.split()
+    # with every line's whitespace exactly " \n", N lines hold 2N words only at two apiece
+    if len(words) == 2 * size and body.encode("ascii").translate(None, _NON_SPACE) == b" \n" * size:
+        line_numbers, samples = range(2, size + 2), words[1::2]
+    else:
         line_numbers, samples = [], []
-        for number, line in enumerate(fh, start=2):
+        for number, line in enumerate(body.split("\n"), start=2):
             cols = line.split()
             if not cols:
                 continue

@@ -595,8 +595,11 @@ MODE1_AMPLITUDE = 0.1  # relative amplitude of the mode-1 seed's cosine
 def constant_solution(spec: ManifoldSpec, params: OperatorParams, opts: SolverOptions) -> Solution:
     """The exact constant u_bar = a^((n-4)/8) on ``opts.modes`` points, with
     no Newton step; its residual and checks are those ``newton_solve``
-    reports for it."""
+    reports for it.  A u_bar that underflows to 0 raises
+    ``FloatingPointError``."""
     u_bar, _ = constant_branch(spec.n, params.a_alpha, product_volume(spec))
+    if u_bar == 0.0:
+        raise FloatingPointError(f"constant solution a^((n-4)/8) at a={params.a_alpha!r} underflows float64")
     u = PeriodicField.constant(spec, u_bar, opts.modes)
     _nonlinear_scale(u)  # named, as for a Newton start, before the residual forms u^(2#-1)
     res_sup = float(np.max(np.abs(residual(u, params).values)))

@@ -310,8 +310,9 @@ class TestSolveCommand:
 
     def test_constant_that_underflows_is_a_numerical_failure(self, capsys):
         # u_bar = a^((n-4)/8) = (1e-200)^2 is 0 in float64; this used to exit 1
-        # with the usage error "initial guess must be positive somewhere"
-        reason = "converged field is not strictly positive (min 0.000e+00)"
+        # with the usage error "initial guess must be positive somewhere", then
+        # exit 2 with a positivity failure of a field that never converged
+        reason = "constant solution a^((n-4)/8) at a=1e-200 underflows float64"
         assert_named_float64_failure(
             capsys, reason, "solve", "--dim", "20", "--alpha", "1", "--a", "1e-200", "--init", "constant"
         )

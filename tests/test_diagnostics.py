@@ -1,7 +1,9 @@
 import functools
 import math
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from paneitz.diagnostics import (
     concentration_points,
     concentration_ratios,
     multi_bubble_energy,
+    pair_bubble_energy,
     quantization_check,
 )
 from paneitz.field import PeriodicField, norms
@@ -369,3 +372,195 @@ class TestMultiBubbleEnergy:
     def test_quantization_rejects_bad_scale_ratio(self, ratio):
         with pytest.raises(ValueError, match="scale_ratio must be positive and finite"):
             quantization_check(5, 1.0, scale_ratio=ratio)
+
+
+def concentric_pair_energy(n, centers, scales, lambda_inf=1):
+    # the energy of two extremals as the 30-digit mpmath.quad of the concentric
+    # pair with scales 1 and mu = e^D, D the hyperbolic distance of the points
+    # (c_j, 1/lam_j): omega_(n-1) int_0^inf (B_1 + B_mu)^(2#) r^(n-1) dr, in r,
+    # with cosh D from the cosh form and c_n from its formula (about 0.1 s a case)
+    with mpmath.workdps(30):
+        (c1, c2), (lam1, lam2) = map(mpmath.mpf, centers), map(mpmath.mpf, scales)
+        cosh_d = (lam1 / lam2 + lam2 / lam1 + lam1 * lam2 * (c1 - c2) ** 2) / 2
+        mu = cosh_d + mpmath.sqrt(cosh_d**2 - 1)
+        m, two_sharp = mpmath.mpf(n - 4) / 2, mpmath.mpf(2 * n) / (n - 4)
+        amp = mpmath.mpf(lambda_inf) ** (-1 / (two_sharp - 2)) * (n * (n - 4) * (n**2 - 4)) ** (m / 4)
+
+        def integrand(r):
+            return (amp * (1 + r**2) ** -m + amp * mu**m * (1 + (mu * r) ** 2) ** -m) ** two_sharp * r ** (n - 1)
+
+        omega = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
+        return omega * mpmath.quad(integrand, [0, 1 / mu, 1, mpmath.inf])
+
+
+_PAIR_SETS = {
+    "far-scales": ((0.0, 20.0), (1.0, 1e4)),
+    "near": ((0.0, 3.0), (1.0, 2.5)),
+    "concentric": ((0.0, 0.0), (1.0, 7.0)),
+    "far-centers": ((0.0, 1000.0), (1.0, 1.0)),
+    "equal-scales": ((0.0, 20.0), (1.0, 1.0)),
+}
+
+# concentric_pair_energy(n, *_PAIR_SETS[name]) to 20 digits, cached because
+# the 40 cases take about 4 s; test_oracle_literals recomputes two of them
+_PAIR_ORACLE = {
+    (5, "far-scales"): "656.4209524878272871",
+    (5, "near"): "13228.974223041535462",
+    (5, "concentric"): "74502.738141937428756",
+    (5, "far-centers"): "661.54124557795212837",
+    (5, "equal-scales"): "1419.3388925298795479",
+    (6, "far-scales"): "7777.2636970584336304",
+    (6, "near"): "14604.984486503286465",
+    (6, "concentric"): "51046.93034378722288",
+    (6, "far-centers"): "7777.3512645382634397",
+    (6, "equal-scales"): "8074.9656260238308228",
+    (7, "far-scales"): "81715.403212395771712",
+    (7, "near"): "95875.542989124812199",
+    (7, "concentric"): "208990.03595807065558",
+    (7, "far-centers"): "81715.40459420687785",
+    (7, "equal-scales"): "81911.868278342271907",
+    (8, "far-scales"): "854973.50759136157112",
+    (8, "near"): "894277.34309461590341",
+    (8, "concentric"): "1418053.6886278754612",
+    (8, "far-centers"): "854973.50761381198301",
+    (8, "equal-scales"): "855121.7519008447626",
+    (9, "far-scales"): "9176148.6371909799457",
+    (9, "near"): "9301142.8017990891998",
+    (9, "concentric"): "12182794.088443802061",
+    (9, "far-centers"): "9176148.6371913653499",
+    (9, "equal-scales"): "9176271.4249728215012",
+    (10, "far-scales"): "101925717.31282661316",
+    (10, "near"): "102361237.80056686134",
+    (10, "concentric"): "119962407.88037167081",
+    (10, "far-centers"): "101925717.31282662018",
+    (10, "equal-scales"): "101925827.14431849708",
+    (12, "far-scales"): "14033065942.351847399",
+    (12, "near"): "14039554174.368127375",
+    (12, "concentric"): "14855631423.199524054",
+    (12, "far-centers"): "14033065942.351847399",
+    (12, "equal-scales"): "14033066048.731814247",
+    (20, "far-scales"): "18256728431937928155.0",
+    (20, "near"): "18256730378760698398.0",
+    (20, "concentric"): "18279938420194803765.0",
+    (20, "far-centers"): "18256728431937928155.0",
+    (20, "equal-scales"): "18256728431937928717.0",
+}
+_PAIR_DIMS = sorted({n for n, _ in _PAIR_ORACLE})
+
+
+# multi_bubble_energy's relative shortfall against the oracle at n = 5 and 6,
+# as read and rounded up in the second digit
+_CELL_TRUNCATION = {
+    5: {"far-scales": 8.3e-13, "near": 5.1e-12, "concentric": 1.7e-13, "far-centers": 4.8e-11, "equal-scales": 3.6e-10},
+    6: {"far-scales": 7.8e-15, "near": 2.2e-14, "concentric": 4.7e-15, "far-centers": 2.5e-14, "equal-scales": 2.9e-13},
+}
+
+
+def pair_oracle(n, name, lambda_inf=1):
+    # the energy scales as amp^(2#), and amp^(2#) as lambda_inf^(-n/4)
+    with mpmath.workdps(30):
+        return mpmath.mpf(_PAIR_ORACLE[n, name]) * mpmath.mpf(lambda_inf) ** (-mpmath.mpf(n) / 4)
+
+
+def pair(n, centers, scales, lambda_inf=1.0):
+    return pair_bubble_energy(n, np.array(centers), np.array(scales), lambda_inf)
+
+
+class TestPairBubbleEnergy:
+    @pytest.mark.parametrize("n, name, lambda_inf", [(5, "far-scales", 1.0), (20, "concentric", 2.5)])
+    def test_oracle_literals(self, n, name, lambda_inf):
+        exact = concentric_pair_energy(n, *_PAIR_SETS[name], lambda_inf)
+        assert float(abs(pair_oracle(n, name, lambda_inf) / exact - 1)) < 1e-18
+
+    @pytest.mark.parametrize("lambda_inf", [1.0, 2.5])
+    @pytest.mark.parametrize("name", sorted(_PAIR_SETS))
+    @pytest.mark.parametrize("n", _PAIR_DIMS)
+    def test_matches_oracle(self, n, name, lambda_inf):
+        # read within 1.3e-15 in every case
+        energy = pair(n, *_PAIR_SETS[name], lambda_inf)
+        assert energy == pytest.approx(float(pair_oracle(n, name, lambda_inf)), rel=1e-14)
+
+    @pytest.mark.parametrize("name", sorted(_PAIR_SETS))
+    @pytest.mark.parametrize("n", _PAIR_DIMS)
+    def test_cell_rule_truncation_is_declared(self, n, name):
+        # multi_bubble_energy stops 300 widths out and drops a positive tail
+        # decaying like r^(-n-1), one-signed at n = 5 and 6 and below rounding
+        # from n = 7; equal scales at distance 20 drop the most
+        energy = multi_bubble_energy(n, *map(np.array, _PAIR_SETS[name]))
+        rel = float(energy / pair_oracle(n, name) - 1)
+        if n in _CELL_TRUNCATION:
+            assert -_CELL_TRUNCATION[n][name] < rel < 0.0
+        else:
+            assert abs(rel) <= 3.1e-15
+
+    @pytest.mark.parametrize("n", _PAIR_DIMS)
+    def test_swap_and_translation_invariant(self, n):
+        energy = pair(n, (0.0, 20.0), (1.0, 1e4))
+        assert pair(n, (20.0, 0.0), (1e4, 1.0)) == pytest.approx(energy, rel=4e-15)
+        assert pair(n, (-13.25, 6.75), (1.0, 1e4)) == pytest.approx(energy, rel=4e-15)
+
+    @pytest.mark.parametrize("n", _PAIR_DIMS)
+    def test_depends_only_on_distance(self, n):
+        # cosh D = (7 + 1/7)/2 for concentric scales (1, 7), for equal scales 1
+        # at distance 6/sqrt(7), and for the dilation x -> x/10 moved by 7.5
+        energy = pair(n, (0.0, 0.0), (1.0, 7.0))
+        assert pair(n, (0.0, 6.0 / math.sqrt(7.0)), (1.0, 1.0)) == pytest.approx(energy, rel=4e-15)
+        assert pair(n, (7.5, 7.5), (10.0, 70.0)) == pytest.approx(energy, rel=4e-15)
+
+    @pytest.mark.parametrize("n", _PAIR_DIMS)
+    def test_coincident_profiles_are_two_sharp_powers_of_two(self, n):
+        # D = 0 exactly: (2 B)^(2#) integrates to 2^(2#) quanta
+        expected = 2.0 ** critical_exponent(n) * expected_bubble_energy(n, 2.5)
+        assert pair(n, (3.0, 3.0), (4.0, 4.0), 2.5) == pytest.approx(expected, rel=4e-15)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_quantization_check_uses_it_for_pairs_only(self, n):
+        rep = quantization_check(n, 1.0)
+        assert rep.synthetic_energy == pair(n, (0.0, 20.0), (1.0, 1e4))
+        for k in (1, 3, 4):
+            rep = quantization_check(n, 1.0, synthetic_bubbles=k)
+            expected = multi_bubble_energy(n, 20.0 * np.arange(k), 1e4 ** np.arange(k))
+            assert rep.synthetic_energy == expected
+
+    def test_far_centers_are_two_quanta(self):
+        # sinh(D/2) = 5e299 is a float64: D = 1381.6, where the cell rule
+        # reads "outside the float64 range"; read within 3.5e-15
+        assert pair(5, (0.0, 1e300), (1.0, 1.0)) == pytest.approx(2 * expected_bubble_energy(5), rel=1e-14)
+
+    def test_high_dimensional_pair(self):
+        # the cell rule's critical power overflows with a RuntimeWarning from
+        # n = 60; the pair's prefactor leaves float64 at n = 162.  At n = 160
+        # sech^n(80/n) is e^-19, so the window must reach acosh(e^(80/n)):
+        # read within 3.6e-14 (rounding grows like n)
+        expected = 2.0 ** critical_exponent(160) * expected_bubble_energy(160)
+        assert pair(160, (0.0, 0.0), (1.0, 1.0)) == pytest.approx(expected, rel=1e-13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert quantization_check(100, 1.0).synthetic_ok
+            with pytest.raises(FloatingPointError, match="critical-energy integrand for n=162 overflows float64"):
+                quantization_check(162, 1.0)
+
+    @pytest.mark.parametrize(
+        "centers, scales",
+        [((0.0, 1e300), (1e10, 1e10)), ((-1e308, 1e308), (1.0, 1.0)), ((0.0, 0.0), (5e-324, 1e300))],
+        ids=["far-center", "center-gap-overflows", "scale-ratio-overflows"],
+    )
+    def test_float64_range_is_declared(self, centers, scales):
+        with pytest.raises(FloatingPointError, match="outside the float64 range"):
+            pair(5, centers, scales)
+
+    @pytest.mark.parametrize(
+        "centers, scales, kwargs, match",
+        [
+            ((0.0, 20.0), (1.0,), {}, "centers and lambda0s must be matching 1-d arrays"),
+            ((0.0, 20.0, 40.0), (1.0, 1.0, 1.0), {}, "need exactly two profiles, got 3"),
+            ((0.0, np.inf), (1.0, 1.0), {}, "must be finite"),
+            ((0.0, 20.0), (1.0, np.nan), {}, "must be finite"),
+            ((0.0, 20.0), (1.0, 0.0), {}, "concentration scale must be positive"),
+            ((0.0, 20.0), (1.0, 1.0), {"lambda_inf": math.inf}, "lambda_inf must be positive and finite"),
+        ],
+        ids=["mismatched", "three", "infinite-center", "nan-scale", "zero-scale", "infinite-lambda-inf"],
+    )
+    def test_rejects_bad_profiles(self, centers, scales, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            pair(5, centers, scales, **kwargs)

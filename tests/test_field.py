@@ -344,3 +344,28 @@ class TestFieldFiles:
         # the sample column is the grid, written to 17 digits
         grid = np.array([float(line.split()[0]) for line in path.read_text().splitlines()[1:]])
         assert np.array_equal(grid, u.grid)
+
+    def test_any_whitespace_layout_reads_the_same_samples(self, tmp_path, rng):
+        # tabs, padding, blank lines and CRLF leave save_field's layout and are
+        # read row by row; the samples are bit-identical to the one-split read
+        u = PeriodicField.from_values(SPEC, np.exp(rng.normal(size=32)))
+        path = tmp_path / "u.field"
+        save_field(u, path)
+        header, *rows = path.read_text().splitlines()
+        rows[3] = " " + rows[3].replace(" ", "\t  ") + "  "
+        rows.insert(7, "")
+        loose = tmp_path / "loose.field"
+        loose.write_bytes(("\r\n".join([header, *rows]) + "\r\n\r\n").encode("ascii"))
+        assert np.array_equal(load_field(loose).values, load_field(path).values)
+        assert np.array_equal(load_field(path).values, u.values)
+
+    def test_rows_of_three_and_one_columns_are_named(self, tmp_path):
+        # 2N words on N lines, but not two on each
+        u = PeriodicField.from_values(SPEC, np.ones(16))
+        path = tmp_path / "u.field"
+        save_field(u, path)
+        lines = path.read_text().splitlines()
+        lines[3], lines[5] = "0.5 1 2", "0.5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 4: expected two columns")):
+            load_field(path)
