@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -228,39 +229,57 @@ def expected_bubble_energy(n: int, lambda_inf: float = 1.0) -> float:
     return (lambda_inf / k0_inv_sq) ** (-n / 4.0)
 
 
-_ENERGY_NODES = 240  # Gauss-Legendre order of the coarse bubble-energy rule
 _RADIAL_ORDER = 24   # per-panel Gauss-Legendre order of the radial integrals
+_ENERGY_PANELS = 10  # equal panels on [0, pi/2] of the coarse energy rule
+
+
+@lru_cache(maxsize=None)
+def _energy_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radii tan(theta) and weights w sec^2(theta) of composite Gauss-Legendre
+    of order ``_RADIAL_ORDER`` on ``panels`` equal panels of [0, pi/2]: the
+    half line at lambda0 = 1.  Built once per panel count; read-only."""
+    theta, w = panel_rule(np.linspace(0.0, math.pi / 2, panels + 1), order=_RADIAL_ORDER)
+    radii, weights = np.tan(theta), w / np.cos(theta) ** 2
+    radii.flags.writeable = False
+    weights.flags.writeable = False
+    return radii, weights
 
 
 def bubble_energy(params: BubbleParams) -> float:
     """Critical energy integral of the extremal over R^n.
 
-    Substituting r = tan(theta)/lambda0 maps the half line onto [0, pi/2)
-    with an analytic integrand, so composite Gauss-Legendre converges
-    spectrally and no truncation radius is involved.  Convergence is verified
-    by doubling the node count (from ``_ENERGY_NODES``); disagreement raises
-    a warning.  The integrand v^(2#) r^(n-1) is formed as
+    Substituting r = tan(theta)/lambda0 maps the half line onto [0, pi/2),
+    where the integrand is amp^(2#) lambda0^(-n) (sin(2 theta)/2)^(n-1), an
+    entire function, so composite Gauss-Legendre converges spectrally and no
+    truncation radius is involved.  The rule is fixed: ``_ENERGY_PANELS``
+    (10) equal panels of ``_RADIAL_ORDER`` (24) nodes, the order the radial
+    integrals use, built once per process on first use.  Convergence is
+    verified by doubling the panels to 480 nodes; disagreement raises a
+    warning.  The integrand v^(2#) r^(n-1) is formed as
     (v^(2#/(n-1)) r)^(n-1): near theta = pi/2 the factor r^(n-1) alone
     leaves float64 from n = 63, while the product decays like r^(-n-1).
-    From n = 162 its peak, about c_n^(2#), leaves float64 and is named.
+    From n = 162 its peak, about c_n^(2#), leaves float64 and is named, and
+    so is a sum that underflows to 0 (n = 5 at lambda0 = 1e-300, n = 9 at
+    1e-150).
     """
     n = params.n
     omega = sphere_volume(n - 1)
     p = params.two_sharp
     lam = params.lambda0
 
-    def quad(k: int) -> float:
-        theta, w = panel_rule(np.array([0.0, math.pi / 2]), order=k)
-        r = np.tan(theta) / lam
-        jac = 1.0 / (lam * np.cos(theta) ** 2)
-        vals = (bubble_eval(params, r) ** (p / (n - 1)) * r) ** (n - 1) * jac
-        return omega * float(np.sum(w * vals))
+    def quad(panels: int) -> float:
+        radii, weights = _energy_rule(panels)
+        r = radii / lam
+        vals = (bubble_eval(params, r) ** (p / (n - 1)) * r) ** (n - 1)
+        return omega * float(np.sum(weights * vals)) / lam
 
     with np.errstate(over="ignore", invalid="ignore"):
-        coarse = quad(_ENERGY_NODES)
-        fine = quad(2 * _ENERGY_NODES)
+        coarse = quad(_ENERGY_PANELS)
+        fine = quad(2 * _ENERGY_PANELS)
     if not math.isfinite(coarse + fine):
         raise FloatingPointError(f"critical-energy integrand for n={n} overflows float64")
+    if fine == 0.0:
+        raise FloatingPointError(f"critical-energy integrand for n={n} underflows float64")
     if abs(fine - coarse) > 1e-9 * abs(fine):
         warnings.warn(
             f"critical energy quadrature not converged: {coarse!r} vs {fine!r}",

@@ -211,7 +211,10 @@ def multi_bubble_energy(
     powers are generic.  If lam_max^2 (hi - lo)^2 overflows float64,
     ``FloatingPointError`` is raised before any grid is built, and so is a
     profile whose 0.25/lam is not wider than 4 float64 spacings at its
-    center.
+    center.  A critical power that overflows float64 makes the energy
+    infinite or NaN, and ``FloatingPointError`` names n: from n = 127 for
+    one profile of ``quantization_check``'s layout, 33 for three and 24
+    for four.
     """
     centers = np.asarray(centers, dtype=float)
     lambda0s = np.asarray(lambda0s, dtype=float)
@@ -239,29 +242,33 @@ def multi_bubble_energy(
     sharp_halves = 4 * n // (n - 4) if (4 * n) % (n - 4) == 0 else None
     buffers = [np.empty((_BATCH_CELLS, _CELL_ORDER, _CELL_ORDER)) for _ in range(3)]
     total = 0.0
-    for start in range(0, anchors.size, _BATCH_CELLS):
-        box, anchor = boxes[start : start + _BATCH_CELLS], anchors[start : start + _BATCH_CELLS]
-        field, t, spare = (b[: box.shape[0]] for b in buffers)
-        # half-width times node plus midpoint, x as an offset from the cell's center
-        mid = 0.5 * (box[:, 0::2] + box[:, 1::2])
-        half = 0.5 * (box[:, 1::2] - box[:, 0::2])
-        x_off = mid[:, :1] + half[:, :1] * nodes
-        rho = mid[:, 1:] + half[:, 1:] * nodes
-        field.fill(0.0)
-        for c, p in zip(centers, profiles):
-            offset = x_off + (anchor - c)[:, None]
-            col, row = p.lambda0**2 * offset**2, 1.0 + p.lambda0**2 * rho**2
-            np.add(col[:, :, None], row[:, None, :], out=t)
-            np.divide(root * p.lambda0, t, out=t)
-            field += _half_power(t, n - 4, spare)
-        if sharp_halves is None:
-            field **= two_sharp
-        else:
-            field = _half_power(field, sharp_halves, spare)
-        field *= (half[:, :1] * weights)[:, :, None]
-        field *= (half[:, 1:] * weights * rho ** (n - 2))[:, None, :]
-        total += float(field.sum())
-    return sphere_volume(n - 2) * float(total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, anchors.size, _BATCH_CELLS):
+            box, anchor = boxes[start : start + _BATCH_CELLS], anchors[start : start + _BATCH_CELLS]
+            field, t, spare = (b[: box.shape[0]] for b in buffers)
+            # half-width times node plus midpoint, x as an offset from the cell's center
+            mid = 0.5 * (box[:, 0::2] + box[:, 1::2])
+            half = 0.5 * (box[:, 1::2] - box[:, 0::2])
+            x_off = mid[:, :1] + half[:, :1] * nodes
+            rho = mid[:, 1:] + half[:, 1:] * nodes
+            field.fill(0.0)
+            for c, p in zip(centers, profiles):
+                offset = x_off + (anchor - c)[:, None]
+                col, row = p.lambda0**2 * offset**2, 1.0 + p.lambda0**2 * rho**2
+                np.add(col[:, :, None], row[:, None, :], out=t)
+                np.divide(root * p.lambda0, t, out=t)
+                field += _half_power(t, n - 4, spare)
+            if sharp_halves is None:
+                field **= two_sharp
+            else:
+                field = _half_power(field, sharp_halves, spare)
+            field *= (half[:, :1] * weights)[:, :, None]
+            field *= (half[:, 1:] * weights * rho ** (n - 2))[:, None, :]
+            total += float(field.sum())
+    energy = sphere_volume(n - 2) * total
+    if not math.isfinite(energy):
+        raise FloatingPointError(f"critical-energy integrand for n={n} overflows float64")
+    return energy
 
 
 def _sech_power(z: np.ndarray, m: float) -> np.ndarray:

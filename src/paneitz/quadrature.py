@@ -27,6 +27,9 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     +-1 at full relative accuracy (numpy's leggauss loses ~5e-10 there at
     order 480).  Only elementwise arithmetic: no LAPACK call, so no
     eigensolver threads on the hot path.  The returned arrays are read-only.
+    The recurrence is a Python loop over the order in every Newton step, so
+    the package asks for orders 16 (the multi-bubble cells) and 24 (the
+    radial and energy panels) only; the order-480 accuracy stays tested.
     """
     if order < 1:
         raise ValueError(f"Gauss-Legendre order must be positive, got {order}")

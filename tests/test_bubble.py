@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import even_gaussian_field
+from paneitz import bubble as bubble_module
 from paneitz.bubble import (
     BubbleParams,
     bubble_energy,
@@ -159,6 +160,57 @@ class TestBubbleEnergy:
     def test_lambda_inf_normalization(self):
         energy = bubble_energy(BubbleParams(5, lambda_inf=3.0))
         assert energy == pytest.approx(expected_bubble_energy(5, 3.0), rel=1e-8)
+
+
+def wallis_energy(n, lambda0, lambda_inf=1):
+    """omega_(n-1) amp^(2#) lambda0^(-n) 2^(-n) sqrt(pi) Gamma(n/2) / Gamma((n+1)/2)
+    at 30 digits, with amp and c_n from their formulas: after
+    r = tan(theta)/lambda0 the integrand is amp^(2#) lambda0^(-n) (sin(2 theta)/2)^(n-1),
+    and int_0^(pi/2) sin^(n-1) = sqrt(pi) Gamma(n/2) / (2 Gamma((n+1)/2))."""
+    with mpmath.workdps(30):
+        n_, lam = mpmath.mpf(n), mpmath.mpf(lambda0)
+        two_sharp = 2 * n_ / (n_ - 4)
+        c_n = (n_ * (n_ - 4) * (n_**2 - 4)) ** ((n_ - 4) / 8)
+        amp = mpmath.mpf(lambda_inf) ** (-1 / (two_sharp - 2)) * c_n * lam ** ((n_ - 4) / 2)
+        omega = 2 * mpmath.pi ** (n_ / 2) / mpmath.gamma(n_ / 2)
+        wallis = mpmath.sqrt(mpmath.pi) * mpmath.gamma(n_ / 2) / mpmath.gamma((n_ + 1) / 2)
+        return omega * amp**two_sharp * lam ** (-n_) * 2 ** (-n_) * wallis
+
+
+class TestBubbleEnergyOracle:
+    @pytest.mark.parametrize("lambda0", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10, 12, 20, 40, 63, 100, 143, 161])
+    def test_matches_closed_form(self, n, lambda0):
+        # read within 5.1e-15 for n <= 20 and 2.95e-14 above
+        energy = bubble_energy(BubbleParams(n, lambda0))
+        rel = abs(mpmath.mpf(energy) / wallis_energy(n, lambda0) - 1)
+        assert rel <= (1e-14 if n <= 20 else 5e-14)
+
+    def test_lambda_inf_matches_closed_form(self):
+        energy = bubble_energy(BubbleParams(7, 1.5, lambda_inf=3.0))
+        assert abs(mpmath.mpf(energy) / wallis_energy(7, 1.5, 3.0) - 1) <= 1e-14
+
+    @pytest.mark.parametrize("n, lambda0", [(5, 1e-300), (9, 1e-150)])
+    def test_underflow_is_named(self, n, lambda0):
+        # each node's integrand underflows to 0; n = 9 at 1e-150 used to
+        # return 0.0, n = 5 at 1e-300 failed as an overflow of the Jacobian
+        with pytest.raises(FloatingPointError, match=f"critical-energy integrand for n={n} underflows float64"):
+            bubble_energy(BubbleParams(n, lambda0))
+
+    def test_warm_call_builds_no_rule(self, monkeypatch):
+        bubble_energy(BubbleParams(6))
+        calls = []
+        monkeypatch.setattr(bubble_module, "panel_rule", lambda *args, **kw: calls.append(args))
+        assert bubble_energy(BubbleParams(6, 1.7)) > 0
+        assert calls == []
+
+    def test_rules_are_read_only_and_halve_every_panel(self):
+        coarse, fine = bubble_module._energy_rule(10), bubble_module._energy_rule(20)
+        assert [r.size for r in coarse + fine] == [240, 240, 480, 480]
+        assert not any(a.flags.writeable for a in coarse + fine)
+        # every coarse panel edge is a fine one: 48 fine radii per coarse panel
+        edges = np.tan(np.linspace(0.0, math.pi / 2, 11)[1:-1])
+        assert np.all(np.searchsorted(fine[0], edges) % 24 == 0)
 
 
 class TestPohozaevIdentity:

@@ -175,6 +175,28 @@ class TestBubbleCheckCommand:
         assert (code, out) == (1, "")
         assert err == f"paneitz bubble-check: error: rmax must be positive and finite, got {float(rmax)!r}\n"
 
+    def test_cold_start_builds_order_24_only(self, capsys, monkeypatch):
+        # a fresh process: the energy rules are not yet built.  The nodes take
+        # a Python loop over the order in every Newton step, so a one-panel
+        # rule of 240 or 480 nodes would cost a cold bubble-check most of its time
+        orders = []
+
+        def spy(order):
+            orders.append(order)
+            return real(order)
+
+        real = paneitz.quadrature.gauss_legendre
+        paneitz.bubble._energy_rule.cache_clear()
+        monkeypatch.setattr(paneitz.quadrature, "gauss_legendre", spy)
+        monkeypatch.setattr(paneitz.diagnostics, "gauss_legendre", spy)
+        with pytest.warns(RuntimeWarning, match="slow decay"):
+            assert run_cli(capsys, "bubble-check", "--dim", "5")[0] == 0
+        assert paneitz.diagnostics.quantization_check(5, 1.5).synthetic_ok
+        assert orders and set(orders) == {24}
+        # the spy sees the cell rule of one or three and more extremals
+        paneitz.diagnostics.quantization_check(5, 1.5, synthetic_bubbles=3)
+        assert set(orders) == {16, 24}
+
 
 class TestSolveCommand:
     def test_auto_schedule_and_output(self, capsys, tmp_path):

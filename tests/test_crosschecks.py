@@ -28,7 +28,7 @@ from scipy.sparse import csr_matrix, diags, identity
 from scipy.sparse.linalg import spsolve
 
 from paneitz.bubble import expected_bubble_energy
-from paneitz.constants import OperatorParams, constant_branch
+from paneitz.constants import OperatorParams, bubble_coefficient, constant_branch
 from paneitz.field import PeriodicField
 from paneitz.geometry import ManifoldSpec, product_volume, sphere_volume
 from paneitz.solver import (
@@ -196,3 +196,32 @@ class TestGeometricPoint:
         for (n, t), sol in solutions.items():
             assert not sol.is_constant
             assert sol.energy < constant_branch(n, sol.params.a_alpha, product_volume(sol.field.spec))[1]
+
+    @staticmethod
+    def homoclinic(n, s):
+        return bubble_coefficient(n) * (2.0 * np.cosh(s)) ** (-(n - 4) / 2.0)
+
+    @staticmethod
+    def offsets(sol):
+        """Fine-grid samples of u and their signed offsets from its peak,
+        wrapped into [-L/2, L/2)."""
+        u, s, length = sol.field.fine_values(), sol.field.fine_grid(), sol.field.spec.period
+        return u, (s - s[np.argmax(u)] + length / 2) % length - length / 2
+
+    @pytest.mark.parametrize("n, t", DEFICIT_POINTS + QUANTUM_POINTS)
+    def test_profile_is_the_homoclinic_to_its_half_period_value(self, solutions, n, t):
+        # sup|u - v| read within 1.01 v(pi t), except at (8, 6), where both
+        # sides are rounding: 6.3e-16 c_n against v(pi t) = 4.2e-17 c_n
+        u, d = self.offsets(solutions[n, t])
+        half = self.homoclinic(n, math.pi * t)
+        assert np.max(np.abs(u - self.homoclinic(n, d))) <= 2.0 * half + 4e-15 * bubble_coefficient(n)
+
+    @pytest.mark.parametrize("n, t", DEFICIT_POINTS + QUANTUM_POINTS)
+    def test_profile_is_the_periodized_homoclinic_to_second_order(self, solutions, n, t):
+        # sup|u - sum_k v(s - kL)| c_n / v(pi t)^2 read 2.6, 3.5, 4.9 and 7.1 for
+        # n = 5..8 at the deficit points; at the long circles it is rounding
+        sol = solutions[n, t]
+        u, d = self.offsets(sol)
+        periodized = sum(self.homoclinic(n, d - k * sol.field.spec.period) for k in range(-3, 4))
+        c_n, half = bubble_coefficient(n), self.homoclinic(n, math.pi * t)
+        assert np.max(np.abs(u - periodized)) <= 10.0 * half**2 / c_n + 4e-15 * c_n

@@ -373,6 +373,21 @@ class TestMultiBubbleEnergy:
         with pytest.raises(ValueError, match="scale_ratio must be positive and finite"):
             quantization_check(5, 1.0, scale_ratio=ratio)
 
+    @pytest.mark.parametrize("n, k", [(24, 4), (30, 4), (33, 3), (127, 1), (161, 1)])
+    def test_overflowing_critical_power_is_named(self, n, k):
+        # the first n for each count, and two beyond; the cell sum used to
+        # come back NaN with overflow and invalid-value RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match=f"critical-energy integrand for n={n} overflows float64"):
+                quantization_check(n, 1.0, synthetic_bubbles=k)
+
+    def test_last_finite_dimension_keeps_its_value(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = quantization_check(32, 1.0, synthetic_bubbles=3)
+        assert report.synthetic_energy == float.fromhex("0x1.01ae6c55da1a5p+114")  # 2.09e34
+
 
 def concentric_pair_energy(n, centers, scales, lambda_inf=1):
     # the energy of two extremals as the 30-digit mpmath.quad of the concentric
