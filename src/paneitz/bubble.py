@@ -290,9 +290,9 @@ def bubble_energy(params: BubbleParams) -> float:
 
 def _radial_quadrature(rmax: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Panels doubling outward to rmax from a first one no wider than
-    rmax 2^-20 or, for a positive scale, 0.25/scale (the rule of
-    ``refined_axis_edges``), so a profile concentrated at ``scale`` is
-    resolved whatever rmax is."""
+    rmax 2^-20 or, for a positive scale, 0.25/scale: a quarter of the
+    profile's width, so a profile concentrated at ``scale`` is resolved
+    whatever rmax is."""
     inner = rmax * 2.0 ** (-20)
     if scale > 0:
         inner = min(inner, 0.25 / scale)

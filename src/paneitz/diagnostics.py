@@ -26,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubble import BubbleParams, expected_bubble_energy
+from .bubble import BubbleParams, bubble_energy, expected_bubble_energy
 from .constants import OperatorParams, critical_exponent
 from .field import PeriodicField, _ball_masses, _ball_radius, localized_mass, norms
 from .geometry import sphere_volume
-from .quadrature import gauss_legendre, point_refined_cells
 
 __all__ = [
     "ConcentrationReport",
@@ -43,8 +42,6 @@ __all__ = [
 ]
 
 _GRADLESS = 1e-13
-_CELL_ORDER = 16  # Gauss-Legendre points per cell side in multi_bubble_energy
-_BATCH_CELLS = 50  # cells per evaluation batch: 50 x 16 x 16 nodes per buffer
 _PAIR_STEP = 1.0   # n times the trapezoid step in ln r of pair_bubble_energy
 _PAIR_TAIL = 80.0  # its window ends where one extremal's integrand sech^n is e^-80
 
@@ -157,118 +154,33 @@ class QuantizationReport:
     synthetic_ok: bool              # within 2 percent of k quanta
 
 
-def _half_power(base: np.ndarray, halves: int, spare: np.ndarray) -> np.ndarray:
-    """base ** (halves / 2) for an integer halves >= 1, by binary powering and
-    at most one square root.  Works in ``spare`` and may overwrite ``base``;
-    returns whichever of the two holds the result."""
-    k, odd = divmod(halves, 2)
-    if k == 0:
-        return np.sqrt(base, out=base)
-    out = base
-    for bit in bin(k)[3:]:
-        out = np.multiply(out, out, out=spare if out is base else out)
-        if bit == "1":
-            out *= base
-    if odd:
-        out *= np.sqrt(base, out=spare if out is base else base)
-    return out
-
-
-def multi_bubble_energy(
-    n: int,
-    centers: np.ndarray,
-    lambda0s: np.ndarray,
-    lambda_inf: float = 1.0,
-) -> float:
-    """Critical energy of a sum of collinear radial extremals on R^n.
-
-    The integrand depends only on the axis coordinate and the distance to
-    the axis, so the integral reduces to a 2-d quadrature weighted by
-    omega_(n-2) rho^(n-2), truncated 300 widths of the widest extremal
-    beyond the outermost centers.  The truncation drops a positive tail that
-    decays like r^(-n-1).  Against a 30-digit oracle on five pairs it reads
-    low by up to 4.7e-11 relative at n = 5 and 2.4e-14 at n = 6, except for
-    equal scales at distance 20 (3.5e-10 and 2.9e-13), and within 3.1e-15,
-    the rounding level, from n = 7 on; ``pair_bubble_energy`` has no
-    truncation.  The rule is 16 x 16 Gauss-Legendre on
-    the cells of ``point_refined_cells``: every cell is no larger than
-    max(its distance to (c_j, 0), 0.25/lam_j) for every profile j, so the
-    cells refine toward each center point and not along whole axis slabs.
-    The node count grows with the sum of the two axes' refinement levels,
-    not with their product: 49,664 nodes for centers (0, 20) at scales
-    (1, 1e4), against 467,200 for the tensor product of the same axis
-    refinements.
-    A cell's x bounds are offsets from its own center, so next to c_j the
-    offsets x - c_j down to 0.25/lam_j carry no ulp(c_j) rounding.
-
-    The cells are evaluated in batches of ``_BATCH_CELLS`` in three buffers
-    allocated once per call, so no full grid is built.  Profile j is
-    (a_j / t)^m = amp_j / t^m, with m = (n-4)/2, a_j = amp_j^(1/m) and
-    t = lam_j^2 (x - c_j)^2 + (1 + lam_j^2 rho^2) added from a column and a
-    row formed per batch and profile; a_j / t <= a_j cannot overflow.  Its power,
-    and the critical power whenever 2 * 2# is an integer (n = 5, 6, 8, 12,
-    20), take binary powering and at most one square root; other critical
-    powers are generic.  If lam_max^2 (hi - lo)^2 overflows float64,
-    ``FloatingPointError`` is raised before any grid is built, and so is a
-    profile whose 0.25/lam is not wider than 4 float64 spacings at its
-    center.  A critical power that overflows float64 makes the energy
-    infinite or NaN, and ``FloatingPointError`` names n: from n = 127 for
-    one profile of ``quantization_check``'s layout, 33 for three and 24
-    for four.
-    """
+def _checked_profiles(n: int, centers, scales, lambda_inf: float) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and scales as matching 1-d float arrays of finite values, with
+    every scale and lambda_inf checked in ``BubbleParams``' words."""
     centers = np.asarray(centers, dtype=float)
-    lambda0s = np.asarray(lambda0s, dtype=float)
-    if centers.shape != lambda0s.shape or centers.ndim != 1:
+    scales = np.asarray(scales, dtype=float)
+    if centers.shape != scales.shape or centers.ndim != 1:
         raise ValueError("centers and lambda0s must be matching 1-d arrays")
+    if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(scales))):
+        raise ValueError("centers and concentration scales must be finite")
+    for lam in scales.tolist():
+        BubbleParams(n=n, lambda0=lam, lambda_inf=lambda_inf)
+    return centers, scales
+
+
+def multi_bubble_energy(n: int, centers: np.ndarray, lambda0s: np.ndarray, lambda_inf: float = 1.0) -> float:
+    """Critical energy of a sum of one or two radial extremals on R^n: one is
+    ``bubble_energy`` of its scale, two are ``pair_bubble_energy``.  Three or
+    more raise ``ValueError``: three points of H^(n+1) need not lie on one
+    geodesic, so they have no one-dimensional reduction."""
+    centers, lambda0s = _checked_profiles(n, centers, lambda0s, lambda_inf)
+    if centers.size == 1:
+        return bubble_energy(BubbleParams(n=n, lambda0=float(lambda0s[0]), lambda_inf=lambda_inf))
+    if centers.size == 2:
+        return _pair_energy(n, centers, lambda0s, lambda_inf)
     if centers.size == 0:
         raise ValueError("need at least one profile")
-    if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(lambda0s))):
-        raise ValueError("centers and concentration scales must be finite")
-    profiles = [BubbleParams(n=n, lambda0=float(lam), lambda_inf=lambda_inf) for lam in lambda0s]
-    two_sharp = critical_exponent(n)
-    r_out = 300.0 / float(np.min(lambda0s))
-    lo, hi = float(np.min(centers)) - r_out, float(np.max(centers)) + r_out
-    lam_max = float(np.max(lambda0s))
-    reach = lam_max * (hi - lo)
-    if not math.isfinite(reach * reach):
-        raise FloatingPointError(
-            f"quadrature over [{lo:.6g}, {hi:.6g}] at scale {lam_max:.6g} is outside the float64 range"
-        )
-    anchors, boxes = point_refined_cells(centers, lambda0s, r_out)
-    nodes, weights = gauss_legendre(_CELL_ORDER)
-    # a_j^m = amp_j = amp(lam = 1) lam_j^m: the inexact exponent 1/m acts on the
-    # O(1) amplitude at lam = 1, not on the large factor lam_j^m
-    root = BubbleParams(n=n, lambda_inf=lambda_inf).amplitude ** (2.0 / (n - 4))
-    sharp_halves = 4 * n // (n - 4) if (4 * n) % (n - 4) == 0 else None
-    buffers = [np.empty((_BATCH_CELLS, _CELL_ORDER, _CELL_ORDER)) for _ in range(3)]
-    total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, anchors.size, _BATCH_CELLS):
-            box, anchor = boxes[start : start + _BATCH_CELLS], anchors[start : start + _BATCH_CELLS]
-            field, t, spare = (b[: box.shape[0]] for b in buffers)
-            # half-width times node plus midpoint, x as an offset from the cell's center
-            mid = 0.5 * (box[:, 0::2] + box[:, 1::2])
-            half = 0.5 * (box[:, 1::2] - box[:, 0::2])
-            x_off = mid[:, :1] + half[:, :1] * nodes
-            rho = mid[:, 1:] + half[:, 1:] * nodes
-            field.fill(0.0)
-            for c, p in zip(centers, profiles):
-                offset = x_off + (anchor - c)[:, None]
-                col, row = p.lambda0**2 * offset**2, 1.0 + p.lambda0**2 * rho**2
-                np.add(col[:, :, None], row[:, None, :], out=t)
-                np.divide(root * p.lambda0, t, out=t)
-                field += _half_power(t, n - 4, spare)
-            if sharp_halves is None:
-                field **= two_sharp
-            else:
-                field = _half_power(field, sharp_halves, spare)
-            field *= (half[:, :1] * weights)[:, :, None]
-            field *= (half[:, 1:] * weights * rho ** (n - 2))[:, None, :]
-            total += float(field.sum())
-    energy = sphere_volume(n - 2) * total
-    if not math.isfinite(energy):
-        raise FloatingPointError(f"critical-energy integrand for n={n} overflows float64")
-    return energy
+    raise ValueError(f"need 1 or 2 profiles, got {centers.size}")
 
 
 def _sech_power(z: np.ndarray, m: float) -> np.ndarray:
@@ -277,12 +189,7 @@ def _sech_power(z: np.ndarray, m: float) -> np.ndarray:
     return (2.0 * e / (1.0 + e * e)) ** m
 
 
-def pair_bubble_energy(
-    n: int,
-    centers: np.ndarray,
-    scales: np.ndarray,
-    lambda_inf: float = 1.0,
-) -> float:
+def pair_bubble_energy(n: int, centers: np.ndarray, scales: np.ndarray, lambda_inf: float = 1.0) -> float:
     """Critical energy of the sum of two radial extremals on R^n, by
     conformal reduction to one dimension.
 
@@ -307,16 +214,14 @@ def pair_bubble_energy(
     outside the float64 range raises ``FloatingPointError``, and so does a
     prefactor omega_(n-1) (amp / 2^m)^(2#) that overflows (from n = 162).
     """
-    centers = np.asarray(centers, dtype=float)
-    scales = np.asarray(scales, dtype=float)
-    if centers.shape != scales.shape or centers.ndim != 1:
-        raise ValueError("centers and lambda0s must be matching 1-d arrays")
+    centers, scales = _checked_profiles(n, centers, scales, lambda_inf)
     if centers.size != 2:
         raise ValueError(f"need exactly two profiles, got {centers.size}")
-    if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(scales))):
-        raise ValueError("centers and concentration scales must be finite")
-    for lam in scales:  # positive finite scales and lambda_inf, in BubbleParams' words
-        BubbleParams(n=n, lambda0=float(lam), lambda_inf=lambda_inf)
+    return _pair_energy(n, centers, scales, lambda_inf)
+
+
+def _pair_energy(n: int, centers: np.ndarray, scales: np.ndarray, lambda_inf: float) -> float:
+    """``pair_bubble_energy`` of two profiles already checked."""
     (c1, c2), (lam1, lam2) = centers.tolist(), scales.tolist()
     root = math.sqrt(lam1) * math.sqrt(lam2)
     sinh_half = 0.5 * math.hypot(abs(lam1 - lam2) / root, root * abs(c1 - c2))
@@ -356,10 +261,10 @@ def quantization_check(
     The scale hierarchy mirrors how multi-point concentration actually
     arranges itself (relative scales degenerate); with comparable scales the
     critical power couples the slow tails strongly in low dimensions and
-    additivity fails at any modest separation.  Two extremals, the default,
-    are integrated by ``pair_bubble_energy``'s conformal reduction (a
-    trapezoid sum of about 150 nodes); one or three and more take the cell
-    rule of ``multi_bubble_energy`` (49,664 nodes for a pair).
+    additivity fails at any modest separation.  ``multi_bubble_energy``
+    integrates the field with no truncation: two extremals, the default, by
+    ``pair_bubble_energy``'s conformal reduction (a trapezoid sum of about
+    150 nodes), one by ``bubble_energy``.  Other counts are refused.
     """
     if not 0 < budget < math.inf:
         raise ValueError(f"energy budget must be positive and finite, got {budget}")
@@ -367,6 +272,8 @@ def quantization_check(
         raise ValueError(f"lambda_inf must be positive and finite, got {lambda_inf}")
     if not isinstance(synthetic_bubbles, numbers.Integral) or synthetic_bubbles < 1:
         raise ValueError(f"synthetic_bubbles must be a positive integer, got {synthetic_bubbles!r}")
+    if synthetic_bubbles > 2:
+        raise ValueError(f"synthetic_bubbles must be 1 or 2, got {synthetic_bubbles}")
     if not separation > 0 or not lambda0 > 0:
         raise ValueError("separation and lambda0 must be positive")
     if not 0 < scale_ratio < math.inf:
@@ -377,12 +284,8 @@ def quantization_check(
 
     k = synthetic_bubbles
     spacing = separation / lambda0
-    centers = np.arange(k) * spacing
     scales = lambda0 * scale_ratio ** np.arange(k)
-    if k == 2:
-        energy = pair_bubble_energy(n, centers, scales, lambda_inf)
-    else:
-        energy = multi_bubble_energy(n, centers, scales, lambda_inf)
+    energy = multi_bubble_energy(n, np.arange(k) * spacing, scales, lambda_inf)
     expected = k * quantum
     rel = (energy - expected) / expected
     return QuantizationReport(

@@ -1,13 +1,11 @@
-import functools
 import math
 import warnings
-from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from paneitz.bubble import BubbleParams, expected_bubble_energy
+from paneitz.bubble import BubbleParams, bubble_energy, expected_bubble_energy
 from paneitz.constants import OperatorParams, critical_exponent
 from paneitz.diagnostics import (
     concentration_points,
@@ -17,8 +15,7 @@ from paneitz.diagnostics import (
     quantization_check,
 )
 from paneitz.field import PeriodicField, norms
-from paneitz.geometry import ManifoldSpec, sphere_volume
-from paneitz.quadrature import gauss_legendre, geometric_edges, panel_rule, refined_axis_edges
+from paneitz.geometry import ManifoldSpec
 
 SPEC = ManifoldSpec(5, 1.0)
 L = SPEC.period
@@ -179,10 +176,6 @@ class TestQuantization:
         ]
         assert devs[0] > devs[1] > devs[2]
 
-    def test_three_bubbles(self):
-        rep = quantization_check(5, 1.0, synthetic_bubbles=3)
-        assert abs(rep.synthetic_rel_dev) <= 0.02
-
     def test_equal_scales_overcount_in_low_dimension(self):
         # rationale for the scale hierarchy: at n = 5 the critical power
         # couples the r^-1 tails of comparable-scale profiles so strongly
@@ -200,8 +193,9 @@ class TestQuantization:
             ({"budget": math.inf}, "energy budget must be positive and finite"),
             ({"lambda_inf": math.inf}, "lambda_inf must be positive and finite"),
             ({"synthetic_bubbles": 2.5}, "synthetic_bubbles must be a positive integer"),
+            ({"synthetic_bubbles": 3}, "synthetic_bubbles must be 1 or 2, got 3"),
         ],
-        ids=["infinite-budget", "infinite-lambda-inf", "fractional-bubbles"],
+        ids=["infinite-budget", "infinite-lambda-inf", "fractional-bubbles", "three-bubbles"],
     )
     def test_names_bad_input(self, kwargs, match):
         # these raised a bare OverflowError, a ZeroDivisionError and, for 2.5
@@ -209,111 +203,22 @@ class TestQuantization:
         with pytest.raises(ValueError, match=match):
             quantization_check(5, **{"budget": 1.0, **kwargs})
 
-
-# Values of the tensor Gauss-Legendre rule.  The (1, 1e4) and (1, 1e4, 1e8)
-# entries moved when x - c_j came to be formed from the panel edges, which
-# removed ulp(c_j) rounding; test_mirror_and_translation_invariant is their
-# oracle.
-_PINNED_ENERGIES = [
-    (5, (0.0, 20.0), (1.0, 1e4), 656.4209524872861),
-    (6, (0.0, 20.0), (1.0, 1e4), 7777.263697058373),
-    (7, (0.0, 20.0), (1.0, 1e4), 81715.40321239579),
-    (8, (0.0, 20.0), (1.0, 1e4), 854973.5075913596),
-    (5, (0.0, 20.0), (1.0, 1.0), 1419.33889203067),
-    (6, (0.0, 20.0), (1.0, 1.0), 8074.965626021528),
-    (7, (0.0, 20.0), (1.0, 1.0), 81911.86827834204),
-    (8, (0.0, 20.0), (1.0, 1.0), 855121.7519008428),
-    (5, (0.0, 20.0, 40.0), (1.0, 1e4, 1e8), 982.123206373003),
-    (6, (0.0, 20.0, 40.0), (1.0, 1e4, 1e8), 11665.881000330251),
-    (7, (0.0, 20.0, 40.0), (1.0, 1e4, 1e8), 122573.10472031427),
-    (8, (0.0, 20.0, 40.0), (1.0, 1e4, 1e8), 1282460.2613862942),
-]
-
-
-@functools.lru_cache(maxsize=None)
-def exact_axis_offsets(edges, c):
-    # x - c for the rule's nodes x = (a + b)/2 + (b - a)/2 t on each panel
-    # [a, b], in exact rational arithmetic on the float64 edges, nodes t and
-    # center c, rounded once to float64
-    t = [Fraction(v) for v in gauss_legendre(16)[0].tolist()]
-    out = []
-    for a, b in zip(map(Fraction, edges[:-1]), map(Fraction, edges[1:])):
-        mid, half = (a + b) / 2 - Fraction(c), (b - a) / 2
-        out.extend(float(mid + half * v) for v in t)
-    return np.array(out)
-
-
-def reference_multi_bubble_energy(n, centers, scales, lambda_inf):
-    # the plain formula on the full tensor grid of the same panel rule:
-    # sum_j amp_j (1/(1 + lam_j^2 ((x - c_j)^2 + rho^2)))^m, raised to 2#
-    # with a generic power; x - c_j is exact, then rounded once
-    centers, scales = np.asarray(centers, dtype=float), np.asarray(scales, dtype=float)
-    r_out = 300.0 / scales.min()
-    lo, hi = centers.min() - r_out, centers.max() + r_out
-    edges = tuple(refined_axis_edges(centers, scales, lo, hi).tolist())
-    _, x_w = panel_rule(np.array(edges), 16)
-    rho, rho_w = panel_rule(geometric_edges(0.25 / scales.max(), r_out), 16)
-    rho = rho[None, :]
-    m = (n - 4) / 2.0
-    field = np.zeros((x_w.size, rho.size))
-    for c, lam in zip(centers, scales):
-        x_c = exact_axis_offsets(edges, float(c))[:, None]
-        amp = BubbleParams(n=n, lambda0=lam, lambda_inf=lambda_inf).amplitude
-        field += amp * (1.0 / (1.0 + lam**2 * (x_c**2 + rho**2))) ** m
-    integrand = field ** critical_exponent(n) * (rho_w * rho[0] ** (n - 2))[None, :]
-    return sphere_volume(n - 2) * float(x_w @ integrand.sum(axis=1))
-
-
-_PROFILE_SETS = {
-    "one": ((0.0,), (1.0,)),
-    "two": ((0.0, 20.0), (1.0, 1e4)),
-    "three": ((-7.5, 12.0, 40.0), (2.0, 1e4, 0.7)),
-}
+    def test_synthetic_energy_is_the_exact_rule(self):
+        # one extremal is bubble_energy and two are the pair, bit for bit, up
+        # to the last dimension whose critical integrand fits in float64; the
+        # one-profile cell rule overflowed from n = 127
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in range(5, 162):
+                one = quantization_check(n, 1.0, synthetic_bubbles=1)
+                assert one.synthetic_energy == bubble_energy(BubbleParams(n=n)), n
+                two = quantization_check(n, 1.0)
+                assert two.synthetic_energy == pair_bubble_energy(n, (0.0, 20.0), (1.0, 1e4)), n
+            with pytest.raises(FloatingPointError, match="critical-energy integrand for n=162 overflows float64"):
+                quantization_check(162, 1.0, synthetic_bubbles=1)
 
 
 class TestMultiBubbleEnergy:
-    @pytest.mark.parametrize("lambda_inf", [1.0, 2.5])
-    @pytest.mark.parametrize("profiles", sorted(_PROFILE_SETS))
-    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10, 12, 20])
-    def test_matches_plain_formula(self, n, profiles, lambda_inf):
-        # odd and even n - 4, integer (n = 5, 6, 8, 12), half-integer
-        # (n = 20) and other fractional critical exponents
-        centers, scales = _PROFILE_SETS[profiles]
-        energy = multi_bubble_energy(n, np.array(centers), np.array(scales), lambda_inf)
-        expected = reference_multi_bubble_energy(n, centers, scales, lambda_inf)
-        assert energy == pytest.approx(expected, rel=1e-13)
-
-    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 12, 20])
-    @pytest.mark.parametrize(
-        "centers, scales",
-        [((5.0, 5.0, 30.0), (1.0, 1e4, 2.0)), ((0.0, 1000.0), (1.0, 1e4))],
-        ids=["coincident", "beyond-two-reaches"],
-    )
-    def test_matches_plain_formula_at_extreme_spacings(self, n, centers, scales):
-        # two profiles at one point share their cells; centers more than
-        # 2 r_out apart leave pieces wider than r_out, tiled by x-bands
-        energy = multi_bubble_energy(n, np.array(centers), np.array(scales))
-        expected = reference_multi_bubble_energy(n, centers, scales, 1.0)
-        assert energy == pytest.approx(expected, rel=1e-13)
-
-    @pytest.mark.parametrize("n, centers, scales, expected", _PINNED_ENERGIES)
-    def test_pinned_values(self, n, centers, scales, expected):
-        energy = multi_bubble_energy(n, np.array(centers), np.array(scales))
-        assert energy == pytest.approx(expected, rel=1e-13)
-
-    @pytest.mark.parametrize("n", [5, 6, 7, 8])
-    def test_mirror_and_translation_invariant(self, n):
-        # x -> 40 - x and x -> x - 20 map the integral to itself; axis nodes
-        # formed as x - c_j read 3.2e-8 (n = 5) to 8.2e-8 (n = 8) apart on the
-        # mirror pair, from ulp(c_j) rounding at offsets down to 0.25/1e8
-        scales = np.array([1.0, 1e4, 1e8])
-        energy = multi_bubble_energy(n, np.array([0.0, 20.0, 40.0]), scales)
-        mirrored = multi_bubble_energy(n, np.array([40.0, 20.0, 0.0]), scales)
-        assert mirrored == pytest.approx(energy, rel=4e-15)
-        pair = multi_bubble_energy(n, np.array([0.0, 20.0]), scales[:2])
-        shifted = multi_bubble_energy(n, np.array([-20.0, 0.0]), scales[:2])
-        assert shifted == pytest.approx(pair, rel=4e-15)
-
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_single_profile_is_one_quantum(self, n):
         energy = multi_bubble_energy(n, np.array([0.0]), np.array([1.0]))
@@ -326,42 +231,31 @@ class TestMultiBubbleEnergy:
             ([0.0, 20.0], [1.0, -1.0], "concentration scale must be positive"),
             ([], [], "need at least one profile"),
             ([0.0, np.inf], [1.0, 1.0], "must be finite"),
+            ([0.0, 20.0, 40.0], [1.0, 1e4, 1e8], "need 1 or 2 profiles, got 3"),
         ],
-        ids=["zero-scale", "negative-scale", "empty", "infinite-center"],
+        ids=["zero-scale", "negative-scale", "empty", "infinite-center", "three"],
     )
     def test_rejects_bad_profiles(self, centers, scales, match):
         with pytest.raises(ValueError, match=match):
             multi_bubble_energy(5, np.array(centers), np.array(scales))
 
-    @pytest.mark.parametrize(
-        "centers, scales",
-        [([0.0, 1e300], [1.0, 1.0]), ([0.0, 20.0], [1.0, 1e160]), ([0.0, 20.0], [1e-305, 1.0])],
-        ids=["far-center", "large-scale", "small-scale"],
-    )
-    def test_float64_range_is_declared(self, centers, scales):
-        # the far center used to overflow with a RuntimeWarning and return 0.0
-        with pytest.raises(FloatingPointError, match="outside the float64 range"):
-            multi_bubble_energy(5, np.array(centers), np.array(scales))
-
     def test_narrow_profile_is_kept(self):
-        # edges merged below an absolute 1e-13 (hi - lo) once dropped a profile
-        # this narrow: -49.96% of two quanta at (1, 1e12), -77% alone at 1e14
+        # a cell rule whose edges merged below an absolute 1e-13 (hi - lo)
+        # once dropped a profile this narrow: -49.96% of two quanta at
+        # (1, 1e12), -77% alone at 1e14
         quantum = expected_bubble_energy(5)
         two = multi_bubble_energy(5, np.array([0.0, 20.0]), np.array([1.0, 1e12]))
         assert two / (2 * quantum) - 1 == pytest.approx(0.0, abs=1e-3)
         one = multi_bubble_energy(5, np.array([0.0]), np.array([1e14]))
         assert one == pytest.approx(quantum, rel=1e-11)
 
-    def test_four_scale_quantization(self):
-        # scales 1, 1e4, 1e8, 1e12: read -24.6% while the 1e12 profile vanished
-        rep = quantization_check(5, 1.0, synthetic_bubbles=4)
-        assert abs(rep.synthetic_rel_dev) <= 0.01 and rep.synthetic_ok
-
-    def test_unresolvable_profile_raises(self):
-        # at center 20 a first panel of 0.25/1e14 is below 4 float64 spacings;
-        # the merge would otherwise drop the profile and read +3.3%
-        with pytest.raises(FloatingPointError, match="finer than the float64 spacing"):
-            multi_bubble_energy(5, np.array([0.0, 20.0]), np.array([1.0, 1e14]))
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_profile_below_the_float64_spacing_is_integrated(self, n):
+        # 0.25/1e14 is below 4 float64 spacings at center 20, which the cell
+        # rule refused; D = 38.2 is well inside the oracle's reach
+        energy = multi_bubble_energy(n, np.array([0.0, 20.0]), np.array([1.0, 1e14]))
+        exact = concentric_pair_energy(n, (0.0, 20.0), (1.0, 1e14))
+        assert energy == pytest.approx(float(exact), rel=1e-15)
 
     def test_rejects_infinite_lambda_inf(self):
         # used to return 0.0
@@ -372,21 +266,6 @@ class TestMultiBubbleEnergy:
     def test_quantization_rejects_bad_scale_ratio(self, ratio):
         with pytest.raises(ValueError, match="scale_ratio must be positive and finite"):
             quantization_check(5, 1.0, scale_ratio=ratio)
-
-    @pytest.mark.parametrize("n, k", [(24, 4), (30, 4), (33, 3), (127, 1), (161, 1)])
-    def test_overflowing_critical_power_is_named(self, n, k):
-        # the first n for each count, and two beyond; the cell sum used to
-        # come back NaN with overflow and invalid-value RuntimeWarnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(FloatingPointError, match=f"critical-energy integrand for n={n} overflows float64"):
-                quantization_check(n, 1.0, synthetic_bubbles=k)
-
-    def test_last_finite_dimension_keeps_its_value(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = quantization_check(32, 1.0, synthetic_bubbles=3)
-        assert report.synthetic_energy == float.fromhex("0x1.01ae6c55da1a5p+114")  # 2.09e34
 
 
 def concentric_pair_energy(n, centers, scales, lambda_inf=1):
@@ -463,14 +342,6 @@ _PAIR_ORACLE = {
 _PAIR_DIMS = sorted({n for n, _ in _PAIR_ORACLE})
 
 
-# multi_bubble_energy's relative shortfall against the oracle at n = 5 and 6,
-# as read and rounded up in the second digit
-_CELL_TRUNCATION = {
-    5: {"far-scales": 8.3e-13, "near": 5.1e-12, "concentric": 1.7e-13, "far-centers": 4.8e-11, "equal-scales": 3.6e-10},
-    6: {"far-scales": 7.8e-15, "near": 2.2e-14, "concentric": 4.7e-15, "far-centers": 2.5e-14, "equal-scales": 2.9e-13},
-}
-
-
 def pair_oracle(n, name, lambda_inf=1):
     # the energy scales as amp^(2#), and amp^(2#) as lambda_inf^(-n/4)
     with mpmath.workdps(30):
@@ -495,19 +366,6 @@ class TestPairBubbleEnergy:
         energy = pair(n, *_PAIR_SETS[name], lambda_inf)
         assert energy == pytest.approx(float(pair_oracle(n, name, lambda_inf)), rel=1e-14)
 
-    @pytest.mark.parametrize("name", sorted(_PAIR_SETS))
-    @pytest.mark.parametrize("n", _PAIR_DIMS)
-    def test_cell_rule_truncation_is_declared(self, n, name):
-        # multi_bubble_energy stops 300 widths out and drops a positive tail
-        # decaying like r^(-n-1), one-signed at n = 5 and 6 and below rounding
-        # from n = 7; equal scales at distance 20 drop the most
-        energy = multi_bubble_energy(n, *map(np.array, _PAIR_SETS[name]))
-        rel = float(energy / pair_oracle(n, name) - 1)
-        if n in _CELL_TRUNCATION:
-            assert -_CELL_TRUNCATION[n][name] < rel < 0.0
-        else:
-            assert abs(rel) <= 3.1e-15
-
     @pytest.mark.parametrize("n", _PAIR_DIMS)
     def test_swap_and_translation_invariant(self, n):
         energy = pair(n, (0.0, 20.0), (1.0, 1e4))
@@ -528,23 +386,22 @@ class TestPairBubbleEnergy:
         expected = 2.0 ** critical_exponent(n) * expected_bubble_energy(n, 2.5)
         assert pair(n, (3.0, 3.0), (4.0, 4.0), 2.5) == pytest.approx(expected, rel=4e-15)
 
-    @pytest.mark.parametrize("n", [5, 6, 7, 8])
-    def test_quantization_check_uses_it_for_pairs_only(self, n):
-        rep = quantization_check(n, 1.0)
-        assert rep.synthetic_energy == pair(n, (0.0, 20.0), (1.0, 1e4))
-        for k in (1, 3, 4):
-            rep = quantization_check(n, 1.0, synthetic_bubbles=k)
-            expected = multi_bubble_energy(n, 20.0 * np.arange(k), 1e4 ** np.arange(k))
-            assert rep.synthetic_energy == expected
-
-    def test_far_centers_are_two_quanta(self):
-        # sinh(D/2) = 5e299 is a float64: D = 1381.6, where the cell rule
-        # reads "outside the float64 range"; read within 3.5e-15
-        assert pair(5, (0.0, 1e300), (1.0, 1.0)) == pytest.approx(2 * expected_bubble_energy(5), rel=1e-14)
+    @pytest.mark.parametrize(
+        "centers, scales, rel",
+        [((0.0, 1e300), (1.0, 1.0), 1e-14), ((0.0, 20.0), (1.0, 1e160), 4e-15), ((0.0, 20.0), (1e-305, 1.0), 4e-15)],
+        ids=["far-center", "large-scale", "small-scale"],
+    )
+    def test_far_centers_are_two_quanta(self, centers, scales, rel):
+        # sinh(D/2) is a float64 (5e299, 1e81 and 1.6e152: D = 1381.6, 374.4
+        # and 702.3), where the cell rule read "outside the float64 range";
+        # read within 3.6e-15, 2.2e-16 and 2.4e-15.  The mpmath oracle is no
+        # check here: its split [0, 1/mu, 1, inf] misses a bubble at such D
+        energy = pair(5, centers, scales)
+        assert energy == pytest.approx(2 * expected_bubble_energy(5), rel=rel)
+        assert multi_bubble_energy(5, np.array(centers), np.array(scales)) == energy
 
     def test_high_dimensional_pair(self):
-        # the cell rule's critical power overflows with a RuntimeWarning from
-        # n = 60; the pair's prefactor leaves float64 at n = 162.  At n = 160
+        # the pair's prefactor leaves float64 at n = 162.  At n = 160
         # sech^n(80/n) is e^-19, so the window must reach acosh(e^(80/n)):
         # read within 3.6e-14 (rounding grows like n)
         expected = 2.0 ** critical_exponent(160) * expected_bubble_energy(160)
