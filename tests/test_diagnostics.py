@@ -203,69 +203,23 @@ class TestQuantization:
         with pytest.raises(ValueError, match=match):
             quantization_check(5, **{"budget": 1.0, **kwargs})
 
-    def test_synthetic_energy_is_the_exact_rule(self):
+    @pytest.mark.parametrize("n", range(5, 162))
+    def test_synthetic_energy_is_the_exact_rule(self, n):
         # one extremal is bubble_energy and two are the pair, bit for bit, up
         # to the last dimension whose critical integrand fits in float64; the
         # one-profile cell rule overflowed from n = 127
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for n in range(5, 162):
-                one = quantization_check(n, 1.0, synthetic_bubbles=1)
-                assert one.synthetic_energy == bubble_energy(BubbleParams(n=n)), n
-                two = quantization_check(n, 1.0)
-                assert two.synthetic_energy == pair_bubble_energy(n, (0.0, 20.0), (1.0, 1e4)), n
+            one = quantization_check(n, 1.0, synthetic_bubbles=1)
+            assert one.synthetic_energy == bubble_energy(BubbleParams(n=n))
+            two = quantization_check(n, 1.0)
+            assert two.synthetic_energy == pair_bubble_energy(n, (0.0, 20.0), (1.0, 1e4))
+
+    def test_single_extremal_overflow_is_named(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(FloatingPointError, match="critical-energy integrand for n=162 overflows float64"):
                 quantization_check(162, 1.0, synthetic_bubbles=1)
-
-
-class TestMultiBubbleEnergy:
-    @pytest.mark.parametrize("n", [5, 6, 7, 8])
-    def test_single_profile_is_one_quantum(self, n):
-        energy = multi_bubble_energy(n, np.array([0.0]), np.array([1.0]))
-        assert energy == pytest.approx(expected_bubble_energy(n), rel=1e-11)
-
-    @pytest.mark.parametrize(
-        "centers, scales, match",
-        [
-            ([0.0, 20.0], [1.0, 0.0], "concentration scale must be positive"),
-            ([0.0, 20.0], [1.0, -1.0], "concentration scale must be positive"),
-            ([], [], "need at least one profile"),
-            ([0.0, np.inf], [1.0, 1.0], "must be finite"),
-            ([0.0, 20.0, 40.0], [1.0, 1e4, 1e8], "need 1 or 2 profiles, got 3"),
-        ],
-        ids=["zero-scale", "negative-scale", "empty", "infinite-center", "three"],
-    )
-    def test_rejects_bad_profiles(self, centers, scales, match):
-        with pytest.raises(ValueError, match=match):
-            multi_bubble_energy(5, np.array(centers), np.array(scales))
-
-    def test_narrow_profile_is_kept(self):
-        # a cell rule whose edges merged below an absolute 1e-13 (hi - lo)
-        # once dropped a profile this narrow: -49.96% of two quanta at
-        # (1, 1e12), -77% alone at 1e14
-        quantum = expected_bubble_energy(5)
-        two = multi_bubble_energy(5, np.array([0.0, 20.0]), np.array([1.0, 1e12]))
-        assert two / (2 * quantum) - 1 == pytest.approx(0.0, abs=1e-3)
-        one = multi_bubble_energy(5, np.array([0.0]), np.array([1e14]))
-        assert one == pytest.approx(quantum, rel=1e-11)
-
-    @pytest.mark.parametrize("n", [5, 6, 8])
-    def test_profile_below_the_float64_spacing_is_integrated(self, n):
-        # 0.25/1e14 is below 4 float64 spacings at center 20, which the cell
-        # rule refused; D = 38.2 is well inside the oracle's reach
-        energy = multi_bubble_energy(n, np.array([0.0, 20.0]), np.array([1.0, 1e14]))
-        exact = concentric_pair_energy(n, (0.0, 20.0), (1.0, 1e14))
-        assert energy == pytest.approx(float(exact), rel=1e-15)
-
-    def test_rejects_infinite_lambda_inf(self):
-        # used to return 0.0
-        with pytest.raises(ValueError, match="lambda_inf must be positive and finite"):
-            multi_bubble_energy(5, np.array([0.0]), np.array([1.0]), lambda_inf=math.inf)
-
-    @pytest.mark.parametrize("ratio", [0.0, np.nan], ids=["zero", "nan"])
-    def test_quantization_rejects_bad_scale_ratio(self, ratio):
-        with pytest.raises(ValueError, match="scale_ratio must be positive and finite"):
-            quantization_check(5, 1.0, scale_ratio=ratio)
 
 
 def concentric_pair_energy(n, centers, scales, lambda_inf=1):
@@ -350,6 +304,101 @@ def pair_oracle(n, name, lambda_inf=1):
 
 def pair(n, centers, scales, lambda_inf=1.0):
     return pair_bubble_energy(n, np.array(centers), np.array(scales), lambda_inf)
+
+
+class TestMultiBubbleEnergy:
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_single_profile_is_one_quantum(self, n):
+        energy = multi_bubble_energy(n, np.array([0.0]), np.array([1.0]))
+        assert energy == pytest.approx(expected_bubble_energy(n), rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "centers, scales, match",
+        [
+            ([0.0, 20.0], [1.0, 0.0], "concentration scale must be positive"),
+            ([0.0, 20.0], [1.0, -1.0], "concentration scale must be positive"),
+            ([], [], "need at least one profile"),
+            ([0.0, np.inf], [1.0, 1.0], "must be finite"),
+            ([0.0, 20.0, 40.0], [1.0, 1e4, 1e8], "need 1 or 2 profiles, got 3"),
+        ],
+        ids=["zero-scale", "negative-scale", "empty", "infinite-center", "three"],
+    )
+    def test_rejects_bad_profiles(self, centers, scales, match):
+        with pytest.raises(ValueError, match=match):
+            multi_bubble_energy(5, np.array(centers), np.array(scales))
+
+    def test_narrow_profile_is_kept(self):
+        # a cell rule whose edges merged below an absolute 1e-13 (hi - lo)
+        # once dropped a profile this narrow: -49.96% of two quanta at
+        # (1, 1e12), -77% alone at 1e14
+        quantum = expected_bubble_energy(5)
+        two = multi_bubble_energy(5, np.array([0.0, 20.0]), np.array([1.0, 1e12]))
+        assert two / (2 * quantum) - 1 == pytest.approx(0.0, abs=1e-3)
+        one = multi_bubble_energy(5, np.array([0.0]), np.array([1e14]))
+        assert one == pytest.approx(quantum, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [5, 6, 8])
+    def test_profile_below_the_float64_spacing_is_integrated(self, n):
+        # 0.25/1e14 is below 4 float64 spacings at center 20, which the cell
+        # rule refused; D = 38.2 is well inside the oracle's reach
+        energy = multi_bubble_energy(n, np.array([0.0, 20.0]), np.array([1.0, 1e14]))
+        exact = concentric_pair_energy(n, (0.0, 20.0), (1.0, 1e14))
+        assert energy == pytest.approx(float(exact), rel=1e-15)
+
+    @pytest.mark.parametrize("lambda_inf", [1.0, 2.5])
+    @pytest.mark.parametrize("profiles", ["one", "two"])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10, 12, 20])
+    def test_matches_exact_energy(self, n, profiles, lambda_inf):
+        # one profile off the origin at scale 2 is bubble_energy of its scale
+        # and one quantum; the quantization pair is the pair and its oracle
+        if profiles == "one":
+            energy = multi_bubble_energy(n, np.array([-7.5]), np.array([2.0]), lambda_inf)
+            assert energy == bubble_energy(BubbleParams(n=n, lambda0=2.0, lambda_inf=lambda_inf))
+            assert energy == pytest.approx(expected_bubble_energy(n, lambda_inf), rel=1e-11)
+        else:
+            centers, scales = _PAIR_SETS["far-scales"]
+            energy = multi_bubble_energy(n, np.array(centers), np.array(scales), lambda_inf)
+            assert energy == pair(n, centers, scales, lambda_inf)
+            assert energy == pytest.approx(float(pair_oracle(n, "far-scales", lambda_inf)), rel=1e-14)
+
+    @pytest.mark.parametrize("name", sorted(_PAIR_SETS))
+    @pytest.mark.parametrize("n", _PAIR_DIMS)
+    def test_two_profiles_are_the_pair(self, n, name):
+        # the cell rule read up to 3.6e-10 low here at n = 5; the pair's
+        # reduction reads within 1.3e-15 of the oracle
+        energy = multi_bubble_energy(n, *map(np.array, _PAIR_SETS[name]))
+        assert energy == pair(n, *_PAIR_SETS[name])
+        assert energy == pytest.approx(float(pair_oracle(n, name)), rel=1e-14)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_mirror_and_translation_invariant(self, n):
+        # x -> 40 - x and x -> x - 20 map the integral to itself
+        scales = np.array([1.0, 1e4])
+        energy = multi_bubble_energy(n, np.array([20.0, 40.0]), scales)
+        assert multi_bubble_energy(n, np.array([20.0, 0.0]), scales) == pytest.approx(energy, rel=4e-15)
+        assert multi_bubble_energy(n, np.array([0.0, 20.0]), scales) == pytest.approx(energy, rel=4e-15)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 12, 20])
+    @pytest.mark.parametrize(
+        "centers, scales",
+        [((5.0, 5.0), (1.0, 1e4)), ((0.0, 1000.0), (1.0, 1e4))],
+        ids=["coincident", "beyond-two-reaches"],
+    )
+    def test_matches_oracle_at_extreme_spacings(self, n, centers, scales):
+        # two profiles at one point, and centers more than twice the cell
+        # rule's 300/lam_min reach apart
+        energy = multi_bubble_energy(n, np.array(centers), np.array(scales))
+        assert energy == pytest.approx(float(concentric_pair_energy(n, centers, scales)), rel=1e-14)
+
+    def test_rejects_infinite_lambda_inf(self):
+        # used to return 0.0
+        with pytest.raises(ValueError, match="lambda_inf must be positive and finite"):
+            multi_bubble_energy(5, np.array([0.0]), np.array([1.0]), lambda_inf=math.inf)
+
+    @pytest.mark.parametrize("ratio", [0.0, np.nan], ids=["zero", "nan"])
+    def test_quantization_rejects_bad_scale_ratio(self, ratio):
+        with pytest.raises(ValueError, match="scale_ratio must be positive and finite"):
+            quantization_check(5, 1.0, scale_ratio=ratio)
 
 
 class TestPairBubbleEnergy:
