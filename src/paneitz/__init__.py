@@ -69,6 +69,8 @@ from .solver import (
     rescale_to_solution,
     residual,
 )
+# unused by the package; perfbench/tracing.py wraps quadrature.panel_rule when it installs
+from . import quadrature
 from .sweep import CSV_COLUMNS, SweepConfig, SweepRecord, branch_continuation, emit, quarter_square, run_sweep
 
 __version__ = "0.1.0"

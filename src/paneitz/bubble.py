@@ -12,6 +12,11 @@ the naive four-derivative formula, whose cancellation error grows like r^4
 and breaks ~1e-10 accuracy already at r ~ 50, so no radial derivative above
 the first is formed.  The w-forms are exact down to r = 0, so no series
 fallback is needed for this family.
+
+Every radial integral is one trapezoid sum in a log variable: y = ln(lambda0 r)
+for the energy, tau = ln(r / (R - r)) on a ball of radius R.  The integrands
+are analytic in a strip and decay exponentially at both ends, so the sums
+converge geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).
 """
 
 from __future__ import annotations
@@ -19,14 +24,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .constants import bubble_coefficient, critical_exponent, sharp_constant
 from .geometry import sphere_volume
-from .quadrature import geometric_edges, panel_rule
 
 __all__ = [
     "BubbleParams",
@@ -81,9 +84,9 @@ class RadialField:
     f', Delta f and Delta^2 f, the four quantities the residual and integral
     routines read.  No numerical differentiation happens anywhere in this
     module.  ``scale`` is the concentration scale: the field varies on
-    lengths down to about 1/scale, which the radial quadratures resolve; the
-    default 0 names no scale, and those quadratures keep their panels from
-    rmax 2^-20.
+    lengths down to about 1/scale, where the ball integrals start their
+    window (``_ball_rule``); the default 0 names no scale, and the window
+    then starts at r about R e^-40.
     """
 
     dim: int
@@ -229,125 +232,128 @@ def expected_bubble_energy(n: int, lambda_inf: float = 1.0) -> float:
     return (lambda_inf / k0_inv_sq) ** (-n / 4.0)
 
 
-_RADIAL_ORDER = 24   # per-panel Gauss-Legendre order of the radial integrals
-_ENERGY_PANELS = 10  # equal panels on [0, pi/2] of the coarse energy rule
+_TAIL = 80.0   # log-variable sums stop where the integrand has fallen by e^-80
+_REACH = 40.0  # the ball rule's tau window ends here, and starts at -40 for a field with no scale
 
 
-@lru_cache(maxsize=None)
-def _energy_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Radii tan(theta) and weights w sec^2(theta) of composite Gauss-Legendre
-    of order ``_RADIAL_ORDER`` on ``panels`` equal panels of [0, pi/2]: the
-    half line at lambda0 = 1.  Built once per panel count; read-only."""
-    theta, w = panel_rule(np.linspace(0.0, math.pi / 2, panels + 1), order=_RADIAL_ORDER)
-    radii, weights = np.tan(theta), w / np.cos(theta) ** 2
-    radii.flags.writeable = False
-    weights.flags.writeable = False
-    return radii, weights
+def _trapezoid_nodes(lo: float, hi: float, step: float) -> np.ndarray:
+    """Nodes lo, lo + step, ... of a trapezoid sum, up to the first at or past hi."""
+    return lo + step * np.arange(math.ceil((hi - lo) / step) + 1)
+
+
+def _half_window(n: int) -> float:
+    """acosh(e^(80/n)), where sech^n, one extremal's log-variable integrand, is e^-80."""
+    return math.acosh(math.exp(_TAIL / n))
+
+
+def _sech_power(z: np.ndarray, m: float) -> np.ndarray:
+    """sech(z)^m as (2 e^(-|z|) / (1 + e^(-2|z|)))^m, which cannot overflow."""
+    e = np.exp(-np.abs(z))
+    return (2.0 * e / (1.0 + e * e)) ** m
+
+
+def _energy_sum(n: int, step: float, half_d: float | None = None) -> float:
+    """2 sum_(k >= 0) f(k step) - f(0), k step up to D/2 + ``_half_window(n)``,
+    for the even critical-energy integrand f without its prefactor: sech^n(y)
+    for one extremal, (sech^m(y - D/2) + sech^m(y + D/2))^(2#), m = (n-4)/2,
+    for the concentric pair at scales 1 and e^D (y = ln(e^D r) - D/2)."""
+    y = _trapezoid_nodes(0.0, (half_d or 0.0) + _half_window(n), step)
+    if half_d is None:
+        f = _sech_power(y, n)
+    else:
+        m = (n - 4) / 2.0
+        f = (_sech_power(y - half_d, m) + _sech_power(y + half_d, m)) ** critical_exponent(n)
+    return float(2.0 * f.sum() - f[0])
 
 
 def bubble_energy(params: BubbleParams) -> float:
-    """Critical energy integral of the extremal over R^n.
+    """Critical energy omega_(n-1) int_0^inf v^(2#) r^(n-1) dr of the extremal.
 
-    Substituting r = tan(theta)/lambda0 maps the half line onto [0, pi/2),
-    where the integrand is amp^(2#) lambda0^(-n) (sin(2 theta)/2)^(n-1), an
-    entire function, so composite Gauss-Legendre converges spectrally and no
-    truncation radius is involved.  The rule is fixed: ``_ENERGY_PANELS``
-    (10) equal panels of ``_RADIAL_ORDER`` (24) nodes, the order the radial
-    integrals use, built once per process on first use.  Convergence is
-    verified by doubling the panels to 480 nodes; disagreement raises a
-    warning.  The integrand v^(2#) r^(n-1) is formed as
-    (v^(2#/(n-1)) r)^(n-1): near theta = pi/2 the factor r^(n-1) alone
-    leaves float64 from n = 63, while the product decays like r^(-n-1).
-    From n = 162 its peak, about c_n^(2#), leaves float64 and is named, and
-    so is a sum that underflows to 0 (n = 5 at lambda0 = 1e-300, n = 9 at
-    1e-150).
+    In y = ln(lambda0 r) the integrand is (amp/2^m)^(2#) sech^n(y), amp the
+    lambda0 = 1 peak value, so lambda0 cancels exactly.  The prefactor is
+    omega_(n-1) (n (n-4) (n^2-4) / (16 lambda_inf))^(n/4): raising amp/2^m
+    to the rounded 2# instead costs up to 7e-14 at high n.  sech^n is
+    analytic in a strip that narrows like 1/n, so the sum takes step 1/n,
+    folded about y = 0, 85 to 176 nodes; step 1/(2n) checks it, with a
+    warning above 1e-9 relative.  A prefactor outside float64 (from n = 162,
+    or at lambda_inf = 1e300) is named.
     """
     n = params.n
-    omega = sphere_volume(n - 1)
-    p = params.two_sharp
-    lam = params.lambda0
-
-    def quad(panels: int) -> float:
-        radii, weights = _energy_rule(panels)
-        r = radii / lam
-        vals = (bubble_eval(params, r) ** (p / (n - 1)) * r) ** (n - 1)
-        return omega * float(np.sum(weights * vals)) / lam
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        coarse = quad(_ENERGY_PANELS)
-        fine = quad(2 * _ENERGY_PANELS)
-    if not math.isfinite(coarse + fine):
-        raise FloatingPointError(f"critical-energy integrand for n={n} overflows float64")
-    if fine == 0.0:
-        raise FloatingPointError(f"critical-energy integrand for n={n} underflows float64")
-    if abs(fine - coarse) > 1e-9 * abs(fine):
-        warnings.warn(
-            f"critical energy quadrature not converged: {coarse!r} vs {fine!r}",
-            RuntimeWarning,
-        )
-    return fine
+    try:
+        prefactor = sphere_volume(n - 1) * (n * (n - 4) * (n * n - 4) / (16.0 * params.lambda_inf)) ** (n / 4)
+    except OverflowError:
+        prefactor = math.inf
+    if not 0.0 < prefactor < math.inf:
+        why = "overflows" if prefactor else "underflows"
+        raise FloatingPointError(f"critical-energy integrand for n={n} {why} float64")
+    energy, check = (prefactor * step * _energy_sum(n, step) for step in (1.0 / n, 0.5 / n))
+    if abs(check - energy) > 1e-9 * abs(check):
+        warnings.warn(f"critical energy quadrature not converged: {energy!r} vs {check!r}", RuntimeWarning)
+    return energy
 
 
-def _radial_quadrature(rmax: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Panels doubling outward to rmax from a first one no wider than
-    rmax 2^-20 or, for a positive scale, 0.25/scale: a quarter of the
-    profile's width, so a profile concentrated at ``scale`` is resolved
-    whatever rmax is."""
-    inner = rmax * 2.0 ** (-20)
-    if scale > 0:
-        inner = min(inner, 0.25 / scale)
-    return panel_rule(geometric_edges(inner, rmax), order=_RADIAL_ORDER)
+def _ball_rule(w: RadialField, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Radii and weights of the trapezoid sum in tau, r = radius / (1 + e^(-tau)),
+    for int over the ball of a radial integrand: step min(1/8, 2/n), from
+    ``_half_window(n)`` below ln(min(radius, 1/scale) / radius) (-40 with no
+    scale) to 40.  The map is geometric toward 0 and the rim, so a profile
+    concentrated at ``w.scale`` is resolved.  Gaussians, which decay doubly
+    exponentially in tau, read about 1e-13 at radius 5 and 1e-7 at 30."""
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
+    n = w.dim
+    depth = max(0.0, math.log(radius) + math.log(w.scale)) + _half_window(n) if w.scale > 0 else _REACH
+    step = min(0.125, 2.0 / n)
+    tau = _trapezoid_nodes(-depth, _REACH, step)
+    e = np.exp(-np.abs(tau))
+    s = 1.0 / (1.0 + e)
+    r = radius * np.where(tau < 0.0, e * s, s)
+    with np.errstate(over="ignore"):
+        weights = sphere_volume(n - 1) * step * radius * e * s * s * r ** (n - 1)
+    return r, weights
 
 
 def pohozaev_identity_residual(w: RadialField, rmax: float = 40.0) -> float:
-    """Normalized defect of the scaling identity
+    """Normalized defect of the scaling identity on the ball B of radius R = rmax:
 
-        int Delta^2 w (x . grad w) dx + (n-4)/2 int (Delta w)^2 dx = 0
+        int_B Delta^2 w (x . grad w) dx + (n-4)/2 int_B (Delta w)^2 dx
+          = omega_(n-1) R^(n-1) [R L'(R) w'(R) - R L(R)^2/2 + (n-2) L(R) w'(R)],
 
-    for a rapidly decaying radial field, integrated over the ball of radius
-    rmax.  Returns the left-hand side divided by int (Delta w)^2 dx.  A
-    tail-mass check warns when the integrands have not decayed by rmax.
-    Integrands that leave float64 (the extremal from n = 144 at
-    lambda0 = 1, whose c_n^2 is near 1e300) raise ``FloatingPointError``
-    naming them and n.
+    L = Delta w, divided by int_B (Delta w)^2 dx.  The right side is the
+    radial Pucci-Serrin boundary flux (Indiana Univ. Math. J. 35 (1986) 681);
+    omega_(n-1) R^(n-1) L'(R) is int_B Delta^2 w dx.  Being integration by
+    parts, it holds for every smooth radial field at every R, so it checks
+    the callbacks and ``_ball_rule`` against each other; ``pde_residual``
+    checks the equation.  Integrands that leave float64 (the extremal from
+    n = 146 at lambda0 = 1, c_n^2 near 1e300) raise ``FloatingPointError``.
     """
     if w.bilaplacian is None or w.deriv1 is None or w.laplacian is None:
         raise ValueError("identity check needs deriv1, laplacian and bilaplacian callbacks")
     n = w.dim
-    r, wq = _radial_quadrature(rmax, w.scale)
-    omega = sphere_volume(n - 1)
+    r, wq = _ball_rule(w, rmax)
+    r, wq = np.append(r, rmax), np.append(wq, 0.0)  # the rim, weightless, for the flux
     with np.errstate(over="ignore", invalid="ignore"):
-        meas = r ** (n - 1)
-        g1 = np.asarray(w.bilaplacian(r)) * r * np.asarray(w.deriv1(r)) * meas
-        lap = np.asarray(w.laplacian(r))
-        g2 = lap**2 * meas
-    if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
+        bilap, d1, lap = (np.asarray(f(r)) for f in (w.bilaplacian, w.deriv1, w.laplacian))
+        i0, i1, i2 = (float(np.sum(g * wq)) for g in (bilap, bilap * r * d1, lap**2))
+        rim = sphere_volume(n - 1) * np.float64(rmax) ** (n - 1) * lap[-1]
+        flux = rmax * d1[-1] * i0 + rim * ((n - 2) * d1[-1] - 0.5 * rmax * lap[-1])
+    if not math.isfinite(i0 + i1 + i2 + flux):
         raise FloatingPointError(f"scaling-identity integrands for n={n} overflow float64")
-    i1 = omega * float(np.sum(wq * g1))
-    i2 = omega * float(np.sum(wq * g2))
     if i2 == 0.0:
         if np.any(lap != 0.0):
             raise FloatingPointError("identity normalization int (Delta w)^2 dx underflows float64")
         raise ValueError("identity normalization requires a nonzero Laplacian")
-    # tail check: contribution of the outer half of the domain
-    outer = r > rmax / 2
-    tail = omega * (abs(float(np.sum(wq[outer] * g1[outer]))) + float(np.sum(wq[outer] * g2[outer])))
-    if tail > 1e-4 * abs(i2):
-        warnings.warn(
-            f"slow decay: outer-half mass {tail:.3e} vs normalization {i2:.3e}; "
-            "identity residual reported at finite truncation radius",
-            RuntimeWarning,
-        )
-    return (i1 + 0.5 * (n - 4) * i2) / i2
+    return (i1 + 0.5 * (n - 4) * i2 - float(flux)) / i2
 
 
 def pohozaev_witness(w: RadialField, lam: float, mu: float, radius: float) -> float:
     """lam int_{B_R} |grad w|^2 dx + 2 mu int_{B_R} w^2 dx.
 
-    This is the limiting obstruction of the truncated scaling identity: it
-    must vanish for any nontrivial finite-energy solution of the perturbed
-    equation, so a strictly positive value witnesses nonexistence for the
-    given (lam, mu).
+    This is the equation's Pohozaev obstruction: the scaling identity and
+    the energy identity of the perturbed equation leave this combination,
+    which must vanish for any nontrivial finite-energy solution, so a
+    strictly positive value witnesses nonexistence for the given (lam, mu).
+    Both integrals are ``_ball_rule``'s trapezoid sums.
     """
     if lam < 0 or mu < 0:
         raise ValueError("witness coefficients must be nonnegative")
@@ -355,10 +361,7 @@ def pohozaev_witness(w: RadialField, lam: float, mu: float, radius: float) -> fl
         return 0.0
     if w.deriv1 is None:
         raise ValueError("witness needs the first-derivative callback")
-    n = w.dim
-    r, wq = _radial_quadrature(radius, w.scale)
-    meas = r ** (n - 1)
-    omega = sphere_volume(n - 1)
-    grad_sq = omega * float(np.sum(wq * np.asarray(w.deriv1(r)) ** 2 * meas))
-    l2 = omega * float(np.sum(wq * np.asarray(w.value(r)) ** 2 * meas))
+    r, wq = _ball_rule(w, radius)
+    grad_sq = float(np.sum(wq * np.asarray(w.deriv1(r)) ** 2))
+    l2 = float(np.sum(wq * np.asarray(w.value(r)) ** 2))
     return lam * grad_sq + 2.0 * mu * l2

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubble import BubbleParams, bubble_energy, expected_bubble_energy
+from .bubble import BubbleParams, _energy_sum, bubble_energy, expected_bubble_energy
 from .constants import OperatorParams, critical_exponent
 from .field import PeriodicField, _ball_masses, _ball_radius, localized_mass, norms
 from .geometry import sphere_volume
@@ -42,8 +42,6 @@ __all__ = [
 ]
 
 _GRADLESS = 1e-13
-_PAIR_STEP = 1.0   # n times the trapezoid step in ln r of pair_bubble_energy
-_PAIR_TAIL = 80.0  # its window ends where one extremal's integrand sech^n is e^-80
 
 
 @dataclass(frozen=True)
@@ -183,12 +181,6 @@ def multi_bubble_energy(n: int, centers: np.ndarray, lambda0s: np.ndarray, lambd
     raise ValueError(f"need 1 or 2 profiles, got {centers.size}")
 
 
-def _sech_power(z: np.ndarray, m: float) -> np.ndarray:
-    """sech(z)^m as (2 e^(-|z|) / (1 + e^(-2|z|)))^m, which cannot overflow."""
-    e = np.exp(-np.abs(z))
-    return (2.0 * e / (1.0 + e * e)) ** m
-
-
 def pair_bubble_energy(n: int, centers: np.ndarray, scales: np.ndarray, lambda_inf: float = 1.0) -> float:
     """Critical energy of the sum of two radial extremals on R^n, by
     conformal reduction to one dimension.
@@ -205,14 +197,11 @@ def pair_bubble_energy(n: int, centers: np.ndarray, scales: np.ndarray, lambda_i
     the integrand is (amp / 2^m)^(2#) (sech^m(y - D) + sech^m(y))^(2#), even
     about y = D/2.
 
-    The rule is the trapezoid sum with step 1/n on the half line y >= D/2,
-    doubled, out to where sech^n falls below e^-80: 123 nodes at n = 5 and
-    148 at n = 8 for centers (0, 20) at scales (1, 1e4).  The integrand is
-    analytic in a strip and decays exponentially at both ends, so the sum
-    converges geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014) 385);
-    the strip narrows like 1/n, hence the step.  A pair whose sinh(D/2) is
-    outside the float64 range raises ``FloatingPointError``, and so does a
-    prefactor omega_(n-1) (amp / 2^m)^(2#) that overflows (from n = 162).
+    The rule is ``bubble_energy``'s with two terms: step 1/n on y >= D/2,
+    doubled, to where sech^n falls below e^-80 (123 nodes at n = 5 and 148
+    at n = 8 for the quantization pair).  A pair whose sinh(D/2) is outside
+    the float64 range raises ``FloatingPointError``, and so does a prefactor
+    omega_(n-1) (amp / 2^m)^(2#) that overflows (from n = 162).
     """
     centers, scales = _checked_profiles(n, centers, scales, lambda_inf)
     if centers.size != 2:
@@ -232,16 +221,13 @@ def _pair_energy(n: int, centers: np.ndarray, scales: np.ndarray, lambda_inf: fl
         )
     half_d = math.asinh(sinh_half)
     m, two_sharp = (n - 4) / 2.0, critical_exponent(n)
-    step = _PAIR_STEP / n
-    reach = half_d + math.acosh(math.exp(_PAIR_TAIL / n))
-    offset = step * np.arange(math.ceil(reach / step) + 1)  # y - D/2
-    integrand = (_sech_power(offset - half_d, m) + _sech_power(offset + half_d, m)) ** two_sharp
     amp = BubbleParams(n=n, lambda_inf=lambda_inf).amplitude
     try:
         prefactor = sphere_volume(n - 1) * (amp / 2.0**m) ** two_sharp
     except OverflowError:
         raise FloatingPointError(f"critical-energy integrand for n={n} overflows float64") from None
-    return prefactor * step * float(2.0 * integrand.sum() - integrand[0])
+    step = 1.0 / n
+    return prefactor * step * _energy_sum(n, step, half_d)
 
 
 def quantization_check(

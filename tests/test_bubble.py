@@ -190,37 +190,48 @@ class TestBubbleEnergyOracle:
         energy = bubble_energy(BubbleParams(7, 1.5, lambda_inf=3.0))
         assert abs(mpmath.mpf(energy) / wallis_energy(7, 1.5, 3.0) - 1) <= 1e-14
 
-    @pytest.mark.parametrize("n, lambda0", [(5, 1e-300), (9, 1e-150)])
-    def test_underflow_is_named(self, n, lambda0):
-        # each node's integrand underflows to 0; n = 9 at 1e-150 used to
-        # return 0.0, n = 5 at 1e-300 failed as an overflow of the Jacobian
-        with pytest.raises(FloatingPointError, match=f"critical-energy integrand for n={n} underflows float64"):
-            bubble_energy(BubbleParams(n, lambda0))
+    @pytest.mark.parametrize("n", [5, 6, 8, 9, 12, 20, 63, 161])
+    def test_scale_cancels_exactly(self, n):
+        # lambda0 cancels from the sum in y = ln(lambda0 r), so every scale
+        # gives the same float; 1e-300 and 1e-150 once underflowed to 0
+        energies = {bubble_energy(BubbleParams(n, lam)) for lam in (1e-300, 1e-150, 0.5, 1.0, 2.0, 1e10)}
+        assert len(energies) == 1
+        rel = abs(mpmath.mpf(energies.pop()) / wallis_energy(n, 1.0) - 1)
+        assert rel <= (1e-14 if n <= 20 else 5e-14)
 
-    def test_warm_call_builds_no_rule(self, monkeypatch):
-        bubble_energy(BubbleParams(6))
-        calls = []
-        monkeypatch.setattr(bubble_module, "panel_rule", lambda *args, **kw: calls.append(args))
-        assert bubble_energy(BubbleParams(6, 1.7)) > 0
-        assert calls == []
+    @pytest.mark.parametrize("lambda_inf", [1.0, 3.0])
+    def test_every_dimension_matches_closed_form(self, lambda_inf):
+        # the prefactor is raised to the exact exponent n/4: read within
+        # 1.1e-15 for n <= 20 and 7.2e-15 up to n = 161, where raising
+        # amp/2^m to the rounded 2# read up to 6.7e-14 off
+        for n in range(5, 162):
+            energy = bubble_energy(BubbleParams(n, lambda_inf=lambda_inf))
+            rel = abs(mpmath.mpf(energy) / wallis_energy(n, 1.0, lambda_inf) - 1)
+            assert rel <= (2e-15 if n <= 20 else 1e-14), n
 
-    def test_rules_are_read_only_and_halve_every_panel(self):
-        coarse, fine = bubble_module._energy_rule(10), bubble_module._energy_rule(20)
-        assert [r.size for r in coarse + fine] == [240, 240, 480, 480]
-        assert not any(a.flags.writeable for a in coarse + fine)
-        # every coarse panel edge is a fine one: 48 fine radii per coarse panel
-        edges = np.tan(np.linspace(0.0, math.pi / 2, 11)[1:-1])
-        assert np.all(np.searchsorted(fine[0], edges) % 24 == 0)
+    def test_underflowing_prefactor_is_named(self):
+        # (n (n-4) (n^2-4) / (16 lambda_inf))^(n/4) underflows; the panels
+        # named the same underflow through their integrand
+        with pytest.raises(FloatingPointError, match="critical-energy integrand for n=5 underflows float64"):
+            bubble_energy(BubbleParams(5, lambda_inf=1e300))
+
+    @pytest.mark.parametrize("n", [5, 8, 20, 161])
+    def test_halved_step_agrees(self, n):
+        # the convergence check compares the sums with steps 1/n and 1/(2n):
+        # they agree within 3.9e-15 for n = 5..161 (step 2/n reads 5.4e-7 off at n = 5)
+        coarse = bubble_module._energy_sum(n, 1.0 / n) / n
+        fine = bubble_module._energy_sum(n, 0.5 / n) / (2 * n)
+        assert abs(fine / coarse - 1) <= 4e-15
 
 
 class TestPohozaevIdentity:
     def test_gaussian(self):
         w = even_gaussian_field(5, 1.0, [1.0])
-        assert abs(pohozaev_identity_residual(w, rmax=20.0)) <= 1e-8
+        assert abs(pohozaev_identity_residual(w, rmax=2.0)) <= 1e-13
 
     def test_slow_power_decay(self):
         w = power_profile_field(5, 4.0)
-        assert abs(pohozaev_identity_residual(w, rmax=60.0)) <= 1e-6
+        assert abs(pohozaev_identity_residual(w, rmax=3.0)) <= 1e-13
 
     def test_random_family(self, rng):
         for _ in range(10):
@@ -230,44 +241,46 @@ class TestPohozaevIdentity:
             w = even_gaussian_field(int(rng.choice([5, 6, 8])), sigma, coeffs)
             assert abs(pohozaev_identity_residual(w, rmax=30.0)) <= 1e-6
 
-    def test_truncated_bubble_residual_decays(self):
-        w = bubble_field(BubbleParams(5))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            vals = [abs(pohozaev_identity_residual(w, rmax=R)) for R in (10.0, 20.0, 40.0)]
-        assert vals[0] > vals[1] > vals[2]
+    @pytest.mark.parametrize("n", range(5, 21))
+    def test_extremal_at_every_radius(self, n):
+        # with the boundary flux the identity holds on every ball; without
+        # it these cases read up to 7.96 (n = 20, lambda0 = 0.05, R = 1)
+        for lambda0 in (0.05, 1.0, 10.0, 1e6):
+            w = bubble_field(BubbleParams(n, lambda0=lambda0))
+            for radius in (1.0, 5.0, 40.0):
+                assert abs(pohozaev_identity_residual(w, rmax=radius)) <= 1e-14, (lambda0, radius)
 
-    def test_slow_decay_warns(self):
-        w = bubble_field(BubbleParams(5))
-        with pytest.warns(RuntimeWarning):
-            pohozaev_identity_residual(w, rmax=10.0)
+    @pytest.mark.parametrize("n", [5, 8, 12])
+    def test_non_solutions_satisfy_it(self, n):
+        # integration by parts holds for every smooth radial field: a scaled
+        # extremal and a power profile of another exponent are no solutions
+        params = BubbleParams(n, lambda0=1.7)
+        for w in (bubble_field(params, scale=1.1), power_profile_field(n, 0.75 * n, scale=0.3)):
+            for radius in (0.5, 4.0, 50.0):
+                assert abs(pohozaev_identity_residual(w, rmax=radius)) <= 1e-14
 
     @pytest.mark.parametrize("lambda0", [1e5, 1e6, 1e7, 1e10])
-    @pytest.mark.parametrize("n, bound", [(5, 2e-7), (8, 1e-14), (12, 1e-14)])
-    def test_concentrated_extremal_is_resolved(self, n, bound, lambda0):
-        # panels from rmax 2^-20 whatever the scale read 8.4e-8, 0.13, -0.41
-        # and (n-4)/2 = 2.0 for n = 8 at these scales; n = 5 keeps its
-        # truncation at rmax, about 1e-2/(lambda0 rmax)
+    @pytest.mark.parametrize("n", [5, 8, 12])
+    def test_concentrated_extremal_is_resolved(self, n, lambda0):
+        # the tau window starts below 1/lambda0; panels from rmax 2^-20
+        # whatever the scale read 0.13, -0.41 and (n-4)/2 = 2.0 for n = 8 at
+        # the three largest scales
         w = bubble_field(BubbleParams(n, lambda0=lambda0))
-        assert abs(pohozaev_identity_residual(w, rmax=50.0)) <= bound
+        assert abs(pohozaev_identity_residual(w, rmax=50.0)) <= 1e-14
 
-    @pytest.mark.parametrize(
-        "lambda0, pinned",
-        [(0.5, -1.1945648297439737e-05), (1.0, -7.466626552072168e-07), (2.0, -4.666665109232664e-08)],
-    )
-    def test_scales_near_one_keep_their_panels(self, lambda0, pinned):
-        # the first panel stays at rmax 2^-20 here, so the n = 8 values are
-        # those of the scale-blind rule
-        w = bubble_field(BubbleParams(8, lambda0=lambda0))
-        assert pohozaev_identity_residual(w, rmax=50.0) == pinned
+    def test_residual_is_the_same_at_every_radius(self):
+        # the truncated identity without its flux read -1.06e-2 at n = 5,
+        # rmax = 50, and a tail-mass check warned about it
+        w = bubble_field(BubbleParams(5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for radius in (0.1, 10.0, 50.0, 1e6):
+                assert abs(pohozaev_identity_residual(w, rmax=radius)) <= 1e-14
 
-    def test_unscaled_field_keeps_its_panels(self):
-        # no concentration scale (the default 0): the first panel starts at
-        # rmax 2^-20 = 0.5 for every rmax, and the value is the one pinned
-        # from that rule (a first panel at 0.25 reads 1.8e-15)
-        w = even_gaussian_field(8, 1.0, np.array([2.0, 0.3, -0.1]))
-        assert w.scale == 0.0
-        assert pohozaev_identity_residual(w, rmax=2.0**19) == 1.4603099071953572e-15
+    @pytest.mark.parametrize("rmax", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_radius(self, rmax):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            pohozaev_identity_residual(bubble_field(BubbleParams(5)), rmax=rmax)
 
 
 class TestPohozaevWitness:

@@ -67,15 +67,32 @@ class TestConstantsCommand:
 
 class TestBubbleCheckCommand:
     def test_payload(self, capsys):
-        # the n=5 profile decays slowly, so the identity check at finite
-        # truncation radius legitimately warns
-        with pytest.warns(RuntimeWarning, match="slow decay"):
+        # the identity carries its boundary flux, so the slowly decaying n=5
+        # profile no longer warns "slow decay" or reads -1.06e-2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out, _ = run_cli(capsys, "bubble-check", "--dim", "5")
         assert code == 0
         payload = json.loads(out)
         assert payload["residual_sup"] <= 1e-10
         assert payload["energy"] == pytest.approx(payload["energy_expected"], rel=1e-6)
-        assert abs(payload["pohozaev_residual"]) < 0.2
+        assert abs(payload["pohozaev_residual"]) <= 1e-14
+
+    def test_every_dimension_verifies_without_warning(self, capsys):
+        # the defaults for n = 5..143: the identity reads within 1e-14 for
+        # n <= 20 and 5e-14 above (2.2e-15 and 2.2e-14 measured)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in range(5, 144):
+                code, out, err = run_cli(capsys, "bubble-check", "--dim", str(n))
+                assert (code, err) == (0, ""), n
+                assert abs(json.loads(out)["pohozaev_residual"]) <= (1e-14 if n <= 20 else 5e-14), n
+
+    def test_concentrated_extremal_verifies_the_identity(self, capsys):
+        # panels from rmax 2^-20 read (n-4)/2 = 2.0 here
+        code, out, err = run_cli(capsys, "bubble-check", "--dim", "8", "--lambda0", "1e-30")
+        assert (code, err) == (0, "")
+        assert abs(json.loads(out)["pohozaev_residual"]) <= 1e-14
 
     def test_infinite_scale_rejected(self, capsys):
         # used to exit 1 with numpy's "Geometric sequence cannot include zero"
@@ -107,13 +124,13 @@ class TestBubbleCheckCommand:
     @pytest.mark.parametrize("n", [5, 6, 8, 12])
     def test_scale_scan_ends_verified_or_named(self, capsys, n):
         # every finite scale ends in a report (exit 0) or a named numerical
-        # failure (exit 2); the one warning is the documented slow decay
+        # failure (exit 2), with no warning at all
         for scale in np.logspace(-300, 300, 31).tolist():
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
                 code, out, err = run_cli(capsys, "bubble-check", "--dim", str(n), "--lambda0", repr(scale))
             assert code in (0, 2), (scale, err)
-            assert all(str(w.message).startswith("slow decay") for w in seen), (scale, seen)
+            assert not seen, (scale, [str(w.message) for w in seen])
             if code == 0:
                 payload = json.loads(out)
                 assert all(np.isfinite(v) for v in payload.values()), (scale, payload)
@@ -132,14 +149,16 @@ class TestBubbleCheckCommand:
         assert payload["residual_sup"] <= 1e-12
 
     def test_scaling_identity_overflow_names_its_integrands(self, capsys):
-        # c_n^2 is near 1e300 at n = 144: the product bilaplacian * r * v'
-        # leaves float64 at lambda0 = 1 (and 0.9 still runs)
-        assert run_cli(capsys, "bubble-check", "--dim", "144", "--lambda0", "0.9")[0] == 0
+        # c_n^2 is near 1e300 at n = 146: the integrands at the nodes leave
+        # float64 at lambda0 = 1 (and 0.9 still runs).  The Gauss-Legendre
+        # panels sampled nearer the peak and failed from n = 144; n = 144
+        # and 145 now read 2.8e-14 and 2.2e-14
+        assert run_cli(capsys, "bubble-check", "--dim", "146", "--lambda0", "0.9")[0] == 0
         reason = (
-            "extremal for n=144 at lambda0=1.0 is outside the float64 range "
-            "(scaling-identity integrands for n=144 overflow float64)"
+            "extremal for n=146 at lambda0=1.0 is outside the float64 range "
+            "(scaling-identity integrands for n=146 overflow float64)"
         )
-        assert_named_float64_failure(capsys, reason, "bubble-check", "--dim", "144")
+        assert_named_float64_failure(capsys, reason, "bubble-check", "--dim", "146")
 
     def test_energy_integrand_overflow_is_named(self, capsys):
         # the integrand's peak carries c_n^(2#): from n = 162 it leaves
@@ -175,10 +194,10 @@ class TestBubbleCheckCommand:
         assert (code, out) == (1, "")
         assert err == f"paneitz bubble-check: error: rmax must be positive and finite, got {float(rmax)!r}\n"
 
-    def test_cold_start_builds_order_24_only(self, capsys, monkeypatch):
-        # a fresh process: the energy rules are not yet built.  The nodes take
-        # a Python loop over the order in every Newton step, so a one-panel
-        # rule of 240 or 480 nodes would cost a cold bubble-check most of its time
+    def test_cold_start_builds_no_gauss_legendre_rule(self, capsys, monkeypatch):
+        # every radial integral is a trapezoid sum in a log variable, so a
+        # cold bubble-check and quantization check compute no Gauss-Legendre
+        # nodes (the order-24 panels and their Python loop are gone)
         orders = []
 
         def spy(order):
@@ -186,14 +205,13 @@ class TestBubbleCheckCommand:
             return real(order)
 
         real = paneitz.quadrature.gauss_legendre
-        paneitz.bubble._energy_rule.cache_clear()
         monkeypatch.setattr(paneitz.quadrature, "gauss_legendre", spy)
-        with pytest.warns(RuntimeWarning, match="slow decay"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert run_cli(capsys, "bubble-check", "--dim", "5")[0] == 0
         assert paneitz.diagnostics.quantization_check(5, 1.5).synthetic_ok
-        assert orders and set(orders) == {24}
         assert paneitz.diagnostics.quantization_check(5, 1.5, synthetic_bubbles=1).synthetic_ok
-        assert set(orders) == {24}
+        assert orders == []
 
 
 class TestSolveCommand:

@@ -225,20 +225,25 @@ class TestQuantization:
 def concentric_pair_energy(n, centers, scales, lambda_inf=1):
     # the energy of two extremals as the 30-digit mpmath.quad of the concentric
     # pair with scales 1 and mu = e^D, D the hyperbolic distance of the points
-    # (c_j, 1/lam_j): omega_(n-1) int_0^inf (B_1 + B_mu)^(2#) r^(n-1) dr, in r,
-    # with cosh D from the cosh form and c_n from its formula (about 0.1 s a case)
+    # (c_j, 1/lam_j): omega_(n-1) int (B_1 + B_mu)^(2#) r^n dt in t = ln r,
+    # split at both scales t = -D, 0 and between them, with cosh D from the
+    # cosh form and c_n from its formula (about 0.1 s a case).  In t each
+    # bubble is a bump of width about 1, so a far one is not lost: a split
+    # [0, 1/mu, 1, inf] in r read 1.5 quanta at D = 374 and 702
     with mpmath.workdps(30):
         (c1, c2), (lam1, lam2) = map(mpmath.mpf, centers), map(mpmath.mpf, scales)
-        cosh_d = (lam1 / lam2 + lam2 / lam1 + lam1 * lam2 * (c1 - c2) ** 2) / 2
-        mu = cosh_d + mpmath.sqrt(cosh_d**2 - 1)
+        d = mpmath.acosh((lam1 / lam2 + lam2 / lam1 + lam1 * lam2 * (c1 - c2) ** 2) / 2)
+        mu = mpmath.exp(d)
         m, two_sharp = mpmath.mpf(n - 4) / 2, mpmath.mpf(2 * n) / (n - 4)
         amp = mpmath.mpf(lambda_inf) ** (-1 / (two_sharp - 2)) * (n * (n - 4) * (n**2 - 4)) ** (m / 4)
 
-        def integrand(r):
-            return (amp * (1 + r**2) ** -m + amp * mu**m * (1 + (mu * r) ** 2) ** -m) ** two_sharp * r ** (n - 1)
+        def integrand(t):
+            r = mpmath.exp(t)
+            return (amp * (1 + r**2) ** -m + amp * mu**m * (1 + (mu * r) ** 2) ** -m) ** two_sharp * r**n
 
         omega = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
-        return omega * mpmath.quad(integrand, [0, 1 / mu, 1, mpmath.inf])
+        splits = sorted({-d, -d / 2, mpmath.mpf(0)})
+        return omega * mpmath.quad(integrand, [-mpmath.inf, *splits, mpmath.inf])
 
 
 _PAIR_SETS = {
@@ -443,11 +448,20 @@ class TestPairBubbleEnergy:
     def test_far_centers_are_two_quanta(self, centers, scales, rel):
         # sinh(D/2) is a float64 (5e299, 1e81 and 1.6e152: D = 1381.6, 374.4
         # and 702.3), where the cell rule read "outside the float64 range";
-        # read within 3.6e-15, 2.2e-16 and 2.4e-15.  The mpmath oracle is no
-        # check here: its split [0, 1/mu, 1, inf] misses a bubble at such D
+        # read within 3.6e-15, 2.2e-16 and 2.4e-15
         energy = pair(5, centers, scales)
         assert energy == pytest.approx(2 * expected_bubble_energy(5), rel=rel)
         assert multi_bubble_energy(5, np.array(centers), np.array(scales)) == energy
+
+    @pytest.mark.parametrize(
+        "scales", [(1.0, 1e160), (1e-305, 1.0)], ids=["large-scale", "small-scale"]
+    )
+    def test_far_pair_matches_oracle(self, scales):
+        # D = 374.4 and 702.3: the oracle resolves both bubbles and reads two
+        # quanta to 30 digits; the pair reads within 2.6e-15 of it
+        exact = concentric_pair_energy(5, (0.0, 20.0), scales)
+        assert float(exact) == pytest.approx(2 * expected_bubble_energy(5), rel=1e-15)
+        assert pair(5, (0.0, 20.0), scales) == pytest.approx(float(exact), rel=1e-14)
 
     def test_high_dimensional_pair(self):
         # the pair's prefactor leaves float64 at n = 162.  At n = 160
