@@ -7,9 +7,7 @@ from .bubble import (
     BubbleParams,
     RadialField,
     bubble_energy,
-    bubble_eval,
     bubble_field,
-    constant_field,
     expected_bubble_energy,
     pde_residual,
     pohozaev_identity_residual,
@@ -34,7 +32,6 @@ from .diagnostics import (
     concentration_points,
     concentration_ratios,
     multi_bubble_energy,
-    pair_bubble_energy,
     quantization_check,
 )
 from .field import (

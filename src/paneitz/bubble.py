@@ -22,6 +22,7 @@ converge geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -34,10 +35,8 @@ from .geometry import sphere_volume
 __all__ = [
     "BubbleParams",
     "RadialField",
-    "bubble_eval",
     "bubble_field",
     "power_profile_field",
-    "constant_field",
     "pde_residual",
     "bubble_energy",
     "expected_bubble_energy",
@@ -80,8 +79,8 @@ class BubbleParams:
 class RadialField:
     """A radial function on R^dim with closed-form callbacks.
 
-    The callables, when available, give exact pointwise evaluations of f,
-    f', Delta f and Delta^2 f, the four quantities the residual and integral
+    The four callables are required and give exact pointwise evaluations of
+    f, f', Delta f and Delta^2 f, the quantities the residual and integral
     routines read.  No numerical differentiation happens anywhere in this
     module.  ``scale`` is the concentration scale: the field varies on
     lengths down to about 1/scale, where the ball integrals start their
@@ -91,9 +90,9 @@ class RadialField:
 
     dim: int
     value: Callable[[np.ndarray], np.ndarray]
-    deriv1: Callable[[np.ndarray], np.ndarray] | None = None
-    laplacian: Callable[[np.ndarray], np.ndarray] | None = None
-    bilaplacian: Callable[[np.ndarray], np.ndarray] | None = None
+    deriv1: Callable[[np.ndarray], np.ndarray]
+    laplacian: Callable[[np.ndarray], np.ndarray]
+    bilaplacian: Callable[[np.ndarray], np.ndarray]
     scale: float = 0.0
 
 
@@ -118,15 +117,6 @@ def _power_profile_bilaplacian(n: int, m: float, lam: float, r: np.ndarray) -> n
     return lam**4 * w ** (m + 2.0) * (q0 + (q1 + q2 * w) * w)
 
 
-def bubble_eval(params: BubbleParams, r) -> np.ndarray | float:
-    """v(r) = lambda_inf^(-1/(2#-2)) c_n (lambda0 / (1 + lambda0^2 r^2))^((n-4)/2)."""
-    r = np.asarray(r, dtype=float)
-    m = (params.n - 4) / 2.0
-    w = 1.0 / (1.0 + (params.lambda0 * r) ** 2)
-    out = params.amplitude * w**m
-    return float(out) if out.ndim == 0 else out
-
-
 def power_profile_field(
     dim: int,
     exponent: float,
@@ -134,7 +124,8 @@ def power_profile_field(
     amplitude: float = 1.0,
 ) -> RadialField:
     """amplitude * (1 + (scale r)^2)^(-exponent) with exact callbacks; its
-    Laplacians are the w-forms of the module docstring."""
+    Laplacians are the w-forms of the module docstring.  Exponent 0 is the
+    constant ``amplitude``, with derivatives exactly zero."""
     m, lam, amp = float(exponent), float(scale), float(amplitude)
 
     def value(r):
@@ -164,7 +155,8 @@ def power_profile_field(
 
 def bubble_field(params: BubbleParams, scale: float = 1.0) -> RadialField:
     """The (optionally amplitude-scaled) extremal as a RadialField with exact
-    closed-form callbacks."""
+    closed-form callbacks: v(r) = lambda_inf^(-1/(2#-2)) c_n
+    (lambda0 / (1 + lambda0^2 r^2))^((n-4)/2) is its ``value``."""
     n = params.n
     return power_profile_field(
         dim=n,
@@ -174,41 +166,18 @@ def bubble_field(params: BubbleParams, scale: float = 1.0) -> RadialField:
     )
 
 
-def constant_field(n: int, value: float) -> RadialField:
-    c = float(value)
-    zero = lambda r: np.zeros_like(np.asarray(r, dtype=float))
-    return RadialField(
-        dim=n,
-        value=lambda r: np.full_like(np.asarray(r, dtype=float), c),
-        deriv1=zero,
-        laplacian=zero,
-        bilaplacian=zero,
-    )
-
-
-def pde_residual(
-    params: BubbleParams,
-    rmax: float = 50.0,
-    gridsize: int = 400,
-    field: RadialField | None = None,
-) -> float:
-    """sup over an (0, rmax] grid of |Delta^2 v - lambda_inf v^(2#-1)| / v^(2#-1).
-
-    Evaluates the field's closed-form bi-Laplacian callback; r = 0 is included
-    since the callbacks are regular there.  A normalization that overflows
-    (checked once, at the field's peak) or underflows float64 raises
-    ``FloatingPointError`` naming it.
+def pde_residual(params: BubbleParams, rmax: float = 50.0, field: RadialField | None = None) -> float:
+    """sup of |Delta^2 v - lambda_inf v^(2#-1)| / v^(2#-1), Delta^2 v the
+    field's closed-form callback, over r = 0 (where the callbacks are
+    regular) and the nodes of ``_ball_rule(field, rmax)``: the scaling
+    identity's nodes, geometric toward 0 and the rim and reaching below
+    1/scale at every scale.  A normalization that overflows (checked once,
+    at the field's peak) or underflows float64 raises ``FloatingPointError``.
     """
     if not 0 < rmax < math.inf:
         raise ValueError(f"rmax must be positive and finite, got {rmax!r}")
-    if gridsize < 1:
-        raise ValueError(f"gridsize must be at least 1, got {gridsize}")
     f = field if field is not None else bubble_field(params)
-    if f.bilaplacian is None:
-        raise ValueError("pde_residual needs a closed-form bilaplacian callback")
-    r = np.concatenate(
-        [[0.0], np.geomspace(min(1e-3 / params.lambda0, rmax / 2), rmax, gridsize - 1)]
-    )
+    r = np.append(0.0, _ball_rule(f, rmax)[0])
     v = np.asarray(f.value(r), dtype=float)
     if np.any(v < 0):
         raise ValueError("residual normalization requires a positive field")
@@ -227,9 +196,13 @@ def pde_residual(
 
 
 def expected_bubble_energy(n: int, lambda_inf: float = 1.0) -> float:
-    """(lambda_inf K0^2)^(-n/4), the single-extremal critical energy quantum."""
+    """(lambda_inf K0^2)^(-n/4), the single-extremal critical energy quantum.
+    A quantum that underflows float64 (n = 5 at lambda_inf = 1e300) is named."""
     _, k0_inv_sq = sharp_constant(n)
-    return (lambda_inf / k0_inv_sq) ** (-n / 4.0)
+    quantum = (lambda_inf / k0_inv_sq) ** (-n / 4.0)
+    if quantum == 0.0:
+        raise FloatingPointError(f"critical-energy quantum for n={n} at lambda_inf={lambda_inf!r} underflows float64")
+    return quantum
 
 
 _TAIL = 80.0   # log-variable sums stop where the integrand has fallen by e^-80
@@ -266,27 +239,34 @@ def _energy_sum(n: int, step: float, half_d: float | None = None) -> float:
     return float(2.0 * f.sum() - f[0])
 
 
-def bubble_energy(params: BubbleParams) -> float:
-    """Critical energy omega_(n-1) int_0^inf v^(2#) r^(n-1) dr of the extremal.
-
-    In y = ln(lambda0 r) the integrand is (amp/2^m)^(2#) sech^n(y), amp the
-    lambda0 = 1 peak value, so lambda0 cancels exactly.  The prefactor is
-    omega_(n-1) (n (n-4) (n^2-4) / (16 lambda_inf))^(n/4): raising amp/2^m
-    to the rounded 2# instead costs up to 7e-14 at high n.  sech^n is
-    analytic in a strip that narrows like 1/n, so the sum takes step 1/n,
-    folded about y = 0, 85 to 176 nodes; step 1/(2n) checks it, with a
-    warning above 1e-9 relative.  A prefactor outside float64 (from n = 162,
-    or at lambda_inf = 1e300) is named.
-    """
-    n = params.n
+def _critical_energy(n: int, lambda_inf: float, step: float, half_d: float | None = None) -> float:
+    """omega_(n-1) (n (n-4) (n^2-4) / (16 lambda_inf))^(n/4) step ``_energy_sum(n,
+    step, half_d)``: the critical energy of one extremal, or of two at
+    hyperbolic distance 2 half_d.  The prefactor is (amp/2^m)^(2#), amp the
+    lambda0 = 1 peak value, with the exact exponent n/4: raising amp/2^m to
+    the rounded 2# costs up to 7e-14 at high n.  A prefactor outside float64
+    (from n = 162, or at lambda_inf = 1e300) is named."""
     try:
-        prefactor = sphere_volume(n - 1) * (n * (n - 4) * (n * n - 4) / (16.0 * params.lambda_inf)) ** (n / 4)
+        prefactor = sphere_volume(n - 1) * (n * (n - 4) * (n * n - 4) / (16.0 * lambda_inf)) ** (n / 4)
     except OverflowError:
         prefactor = math.inf
     if not 0.0 < prefactor < math.inf:
         why = "overflows" if prefactor else "underflows"
         raise FloatingPointError(f"critical-energy integrand for n={n} {why} float64")
-    energy, check = (prefactor * step * _energy_sum(n, step) for step in (1.0 / n, 0.5 / n))
+    return prefactor * step * _energy_sum(n, step, half_d)
+
+
+def bubble_energy(params: BubbleParams) -> float:
+    """Critical energy omega_(n-1) int_0^inf v^(2#) r^(n-1) dr of the extremal.
+
+    In y = ln(lambda0 r) the integrand is (amp/2^m)^(2#) sech^n(y), so
+    lambda0 cancels exactly; ``_critical_energy`` forms the prefactor.
+    sech^n is analytic in a strip that narrows like 1/n, so the sum takes
+    step 1/n, folded about y = 0, 85 to 176 nodes; step 1/(2n) checks it,
+    with a warning above 1e-9 relative.
+    """
+    n = params.n
+    energy, check = (_critical_energy(n, params.lambda_inf, step) for step in (1.0 / n, 0.5 / n))
     if abs(check - energy) > 1e-9 * abs(check):
         warnings.warn(f"critical energy quadrature not converged: {energy!r} vs {check!r}", RuntimeWarning)
     return energy
@@ -325,24 +305,28 @@ def pohozaev_identity_residual(w: RadialField, rmax: float = 40.0) -> float:
     parts, it holds for every smooth radial field at every R, so it checks
     the callbacks and ``_ball_rule`` against each other; ``pde_residual``
     checks the equation.  Integrands that leave float64 (the extremal from
-    n = 146 at lambda0 = 1, c_n^2 near 1e300) raise ``FloatingPointError``.
+    n = 146 at lambda0 = 1, c_n^2 near 1e300) raise ``FloatingPointError``,
+    and so do integrands whose largest node value is below the smallest
+    normal float64 (the extremal at n = 8 below lambda0 = 1.5e-32), where
+    the sums keep too few digits to check anything.  A constant field, with
+    no Laplacian to normalize by, raises ``ValueError``.
     """
-    if w.bilaplacian is None or w.deriv1 is None or w.laplacian is None:
-        raise ValueError("identity check needs deriv1, laplacian and bilaplacian callbacks")
     n = w.dim
     r, wq = _ball_rule(w, rmax)
     r, wq = np.append(r, rmax), np.append(wq, 0.0)  # the rim, weightless, for the flux
     with np.errstate(over="ignore", invalid="ignore"):
         bilap, d1, lap = (np.asarray(f(r)) for f in (w.bilaplacian, w.deriv1, w.laplacian))
-        i0, i1, i2 = (float(np.sum(g * wq)) for g in (bilap, bilap * r * d1, lap**2))
+        moment, lap_sq = bilap * r * d1, lap**2
+        i0, i1, i2 = (float(np.sum(g * wq)) for g in (bilap, moment, lap_sq))
         rim = sphere_volume(n - 1) * np.float64(rmax) ** (n - 1) * lap[-1]
         flux = rmax * d1[-1] * i0 + rim * ((n - 2) * d1[-1] - 0.5 * rmax * lap[-1])
     if not math.isfinite(i0 + i1 + i2 + flux):
         raise FloatingPointError(f"scaling-identity integrands for n={n} overflow float64")
-    if i2 == 0.0:
-        if np.any(lap != 0.0):
-            raise FloatingPointError("identity normalization int (Delta w)^2 dx underflows float64")
+    if not (np.any(lap != 0.0) or np.any(d1 != 0.0)):
         raise ValueError("identity normalization requires a nonzero Laplacian")
+    tiny = sys.float_info.min
+    if np.max(lap_sq) < tiny or (np.any(bilap != 0.0) and np.max(np.abs(moment)) < tiny):
+        raise FloatingPointError(f"a scaling-identity integrand for n={n} underflows float64")
     return (i1 + 0.5 * (n - 4) * i2 - float(flux)) / i2
 
 
@@ -359,8 +343,6 @@ def pohozaev_witness(w: RadialField, lam: float, mu: float, radius: float) -> fl
         raise ValueError("witness coefficients must be nonnegative")
     if lam == 0 and mu == 0:
         return 0.0
-    if w.deriv1 is None:
-        raise ValueError("witness needs the first-derivative callback")
     r, wq = _ball_rule(w, radius)
     grad_sq = float(np.sum(wq * np.asarray(w.deriv1(r)) ** 2))
     l2 = float(np.sum(wq * np.asarray(w.value(r)) ** 2))

@@ -102,7 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--lambda0", type=float, default=1.0)
     p.add_argument("--rmax", type=float, default=50.0)
-    p.add_argument("--gridsize", type=int, default=400)
 
     p = sub.add_parser("solve", help="solve the circle-reduced equation")
     p.add_argument("--dim", type=int, required=True)
@@ -172,7 +171,7 @@ def _cmd_bubble_check(args) -> int:
     # normalization that underflows, puts the extremal outside float64
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            residual_sup = bubble_mod.pde_residual(params, rmax=args.rmax, gridsize=args.gridsize)
+            residual_sup = bubble_mod.pde_residual(params, rmax=args.rmax)
             energy = bubble_mod.bubble_energy(params)
             poh = bubble_mod.pohozaev_identity_residual(
                 bubble_mod.bubble_field(params), rmax=args.rmax

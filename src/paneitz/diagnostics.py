@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubble import BubbleParams, _energy_sum, bubble_energy, expected_bubble_energy
-from .constants import OperatorParams, critical_exponent
+from .bubble import BubbleParams, _critical_energy, bubble_energy, expected_bubble_energy
+from .constants import OperatorParams
 from .field import PeriodicField, _ball_masses, _ball_radius, localized_mass, norms
-from .geometry import sphere_volume
 
 __all__ = [
     "ConcentrationReport",
@@ -38,7 +37,6 @@ __all__ = [
     "QuantizationReport",
     "quantization_check",
     "multi_bubble_energy",
-    "pair_bubble_energy",
 ]
 
 _GRADLESS = 1e-13
@@ -152,42 +150,14 @@ class QuantizationReport:
     synthetic_ok: bool              # within 2 percent of k quanta
 
 
-def _checked_profiles(n: int, centers, scales, lambda_inf: float) -> tuple[np.ndarray, np.ndarray]:
-    """Centers and scales as matching 1-d float arrays of finite values, with
-    every scale and lambda_inf checked in ``BubbleParams``' words."""
-    centers = np.asarray(centers, dtype=float)
-    scales = np.asarray(scales, dtype=float)
-    if centers.shape != scales.shape or centers.ndim != 1:
-        raise ValueError("centers and lambda0s must be matching 1-d arrays")
-    if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(scales))):
-        raise ValueError("centers and concentration scales must be finite")
-    for lam in scales.tolist():
-        BubbleParams(n=n, lambda0=lam, lambda_inf=lambda_inf)
-    return centers, scales
-
-
 def multi_bubble_energy(n: int, centers: np.ndarray, lambda0s: np.ndarray, lambda_inf: float = 1.0) -> float:
-    """Critical energy of a sum of one or two radial extremals on R^n: one is
-    ``bubble_energy`` of its scale, two are ``pair_bubble_energy``.  Three or
-    more raise ``ValueError``: three points of H^(n+1) need not lie on one
-    geodesic, so they have no one-dimensional reduction."""
-    centers, lambda0s = _checked_profiles(n, centers, lambda0s, lambda_inf)
-    if centers.size == 1:
-        return bubble_energy(BubbleParams(n=n, lambda0=float(lambda0s[0]), lambda_inf=lambda_inf))
-    if centers.size == 2:
-        return _pair_energy(n, centers, lambda0s, lambda_inf)
-    if centers.size == 0:
-        raise ValueError("need at least one profile")
-    raise ValueError(f"need 1 or 2 profiles, got {centers.size}")
+    """Critical energy of a sum of one or two radial extremals on R^n.
 
-
-def pair_bubble_energy(n: int, centers: np.ndarray, scales: np.ndarray, lambda_inf: float = 1.0) -> float:
-    """Critical energy of the sum of two radial extremals on R^n, by
-    conformal reduction to one dimension.
-
-    Extremal j is a point (c_j, 1/lam_j) of hyperbolic space H^(n+1).
-    Möbius maps of R^n keep int u^(2#) and carry extremals to extremals, so
-    the energy depends only on the hyperbolic distance D of the two points,
+    One extremal is ``bubble_energy`` of its scale.  Two reduce conformally
+    to one dimension.  Extremal j is a point (c_j, 1/lam_j) of hyperbolic
+    space H^(n+1).  Möbius maps of R^n keep int u^(2#) and carry extremals
+    to extremals, so the energy depends only on the hyperbolic distance D
+    of the two points,
         sinh(D/2) = (1/2) sqrt((lam1 - lam2)^2/(lam1 lam2) + lam1 lam2 |c1 - c2|^2),
     and is that of the concentric pair with scales 1 and e^D.  In
     y = ln(e^D r), with w(z) = 1/(1 + e^(2z)) and m = (n-4)/2, the integral
@@ -197,21 +167,27 @@ def pair_bubble_energy(n: int, centers: np.ndarray, scales: np.ndarray, lambda_i
     the integrand is (amp / 2^m)^(2#) (sech^m(y - D) + sech^m(y))^(2#), even
     about y = D/2.
 
-    The rule is ``bubble_energy``'s with two terms: step 1/n on y >= D/2,
-    doubled, to where sech^n falls below e^-80 (123 nodes at n = 5 and 148
-    at n = 8 for the quantization pair).  A pair whose sinh(D/2) is outside
-    the float64 range raises ``FloatingPointError``, and so does a prefactor
-    omega_(n-1) (amp / 2^m)^(2#) that overflows (from n = 162).
+    The rule is ``bubble_energy``'s with two terms and the same prefactor
+    (``bubble._critical_energy``): step 1/n on y >= D/2, doubled, to where
+    sech^n falls below e^-80 (123 nodes at n = 5 and 148 at n = 8 for the
+    quantization pair).  A pair whose sinh(D/2) is outside the float64
+    range raises ``FloatingPointError``, and so does a prefactor that
+    overflows (from n = 162) or underflows (lambda_inf = 1e300).  Three or
+    more profiles raise ``ValueError``: three points of H^(n+1) need not
+    lie on one geodesic, so they have no one-dimensional reduction.
     """
-    centers, scales = _checked_profiles(n, centers, scales, lambda_inf)
-    if centers.size != 2:
-        raise ValueError(f"need exactly two profiles, got {centers.size}")
-    return _pair_energy(n, centers, scales, lambda_inf)
-
-
-def _pair_energy(n: int, centers: np.ndarray, scales: np.ndarray, lambda_inf: float) -> float:
-    """``pair_bubble_energy`` of two profiles already checked."""
-    (c1, c2), (lam1, lam2) = centers.tolist(), scales.tolist()
+    centers = np.asarray(centers, dtype=float)
+    lambda0s = np.asarray(lambda0s, dtype=float)
+    if centers.shape != lambda0s.shape or centers.ndim != 1:
+        raise ValueError("centers and lambda0s must be matching 1-d arrays")
+    if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(lambda0s))):
+        raise ValueError("centers and concentration scales must be finite")
+    profiles = [BubbleParams(n=n, lambda0=lam, lambda_inf=lambda_inf) for lam in lambda0s.tolist()]
+    if len(profiles) == 1:
+        return bubble_energy(profiles[0])
+    if len(profiles) != 2:
+        raise ValueError(f"need 1 or 2 profiles, got {len(profiles)}" if profiles else "need at least one profile")
+    (c1, c2), (lam1, lam2) = centers.tolist(), lambda0s.tolist()
     root = math.sqrt(lam1) * math.sqrt(lam2)
     sinh_half = 0.5 * math.hypot(abs(lam1 - lam2) / root, root * abs(c1 - c2))
     if not math.isfinite(sinh_half):
@@ -219,15 +195,7 @@ def _pair_energy(n: int, centers: np.ndarray, scales: np.ndarray, lambda_inf: fl
             f"hyperbolic distance of centers ({c1:.6g}, {c2:.6g}) at scales ({lam1:.6g}, {lam2:.6g}) "
             "is outside the float64 range"
         )
-    half_d = math.asinh(sinh_half)
-    m, two_sharp = (n - 4) / 2.0, critical_exponent(n)
-    amp = BubbleParams(n=n, lambda_inf=lambda_inf).amplitude
-    try:
-        prefactor = sphere_volume(n - 1) * (amp / 2.0**m) ** two_sharp
-    except OverflowError:
-        raise FloatingPointError(f"critical-energy integrand for n={n} overflows float64") from None
-    step = 1.0 / n
-    return prefactor * step * _energy_sum(n, step, half_d)
+    return _critical_energy(n, lambda_inf, 1.0 / n, math.asinh(sinh_half))
 
 
 def quantization_check(
@@ -241,7 +209,9 @@ def quantization_check(
 ) -> QuantizationReport:
     """Largest k with k quanta <= budget, plus a synthetic additivity check.
 
-    The quantum is (lambda_inf K0^2)^(-n/4).  The synthetic field is a sum of
+    The quantum is ``expected_bubble_energy``, (lambda_inf K0^2)^(-n/4); one
+    that underflows float64 (lambda_inf = 1e300 at n = 5) raises its
+    ``FloatingPointError``.  The synthetic field is a sum of
     ``synthetic_bubbles`` extremals with pairwise center distance
     ``separation / lambda0`` and concentration scales lambda0 * scale_ratio^i.
     The scale hierarchy mirrors how multi-point concentration actually
@@ -249,8 +219,8 @@ def quantization_check(
     critical power couples the slow tails strongly in low dimensions and
     additivity fails at any modest separation.  ``multi_bubble_energy``
     integrates the field with no truncation: two extremals, the default, by
-    ``pair_bubble_energy``'s conformal reduction (a trapezoid sum of about
-    150 nodes), one by ``bubble_energy``.  Other counts are refused.
+    its conformal reduction (a trapezoid sum of about 150 nodes), one by
+    ``bubble_energy``.  Other counts are refused.
     """
     if not 0 < budget < math.inf:
         raise ValueError(f"energy budget must be positive and finite, got {budget}")

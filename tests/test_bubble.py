@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -11,9 +12,7 @@ from paneitz import bubble as bubble_module
 from paneitz.bubble import (
     BubbleParams,
     bubble_energy,
-    bubble_eval,
     bubble_field,
-    constant_field,
     expected_bubble_energy,
     pde_residual,
     pohozaev_identity_residual,
@@ -29,9 +28,10 @@ def radial_energy_oracle(params: BubbleParams) -> float:
     omega_(n-1) int v^(2#) r^(n-1) dr on a split range."""
     n = params.n
     p = 2.0 * n / (n - 4)
+    v = bubble_field(params).value
 
     def integrand(r):
-        return bubble_eval(params, r) ** p * r ** (n - 1)
+        return v(r) ** p * r ** (n - 1)
 
     total = 0.0
     for a, b in [(0.0, 1.0), (1.0, 10.0), (10.0, 100.0), (100.0, 2000.0)]:
@@ -56,18 +56,18 @@ def profile_derivatives(params: BubbleParams, radii, order: int) -> list:
 class TestBubbleEval:
     def test_peak_values(self):
         c5 = bubble_coefficient(5)
-        assert bubble_eval(BubbleParams(5), 0.0) == pytest.approx(c5, rel=1e-14)
-        assert bubble_eval(BubbleParams(5, lambda0=2.0), 0.0) == pytest.approx(
+        assert bubble_field(BubbleParams(5)).value(0.0) == pytest.approx(c5, rel=1e-14)
+        assert bubble_field(BubbleParams(5, lambda0=2.0)).value(0.0) == pytest.approx(
             c5 * math.sqrt(2.0), rel=1e-14
         )
 
     def test_far_field_value(self):
         c5 = bubble_coefficient(5)
-        assert bubble_eval(BubbleParams(5), 10.0) == pytest.approx(c5 / math.sqrt(101.0), rel=1e-14)
+        assert bubble_field(BubbleParams(5)).value(10.0) == pytest.approx(c5 / math.sqrt(101.0), rel=1e-14)
 
     def test_strictly_decreasing(self):
         r = np.linspace(0.0, 30.0, 400)
-        v = bubble_eval(BubbleParams(7, lambda0=0.7), r)
+        v = bubble_field(BubbleParams(7, lambda0=0.7)).value(r)
         assert np.all(np.diff(v) < 0)
         assert np.all(v > 0)
 
@@ -77,9 +77,21 @@ class TestBubbleEval:
         r = np.linspace(0.0, 20.0, 157)
         lam, lam2 = 0.8, 2.7
         ratio = lam2 / lam
-        v2 = bubble_eval(BubbleParams(n, lambda0=lam2), r)
-        v1 = bubble_eval(BubbleParams(n, lambda0=lam), ratio * r)
+        v2 = bubble_field(BubbleParams(n, lambda0=lam2)).value(r)
+        v1 = bubble_field(BubbleParams(n, lambda0=lam)).value(ratio * r)
         assert np.max(np.abs(v2 - ratio ** ((n - 4) / 2) * v1)) < 1e-12 * np.max(v2)
+
+
+class TestPowerProfileField:
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_exponent_zero_is_a_constant(self, n):
+        # exponent 0 is the constant field: the amplitude, with every
+        # derivative zero in closed form, r = 0 included
+        field = power_profile_field(n, 0.0, amplitude=2.5)
+        r = np.append(0.0, np.geomspace(1e-8, 1e8, 49))
+        assert np.all(field.value(r) == 2.5)
+        for derivative in (field.deriv1, field.laplacian, field.bilaplacian):
+            assert np.all(derivative(r) == 0.0)
 
 
 class TestPdeResidual:
@@ -88,6 +100,22 @@ class TestPdeResidual:
     def test_extremal_is_exact(self, n, lam):
         assert pde_residual(BubbleParams(n, lambda0=lam)) <= 1e-10
 
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.7])
+    def test_extremal_is_exact_in_every_dimension(self, lam):
+        # sampled at r = 0 and the ball rule's nodes: the sup reads at most
+        # 7.1e-14 over n = 5..143
+        for n in range(5, 144):
+            assert pde_residual(BubbleParams(n, lambda0=lam)) <= 1e-13, n
+
+    def test_samples_inside_half_the_radius(self):
+        # a geomspace from min(1e-3/lambda0, rmax/2) saw only r = 0 and
+        # [rmax/2, rmax] once lambda0 <= 2e-3/rmax; the ball rule's nodes are
+        # geometric toward 0 at every scale, so a defect at r = 1 is seen
+        params = BubbleParams(5, lambda0=1e-5)
+        exact = bubble_field(params)
+        defect = lambda r: exact.bilaplacian(r) * (1.0 + np.exp(-((np.asarray(r) - 1.0) ** 2)))
+        assert pde_residual(params, field=dataclasses.replace(exact, bilaplacian=defect)) >= 0.99
+
     def test_scaled_profile_is_not_a_solution(self):
         params = BubbleParams(5)
         scaled = bubble_field(params, scale=1.1)
@@ -95,7 +123,7 @@ class TestPdeResidual:
 
     def test_constant_field_residual_is_one(self):
         params = BubbleParams(5)
-        res = pde_residual(params, field=constant_field(5, 1.0))
+        res = pde_residual(params, field=power_profile_field(5, 0.0, amplitude=1.0))
         assert res == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("n", [5, 8, 12])
@@ -160,6 +188,12 @@ class TestBubbleEnergy:
     def test_lambda_inf_normalization(self):
         energy = bubble_energy(BubbleParams(5, lambda_inf=3.0))
         assert energy == pytest.approx(expected_bubble_energy(5, 3.0), rel=1e-8)
+
+    def test_underflowing_quantum_is_named(self):
+        # (lambda_inf K0^2)^(-n/4) used to return 0.0
+        match = r"critical-energy quantum for n=5 at lambda_inf=1e\+300 underflows float64"
+        with pytest.raises(FloatingPointError, match=match):
+            expected_bubble_energy(5, 1e300)
 
 
 def wallis_energy(n, lambda0, lambda_inf=1):
@@ -277,6 +311,16 @@ class TestPohozaevIdentity:
             for radius in (0.1, 10.0, 50.0, 1e6):
                 assert abs(pohozaev_identity_residual(w, rmax=radius)) <= 1e-14
 
+    def test_degenerate_normalization_is_named(self):
+        # at n = 8 the largest |Delta^2 w r w'| at a node is subnormal below
+        # lambda0 = 1.5e-32, where the identity read about 1e-15, 0.0 (1e-38)
+        # and 8.8e-11 (1e-40); a constant has no Laplacian to normalize by
+        w = bubble_field(BubbleParams(8, lambda0=1e-34))
+        with pytest.raises(FloatingPointError, match="scaling-identity integrand for n=8 underflows float64"):
+            pohozaev_identity_residual(w, rmax=50.0)
+        with pytest.raises(ValueError, match="identity normalization requires a nonzero Laplacian"):
+            pohozaev_identity_residual(power_profile_field(8, 0.0, amplitude=2.0), rmax=50.0)
+
     @pytest.mark.parametrize("rmax", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_radius(self, rmax):
         with pytest.raises(ValueError, match="radius must be positive and finite"):
@@ -289,7 +333,7 @@ class TestPohozaevWitness:
         assert pohozaev_witness(w, 0.0, 0.0, 50.0) == 0.0
 
     def test_zero_field(self):
-        z = constant_field(5, 0.0)
+        z = power_profile_field(5, 0.0, amplitude=0.0)
         assert pohozaev_witness(z, 1.0, 1.0, 50.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_bubble_gradient_witness_positive(self):

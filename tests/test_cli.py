@@ -94,6 +94,18 @@ class TestBubbleCheckCommand:
         assert (code, err) == (0, "")
         assert abs(json.loads(out)["pohozaev_residual"]) <= 1e-14
 
+    @pytest.mark.parametrize("n", [5, 8, 12])
+    def test_identity_underflow_is_named(self, capsys, n):
+        # below lambda0 = 1.6e-45, 1.5e-32 and 6.8e-24 (n = 5, 8, 12) the
+        # largest |Delta^2 w r w'| at a node is subnormal; at n = 8 the
+        # identity used to exit 0 reading about 1e-15, 0.0 and 8.8e-11 there
+        for k in range(-60, 61, 2):
+            code, out, err = run_cli(capsys, "bubble-check", "--dim", str(n), "--lambda0", f"1e{k}")
+            if code == 0:
+                assert abs(json.loads(out)["pohozaev_residual"]) <= 1e-14, k
+            else:
+                assert code == 2 and "float64" in err, (k, err)
+
     def test_infinite_scale_rejected(self, capsys):
         # used to exit 1 with numpy's "Geometric sequence cannot include zero"
         code, out, err = run_cli(capsys, "bubble-check", "--dim", "5", "--lambda0", "inf")
@@ -180,12 +192,6 @@ class TestBubbleCheckCommand:
             "(residual normalization lambda_inf v^(2#-1) overflows float64)"
         )
         assert_named_float64_failure(capsys, reason, "bubble-check", "--dim", dim)
-
-    def test_gridsize_zero_is_named(self, capsys):
-        # used to exit 1 with numpy's "Number of samples, -1, must be non-negative"
-        code, out, err = run_cli(capsys, "bubble-check", "--dim", "5", "--gridsize", "0")
-        assert (code, out) == (1, "")
-        assert err == "paneitz bubble-check: error: gridsize must be at least 1, got 0\n"
 
     @pytest.mark.parametrize("rmax", ["inf", "nan"])
     def test_nonfinite_rmax_is_named(self, capsys, rmax):

@@ -11,7 +11,6 @@ from paneitz.diagnostics import (
     concentration_points,
     concentration_ratios,
     multi_bubble_energy,
-    pair_bubble_energy,
     quantization_check,
 )
 from paneitz.field import PeriodicField, norms
@@ -213,7 +212,13 @@ class TestQuantization:
             one = quantization_check(n, 1.0, synthetic_bubbles=1)
             assert one.synthetic_energy == bubble_energy(BubbleParams(n=n))
             two = quantization_check(n, 1.0)
-            assert two.synthetic_energy == pair_bubble_energy(n, (0.0, 20.0), (1.0, 1e4))
+            assert two.synthetic_energy == pair(n, (0.0, 20.0), (1.0, 1e4))
+
+    def test_underflowing_quantum_is_named(self):
+        # budget / quantum used to raise a bare ZeroDivisionError
+        match = r"critical-energy quantum for n=5 at lambda_inf=1e\+300 underflows float64"
+        with pytest.raises(FloatingPointError, match=match):
+            quantization_check(5, 1.0, lambda_inf=1e300)
 
     def test_single_extremal_overflow_is_named(self):
         with warnings.catch_warnings():
@@ -308,7 +313,7 @@ def pair_oracle(n, name, lambda_inf=1):
 
 
 def pair(n, centers, scales, lambda_inf=1.0):
-    return pair_bubble_energy(n, np.array(centers), np.array(scales), lambda_inf)
+    return multi_bubble_energy(n, np.array(centers), np.array(scales), lambda_inf)
 
 
 class TestMultiBubbleEnergy:
@@ -363,7 +368,6 @@ class TestMultiBubbleEnergy:
         else:
             centers, scales = _PAIR_SETS["far-scales"]
             energy = multi_bubble_energy(n, np.array(centers), np.array(scales), lambda_inf)
-            assert energy == pair(n, centers, scales, lambda_inf)
             assert energy == pytest.approx(float(pair_oracle(n, "far-scales", lambda_inf)), rel=1e-14)
 
     @pytest.mark.parametrize("name", sorted(_PAIR_SETS))
@@ -372,7 +376,6 @@ class TestMultiBubbleEnergy:
         # the cell rule read up to 3.6e-10 low here at n = 5; the pair's
         # reduction reads within 1.3e-15 of the oracle
         energy = multi_bubble_energy(n, *map(np.array, _PAIR_SETS[name]))
-        assert energy == pair(n, *_PAIR_SETS[name])
         assert energy == pytest.approx(float(pair_oracle(n, name)), rel=1e-14)
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -449,9 +452,7 @@ class TestPairBubbleEnergy:
         # sinh(D/2) is a float64 (5e299, 1e81 and 1.6e152: D = 1381.6, 374.4
         # and 702.3), where the cell rule read "outside the float64 range";
         # read within 3.6e-15, 2.2e-16 and 2.4e-15
-        energy = pair(5, centers, scales)
-        assert energy == pytest.approx(2 * expected_bubble_energy(5), rel=rel)
-        assert multi_bubble_energy(5, np.array(centers), np.array(scales)) == energy
+        assert pair(5, centers, scales) == pytest.approx(2 * expected_bubble_energy(5), rel=rel)
 
     @pytest.mark.parametrize(
         "scales", [(1.0, 1e160), (1e-305, 1.0)], ids=["large-scale", "small-scale"]
@@ -475,6 +476,19 @@ class TestPairBubbleEnergy:
             with pytest.raises(FloatingPointError, match="critical-energy integrand for n=162 overflows float64"):
                 quantization_check(162, 1.0)
 
+    def test_coincident_pair_is_two_sharp_powers_of_a_single_energy(self):
+        # one prefactor for one and two extremals: read within 4.9e-16 for
+        # n = 5..161, where raising amp/2^m to the rounded 2# for the pair
+        # alone read up to 6.9e-14 (n = 150)
+        for n in range(5, 162):
+            expected = 2.0 ** critical_exponent(n) * bubble_energy(BubbleParams(n=n))
+            assert pair(n, (0.0, 0.0), (1.0, 1.0)) == pytest.approx(expected, rel=1e-15), n
+
+    def test_underflowing_prefactor_is_named(self):
+        # used to return 0.0
+        with pytest.raises(FloatingPointError, match="critical-energy integrand for n=5 underflows float64"):
+            pair(5, (0.0, 20.0), (1.0, 1e4), lambda_inf=1e300)
+
     @pytest.mark.parametrize(
         "centers, scales",
         [((0.0, 1e300), (1e10, 1e10)), ((-1e308, 1e308), (1.0, 1.0)), ((0.0, 0.0), (5e-324, 1e300))],
@@ -488,7 +502,7 @@ class TestPairBubbleEnergy:
         "centers, scales, kwargs, match",
         [
             ((0.0, 20.0), (1.0,), {}, "centers and lambda0s must be matching 1-d arrays"),
-            ((0.0, 20.0, 40.0), (1.0, 1.0, 1.0), {}, "need exactly two profiles, got 3"),
+            ((0.0, 20.0, 40.0), (1.0, 1.0, 1.0), {}, "need 1 or 2 profiles, got 3"),
             ((0.0, np.inf), (1.0, 1.0), {}, "must be finite"),
             ((0.0, 20.0), (1.0, np.nan), {}, "must be finite"),
             ((0.0, 20.0), (1.0, 0.0), {}, "concentration scale must be positive"),
