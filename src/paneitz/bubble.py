@@ -1,4 +1,4 @@
-"""The explicit radial extremal of Delta^2 v = lambda_inf v^(2#-1) on R^n,
+"""The explicit radial extremal of Delta^2 v = v^(2#-1) on R^n,
 its exactness and energy checks, and the scaling-identity (Pohozaev) integrals.
 
 Radial derivative conventions: Delta f = f'' + (n-1) f'/r, applied twice for
@@ -47,20 +47,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BubbleParams:
-    """Radial extremal data: dimension, concentration scale and equation
-    normalization lambda_inf."""
+    """Radial extremal data: dimension and concentration scale."""
 
     n: int
     lambda0: float = 1.0
-    lambda_inf: float = 1.0
 
     def __post_init__(self):
         if self.n < 5:
             raise ValueError(f"dimension must be >= 5, got {self.n}")
         if not 0 < self.lambda0 < math.inf:
             raise ValueError(f"concentration scale must be positive and finite, got {self.lambda0}")
-        if not 0 < self.lambda_inf < math.inf:
-            raise ValueError(f"lambda_inf must be positive and finite, got {self.lambda_inf}")
 
     @property
     def two_sharp(self) -> float:
@@ -68,11 +64,8 @@ class BubbleParams:
 
     @property
     def amplitude(self) -> float:
-        """Peak prefactor lambda_inf^(-1/(2#-2)) c_n lambda0^((n-4)/2)."""
-        m = (self.n - 4) / 2.0
-        return self.lambda_inf ** (-1.0 / (self.two_sharp - 2.0)) * bubble_coefficient(
-            self.n
-        ) * self.lambda0**m
+        """Peak prefactor c_n lambda0^((n-4)/2)."""
+        return bubble_coefficient(self.n) * self.lambda0 ** ((self.n - 4) / 2.0)
 
 
 @dataclass
@@ -125,7 +118,8 @@ def power_profile_field(
 ) -> RadialField:
     """amplitude * (1 + (scale r)^2)^(-exponent) with exact callbacks; its
     Laplacians are the w-forms of the module docstring.  Exponent 0 is the
-    constant ``amplitude``, with derivatives exactly zero."""
+    constant ``amplitude``, with derivatives exactly zero; a constant, zero
+    included, has no concentration scale, so its field's ``scale`` is 0."""
     m, lam, amp = float(exponent), float(scale), float(amplitude)
 
     def value(r):
@@ -149,25 +143,19 @@ def power_profile_field(
         deriv1=deriv1,
         laplacian=laplacian,
         bilaplacian=bilaplacian,
-        scale=abs(lam),
+        scale=abs(lam) if m and amp else 0.0,
     )
 
 
-def bubble_field(params: BubbleParams, scale: float = 1.0) -> RadialField:
-    """The (optionally amplitude-scaled) extremal as a RadialField with exact
-    closed-form callbacks: v(r) = lambda_inf^(-1/(2#-2)) c_n
-    (lambda0 / (1 + lambda0^2 r^2))^((n-4)/2) is its ``value``."""
+def bubble_field(params: BubbleParams) -> RadialField:
+    """The extremal as a RadialField with exact closed-form callbacks:
+    v(r) = c_n (lambda0 / (1 + lambda0^2 r^2))^((n-4)/2) is its ``value``."""
     n = params.n
-    return power_profile_field(
-        dim=n,
-        exponent=(n - 4) / 2.0,
-        scale=params.lambda0,
-        amplitude=scale * params.amplitude,
-    )
+    return power_profile_field(dim=n, exponent=(n - 4) / 2.0, scale=params.lambda0, amplitude=params.amplitude)
 
 
 def pde_residual(params: BubbleParams, rmax: float = 50.0, field: RadialField | None = None) -> float:
-    """sup of |Delta^2 v - lambda_inf v^(2#-1)| / v^(2#-1), Delta^2 v the
+    """sup of |Delta^2 v - v^(2#-1)| / v^(2#-1), Delta^2 v the
     field's closed-form callback, over r = 0 (where the callbacks are
     regular) and the nodes of ``_ball_rule(field, rmax)``: the scaling
     identity's nodes, geometric toward 0 and the rim and reaching below
@@ -183,26 +171,24 @@ def pde_residual(params: BubbleParams, rmax: float = 50.0, field: RadialField | 
         raise ValueError("residual normalization requires a positive field")
     power = params.two_sharp - 1.0
     try:
-        peak = params.lambda_inf * float(np.max(v)) ** power
+        peak = float(np.max(v)) ** power
     except OverflowError:
         peak = math.inf
     if not math.isfinite(peak):
-        raise FloatingPointError("residual normalization lambda_inf v^(2#-1) overflows float64")
-    rhs = params.lambda_inf * v**power
+        raise FloatingPointError("residual normalization v^(2#-1) overflows float64")
+    rhs = v**power
     if not np.all(rhs > 0):
-        raise FloatingPointError("residual normalization lambda_inf v^(2#-1) underflows float64")
+        raise FloatingPointError("residual normalization v^(2#-1) underflows float64")
     lhs = np.asarray(f.bilaplacian(r), dtype=float)
     return float(np.max(np.abs(lhs - rhs) / rhs))
 
 
-def expected_bubble_energy(n: int, lambda_inf: float = 1.0) -> float:
-    """(lambda_inf K0^2)^(-n/4), the single-extremal critical energy quantum.
-    A quantum that underflows float64 (n = 5 at lambda_inf = 1e300) is named."""
+def expected_bubble_energy(n: int) -> float:
+    """K0^(-n/2), the single-extremal critical energy quantum of
+    Delta^2 v = v^(2#-1); it is a finite float64 for n = 5..171, and
+    ``sharp_constant`` names its float64 failure from n = 172."""
     _, k0_inv_sq = sharp_constant(n)
-    quantum = (lambda_inf / k0_inv_sq) ** (-n / 4.0)
-    if quantum == 0.0:
-        raise FloatingPointError(f"critical-energy quantum for n={n} at lambda_inf={lambda_inf!r} underflows float64")
-    return quantum
+    return (1.0 / k0_inv_sq) ** (-n / 4.0)
 
 
 _TAIL = 80.0   # log-variable sums stop where the integrand has fallen by e^-80
@@ -239,20 +225,19 @@ def _energy_sum(n: int, step: float, half_d: float | None = None) -> float:
     return float(2.0 * f.sum() - f[0])
 
 
-def _critical_energy(n: int, lambda_inf: float, step: float, half_d: float | None = None) -> float:
-    """omega_(n-1) (n (n-4) (n^2-4) / (16 lambda_inf))^(n/4) step ``_energy_sum(n,
-    step, half_d)``: the critical energy of one extremal, or of two at
-    hyperbolic distance 2 half_d.  The prefactor is (amp/2^m)^(2#), amp the
-    lambda0 = 1 peak value, with the exact exponent n/4: raising amp/2^m to
-    the rounded 2# costs up to 7e-14 at high n.  A prefactor outside float64
-    (from n = 162, or at lambda_inf = 1e300) is named."""
+def _critical_energy(n: int, step: float, half_d: float | None = None) -> float:
+    """omega_(n-1) (n (n-4) (n^2-4) / 16)^(n/4) step ``_energy_sum(n, step,
+    half_d)``: the critical energy of one extremal, or of two at hyperbolic
+    distance 2 half_d.  The prefactor is (amp/2^m)^(2#), amp the lambda0 = 1
+    peak value, with the exact exponent n/4: raising amp/2^m to the rounded
+    2# costs up to 7e-14 at high n.  A prefactor that overflows float64
+    (from n = 162) is named."""
     try:
-        prefactor = sphere_volume(n - 1) * (n * (n - 4) * (n * n - 4) / (16.0 * lambda_inf)) ** (n / 4)
+        prefactor = sphere_volume(n - 1) * (n * (n - 4) * (n * n - 4) / 16.0) ** (n / 4)
     except OverflowError:
         prefactor = math.inf
-    if not 0.0 < prefactor < math.inf:
-        why = "overflows" if prefactor else "underflows"
-        raise FloatingPointError(f"critical-energy integrand for n={n} {why} float64")
+    if prefactor == math.inf:
+        raise FloatingPointError(f"critical-energy integrand for n={n} overflows float64")
     return prefactor * step * _energy_sum(n, step, half_d)
 
 
@@ -266,7 +251,7 @@ def bubble_energy(params: BubbleParams) -> float:
     with a warning above 1e-9 relative.
     """
     n = params.n
-    energy, check = (_critical_energy(n, params.lambda_inf, step) for step in (1.0 / n, 0.5 / n))
+    energy, check = (_critical_energy(n, step) for step in (1.0 / n, 0.5 / n))
     if abs(check - energy) > 1e-9 * abs(check):
         warnings.warn(f"critical energy quadrature not converged: {energy!r} vs {check!r}", RuntimeWarning)
     return energy
@@ -308,8 +293,10 @@ def pohozaev_identity_residual(w: RadialField, rmax: float = 40.0) -> float:
     n = 146 at lambda0 = 1, c_n^2 near 1e300) raise ``FloatingPointError``,
     and so do integrands whose largest node value is below the smallest
     normal float64 (the extremal at n = 8 below lambda0 = 1.5e-32), where
-    the sums keep too few digits to check anything.  A constant field, with
-    no Laplacian to normalize by, raises ``ValueError``.
+    the sums keep too few digits to check anything (down to a Laplacian and
+    gradient that are 0 at every node, n = 8 at lambda0 = 1e-90).  A
+    constant, with no concentration scale and no Laplacian to normalize by,
+    raises ``ValueError``.
     """
     n = w.dim
     r, wq = _ball_rule(w, rmax)
@@ -322,7 +309,7 @@ def pohozaev_identity_residual(w: RadialField, rmax: float = 40.0) -> float:
         flux = rmax * d1[-1] * i0 + rim * ((n - 2) * d1[-1] - 0.5 * rmax * lap[-1])
     if not math.isfinite(i0 + i1 + i2 + flux):
         raise FloatingPointError(f"scaling-identity integrands for n={n} overflow float64")
-    if not (np.any(lap != 0.0) or np.any(d1 != 0.0)):
+    if w.scale == 0.0 and not (np.any(lap != 0.0) or np.any(d1 != 0.0)):
         raise ValueError("identity normalization requires a nonzero Laplacian")
     tiny = sys.float_info.min
     if np.max(lap_sq) < tiny or (np.any(bilap != 0.0) and np.max(np.abs(moment)) < tiny):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 __all__ = [
     "FactorizationError",
@@ -161,7 +161,7 @@ class ScheduleReport:
     a2_growth_factor: float
     a2_proxy_ok: bool
     accepted: bool
-    note: str = "a/alpha divergence assessed by finite-grid proxy, not as a limit"
+    note: ClassVar[str] = "a/alpha divergence assessed by finite-grid proxy, not as a limit"
 
 
 def validate_schedule(

@@ -21,12 +21,11 @@ Two normalizations of the gradient ratio are reported:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bubble import BubbleParams, _critical_energy, bubble_energy, expected_bubble_energy
+from .bubble import BubbleParams, _critical_energy, expected_bubble_energy
 from .constants import OperatorParams
 from .field import PeriodicField, _ball_masses, _ball_radius, localized_mass, norms
 
@@ -150,14 +149,14 @@ class QuantizationReport:
     synthetic_ok: bool              # within 2 percent of k quanta
 
 
-def multi_bubble_energy(n: int, centers: np.ndarray, lambda0s: np.ndarray, lambda_inf: float = 1.0) -> float:
-    """Critical energy of a sum of one or two radial extremals on R^n.
+def multi_bubble_energy(n: int, centers: np.ndarray, lambda0s: np.ndarray) -> float:
+    """Critical energy of a sum of two radial extremals on R^n; one
+    extremal's energy is ``bubble_energy``.
 
-    One extremal is ``bubble_energy`` of its scale.  Two reduce conformally
-    to one dimension.  Extremal j is a point (c_j, 1/lam_j) of hyperbolic
-    space H^(n+1).  Möbius maps of R^n keep int u^(2#) and carry extremals
-    to extremals, so the energy depends only on the hyperbolic distance D
-    of the two points,
+    The pair reduces conformally to one dimension.  Extremal j is a point
+    (c_j, 1/lam_j) of hyperbolic space H^(n+1).  Möbius maps of R^n keep
+    int u^(2#) and carry extremals to extremals, so the energy depends only
+    on the hyperbolic distance D of the two points,
         sinh(D/2) = (1/2) sqrt((lam1 - lam2)^2/(lam1 lam2) + lam1 lam2 |c1 - c2|^2),
     and is that of the concentric pair with scales 1 and e^D.  In
     y = ln(e^D r), with w(z) = 1/(1 + e^(2z)) and m = (n-4)/2, the integral
@@ -172,9 +171,9 @@ def multi_bubble_energy(n: int, centers: np.ndarray, lambda0s: np.ndarray, lambd
     sech^n falls below e^-80 (123 nodes at n = 5 and 148 at n = 8 for the
     quantization pair).  A pair whose sinh(D/2) is outside the float64
     range raises ``FloatingPointError``, and so does a prefactor that
-    overflows (from n = 162) or underflows (lambda_inf = 1e300).  Three or
-    more profiles raise ``ValueError``: three points of H^(n+1) need not
-    lie on one geodesic, so they have no one-dimensional reduction.
+    overflows (from n = 162).  Any other number of profiles raises
+    ``ValueError``: three points of H^(n+1) need not lie on one geodesic,
+    so they have no one-dimensional reduction.
     """
     centers = np.asarray(centers, dtype=float)
     lambda0s = np.asarray(lambda0s, dtype=float)
@@ -182,12 +181,12 @@ def multi_bubble_energy(n: int, centers: np.ndarray, lambda0s: np.ndarray, lambd
         raise ValueError("centers and lambda0s must be matching 1-d arrays")
     if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(lambda0s))):
         raise ValueError("centers and concentration scales must be finite")
-    profiles = [BubbleParams(n=n, lambda0=lam, lambda_inf=lambda_inf) for lam in lambda0s.tolist()]
-    if len(profiles) == 1:
-        return bubble_energy(profiles[0])
-    if len(profiles) != 2:
-        raise ValueError(f"need 1 or 2 profiles, got {len(profiles)}" if profiles else "need at least one profile")
+    if centers.size != 2:
+        single = "; one profile's energy is bubble_energy" if centers.size == 1 else ""
+        raise ValueError(f"need exactly two profiles, got {centers.size}{single}")
     (c1, c2), (lam1, lam2) = centers.tolist(), lambda0s.tolist()
+    for lam in (lam1, lam2):
+        BubbleParams(n=n, lambda0=lam)  # names a bad dimension or scale
     root = math.sqrt(lam1) * math.sqrt(lam2)
     sinh_half = 0.5 * math.hypot(abs(lam1 - lam2) / root, root * abs(c1 - c2))
     if not math.isfinite(sinh_half):
@@ -195,61 +194,39 @@ def multi_bubble_energy(n: int, centers: np.ndarray, lambda0s: np.ndarray, lambd
             f"hyperbolic distance of centers ({c1:.6g}, {c2:.6g}) at scales ({lam1:.6g}, {lam2:.6g}) "
             "is outside the float64 range"
         )
-    return _critical_energy(n, lambda_inf, 1.0 / n, math.asinh(sinh_half))
+    return _critical_energy(n, 1.0 / n, math.asinh(sinh_half))
 
 
-def quantization_check(
-    n: int,
-    budget: float,
-    lambda_inf: float = 1.0,
-    synthetic_bubbles: int = 2,
-    separation: float = 20.0,
-    lambda0: float = 1.0,
-    scale_ratio: float = 1e4,
-) -> QuantizationReport:
+def quantization_check(n: int, budget: float) -> QuantizationReport:
     """Largest k with k quanta <= budget, plus a synthetic additivity check.
 
-    The quantum is ``expected_bubble_energy``, (lambda_inf K0^2)^(-n/4); one
-    that underflows float64 (lambda_inf = 1e300 at n = 5) raises its
-    ``FloatingPointError``.  The synthetic field is a sum of
-    ``synthetic_bubbles`` extremals with pairwise center distance
-    ``separation / lambda0`` and concentration scales lambda0 * scale_ratio^i.
-    The scale hierarchy mirrors how multi-point concentration actually
-    arranges itself (relative scales degenerate); with comparable scales the
-    critical power couples the slow tails strongly in low dimensions and
-    additivity fails at any modest separation.  ``multi_bubble_energy``
-    integrates the field with no truncation: two extremals, the default, by
-    its conformal reduction (a trapezoid sum of about 150 nodes), one by
-    ``bubble_energy``.  Other counts are refused.
+    The quantum is ``expected_bubble_energy``, K0^(-n/2).  The synthetic
+    field is the pair of extremals centered at 0 and 20 with concentration
+    scales 1 and 1e4; the report's ``synthetic_bubbles``, ``separation``
+    and ``scale_ratio`` state it.  The scale hierarchy mirrors how
+    multi-point concentration actually arranges itself (relative scales
+    degenerate); with comparable scales the critical power couples the slow
+    tails strongly in low dimensions and additivity fails at any modest
+    separation.  ``multi_bubble_energy`` integrates the pair with no
+    truncation, by its conformal reduction (a trapezoid sum of about 150
+    nodes); its prefactor overflow from n = 162 is named.
     """
     if not 0 < budget < math.inf:
         raise ValueError(f"energy budget must be positive and finite, got {budget}")
-    if not 0 < lambda_inf < math.inf:
-        raise ValueError(f"lambda_inf must be positive and finite, got {lambda_inf}")
-    if not isinstance(synthetic_bubbles, numbers.Integral) or synthetic_bubbles < 1:
-        raise ValueError(f"synthetic_bubbles must be a positive integer, got {synthetic_bubbles!r}")
-    if synthetic_bubbles > 2:
-        raise ValueError(f"synthetic_bubbles must be 1 or 2, got {synthetic_bubbles}")
-    if not separation > 0 or not lambda0 > 0:
-        raise ValueError("separation and lambda0 must be positive")
-    if not 0 < scale_ratio < math.inf:
-        raise ValueError(f"scale_ratio must be positive and finite, got {scale_ratio}")
-    quantum = expected_bubble_energy(n, lambda_inf)
+    quantum = expected_bubble_energy(n)
     ratio = budget / quantum
     k_max = int(math.floor(ratio + 1e-9 * max(1.0, ratio)))
 
-    k = synthetic_bubbles
-    spacing = separation / lambda0
-    scales = lambda0 * scale_ratio ** np.arange(k)
-    energy = multi_bubble_energy(n, np.arange(k) * spacing, scales, lambda_inf)
-    expected = k * quantum
+    separation, scale_ratio = 20.0, 1e4
+    energy = multi_bubble_energy(n, np.array([0.0, separation]), np.array([1.0, scale_ratio]))
+    expected = 2 * quantum
     rel = (energy - expected) / expected
     return QuantizationReport(
         k_max=k_max,
         quantum=quantum,
         budget=budget,
-        synthetic_bubbles=k,
-        separation=spacing,
+        synthetic_bubbles=2,
+        separation=separation,
         scale_ratio=scale_ratio,
         synthetic_energy=energy,
         synthetic_expected=expected,

@@ -264,24 +264,6 @@ def norms(u: PeriodicField, params: OperatorParams | None = None) -> NormReport:
     return NormReport(l2=l2, grad_l2=grad, hess_l2=hess, energy=energy, pairing=pairing)
 
 
-_DENSITY_KINDS = ("l2", "grad_l2", "hess_l2", "energy")
-
-
-def _density_samples(u: PeriodicField, kind: str) -> np.ndarray:
-    if kind == "l2":
-        return u.fine_values() ** 2
-    if kind == "grad_l2":
-        return u.derivative(1).fine_values() ** 2
-    if kind == "hess_l2":
-        # on the flat product, the only nonzero Hessian entry of a
-        # circle-reduced field is u''
-        return u.derivative(2).fine_values() ** 2
-    if kind == "energy":
-        two_sharp = critical_exponent(u.spec.n)
-        return np.abs(u.fine_values()) ** two_sharp
-    raise ValueError(f"unknown density kind {kind!r}; expected one of {_DENSITY_KINDS}")
-
-
 def _arc_integral(
     densities: np.ndarray, spec: ManifoldSpec, center: float, delta: float, keep: int | None = None
 ) -> np.ndarray:
@@ -314,22 +296,28 @@ def _ball_radius(spec: ManifoldSpec, delta: float | None) -> float:
 
 
 def localized_mass(u: PeriodicField, center: float, delta: float, kind: str) -> float:
-    """Mass of a quadratic/critical density over the ball of radius delta.
+    """Mass of the density u^2, u'^2, u''^2 (``_ball_masses``) or |u|^(2#)
+    (``kind`` "l2", "grad_l2", "hess_l2" or "energy") over the ball of radius delta.
 
     The ball lives on the circle factor and is crossed with the whole sphere,
     so the result is the arc integral times omega_(n-1).  Requires
     0 < delta < L/2.
     """
     delta = _ball_radius(u.spec, delta)
-    density = _density_samples(u, kind)
-    omega = sphere_volume(u.spec.sphere_dim)
-    return omega * float(_arc_integral(density, u.spec, center, delta))
+    kinds = ("l2", "grad_l2", "hess_l2", "energy")
+    if kind not in kinds:
+        raise ValueError(f"unknown density kind {kind!r}; expected one of {kinds}")
+    if kind != "energy":
+        return float(_ball_masses(u, center, delta)[kinds.index(kind)])
+    density = np.abs(u.fine_values()) ** critical_exponent(u.spec.n)
+    return sphere_volume(u.spec.sphere_dim) * float(_arc_integral(density, u.spec, center, delta))
 
 
 def _ball_masses(u: PeriodicField, center: float, delta: float) -> np.ndarray:
-    """``localized_mass`` of the l2, grad_l2 and hess_l2 densities from one
-    batched inverse FFT of u, u', u'' to the fine grid: it has at least 4N
-    points, so the squares' modes |k| <= N are exact, and only those are summed."""
+    """Ball masses of u^2, u'^2 and u''^2 (on the flat product, u'' is the only
+    nonzero Hessian entry of a circle-reduced field) from one batched inverse
+    FFT of u, u', u'' to the fine grid: it has at least 4N points, so the
+    squares' modes |k| <= N are exact, and only those are summed."""
     nf = u.fine_size()
     stack = [_pad(v.coeffs, nf) for v in (u, u.derivative(1), u.derivative(2))]
     fine = np.fft.irfft(nf * np.array(stack), nf)

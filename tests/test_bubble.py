@@ -118,7 +118,7 @@ class TestPdeResidual:
 
     def test_scaled_profile_is_not_a_solution(self):
         params = BubbleParams(5)
-        scaled = bubble_field(params, scale=1.1)
+        scaled = power_profile_field(5, (5 - 4) / 2, params.lambda0, 1.1 * params.amplitude)
         assert pde_residual(params, field=scaled) >= 0.1
 
     def test_constant_field_residual_is_one(self):
@@ -156,10 +156,8 @@ class TestBubbleParams:
             ({"lambda0": math.inf}, "concentration scale must be positive and finite"),
             ({"lambda0": math.nan}, "concentration scale must be positive and finite"),
             ({"lambda0": 0.0}, "concentration scale must be positive and finite"),
-            ({"lambda_inf": math.inf}, "lambda_inf must be positive and finite"),
-            ({"lambda_inf": -1.0}, "lambda_inf must be positive and finite"),
         ],
-        ids=["inf-scale", "nan-scale", "zero-scale", "inf-lambda-inf", "negative-lambda-inf"],
+        ids=["inf-scale", "nan-scale", "zero-scale"],
     )
     def test_rejects_bad_scales(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -185,18 +183,15 @@ class TestBubbleEnergy:
         assert energy == pytest.approx(sharp_constant(8)[1] ** 2, rel=1e-3)
         assert energy == pytest.approx(653.8**2, rel=1e-2)
 
-    def test_lambda_inf_normalization(self):
-        energy = bubble_energy(BubbleParams(5, lambda_inf=3.0))
-        assert energy == pytest.approx(expected_bubble_energy(5, 3.0), rel=1e-8)
-
-    def test_underflowing_quantum_is_named(self):
-        # (lambda_inf K0^2)^(-n/4) used to return 0.0
-        match = r"critical-energy quantum for n=5 at lambda_inf=1e\+300 underflows float64"
-        with pytest.raises(FloatingPointError, match=match):
-            expected_bubble_energy(5, 1e300)
+    def test_quantum_is_finite_until_gamma_overflows(self):
+        # K0^(-n/2) reads up to 3.4e244 at n = 171; from n = 172 Gamma(n)
+        # leaves float64 inside sharp_constant, which names it
+        assert all(0.0 < expected_bubble_energy(n) < math.inf for n in range(5, 172))
+        with pytest.raises(FloatingPointError, match=r"sharp constant for n=172: Gamma\(n\) is outside the float64 range"):
+            expected_bubble_energy(172)
 
 
-def wallis_energy(n, lambda0, lambda_inf=1):
+def wallis_energy(n, lambda0):
     """omega_(n-1) amp^(2#) lambda0^(-n) 2^(-n) sqrt(pi) Gamma(n/2) / Gamma((n+1)/2)
     at 30 digits, with amp and c_n from their formulas: after
     r = tan(theta)/lambda0 the integrand is amp^(2#) lambda0^(-n) (sin(2 theta)/2)^(n-1),
@@ -205,7 +200,7 @@ def wallis_energy(n, lambda0, lambda_inf=1):
         n_, lam = mpmath.mpf(n), mpmath.mpf(lambda0)
         two_sharp = 2 * n_ / (n_ - 4)
         c_n = (n_ * (n_ - 4) * (n_**2 - 4)) ** ((n_ - 4) / 8)
-        amp = mpmath.mpf(lambda_inf) ** (-1 / (two_sharp - 2)) * c_n * lam ** ((n_ - 4) / 2)
+        amp = c_n * lam ** ((n_ - 4) / 2)
         omega = 2 * mpmath.pi ** (n_ / 2) / mpmath.gamma(n_ / 2)
         wallis = mpmath.sqrt(mpmath.pi) * mpmath.gamma(n_ / 2) / mpmath.gamma((n_ + 1) / 2)
         return omega * amp**two_sharp * lam ** (-n_) * 2 ** (-n_) * wallis
@@ -220,10 +215,6 @@ class TestBubbleEnergyOracle:
         rel = abs(mpmath.mpf(energy) / wallis_energy(n, lambda0) - 1)
         assert rel <= (1e-14 if n <= 20 else 5e-14)
 
-    def test_lambda_inf_matches_closed_form(self):
-        energy = bubble_energy(BubbleParams(7, 1.5, lambda_inf=3.0))
-        assert abs(mpmath.mpf(energy) / wallis_energy(7, 1.5, 3.0) - 1) <= 1e-14
-
     @pytest.mark.parametrize("n", [5, 6, 8, 9, 12, 20, 63, 161])
     def test_scale_cancels_exactly(self, n):
         # lambda0 cancels from the sum in y = ln(lambda0 r), so every scale
@@ -233,21 +224,14 @@ class TestBubbleEnergyOracle:
         rel = abs(mpmath.mpf(energies.pop()) / wallis_energy(n, 1.0) - 1)
         assert rel <= (1e-14 if n <= 20 else 5e-14)
 
-    @pytest.mark.parametrize("lambda_inf", [1.0, 3.0])
-    def test_every_dimension_matches_closed_form(self, lambda_inf):
+    def test_every_dimension_matches_closed_form(self):
         # the prefactor is raised to the exact exponent n/4: read within
         # 1.1e-15 for n <= 20 and 7.2e-15 up to n = 161, where raising
         # amp/2^m to the rounded 2# read up to 6.7e-14 off
         for n in range(5, 162):
-            energy = bubble_energy(BubbleParams(n, lambda_inf=lambda_inf))
-            rel = abs(mpmath.mpf(energy) / wallis_energy(n, 1.0, lambda_inf) - 1)
+            energy = bubble_energy(BubbleParams(n))
+            rel = abs(mpmath.mpf(energy) / wallis_energy(n, 1.0) - 1)
             assert rel <= (2e-15 if n <= 20 else 1e-14), n
-
-    def test_underflowing_prefactor_is_named(self):
-        # (n (n-4) (n^2-4) / (16 lambda_inf))^(n/4) underflows; the panels
-        # named the same underflow through their integrand
-        with pytest.raises(FloatingPointError, match="critical-energy integrand for n=5 underflows float64"):
-            bubble_energy(BubbleParams(5, lambda_inf=1e300))
 
     @pytest.mark.parametrize("n", [5, 8, 20, 161])
     def test_halved_step_agrees(self, n):
@@ -289,7 +273,8 @@ class TestPohozaevIdentity:
         # integration by parts holds for every smooth radial field: a scaled
         # extremal and a power profile of another exponent are no solutions
         params = BubbleParams(n, lambda0=1.7)
-        for w in (bubble_field(params, scale=1.1), power_profile_field(n, 0.75 * n, scale=0.3)):
+        scaled = power_profile_field(n, (n - 4) / 2, params.lambda0, 1.1 * params.amplitude)
+        for w in (scaled, power_profile_field(n, 0.75 * n, scale=0.3)):
             for radius in (0.5, 4.0, 50.0):
                 assert abs(pohozaev_identity_residual(w, rmax=radius)) <= 1e-14
 
@@ -311,15 +296,25 @@ class TestPohozaevIdentity:
             for radius in (0.1, 10.0, 50.0, 1e6):
                 assert abs(pohozaev_identity_residual(w, rmax=radius)) <= 1e-14
 
-    def test_degenerate_normalization_is_named(self):
+    @pytest.mark.parametrize("n, lambda0", [(8, 1e-34), (8, 1e-90), (12, 1e-60)])
+    def test_degenerate_normalization_is_named(self, n, lambda0):
         # at n = 8 the largest |Delta^2 w r w'| at a node is subnormal below
         # lambda0 = 1.5e-32, where the identity read about 1e-15, 0.0 (1e-38)
-        # and 8.8e-11 (1e-40); a constant has no Laplacian to normalize by
-        w = bubble_field(BubbleParams(8, lambda0=1e-34))
-        with pytest.raises(FloatingPointError, match="scaling-identity integrand for n=8 underflows float64"):
+        # and 8.8e-11 (1e-40).  At 1e-90 (n = 8) and 1e-60 (n = 12) the
+        # Laplacian and gradient underflow to 0 at every node, which was
+        # refused as a usage error, "requires a nonzero Laplacian"
+        w = bubble_field(BubbleParams(n, lambda0=lambda0))
+        with pytest.raises(FloatingPointError, match=f"scaling-identity integrand for n={n} underflows float64"):
             pohozaev_identity_residual(w, rmax=50.0)
+
+    @pytest.mark.parametrize("exponent, amplitude", [(0.0, 2.0), (0.0, 0.0), (2.0, 0.0)])
+    def test_constant_has_no_laplacian_to_normalize_by(self, exponent, amplitude):
+        # a constant, zero included, has no concentration scale; its
+        # vanishing Laplacian is no underflow
+        c = power_profile_field(8, exponent, amplitude=amplitude)
+        assert c.scale == 0.0
         with pytest.raises(ValueError, match="identity normalization requires a nonzero Laplacian"):
-            pohozaev_identity_residual(power_profile_field(8, 0.0, amplitude=2.0), rmax=50.0)
+            pohozaev_identity_residual(c, rmax=50.0)
 
     @pytest.mark.parametrize("rmax", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_radius(self, rmax):

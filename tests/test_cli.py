@@ -185,11 +185,11 @@ class TestBubbleCheckCommand:
 
     @pytest.mark.parametrize("dim", ["253", "259"])
     def test_residual_normalization_overflow_is_named(self, capsys, dim):
-        # lambda_inf v(0)^(2#-1) leaves float64 for n = 253..259 at lambda0 = 1;
+        # v(0)^(2#-1) leaves float64 for n = 253..259 at lambda0 = 1;
         # it used to exit 2 with numpy's "overflow encountered in power"
         reason = (
             f"extremal for n={dim} at lambda0=1.0 is outside the float64 range "
-            "(residual normalization lambda_inf v^(2#-1) overflows float64)"
+            "(residual normalization v^(2#-1) overflows float64)"
         )
         assert_named_float64_failure(capsys, reason, "bubble-check", "--dim", dim)
 
@@ -216,7 +216,6 @@ class TestBubbleCheckCommand:
             warnings.simplefilter("error")
             assert run_cli(capsys, "bubble-check", "--dim", "5")[0] == 0
         assert paneitz.diagnostics.quantization_check(5, 1.5).synthetic_ok
-        assert paneitz.diagnostics.quantization_check(5, 1.5, synthetic_bubbles=1).synthetic_ok
         assert orders == []
 
 

@@ -157,22 +157,18 @@ class TestQuantization:
         rep = quantization_check(5, 3.5 * expected_bubble_energy(5))
         assert rep.k_max == 3
 
-    def test_single_profile_energy(self):
-        energy = multi_bubble_energy(5, np.array([0.0]), np.array([1.0]))
-        assert energy == pytest.approx(expected_bubble_energy(5), rel=1e-6)
-
     def test_two_bubble_additivity(self):
         rep = quantization_check(5, expected_bubble_energy(5))
-        assert rep.synthetic_bubbles == 2
-        assert rep.separation == 20.0
+        assert (rep.synthetic_bubbles, rep.separation, rep.scale_ratio) == (2, 20.0, 1e4)
+        assert rep.synthetic_expected == 2 * rep.quantum
         assert abs(rep.synthetic_rel_dev) <= 0.02
         assert rep.synthetic_ok
 
     def test_interaction_decays_with_separation(self):
-        devs = [
-            abs(quantization_check(5, 1.0, separation=s).synthetic_rel_dev)
-            for s in (20.0, 40.0, 80.0)
-        ]
+        # the quantization pair's scales (1, 1e4) at distances 20, 40 and 80
+        # read ever closer to two quanta
+        quanta = 2 * expected_bubble_energy(5)
+        devs = [abs(pair(5, (0.0, s), (1.0, 1e4)) / quanta - 1) for s in (20.0, 40.0, 80.0)]
         assert devs[0] > devs[1] > devs[2]
 
     def test_equal_scales_overcount_in_low_dimension(self):
@@ -190,44 +186,25 @@ class TestQuantization:
         "kwargs, match",
         [
             ({"budget": math.inf}, "energy budget must be positive and finite"),
-            ({"lambda_inf": math.inf}, "lambda_inf must be positive and finite"),
-            ({"synthetic_bubbles": 2.5}, "synthetic_bubbles must be a positive integer"),
-            ({"synthetic_bubbles": 3}, "synthetic_bubbles must be 1 or 2, got 3"),
         ],
-        ids=["infinite-budget", "infinite-lambda-inf", "fractional-bubbles", "three-bubbles"],
+        ids=["infinite-budget"],
     )
     def test_names_bad_input(self, kwargs, match):
-        # these raised a bare OverflowError, a ZeroDivisionError and, for 2.5
-        # bubbles, built three profiles and reported 2.5
+        # an infinite budget raised a bare OverflowError
         with pytest.raises(ValueError, match=match):
             quantization_check(5, **{"budget": 1.0, **kwargs})
 
     @pytest.mark.parametrize("n", range(5, 162))
     def test_synthetic_energy_is_the_exact_rule(self, n):
-        # one extremal is bubble_energy and two are the pair, bit for bit, up
-        # to the last dimension whose critical integrand fits in float64; the
-        # one-profile cell rule overflowed from n = 127
+        # the pair, bit for bit, up to the last dimension whose critical
+        # integrand fits in float64
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            one = quantization_check(n, 1.0, synthetic_bubbles=1)
-            assert one.synthetic_energy == bubble_energy(BubbleParams(n=n))
             two = quantization_check(n, 1.0)
             assert two.synthetic_energy == pair(n, (0.0, 20.0), (1.0, 1e4))
 
-    def test_underflowing_quantum_is_named(self):
-        # budget / quantum used to raise a bare ZeroDivisionError
-        match = r"critical-energy quantum for n=5 at lambda_inf=1e\+300 underflows float64"
-        with pytest.raises(FloatingPointError, match=match):
-            quantization_check(5, 1.0, lambda_inf=1e300)
 
-    def test_single_extremal_overflow_is_named(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(FloatingPointError, match="critical-energy integrand for n=162 overflows float64"):
-                quantization_check(162, 1.0, synthetic_bubbles=1)
-
-
-def concentric_pair_energy(n, centers, scales, lambda_inf=1):
+def concentric_pair_energy(n, centers, scales):
     # the energy of two extremals as the 30-digit mpmath.quad of the concentric
     # pair with scales 1 and mu = e^D, D the hyperbolic distance of the points
     # (c_j, 1/lam_j): omega_(n-1) int (B_1 + B_mu)^(2#) r^n dt in t = ln r,
@@ -240,7 +217,7 @@ def concentric_pair_energy(n, centers, scales, lambda_inf=1):
         d = mpmath.acosh((lam1 / lam2 + lam2 / lam1 + lam1 * lam2 * (c1 - c2) ** 2) / 2)
         mu = mpmath.exp(d)
         m, two_sharp = mpmath.mpf(n - 4) / 2, mpmath.mpf(2 * n) / (n - 4)
-        amp = mpmath.mpf(lambda_inf) ** (-1 / (two_sharp - 2)) * (n * (n - 4) * (n**2 - 4)) ** (m / 4)
+        amp = (n * (n - 4) * (n**2 - 4)) ** (m / 4)
 
         def integrand(t):
             r = mpmath.exp(t)
@@ -306,32 +283,27 @@ _PAIR_ORACLE = {
 _PAIR_DIMS = sorted({n for n, _ in _PAIR_ORACLE})
 
 
-def pair_oracle(n, name, lambda_inf=1):
-    # the energy scales as amp^(2#), and amp^(2#) as lambda_inf^(-n/4)
+def pair_oracle(n, name):
     with mpmath.workdps(30):
-        return mpmath.mpf(_PAIR_ORACLE[n, name]) * mpmath.mpf(lambda_inf) ** (-mpmath.mpf(n) / 4)
+        return mpmath.mpf(_PAIR_ORACLE[n, name])
 
 
-def pair(n, centers, scales, lambda_inf=1.0):
-    return multi_bubble_energy(n, np.array(centers), np.array(scales), lambda_inf)
+def pair(n, centers, scales):
+    return multi_bubble_energy(n, np.array(centers), np.array(scales))
 
 
 class TestMultiBubbleEnergy:
-    @pytest.mark.parametrize("n", [5, 6, 7, 8])
-    def test_single_profile_is_one_quantum(self, n):
-        energy = multi_bubble_energy(n, np.array([0.0]), np.array([1.0]))
-        assert energy == pytest.approx(expected_bubble_energy(n), rel=1e-11)
-
     @pytest.mark.parametrize(
         "centers, scales, match",
         [
             ([0.0, 20.0], [1.0, 0.0], "concentration scale must be positive"),
             ([0.0, 20.0], [1.0, -1.0], "concentration scale must be positive"),
-            ([], [], "need at least one profile"),
+            ([], [], "need exactly two profiles, got 0$"),
+            ([0.0], [1.0], "need exactly two profiles, got 1; one profile's energy is bubble_energy"),
             ([0.0, np.inf], [1.0, 1.0], "must be finite"),
-            ([0.0, 20.0, 40.0], [1.0, 1e4, 1e8], "need 1 or 2 profiles, got 3"),
+            ([0.0, 20.0, 40.0], [1.0, 1e4, 1e8], "need exactly two profiles, got 3$"),
         ],
-        ids=["zero-scale", "negative-scale", "empty", "infinite-center", "three"],
+        ids=["zero-scale", "negative-scale", "empty", "one", "infinite-center", "three"],
     )
     def test_rejects_bad_profiles(self, centers, scales, match):
         with pytest.raises(ValueError, match=match):
@@ -340,12 +312,10 @@ class TestMultiBubbleEnergy:
     def test_narrow_profile_is_kept(self):
         # a cell rule whose edges merged below an absolute 1e-13 (hi - lo)
         # once dropped a profile this narrow: -49.96% of two quanta at
-        # (1, 1e12), -77% alone at 1e14
+        # (1, 1e12)
         quantum = expected_bubble_energy(5)
         two = multi_bubble_energy(5, np.array([0.0, 20.0]), np.array([1.0, 1e12]))
         assert two / (2 * quantum) - 1 == pytest.approx(0.0, abs=1e-3)
-        one = multi_bubble_energy(5, np.array([0.0]), np.array([1e14]))
-        assert one == pytest.approx(quantum, rel=1e-11)
 
     @pytest.mark.parametrize("n", [5, 6, 8])
     def test_profile_below_the_float64_spacing_is_integrated(self, n):
@@ -355,20 +325,11 @@ class TestMultiBubbleEnergy:
         exact = concentric_pair_energy(n, (0.0, 20.0), (1.0, 1e14))
         assert energy == pytest.approx(float(exact), rel=1e-15)
 
-    @pytest.mark.parametrize("lambda_inf", [1.0, 2.5])
-    @pytest.mark.parametrize("profiles", ["one", "two"])
     @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10, 12, 20])
-    def test_matches_exact_energy(self, n, profiles, lambda_inf):
-        # one profile off the origin at scale 2 is bubble_energy of its scale
-        # and one quantum; the quantization pair is the pair and its oracle
-        if profiles == "one":
-            energy = multi_bubble_energy(n, np.array([-7.5]), np.array([2.0]), lambda_inf)
-            assert energy == bubble_energy(BubbleParams(n=n, lambda0=2.0, lambda_inf=lambda_inf))
-            assert energy == pytest.approx(expected_bubble_energy(n, lambda_inf), rel=1e-11)
-        else:
-            centers, scales = _PAIR_SETS["far-scales"]
-            energy = multi_bubble_energy(n, np.array(centers), np.array(scales), lambda_inf)
-            assert energy == pytest.approx(float(pair_oracle(n, "far-scales", lambda_inf)), rel=1e-14)
+    def test_matches_exact_energy(self, n):
+        # the quantization check's pair is the oracle's far-scales pair
+        energy = quantization_check(n, 1.0).synthetic_energy
+        assert energy == pytest.approx(float(pair_oracle(n, "far-scales")), rel=1e-14)
 
     @pytest.mark.parametrize("name", sorted(_PAIR_SETS))
     @pytest.mark.parametrize("n", _PAIR_DIMS)
@@ -398,30 +359,19 @@ class TestMultiBubbleEnergy:
         energy = multi_bubble_energy(n, np.array(centers), np.array(scales))
         assert energy == pytest.approx(float(concentric_pair_energy(n, centers, scales)), rel=1e-14)
 
-    def test_rejects_infinite_lambda_inf(self):
-        # used to return 0.0
-        with pytest.raises(ValueError, match="lambda_inf must be positive and finite"):
-            multi_bubble_energy(5, np.array([0.0]), np.array([1.0]), lambda_inf=math.inf)
-
-    @pytest.mark.parametrize("ratio", [0.0, np.nan], ids=["zero", "nan"])
-    def test_quantization_rejects_bad_scale_ratio(self, ratio):
-        with pytest.raises(ValueError, match="scale_ratio must be positive and finite"):
-            quantization_check(5, 1.0, scale_ratio=ratio)
-
 
 class TestPairBubbleEnergy:
-    @pytest.mark.parametrize("n, name, lambda_inf", [(5, "far-scales", 1.0), (20, "concentric", 2.5)])
-    def test_oracle_literals(self, n, name, lambda_inf):
-        exact = concentric_pair_energy(n, *_PAIR_SETS[name], lambda_inf)
-        assert float(abs(pair_oracle(n, name, lambda_inf) / exact - 1)) < 1e-18
+    @pytest.mark.parametrize("n, name", [(5, "far-scales"), (20, "concentric")])
+    def test_oracle_literals(self, n, name):
+        exact = concentric_pair_energy(n, *_PAIR_SETS[name])
+        assert float(abs(pair_oracle(n, name) / exact - 1)) < 1e-18
 
-    @pytest.mark.parametrize("lambda_inf", [1.0, 2.5])
     @pytest.mark.parametrize("name", sorted(_PAIR_SETS))
     @pytest.mark.parametrize("n", _PAIR_DIMS)
-    def test_matches_oracle(self, n, name, lambda_inf):
+    def test_matches_oracle(self, n, name):
         # read within 1.3e-15 in every case
-        energy = pair(n, *_PAIR_SETS[name], lambda_inf)
-        assert energy == pytest.approx(float(pair_oracle(n, name, lambda_inf)), rel=1e-14)
+        energy = pair(n, *_PAIR_SETS[name])
+        assert energy == pytest.approx(float(pair_oracle(n, name)), rel=1e-14)
 
     @pytest.mark.parametrize("n", _PAIR_DIMS)
     def test_swap_and_translation_invariant(self, n):
@@ -440,8 +390,8 @@ class TestPairBubbleEnergy:
     @pytest.mark.parametrize("n", _PAIR_DIMS)
     def test_coincident_profiles_are_two_sharp_powers_of_two(self, n):
         # D = 0 exactly: (2 B)^(2#) integrates to 2^(2#) quanta
-        expected = 2.0 ** critical_exponent(n) * expected_bubble_energy(n, 2.5)
-        assert pair(n, (3.0, 3.0), (4.0, 4.0), 2.5) == pytest.approx(expected, rel=4e-15)
+        expected = 2.0 ** critical_exponent(n) * expected_bubble_energy(n)
+        assert pair(n, (3.0, 3.0), (4.0, 4.0)) == pytest.approx(expected, rel=4e-15)
 
     @pytest.mark.parametrize(
         "centers, scales, rel",
@@ -484,11 +434,6 @@ class TestPairBubbleEnergy:
             expected = 2.0 ** critical_exponent(n) * bubble_energy(BubbleParams(n=n))
             assert pair(n, (0.0, 0.0), (1.0, 1.0)) == pytest.approx(expected, rel=1e-15), n
 
-    def test_underflowing_prefactor_is_named(self):
-        # used to return 0.0
-        with pytest.raises(FloatingPointError, match="critical-energy integrand for n=5 underflows float64"):
-            pair(5, (0.0, 20.0), (1.0, 1e4), lambda_inf=1e300)
-
     @pytest.mark.parametrize(
         "centers, scales",
         [((0.0, 1e300), (1e10, 1e10)), ((-1e308, 1e308), (1.0, 1.0)), ((0.0, 0.0), (5e-324, 1e300))],
@@ -499,17 +444,16 @@ class TestPairBubbleEnergy:
             pair(5, centers, scales)
 
     @pytest.mark.parametrize(
-        "centers, scales, kwargs, match",
+        "centers, scales, match",
         [
-            ((0.0, 20.0), (1.0,), {}, "centers and lambda0s must be matching 1-d arrays"),
-            ((0.0, 20.0, 40.0), (1.0, 1.0, 1.0), {}, "need 1 or 2 profiles, got 3"),
-            ((0.0, np.inf), (1.0, 1.0), {}, "must be finite"),
-            ((0.0, 20.0), (1.0, np.nan), {}, "must be finite"),
-            ((0.0, 20.0), (1.0, 0.0), {}, "concentration scale must be positive"),
-            ((0.0, 20.0), (1.0, 1.0), {"lambda_inf": math.inf}, "lambda_inf must be positive and finite"),
+            ((0.0, 20.0), (1.0,), "centers and lambda0s must be matching 1-d arrays"),
+            ((0.0, 20.0, 40.0), (1.0, 1.0, 1.0), "need exactly two profiles, got 3"),
+            ((0.0, np.inf), (1.0, 1.0), "must be finite"),
+            ((0.0, 20.0), (1.0, np.nan), "must be finite"),
+            ((0.0, 20.0), (1.0, 0.0), "concentration scale must be positive"),
         ],
-        ids=["mismatched", "three", "infinite-center", "nan-scale", "zero-scale", "infinite-lambda-inf"],
+        ids=["mismatched", "three", "infinite-center", "nan-scale", "zero-scale"],
     )
-    def test_rejects_bad_profiles(self, centers, scales, kwargs, match):
+    def test_rejects_bad_profiles(self, centers, scales, match):
         with pytest.raises(ValueError, match=match):
-            pair(5, centers, scales, **kwargs)
+            pair(5, centers, scales)

@@ -184,6 +184,16 @@ class TestNorms:
         assert rep.l2 == pytest.approx(grid_l2, rel=1e-10)
 
 
+def arc_integral(samples, t, center, delta):
+    """int over |s - center| < delta of the trigonometric interpolant of
+    samples on the circle of length 2 pi t, mode by mode over the full
+    spectrum: mode k contributes c_k 2 e^(i kap center) sin(kap delta) / kap."""
+    c = np.fft.fft(samples) / samples.size
+    kap = np.fft.fftfreq(samples.size, 1.0 / samples.size)[1:] / t
+    arcs = 2.0 * np.exp(1j * kap * center) * np.sin(kap * delta) / kap
+    return 2.0 * delta * c[0].real + float(np.sum(c[1:] * arcs).real)
+
+
 class TestLocalizedMass:
     def test_uniform_density(self):
         u = PeriodicField.constant(SPEC, 2.0, 32)
@@ -225,21 +235,26 @@ class TestLocalizedMass:
 
     @pytest.mark.parametrize("n, factor", [(5, 6), (8, 4)])
     @pytest.mark.parametrize("share", [None, 0.2])  # None: the default delta, L/8
-    def test_batched_masses_match_localized_mass(self, n, factor, share):
-        # a shifted field with every mode, Nyquist included, and no symmetry
+    def test_ball_masses_match_an_all_modes_arc_integral(self, n, factor, share):
+        # a shifted field with every mode, Nyquist included, and no symmetry;
+        # _ball_masses sums the squares' modes |k| <= N from one batched
+        # transform, the oracle every mode of the fine-grid squares
         spec = ManifoldSpec(n, 1.3)
         rng = np.random.default_rng(n)
         u = PeriodicField.from_values(spec, 1.5 + 0.5 * rng.normal(size=64)).shift(0.123)
         assert u.fine_size() == factor * u.modes
         assert np.max(np.abs(u.coeffs.imag)) > 1e-3 and abs(u.coeffs[-1]) > 1e-3
-        delta = None if share is None else share * spec.period
+        delta = _ball_radius(spec, None if share is None else share * spec.period)
         center = 0.37 * spec.period + 1e-3  # between fine grid points
         assert center * u.fine_size() / spec.period % 1.0 > 0.1
         report = norms(u)
-        masses = _ball_masses(u, center, _ball_radius(spec, delta))
+        masses = _ball_masses(u, center, delta)
+        densities = (u.fine_values() ** 2, *(u.derivative(k).fine_values() ** 2 for k in (1, 2)))
         totals = (report.l2, report.grad_l2, report.hess_l2)
-        for mass, kind, total in zip(masses, ("l2", "grad_l2", "hess_l2"), totals):
-            assert abs(mass - localized_mass(u, center, delta, kind)) <= 1e-12 * total, kind
+        for mass, density, total, kind in zip(masses, densities, totals, ("l2", "grad_l2", "hess_l2")):
+            exact = sphere_volume(n - 1) * arc_integral(density, spec.t, center, delta)
+            assert abs(mass - exact) <= 1e-12 * total, kind
+            assert localized_mass(u, center, delta, kind) == mass, kind
 
     def test_rejects_bad_delta(self):
         u = PeriodicField.constant(SPEC, 1.0, 32)
