@@ -224,12 +224,14 @@ class TestBubbleEnergyOracle:
         rel = abs(mpmath.mpf(energies.pop()) / wallis_energy(n, 1.0) - 1)
         assert rel <= (1e-14 if n <= 20 else 5e-14)
 
-    def test_every_dimension_matches_closed_form(self):
+    @pytest.mark.parametrize("lambda0", [1.0, 3.0])
+    def test_every_dimension_matches_closed_form(self, lambda0):
         # the prefactor is raised to the exact exponent n/4: read within
         # 1.1e-15 for n <= 20 and 7.2e-15 up to n = 161, where raising
-        # amp/2^m to the rounded 2# read up to 6.7e-14 off
+        # amp/2^m to the rounded 2# read up to 6.7e-14 off; the scale
+        # lambda0 does not change the energy
         for n in range(5, 162):
-            energy = bubble_energy(BubbleParams(n))
+            energy = bubble_energy(BubbleParams(n, lambda0))
             rel = abs(mpmath.mpf(energy) / wallis_energy(n, 1.0) - 1)
             assert rel <= (2e-15 if n <= 20 else 1e-14), n
 

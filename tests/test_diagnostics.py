@@ -331,12 +331,15 @@ class TestMultiBubbleEnergy:
         energy = quantization_check(n, 1.0).synthetic_energy
         assert energy == pytest.approx(float(pair_oracle(n, "far-scales")), rel=1e-14)
 
+    @pytest.mark.parametrize("shift", [0.0, -13.25])
     @pytest.mark.parametrize("name", sorted(_PAIR_SETS))
     @pytest.mark.parametrize("n", _PAIR_DIMS)
-    def test_two_profiles_are_the_pair(self, n, name):
+    def test_two_profiles_are_the_pair(self, n, name, shift):
         # the cell rule read up to 3.6e-10 low here at n = 5; the pair's
-        # reduction reads within 1.3e-15 of the oracle
-        energy = multi_bubble_energy(n, *map(np.array, _PAIR_SETS[name]))
+        # reduction reads within 1.3e-15 of the oracle, and a translation
+        # x -> x + shift leaves the integral as it is
+        centers, scales = _PAIR_SETS[name]
+        energy = multi_bubble_energy(n, np.array(centers) + shift, np.array(scales))
         assert energy == pytest.approx(float(pair_oracle(n, name)), rel=1e-14)
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -366,11 +369,16 @@ class TestPairBubbleEnergy:
         exact = concentric_pair_energy(n, *_PAIR_SETS[name])
         assert float(abs(pair_oracle(n, name) / exact - 1)) < 1e-18
 
+    @pytest.mark.parametrize("dilation", [2.5, 0.01])
     @pytest.mark.parametrize("name", sorted(_PAIR_SETS))
     @pytest.mark.parametrize("n", _PAIR_DIMS)
-    def test_matches_oracle(self, n, name):
-        # read within 1.3e-15 in every case
-        energy = pair(n, *_PAIR_SETS[name])
+    def test_matches_oracle(self, n, name, dilation):
+        # the dilation x -> dilation * x multiplies the centers and divides
+        # the concentration scales, which keeps the hyperbolic distance and
+        # so the energy; test_two_profiles_are_the_pair checks the undilated
+        # sets
+        centers, scales = _PAIR_SETS[name]
+        energy = pair(n, np.multiply(centers, dilation), np.divide(scales, dilation))
         assert energy == pytest.approx(float(pair_oracle(n, name)), rel=1e-14)
 
     @pytest.mark.parametrize("n", _PAIR_DIMS)
