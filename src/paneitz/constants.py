@@ -96,10 +96,10 @@ def factorize(alpha: float, a: float) -> tuple[float, float]:
     root is computed as a/c to avoid cancellation when a << alpha^2.
     alpha^2 and a must be finite floats, or a root comes out NaN or zero.
     """
-    if not a > 0:
-        raise ValueError(f"zeroth-order coefficient must be positive, got {a}")
     if not alpha > 0:
         raise ValueError(f"first-order coefficient must be positive, got {alpha}")
+    if not a > 0:
+        raise ValueError(f"zeroth-order coefficient must be positive, got {a}")
     if not math.isfinite(alpha * alpha + a):
         raise ValueError(f"alpha^2 and a must be finite in float64, got alpha={alpha}, a={a}")
     disc = alpha * alpha / 4.0 - a

@@ -6,10 +6,13 @@ m = 0..N/2 (kappa_m = m/t), so it is real by construction: the negative
 modes are the conjugates c_{-m} = conj(c_m) and are never stored.  c_0 and
 the Nyquist entry c_{N/2} are real; the Nyquist entry is the amplitude of
 the cosine cos(kappa_{N/2} s).  Every sum over the spectrum counts each
-0 < m < N/2 twice, once for +m and once for -m.  Nonlinear powers are
-evaluated on an oversampled grid and truncated back, which dealiases integer
-critical powers exactly and keeps fractional ones well defined (values are
-clamped at zero before exponentiation).
+0 < m < N/2 twice, once for +m and once for -m.  The dtype is the parity: a
+real spectrum is an even field (a cosine series), kept real by every
+operation that keeps evenness; sampling, translation and odd derivatives
+make complex ones.  Nonlinear powers are evaluated on an oversampled grid
+and truncated back, which dealiases integer critical powers exactly and
+keeps fractional ones well defined (values are clamped at zero before
+exponentiation).
 
 All "full-manifold" integrals are circle integrals times the volume of the
 unit (n-1)-sphere, since fields are constant on the sphere factor.
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import OperatorParams, critical_exponent
-from .geometry import ManifoldSpec, sphere_volume
+from .geometry import ManifoldSpec, product_volume, sphere_volume
 
 __all__ = [
     "PeriodicField",
@@ -69,9 +72,9 @@ def _pad(coeffs: np.ndarray, fine_size: int) -> np.ndarray:
     """Zero-pad a half spectrum of grid size N to grid size fine_size > N.
 
     The Nyquist cosine of the base grid splits evenly into the +-N/2 fine
-    modes.
+    modes.  The dtype is kept, so a cosine series stays one.
     """
-    out = np.zeros(fine_size // 2 + 1, dtype=complex)
+    out = np.zeros(fine_size // 2 + 1, dtype=coeffs.dtype)
     out[: coeffs.size] = coeffs
     out[coeffs.size - 1] *= 0.5
     return out
@@ -91,14 +94,15 @@ class PeriodicField:
     Parameters
     ----------
     spec : ManifoldSpec
-    coeffs : complex array, the half spectrum c_0..c_{N/2} (c_0 and c_{N/2}
-        real).  The grid size N = 2 (len - 1) >= 16 is the mode resolution.
+    coeffs : the half spectrum c_0..c_{N/2} (c_0 and c_{N/2} real), real for
+        an even field and complex for a general one; ints are cast to float.
+        The grid size N = 2 (len - 1) >= 16 is the mode resolution.
     """
 
     __slots__ = ("spec", "coeffs", "_values", "_fine")
 
     def __init__(self, spec: ManifoldSpec, coeffs: np.ndarray):
-        coeffs = np.asarray(coeffs, dtype=complex)
+        coeffs = np.asarray(coeffs, dtype=complex if np.iscomplexobj(coeffs) else float)
         if coeffs.ndim != 1 or coeffs.size < 9:
             raise ValueError("half spectrum must be 1-d with at least 9 entries (N >= 16)")
         self.spec = spec
@@ -118,7 +122,7 @@ class PeriodicField:
     @classmethod
     def cosine(cls, spec: ManifoldSpec, mean: float, amplitude: float, modes: int) -> "PeriodicField":
         """mean * (1 + amplitude * cos(s/t)) on ``modes`` grid points."""
-        c = np.zeros(modes // 2 + 1, dtype=complex)
+        c = np.zeros(modes // 2 + 1)
         c[0] = mean
         c[1] = 0.5 * amplitude * mean
         return cls(spec, c)
@@ -183,7 +187,7 @@ class PeriodicField:
         mult = (1j * self.wavenumbers()) ** order
         if order % 2 == 1:
             mult[-1] = 0.0  # odd derivative of the Nyquist cosine
-        return PeriodicField(self.spec, self.coeffs * mult)
+        return PeriodicField(self.spec, self.coeffs * (mult if order % 2 else mult.real))
 
     def shift(self, s0: float) -> "PeriodicField":
         """The translate s -> u(s + s0)."""
@@ -200,9 +204,12 @@ class PeriodicField:
         With w_m the pair-counted real coefficients and theta = 2 pi sigma/N,
         u(sigma j h) = sum_m w_m cos(theta m j) is a chirp z-transform.  The
         identity m j = (m^2 + j^2 - (j - m)^2)/2 turns it into one convolution
-        (Bluestein), evaluated exactly by three FFTs in O(N log N).
+        (Bluestein), evaluated exactly by three FFTs in O(N log N).  A complex
+        spectrum is a field that is not even and raises ``ValueError``.
         """
-        w = _pair_counts(self.coeffs.size) * self.coeffs.real
+        if np.iscomplexobj(self.coeffs):
+            raise ValueError("dilation needs an even field: the half spectrum is complex")
+        w = _pair_counts(self.coeffs.size) * self.coeffs
         half = w.size  # m and j both run over 0..N/2
         size = 1 << (2 * half - 2).bit_length()  # at least 2 half - 1: no wraparound
         theta = 2.0 * math.pi * sigma / self.modes
@@ -243,17 +250,15 @@ class NormReport:
 
 
 def norms(u: PeriodicField, params: OperatorParams | None = None) -> NormReport:
-    spec = u.spec
-    omega = sphere_volume(spec.sphere_dim)
-    length = spec.period
+    volume = product_volume(u.spec)
     kap = u.wavenumbers()
-    two_sharp = critical_exponent(spec.n)
+    two_sharp = critical_exponent(u.spec.n)
     with np.errstate(over="ignore", invalid="ignore"):
         w2 = _parseval_weights(u.coeffs.size) * np.abs(u.coeffs) ** 2
-        l2 = omega * length * float(np.sum(w2))
-        grad = omega * length * float(np.sum(kap**2 * w2))
-        hess = omega * length * float(np.sum(kap**4 * w2))
-        energy = omega * length * float(np.mean(np.abs(u.fine_values()) ** two_sharp))
+        l2 = volume * float(np.sum(w2))
+        grad = volume * float(np.sum(kap**2 * w2))
+        hess = volume * float(np.sum(kap**4 * w2))
+        energy = volume * float(np.mean(np.abs(u.fine_values()) ** two_sharp))
     if not all(map(math.isfinite, (l2, grad, hess, energy))):
         raise FloatingPointError(
             f"norms of the field are outside the float64 range (L2 {l2!r}, energy {energy!r})"

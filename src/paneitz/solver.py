@@ -5,18 +5,19 @@ Two routes produce solutions:
 
 * ``newton_solve``: damped Newton on even fields.  The equation is
   reversible (s -> -s); the start is translated to put its fine-grid maximum
-  at s = 0 and its odd part dropped, so every iterate is even with real
-  coefficients.  The linear part is the diagonal symbol mu^2 + alpha mu + a
-  (mu = (m/t)^2); the nonlinearity is evaluated on an oversampled grid
-  (dealiased).  At an even field the Jacobian is block diagonal in
-  orthonormal cosine/sine coordinates: the symbol minus T + H and T - H, the
-  Toeplitz and Hankel matrices of multiplication by (2#-1) u_+^(2#-2), both
-  from ``_cosine_block``; a field that is not even is refused.  Newton uses
-  the cosine block, which needs no phase condition because the translation
-  mode u' is odd.  One function, ``_solve_krylov``, sets up and solves the
-  Newton step at every N: it assembles that block scaled by symbol^(-1/2)
-  from one FFT of the weight and runs GMRES on the matrix, one
-  matrix-vector product per iteration.
+  at s = 0 and its odd part dropped, the one projection onto the even
+  fields: their half spectra are real, so every iterate, residual and step
+  is a cosine series by type.  The linear part is the diagonal symbol
+  mu^2 + alpha mu + a (mu = (m/t)^2); the nonlinearity is evaluated on an
+  oversampled grid (dealiased).  At an even field the Jacobian is block
+  diagonal in orthonormal cosine/sine coordinates: the symbol minus T + H
+  and T - H, the Toeplitz and Hankel matrices of multiplication by (2#-1)
+  u_+^(2#-2), both from ``_cosine_block``; a complex half spectrum is
+  refused.  Newton uses the cosine block, which needs no phase condition
+  because the translation mode u' is odd.  One function, ``_solve_krylov``,
+  sets up and solves the Newton step at every N: it assembles that block
+  scaled by symbol^(-1/2) from one FFT of the weight and runs GMRES on the
+  matrix, one matrix-vector product per iteration.
   ``continuation_init`` predicts the next start of a branch from the exact
   scaling u -> k^((n-4)/4) u(sqrt(k) s) of alpha -> k alpha, a -> k^2 a,
   with no linear solve.
@@ -145,16 +146,17 @@ def _symbol(spec: ManifoldSpec, params: OperatorParams, m):
     return mu * mu + params.alpha * mu + params.a_alpha
 
 
-def _positive_power_coeffs(fine: np.ndarray, p: float, modes: int) -> np.ndarray:
-    """Coefficients on ``modes`` grid points of fine_+^p, from the fine-grid
-    samples ``fine``: one forward FFT, dealiased."""
-    g = np.where(fine > 0.0, fine, 0.0) ** p
-    return _truncate(np.fft.rfft(g) / g.size, modes)
+def _positive_power_coeffs(fine: np.ndarray, p: float, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of fine_+^p, from the fine-grid samples of the field with
+    half spectrum ``coeffs``: one forward FFT, dealiased to its size and, for
+    a real ``coeffs`` (an even field), to the cosine part."""
+    c = np.fft.rfft(np.where(fine > 0.0, fine, 0.0) ** p) / fine.size
+    return _truncate(c if np.iscomplexobj(coeffs) else c.real, 2 * coeffs.size - 2)
 
 
 def _nonlinear_coeffs(u: PeriodicField) -> np.ndarray:
-    """Coefficients of u_+^(2#-1), dealiased."""
-    return _positive_power_coeffs(u.fine_values(), critical_exponent(u.spec.n) - 1.0, u.modes)
+    """Coefficients of u_+^(2#-1), dealiased; real for an even u."""
+    return _positive_power_coeffs(u.fine_values(), critical_exponent(u.spec.n) - 1.0, u.coeffs)
 
 
 def residual(u: PeriodicField, params: OperatorParams) -> PeriodicField:
@@ -215,9 +217,9 @@ def linearized_operator(u: PeriodicField, params: OperatorParams) -> np.ndarray:
     has mean 0 and the matrix is block diagonal: the cosine block from
     (R_|a-b| + R_(a+b))/2, which Newton solves, and the sine block from
     (R_|a-b| - R_(a+b))/2, both built by ``_cosine_block``.  A field with a
-    nonzero imaginary coefficient is not even and raises ``ValueError``."""
-    if np.any(u.coeffs.imag):
-        raise ValueError("linearization needs an even field: a coefficient has a nonzero imaginary part")
+    complex half spectrum is not even and raises ``ValueError``."""
+    if np.iscomplexobj(u.coeffs):
+        raise ValueError("linearization needs an even field: the half spectrum is complex")
     re, half = _jacobian_weight(u), u.coeffs.size
     sym = _symbol(u.spec, params, np.arange(half))
     jac = np.zeros((u.modes, u.modes))
@@ -312,7 +314,7 @@ def _solve_krylov(u: PeriodicField, params: OperatorParams, rhs: np.ndarray) -> 
     scale = 1.0 / np.sqrt(_symbol(u.spec, params, np.arange(half)))
     root = np.sqrt(_parseval_weights(half))
     block = _cosine_block(_jacobian_weight(u), 1.0, scale * _cosine_amplitudes(half), 1)
-    x = _gmres(block, scale * (root * rhs.real))
+    x = _gmres(block, scale * (root * rhs))
     return scale * x / root
 
 
@@ -410,7 +412,7 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
 
     The start is translated to put its maximum at s = 0 and projected onto
     the even (cosine) fields, which the equation maps to themselves; every
-    iterate, and so the solution, is even with real coefficients.  The
+    iterate, and so the solution, has a real half spectrum.  The
     maximum is the vertex of the parabola through the fine-grid maximum and
     its two neighbours, which is within half a fine spacing of it; where
     their curvature is not negative the grid maximum is kept.  The even
@@ -538,7 +540,7 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
     counts = _pair_counts(init.coeffs.size)
     volume = product_volume(spec)
     pair_weights = volume * _parseval_weights(init.coeffs.size) * sym
-    nf, modes = init.fine_size(), init.modes
+    nf = init.fine_size()
     report = norms(init, params)
     e = report.energy
     if not 0.0 < e < math.inf:
@@ -547,7 +549,7 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
     coeffs, fine = init.coeffs * unit, init.fine_values() * unit
     q = report.pairing / e ** (2.0 / two_sharp)
     for it in range(1, _DESCENT_MAX_ITER + 1):
-        z = _positive_power_coeffs(fine, two_sharp - 1.0, modes) / sym   # P^{-1} u_+^(2#-1)
+        z = _positive_power_coeffs(fine, two_sharp - 1.0, coeffs) / sym   # P^{-1} u_+^(2#-1)
         rho = coeffs - q * z
         with np.errstate(over="ignore", invalid="ignore"):
             grad_norm = math.sqrt(

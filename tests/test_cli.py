@@ -374,6 +374,17 @@ class TestSolveCommand:
         assert code == 1
         assert "alpha^2/4" in err
 
+    @pytest.mark.parametrize("alpha, shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan")])
+    def test_nonpositive_alpha_is_blamed_on_alpha(self, capsys, tmp_path, alpha, shown):
+        # with --a auto, a = alpha^2/4 is 0 or nan too; the user set alpha,
+        # so the message names the first-order coefficient
+        path = tmp_path / "u.field"
+        save_field(PeriodicField.constant(ManifoldSpec(5, 1.0), 1.0, 16), path)
+        for argv in (["solve", "--dim", "5"], ["diagnose", str(path)]):
+            code, out, err = run_cli(capsys, *argv, "--alpha", alpha)
+            assert (code, out) == (1, "")
+            assert err == f"paneitz {argv[0]}: error: first-order coefficient must be positive, got {shown}\n"
+
     @pytest.mark.parametrize(
         "coeffs", [("--alpha", "inf"), ("--alpha", "2", "--a", "inf"), ("--alpha", "1e200", "--a", "1")]
     )

@@ -135,6 +135,46 @@ class TestPeriodicField:
         assert np.max(np.abs(-u.derivative(2).values - kap**2 * np.cos(kap * s))) < 1e-12
 
 
+class TestParityByType:
+    # the half spectrum's dtype is the field's parity: real for an even field
+    # (a cosine series), complex for a general one
+    def test_constructors(self, rng):
+        ints = PeriodicField(SPEC, np.arange(9))
+        assert ints.coeffs.dtype == np.float64 and ints.coeffs[8] == 8.0
+        assert PeriodicField(SPEC, np.zeros(9, dtype=complex)).coeffs.dtype == np.complex128
+        assert PeriodicField.cosine(SPEC, 2.0, 0.1, 32).coeffs.dtype == np.float64
+        assert PeriodicField.constant(SPEC, 2.0, 32).coeffs.dtype == np.float64
+        # samples carry no parity: an even function sampled is still general
+        assert PeriodicField.from_values(SPEC, rng.normal(size=32)).coeffs.dtype == np.complex128
+        assert cosine_field().coeffs.dtype == np.complex128
+
+    def test_even_operations_keep_a_real_spectrum(self):
+        u = PeriodicField.cosine(SPEC, 1.0, 0.3, 32)
+        for even in (u.resample(64), u.resample(16), u.scaled(2.0), u.derivative(2), u.derivative(4)):
+            assert even.coeffs.dtype == np.float64
+        for general in (u.derivative(1), u.derivative(3), u.shift(0.3)):
+            assert general.coeffs.dtype == np.complex128
+
+    @pytest.mark.parametrize("modes", [16, 64])
+    def test_real_spectrum_matches_the_general_path(self, rng, modes):
+        # the same bits as the complex spectrum with zero imaginary parts
+        even = PeriodicField(SPEC, rng.normal(size=modes // 2 + 1))
+        general = PeriodicField(SPEC, even.coeffs.astype(complex))
+        assert np.array_equal(even.values, general.values)
+        assert np.array_equal(even.fine_values(), general.fine_values())
+        assert np.array_equal(even.resample(2 * modes).coeffs, general.resample(2 * modes).coeffs.real)
+        assert np.array_equal(even.derivative(2).coeffs, general.derivative(2).coeffs.real)
+        assert norms(even) == norms(general)
+
+    def test_dilation_refuses_a_complex_spectrum(self):
+        # a complex spectrum may hold an odd part, which a cosine sum would drop
+        u = PeriodicField.cosine(SPEC, 1.0, 0.3, 32)
+        assert u.dilated_values(1.1).size == 32
+        for general in (PeriodicField(SPEC, u.coeffs.astype(complex)), u.shift(0.3)):
+            with pytest.raises(ValueError, match="dilation needs an even field: the half spectrum is complex"):
+                general.dilated_values(1.1)
+
+
 class TestNorms:
     def test_constant_field(self):
         u = PeriodicField.constant(SPEC, 1.0, 32)

@@ -63,8 +63,8 @@ def assert_same_solution(sol, ref):
 
 
 def assert_even_about_origin(sol):
-    # real half spectrum exactly, so u(-s) = u(s), and the peak at s = 0
-    assert np.all(sol.field.coeffs.imag == 0.0)
+    # a real half spectrum, so u(-s) = u(s) by type, and the peak at s = 0
+    assert sol.field.coeffs.dtype == np.float64
     fine = sol.field.fine_values()
     assert fine[0] == np.max(fine)
 
@@ -420,6 +420,22 @@ class TestEvenSolutions:
         assert not sol.is_constant
         assert_even_about_origin(sol)
 
+    def test_constant_solution_route(self):
+        sol = solver_mod.constant_solution(SPEC, OperatorParams(2.0, 1.0), SolverOptions())
+        assert_even_about_origin(sol)
+
+    @pytest.mark.parametrize("modes", [64, 256])
+    def test_residual_keeps_the_parity(self, modes):
+        # at an even field the residual is the cosine part of the general
+        # one, bit for bit; the sine part it drops is FFT rounding
+        params = OperatorParams(8.0, 16.0)
+        even = sign_changing_field(modes)
+        general = PeriodicField(SPEC, even.coeffs.astype(complex))
+        res, full = residual(even, params).coeffs, residual(general, params).coeffs
+        assert res.dtype == np.float64 and full.dtype == np.complex128
+        assert np.array_equal(res, full.real)
+        assert np.max(np.abs(full.imag)) <= 1e-15 * np.max(np.abs(res))
+
     def test_continuation_that_lands_at_half_period(self):
         # Regression: this step of `sweep --dim 8 --alpha 2:128:64:log`
         # converged to the translate peaked at L/2 (c_1 < 0), and the next
@@ -521,7 +537,7 @@ class TestKrylovSolve:
         alpha = bifurcation_alpha(5, 1.0, 1)
         params = OperatorParams(alpha, alpha * alpha / 4.0)
         u = constant_init(params.a_alpha, modes=modes)
-        rhs = np.zeros(u.coeffs.size, dtype=complex)
+        rhs = np.zeros(u.coeffs.size)
         rhs[1] = 1.0
         with pytest.raises(np.linalg.LinAlgError, match="Krylov solve: linearized system is singular"):
             _solve_krylov(u, params, rhs)
@@ -910,6 +926,12 @@ class TestLinearization:
         assert op.dtype == np.float64
         assert op.shape == (sol.modes, sol.modes)
         assert np.array_equal(op, op.T)
+
+    def test_complex_spectrum_is_refused_by_type(self):
+        # even in value, but a complex spectrum is a general field
+        u = PeriodicField(SPEC, np.r_[1.0, 0.15, np.zeros(7)].astype(complex))
+        with pytest.raises(ValueError, match="linearization needs an even field: the half spectrum is complex"):
+            linearized_operator(u, OperatorParams(2.0, 1.0))
 
     def test_field_that_is_not_even_is_refused(self):
         # a nonzero imaginary coefficient is an odd part: no block-diagonal
