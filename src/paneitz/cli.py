@@ -26,7 +26,7 @@ from .constants import (
 from .diagnostics import concentration_ratios
 from .field import load_field, save_field
 from .geometry import ManifoldSpec
-from .solver import ConvergenceError, PositivityError, SolverOptions
+from .solver import ConvergenceError, PositivityError
 from .solver import constant_solution, mode1_solution, nehari_scaled, newton_solve
 from .sweep import SweepConfig, _json_ready, emit, quarter_square, run_sweep
 
@@ -108,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--a", default="auto", help="zeroth-order coefficient, or 'auto' for alpha^2/4")
-    p.add_argument("--modes", type=int, default=64)
     p.add_argument(
         "--init",
         choices=("constant", "mode1", "file"),
@@ -119,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         "then Newton-polished (the nonconstant branch past its bifurcation, "
         "the constant at or below it)",
     )
-    p.add_argument("--field-in", help="field file (required with --init file)")
+    p.add_argument("--field-in", help="field file; required with --init file and refused otherwise")
     p.add_argument("--field-out", help="write the solution field to this path")
 
     p = sub.add_parser("sweep", help="sweep alpha and tabulate E_m estimates")
@@ -131,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--schedule", default="auto", help="'auto' (alpha^2/4) or a file of 'alpha value' lines")
     p.add_argument("--delta", type=float, help="diagnostics ball radius (default L/8)")
-    p.add_argument("--modes", type=int, default=64)
     p.add_argument("--out", help="output path (required for csv)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -213,11 +211,12 @@ def _solution_payload(sol) -> dict:
 def _cmd_solve(args) -> int:
     spec = ManifoldSpec(args.dim, args.t)
     params = OperatorParams(args.alpha, _resolve_a(args.alpha, args.a))
-    opts = SolverOptions(modes=args.modes)
+    if args.field_in and args.init != "file":
+        raise ValueError(f"--field-in is read only with --init file, not --init {args.init}")
     if args.init == "mode1":
-        sol = mode1_solution(spec, params, opts)
+        sol = mode1_solution(spec, params)
     elif args.init == "constant":
-        sol = constant_solution(spec, params, opts)
+        sol = constant_solution(spec, params)
     else:
         if not args.field_in:
             raise ValueError("--init file requires --field-in PATH")
@@ -227,7 +226,7 @@ def _cmd_solve(args) -> int:
                 f"field file is for n={init.spec.n}, t={init.spec.t}; "
                 f"requested n={spec.n}, t={spec.t}"
             )
-        sol = newton_solve(nehari_scaled(init, params), params, opts)
+        sol = newton_solve(nehari_scaled(init, params), params)
     _print_json(_solution_payload(sol))
     if args.field_out:
         save_field(sol.field, args.field_out)
@@ -250,7 +249,6 @@ def _cmd_sweep(args) -> int:
         alphas=alphas,
         schedule=schedule,
         delta=args.delta,
-        solver=SolverOptions(modes=args.modes),
     )
     records = run_sweep(config)
     if args.format == "csv":

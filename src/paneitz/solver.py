@@ -3,11 +3,13 @@ circle-reduced from S^1(t) x S^(n-1).
 
 Two routes produce solutions:
 
-* ``newton_solve``: damped Newton on even fields.  The equation is
-  reversible (s -> -s); the start is translated to put its fine-grid maximum
-  at s = 0 and its odd part dropped, the one projection onto the even
-  fields: their half spectra are real, so every iterate, residual and step
-  is a cosine series by type.  The linear part is the diagonal symbol
+* ``newton_solve``: damped Newton on even fields, at the start's own mode
+  count, doubled until the coefficient tail is resolved.  The equation is
+  reversible (s -> -s) and the even fields' half spectra are real, so every
+  iterate, residual and step is a cosine series by type.  Every start the
+  solver builds is real already; a sampled (complex) start is translated
+  to put its fine-grid maximum at s = 0 and its odd part dropped, the one
+  projection onto the even fields.  The linear part is the diagonal symbol
   mu^2 + alpha mu + a (mu = (m/t)^2); the nonlinearity is evaluated on an
   oversampled grid (dealiased).  At an even field the Jacobian is block
   diagonal in orthonormal cosine/sine coordinates: the symbol minus T + H
@@ -46,12 +48,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .constants import OperatorParams, constant_branch, critical_exponent
-from .field import PeriodicField, _pad, _pair_counts, _parseval_weights, _truncate, norms
+from .field import PeriodicField, _pad, _pair_counts, _parseval_weights, _truncate, norms, transform
 from .geometry import ManifoldSpec, product_volume
 
 __all__ = [
@@ -89,28 +90,17 @@ class PositivityError(RuntimeError):
     """Converged to a field that is not strictly positive, or to u = 0."""
 
 
-@dataclass(frozen=True)
 class SolverOptions:
-    """Mode counts of ``newton_solve``; the ClassVar settings are fixed.
+    """Fixed settings of the solver, read from the class.  ``max_modes``
+    bounds the N of every Newton step and with it the (N/2+1)-square block
+    each linear solve assembles."""
 
-    ``modes <= max_modes``, so ``max_modes`` bounds the N of every Newton
-    step and with it the (N/2+1)-square block each linear solve assembles."""
-
-    modes: int = 64
-    max_modes: int = 512
-    tol: ClassVar[float] = 1e-11            # absolute residual sup target
-    rtol: ClassVar[float] = 5e-15           # floor relative to the nonlinear-term scale
-    max_iter: ClassVar[int] = 50
-    max_backtracks: ClassVar[int] = 30
-    tail_tol: ClassVar[float] = 1e-10       # coefficient l1 tail mass triggering refinement
-
-    def __post_init__(self):
-        for name in ("modes", "max_modes"):
-            count = getattr(self, name)
-            if count < 16 or count % 2 != 0:
-                raise ValueError(f"{name} must be even and >= 16, got {count!r}")
-        if self.modes > self.max_modes:
-            raise ValueError(f"modes must not exceed max_modes ({self.max_modes}), got {self.modes!r}")
+    tol = 1e-11             # absolute residual sup target
+    rtol = 5e-15            # floor relative to the nonlinear-term scale
+    max_iter = 50
+    max_backtracks = 30
+    tail_tol = 1e-10        # coefficient l1 tail mass triggering refinement
+    max_modes = 512
 
 
 @dataclass(frozen=True)
@@ -405,16 +395,18 @@ def nehari_scaled(u: PeriodicField, params: OperatorParams) -> PeriodicField:
     return u.scaled(k)
 
 
-def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOptions | None = None) -> Solution:
-    """Damped Newton from ``init``; adapts the mode count until the
-    coefficient tail is resolved (or ``opts.max_modes`` is reached).  A start
-    with more than ``opts.max_modes`` modes raises ``ValueError``.
+def newton_solve(init: PeriodicField, params: OperatorParams) -> Solution:
+    """Damped Newton from ``init`` at its own mode count; the count doubles
+    until the coefficient tail is resolved (or ``SolverOptions.max_modes`` is
+    reached).  A start with more than ``max_modes`` modes raises
+    ``ValueError``.
 
-    The start is translated to put its maximum at s = 0 and projected onto
-    the even (cosine) fields, which the equation maps to themselves; every
-    iterate, and so the solution, has a real half spectrum.  The
-    maximum is the vertex of the parabola through the fine-grid maximum and
-    its two neighbours, which is within half a fine spacing of it; where
+    Every iterate, and so the solution, is an even field with a real half
+    spectrum.  A real start is one already and is used as it is.  A complex
+    (sampled) start is translated to put its maximum at s = 0 and projected
+    onto the even (cosine) fields, which the equation maps to themselves.
+    The maximum is the vertex of the parabola through the fine-grid maximum
+    and its two neighbours, which is within half a fine spacing of it; where
     their curvature is not negative the grid maximum is kept.  The even
     fields hold the two translates of a solution peaked at 0 and at L/2, so
     the projection fixes the axis: a start off it by d is O(d^2) from the
@@ -424,27 +416,27 @@ def newton_solve(init: PeriodicField, params: OperatorParams, opts: SolverOption
     Nehari manifold first.  A converged field below the bound max u >=
     a^((n-4)/8), or not strictly positive, raises ``PositivityError``.
     """
-    opts = opts or SolverOptions()
     if float(np.max(init.values)) <= 0.0:
         raise ValueError("initial guess must be positive somewhere")
-    if init.modes > opts.max_modes:
-        raise ValueError(f"initial field has {init.modes} modes, above max_modes ({opts.max_modes})")
-    u = init if init.modes >= opts.modes else init.resample(opts.modes)
-    fine = u.fine_values()
-    j = int(np.argmax(fine))
-    left, peak, right = fine[j - 1], fine[j], fine[(j + 1) % fine.size]
-    curvature = left - 2.0 * peak + right
-    vertex = 0.5 * (left - right) / curvature if curvature < 0.0 else 0.0
-    s0 = (j + min(0.5, max(-0.5, vertex))) * (u.spec.period / fine.size)
-    u = PeriodicField(u.spec, u.shift(s0).coeffs.real)
+    if init.modes > SolverOptions.max_modes:
+        raise ValueError(f"initial field has {init.modes} modes, above max_modes ({SolverOptions.max_modes})")
+    u = init
+    if np.iscomplexobj(u.coeffs):
+        fine = u.fine_values()
+        j = int(np.argmax(fine))
+        left, peak, right = fine[j - 1], fine[j], fine[(j + 1) % fine.size]
+        curvature = left - 2.0 * peak + right
+        vertex = 0.5 * (left - right) / curvature if curvature < 0.0 else 0.0
+        s0 = (j + min(0.5, max(-0.5, vertex))) * (u.spec.period / fine.size)
+        u = PeriodicField(u.spec, u.shift(s0).coeffs.real)
     _nonlinear_scale(u)  # the start's u^(2#-1) is in float64 before its first residual
     iters = 0
     while True:
         u, res_sup, it = _newton_fixed(u, params)
         iters += it
-        if u.modes >= opts.max_modes or _tail_fraction(u) < SolverOptions.tail_tol:
+        if u.modes >= SolverOptions.max_modes or _tail_fraction(u) < SolverOptions.tail_tol:
             break
-        u = u.resample(min(2 * u.modes, opts.max_modes))
+        u = u.resample(min(2 * u.modes, SolverOptions.max_modes))
     is_const = u.nonconstant_fraction() <= _CONSTANT_FRACTION
     fine = u.fine_values()
     if not is_const and fine[fine.size // 2] > fine[0]:  # peaked at L/2: c_m -> (-1)^m c_m
@@ -583,41 +575,41 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
     )
 
 
-def rescale_to_solution(
-    minimum: QuotientMinimum, params: OperatorParams, opts: SolverOptions | None = None
-) -> Solution:
+def rescale_to_solution(minimum: QuotientMinimum, params: OperatorParams) -> Solution:
     """Newton from the quotient minimizer put on the Nehari manifold by
     ``nehari_scaled``: the solution of P w = w^(2#-1) it is a multiple of."""
-    return newton_solve(nehari_scaled(minimum.field, params), params, opts)
+    return newton_solve(nehari_scaled(minimum.field, params), params)
 
 
 MODE1_AMPLITUDE = 0.1  # relative amplitude of the mode-1 seed's cosine
+_SEED_MODES = 64       # grid of the constant and of the mode-1 seed
 
 
-def constant_solution(spec: ManifoldSpec, params: OperatorParams, opts: SolverOptions) -> Solution:
-    """The exact constant u_bar = a^((n-4)/8) on ``opts.modes`` points, with
-    no Newton step; its residual and checks are those ``newton_solve``
+def constant_solution(spec: ManifoldSpec, params: OperatorParams) -> Solution:
+    """The exact constant u_bar = a^((n-4)/8) on ``_SEED_MODES`` points,
+    with no Newton step; its residual and checks are those ``newton_solve``
     reports for it.  A u_bar that underflows to 0 raises
     ``FloatingPointError``."""
     u_bar, _ = constant_branch(spec.n, params.a_alpha, product_volume(spec))
     if u_bar == 0.0:
         raise FloatingPointError(f"constant solution a^((n-4)/8) at a={params.a_alpha!r} underflows float64")
-    u = PeriodicField.constant(spec, u_bar, opts.modes)
+    u = PeriodicField.constant(spec, u_bar, _SEED_MODES)
     _nonlinear_scale(u)  # named, as for a Newton start, before the residual forms u^(2#-1)
     res_sup = float(np.max(np.abs(residual(u, params).values)))
     return _checked_solution(u, params, res_sup, True, 0)
 
 
-def mode1_solution(spec: ManifoldSpec, params: OperatorParams, opts: SolverOptions) -> Solution:
+def mode1_solution(spec: ManifoldSpec, params: OperatorParams) -> Solution:
     """Fresh start off the constant branch past the mode-1 bifurcation:
     quotient descent from u_bar (1 + MODE1_AMPLITUDE cos(s/t)), u_bar =
-    a^((n-4)/8), on ``opts.modes`` points, then rescaling and Newton polish.
-    At and below it (mode-1 eigenvalue >= 0) it is ``constant_solution``."""
+    a^((n-4)/8), on ``_SEED_MODES`` points, then rescaling and Newton
+    polish.  At and below it (mode-1 eigenvalue >= 0) it is
+    ``constant_solution``."""
     if constant_eigenvalue(spec, params, 1) >= 0.0:
-        return constant_solution(spec, params, opts)
+        return constant_solution(spec, params)
     u_bar, _ = constant_branch(spec.n, params.a_alpha, product_volume(spec))
-    seed = PeriodicField.cosine(spec, u_bar, MODE1_AMPLITUDE, opts.modes)
-    return rescale_to_solution(minimize_quotient(seed, params), params, opts)
+    seed = PeriodicField.cosine(spec, u_bar, MODE1_AMPLITUDE, _SEED_MODES)
+    return rescale_to_solution(minimize_quotient(seed, params), params)
 
 
 # --- linearization -----------------------------------------------------------
@@ -676,8 +668,9 @@ def continuation_init(prev: Solution, params: OperatorParams) -> PeriodicField:
     even with its peak at s = 0 (as ``newton_solve`` returns it), so the
     stretched field is sampled about that peak wherever sqrt(k) |s| <= L/2,
     and the rest of the grid (empty for k <= 1) takes the scaled minimum of
-    u.  The prediction is even with its fine-grid maximum at s = 0, so
-    Newton starts it on its axis without a translation.
+    u.  The samples are symmetric about s = 0 by construction, so their
+    spectrum is real but for rounding: the prediction is their cosine
+    series, an even field that Newton starts from as it is.
     """
     u = prev.field
     k = params.alpha / prev.params.alpha
@@ -685,4 +678,4 @@ def continuation_init(prev: Solution, params: OperatorParams) -> PeriodicField:
     size = u.modes
     dist = np.minimum(np.arange(size), size - np.arange(size))  # |s_j| / h
     stretched = np.where(sigma * dist <= size // 2, u.dilated_values(sigma), np.min(u.values))
-    return PeriodicField.from_values(u.spec, k ** ((u.spec.n - 4) / 4.0) * stretched)
+    return PeriodicField(u.spec, transform(k ** ((u.spec.n - 4) / 4.0) * stretched).real)

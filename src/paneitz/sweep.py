@@ -27,7 +27,6 @@ from .solver import (
     ConvergenceError,
     PositivityError,
     Solution,
-    SolverOptions,
     constant_eigenvalue,
     constant_solution,
     continuation_init,
@@ -53,15 +52,14 @@ def quarter_square(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep grid and options; ``params`` holds the operator of each grid
-    alpha, built (and so checked against 0 < a <= alpha^2/4) at construction,
-    and ``delta`` is checked against 0 < delta < L/2 there too."""
+    """Sweep grid; ``params`` holds the operator of each grid alpha, built
+    (and so checked against 0 < a <= alpha^2/4) at construction, and
+    ``delta`` is checked against 0 < delta < L/2 there too."""
 
     spec: ManifoldSpec
     alphas: tuple[float, ...]
     schedule: Callable[[float], float] = quarter_square
     delta: float | None = None          # diagnostics ball radius, default L/8
-    solver: SolverOptions = dc_field(default_factory=SolverOptions)
     params: tuple[OperatorParams, ...] = dc_field(init=False, repr=False)
 
     def __post_init__(self):
@@ -101,9 +99,7 @@ class SweepRecord:
     residual_sup: float
 
 
-def branch_continuation(
-    prev: Solution, params: OperatorParams, opts: SolverOptions | None = None
-) -> Solution:
+def branch_continuation(prev: Solution, params: OperatorParams) -> Solution:
     """Continue a converged solution to new parameters with one Newton solve.
 
     Newton is seeded with ``continuation_init``, the previous solution
@@ -111,7 +107,7 @@ def branch_continuation(
     solve raises ConvergenceError ("branch lost"), chained to its cause.
     """
     try:
-        return newton_solve(continuation_init(prev, params), params, opts)
+        return newton_solve(continuation_init(prev, params), params)
     except (ConvergenceError, PositivityError) as exc:
         raise ConvergenceError(
             f"branch lost between alpha={prev.params.alpha} and alpha={params.alpha}: {exc}"
@@ -123,13 +119,13 @@ def _nonconstant_solution(
 ) -> Solution | None:
     if prev is not None:
         try:
-            sol = branch_continuation(prev, params, config.solver)
+            sol = branch_continuation(prev, params)
             if not sol.is_constant:
                 return sol
         except ConvergenceError:  # branch_continuation re-raises PositivityError as this
             pass
     try:
-        sol = mode1_solution(config.spec, params, config.solver)
+        sol = mode1_solution(config.spec, params)
         return None if sol.is_constant else sol
     except (ConvergenceError, PositivityError):
         return None
@@ -158,7 +154,7 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         if sol_nc is not None and sol_nc.energy <= e_const:
             chosen: Solution = sol_nc
         else:
-            chosen = constant_solution(spec, params, config.solver)
+            chosen = constant_solution(spec, params)
         report = concentration_ratios(chosen.field, config.delta, params)
         records.append(
             SweepRecord(

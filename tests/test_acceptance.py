@@ -48,7 +48,7 @@ def report(number: int, ok: bool, elapsed: float, detail: str) -> bool:
 
 @pytest.fixture(scope="session")
 def sweep_records():
-    config = SweepConfig(spec=SPEC, alphas=SWEEP_ALPHAS, solver=SolverOptions(max_modes=512))
+    config = SweepConfig(spec=SPEC, alphas=SWEEP_ALPHAS)
     start = time.perf_counter()
     records = run_sweep(config)
     return records, time.perf_counter() - start
@@ -133,7 +133,7 @@ def test_criterion_5_constant_branch(sweep_records):
             a = frac * alpha * alpha / 4.0
             params = OperatorParams(alpha, a)
             u_bar, _ = constant_branch(5, a, V5)
-            sol = newton_solve(PeriodicField.constant(SPEC, u_bar, 32), params, SolverOptions(modes=32))
+            sol = newton_solve(PeriodicField.constant(SPEC, u_bar, 32), params)
             worst_res = max(worst_res, sol.residual_sup)
     records, _ = sweep_records
     worst_identity = 0.0

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from paneitz import solver as solver_mod
 from paneitz.cli import build_parser, main
 from paneitz.constants import critical_exponent
 from paneitz.field import PeriodicField, load_field, save_field
@@ -401,14 +402,6 @@ class TestSolveCommand:
         assert (code, out) == (1, "")
         assert "circle period 2 pi t must be finite" in err
 
-    @pytest.mark.parametrize("command", [("solve", "--alpha", "2"), ("sweep", "--out", "x.csv")])
-    def test_modes_above_the_cap_rejected(self, capsys, command):
-        # the CLI keeps max_modes = 512, so no Newton step assembles a
-        # cosine block above 257 x 257
-        code, out, err = run_cli(capsys, command[0], "--dim", "5", *command[1:], "--modes", "1024")
-        assert (code, out) == (1, "")
-        assert "modes must not exceed max_modes (512), got 1024" in err
-
     def test_field_file_above_the_cap_rejected(self, capsys, tmp_path):
         path = tmp_path / "wide.field"
         save_field(PeriodicField.constant(ManifoldSpec(5, 1.0), 1.0, 1024), path)
@@ -417,6 +410,26 @@ class TestSolveCommand:
         )
         assert (code, out) == (1, "")
         assert "initial field has 1024 modes, above max_modes (512)" in err
+
+    @pytest.mark.parametrize("init", ["mode1", "constant"])
+    def test_field_in_without_init_file_rejected(self, capsys, tmp_path, init):
+        # only --init file reads the field, so the other starts refuse it
+        path = tmp_path / "c.field"
+        save_field(PeriodicField.constant(ManifoldSpec(5, 1.0), 1.0, 64), path)
+        code, out, err = run_cli(
+            capsys, "solve", "--dim", "5", "--alpha", "8", "--init", init, "--field-in", str(path)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"paneitz solve: error: --field-in is read only with --init file, not --init {init}\n"
+
+    def test_unconverged_krylov_solve_is_a_numerical_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_KRYLOV_MAX_ITER", 2)
+        code, out, err = run_cli(capsys, "solve", "--dim", "5", "--alpha", "8")
+        assert (code, out) == (2, "")
+        assert err == (
+            "paneitz solve: numerical failure: linear solve failed: "
+            "Krylov solve: relative residual above 1e-14 after 2 GMRES iterations\n"
+        )
 
     def test_unknown_flag_lists_usage(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--dim", "5", "--alpha", "2", "--bogus", "1")
@@ -433,18 +446,13 @@ class TestSolveCommand:
         )
         path = tmp_path / "seed.field"
         save_field(u, path)
-        import paneitz.cli as cli_mod
-        from paneitz.solver import SolverOptions
-
         monkeypatch.setattr(SolverOptions, "max_iter", 1)
         monkeypatch.setattr(SolverOptions, "max_backtracks", 1)
-        monkeypatch.setattr(
-            cli_mod, "SolverOptions", lambda modes: SolverOptions(modes=modes, max_modes=modes)
-        )
+        monkeypatch.setattr(SolverOptions, "max_modes", 16)
         code, _, err = run_cli(
             capsys,
             "solve", "--dim", "5", "--alpha", "8", "--a", "auto",
-            "--init", "file", "--field-in", str(path), "--modes", "16",
+            "--init", "file", "--field-in", str(path),
         )
         assert code == 2
         assert "numerical failure" in err
@@ -470,6 +478,14 @@ class TestSweepCommand:
         assert code == 0
         payload = json.loads(out)
         assert len(payload) == 2
+
+    def test_undefined_ratio_is_null_in_json(self, capsys):
+        # at the constant row the gradient ratio is 0/0, NaN in the record
+        code, out, _ = run_cli(capsys, "sweep", "--dim", "8", "--format", "json")
+        assert code == 0
+        row = json.loads(out)[0]
+        assert (row["alpha"], row["is_nonconstant"], row["R_gradL2"]) == (2.0, False, None)
+        assert '"R_gradL2": null' in out
 
     def test_schedule_file(self, capsys, tmp_path):
         sched = tmp_path / "schedule.txt"
@@ -747,6 +763,19 @@ class TestDiagnoseCommand:
         assert payload["hessian_ratio_over_a"] == pytest.approx(
             payload["hessian_ratio"] / 1.0
         )
+
+    def test_constant_field_gradient_ratios_are_null(self, capsys, tmp_path):
+        # a constant has no gradient, so every gradient ratio is 0/0
+        path = tmp_path / "c.field"
+        code, _, _ = run_cli(
+            capsys, "solve", "--dim", "5", "--alpha", "2", "--init", "constant", "--field-out", str(path)
+        )
+        assert code == 0
+        code, out, _ = run_cli(capsys, "diagnose", str(path), "--alpha", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert [payload[k] for k in ("R_gradL2", "R_strong", "R_gradL2_weak")] == [None, None, None]
+        assert payload["grad_ratios_defined"] is False
 
     @pytest.mark.parametrize(
         "row, why", [("0.5", "expected two columns"), ("0.5 nan", "is not a finite number")]

@@ -146,8 +146,8 @@ class TestEnergyFunctionIdentities:
     def test_alpha_t_collapse(self, n):
         # u(s) = alpha^((n-4)/4) v(sqrt(alpha) s) maps alpha = 1 on S^1(4) to
         # alpha = 16 on S^1(1); the discrete problems are the same up to scale
-        big = mode1_solution(ManifoldSpec(n, 1.0), OperatorParams(16.0, 64.0), SolverOptions())
-        unit = mode1_solution(ManifoldSpec(n, 4.0), OperatorParams(1.0, 0.25), SolverOptions())
+        big = mode1_solution(ManifoldSpec(n, 1.0), OperatorParams(16.0, 64.0))
+        unit = mode1_solution(ManifoldSpec(n, 4.0), OperatorParams(1.0, 0.25))
         assert not big.is_constant
         assert big.energy == pytest.approx(16.0 ** ((n - 1) / 2) * unit.energy, rel=1e-13)
 
@@ -155,7 +155,7 @@ class TestEnergyFunctionIdentities:
     def test_two_peak_tiling(self, n):
         # c'_{2m} = c_m repeats the S^1(1/2) solution twice around S^1(1)
         params = OperatorParams(16.0, 64.0)
-        one = mode1_solution(ManifoldSpec(n, 0.5), params, SolverOptions())
+        one = mode1_solution(ManifoldSpec(n, 0.5), params)
         tiled = np.zeros(2 * one.field.coeffs.size - 1, dtype=complex)
         tiled[::2] = one.field.coeffs
         two = newton_solve(PeriodicField(ManifoldSpec(n, 1.0), tiled), params)
@@ -164,9 +164,12 @@ class TestEnergyFunctionIdentities:
 
 
 def geometric_solution(n, t):
-    """``mode1_solution`` at the geometric point on S^1(t) x S^(n-1)."""
+    """``mode1_solution`` at the geometric point on S^1(t) x S^(n-1), with
+    the mode cap raised to 1024."""
     params = OperatorParams((n * n - 4 * n + 8) / 2.0, (n * (n - 4) / 4.0) ** 2)
-    return mode1_solution(ManifoldSpec(n, t), params, SolverOptions(max_modes=1024))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SolverOptions, "max_modes", 1024)
+        return mode1_solution(ManifoldSpec(n, t), params)
 
 
 class TestGeometricPoint:
@@ -227,7 +230,7 @@ class TestGeometricPoint:
         assert np.max(np.abs(u - periodized)) <= 10.0 * half**2 / c_n + 4e-15 * c_n
 
     @pytest.mark.parametrize("n, t", DEFICIT_POINTS + QUANTUM_POINTS)
-    def test_sampled_homoclinic_start_reaches_the_same_solution(self, solutions, n, t):
+    def test_sampled_homoclinic_start_reaches_the_same_solution(self, monkeypatch, solutions, n, t):
         # Newton from the periodized homoclinic sum_k v(s - kL): a start built
         # from samples, so its spectrum is complex until newton_solve's one
         # projection.  Measured within 7.9e-14 of the peak.
@@ -237,7 +240,8 @@ class TestGeometricPoint:
             sol.field.spec, lambda s: sum(self.homoclinic(n, s - k * length) for k in range(-3, 4))
         )
         assert start.coeffs.dtype == np.complex128
-        got = newton_solve(start, sol.params, SolverOptions(max_modes=1024))
+        monkeypatch.setattr(SolverOptions, "max_modes", 1024)
+        got = newton_solve(start, sol.params)
         assert got.field.coeffs.dtype == np.float64
         assert got.modes == sol.modes
         peak = float(np.max(sol.field.fine_values()))

@@ -97,20 +97,26 @@ class TestNewton:
         assert sol.is_constant
         assert sol.residual_sup < 1e-13
 
+    @pytest.mark.parametrize("modes", [16, 32, 64, 128])
+    def test_works_at_the_starts_own_mode_count(self, modes):
+        sol = newton_solve(constant_init(1.0, modes=modes), OperatorParams(2.0, 1.0))
+        assert sol.modes == modes
+
     def test_stagnation_acceptance_counts_accepted_steps(self, monkeypatch):
         # a start within 10 tol_eff that no step improves (no backtracks) is
         # accepted by stagnation in iteration 1, after 0 accepted steps
         params = OperatorParams(8.0, 16.0)
-        sol = mode1_solution(SPEC, params, SolverOptions(modes=128, max_modes=128))
+        monkeypatch.setattr(solver_mod, "_SEED_MODES", 128)
+        monkeypatch.setattr(SolverOptions, "max_modes", 128)
+        sol = mode1_solution(SPEC, params)
         coeffs = sol.field.coeffs.copy()
         coeffs[0] += 1e-13
         start = PeriodicField(SPEC, coeffs)
-        opts = SolverOptions(modes=128, max_modes=128)
         monkeypatch.setattr(SolverOptions, "max_backtracks", 0)
-        tol_eff = max(opts.tol, opts.rtol * _nonlinear_scale(start))
+        tol_eff = max(SolverOptions.tol, SolverOptions.rtol * _nonlinear_scale(start))
         start_sup = float(np.max(np.abs(residual(start, params).values)))
         assert tol_eff < start_sup <= 10.0 * tol_eff
-        moved = newton_solve(start, params, opts)
+        moved = newton_solve(start, params)
         assert moved.newton_iters == 0
         assert np.array_equal(moved.field.coeffs, coeffs)
 
@@ -172,9 +178,8 @@ class TestNewton:
 
     def test_mode_adaptation_reports_resolution(self):
         params = OperatorParams(32.0, 256.0)
-        opts = SolverOptions(modes=32, max_modes=512)
         qm = minimize_quotient(perturbed_init(256.0, modes=32), params)
-        sol = rescale_to_solution(qm, params, opts)
+        sol = rescale_to_solution(qm, params)
         assert sol.modes > 32  # concentration demands refinement
         assert sol.residual_sup <= 1e-9
 
@@ -184,7 +189,7 @@ class TestNewton:
         # sup it reports is that of the field it returns, bit for bit
         spec = ManifoldSpec(n, 1.0)
         params = OperatorParams(8.0, 16.0)
-        fresh = mode1_solution(spec, params, SolverOptions())
+        fresh = mode1_solution(spec, params)
         moved = newton_solve(fresh.field.shift(0.3 * spec.period).scaled(1.1), params)
         flat = newton_solve(constant_init(16.0, spec=spec), params)
         for sol in (fresh, moved, flat):
@@ -214,7 +219,7 @@ class TestNewton:
         # has max u >= a^((n-4)/8) (here 2^(1/2)), so this one is refused
         spec = ManifoldSpec(5, 0.5)
         params = OperatorParams(8.0, 16.0)
-        sol = mode1_solution(spec, params, SolverOptions())
+        sol = mode1_solution(spec, params)
         assert float(np.max(sol.field.fine_values())) >= 16.0 ** (1.0 / 8.0)
         with pytest.raises(PositivityError, match="converged to the trivial solution"):
             newton_solve(sol.field.scaled(0.6), params)
@@ -266,24 +271,22 @@ class TestNewton:
         assert sol.field.mean == pytest.approx(u_bar, rel=1e-11)
         assert sol.energy == pytest.approx(e_const, rel=1e-10)
 
-    def test_bad_max_modes_is_rejected(self):
-        for max_modes in (97, 14, 0):
-            with pytest.raises(ValueError, match="max_modes must be even and >= 16"):
-                SolverOptions(modes=64, max_modes=max_modes)
-
-    def test_modes_above_max_modes_is_rejected(self):
-        # max_modes bounds every Newton step's N, and so the dense block
-        # each linear solve assembles
-        with pytest.raises(ValueError, match=r"modes must not exceed max_modes \(512\), got 1024"):
-            SolverOptions(modes=1024)
-        assert SolverOptions(modes=1024, max_modes=1024).modes == 1024
-
-    def test_start_above_max_modes_is_rejected(self):
+    def test_start_above_max_modes_is_rejected(self, monkeypatch):
         start = constant_init(1.0, modes=1024)
         with pytest.raises(ValueError, match=r"initial field has 1024 modes, above max_modes \(512\)"):
             newton_solve(start, OperatorParams(2.0, 1.0))
-        sol = newton_solve(start, OperatorParams(2.0, 1.0), SolverOptions(max_modes=1024))
+        monkeypatch.setattr(SolverOptions, "max_modes", 1024)
+        sol = newton_solve(start, OperatorParams(2.0, 1.0))
         assert sol.modes == 1024
+
+    def test_unconverged_krylov_solve_is_named(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_KRYLOV_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError) as exc:
+            mode1_solution(SPEC, OperatorParams(8.0, 16.0))
+        assert str(exc.value) == (
+            "linear solve failed: Krylov solve: relative residual above 1e-14 after 2 GMRES iterations"
+        )
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
     def test_newton_rhs_beyond_float64_is_named(self):
         # the residual of a constant 1e20 start, 1e180 at n = 5, is within
@@ -296,11 +299,11 @@ class TestNewton:
         assert str(exc.value) == "right-hand side of the Newton step has a norm outside the float64 range"
 
     def test_fixed_settings_are_not_options(self):
-        assert [f.name for f in dataclasses.fields(SolverOptions)] == ["modes", "max_modes"]
-        for name in ("tol", "rtol", "max_iter", "max_backtracks", "tail_tol"):
+        assert not dataclasses.is_dataclass(SolverOptions)
+        for name in ("tol", "rtol", "max_iter", "max_backtracks", "tail_tol", "max_modes"):
             with pytest.raises(TypeError):
                 SolverOptions(**{name: getattr(SolverOptions, name)})
-        assert (SolverOptions().tol, SolverOptions().rtol) == (1e-11, 5e-15)
+        assert (SolverOptions().tol, SolverOptions().rtol, SolverOptions.max_modes) == (1e-11, 5e-15, 512)
 
 
 @pytest.fixture(scope="module")
@@ -341,7 +344,7 @@ class TestNehariScaled:
     @pytest.mark.parametrize("factor", [0.6, 1.3])
     def test_scaled_solution_returns_to_it(self, n, factor):
         params = OperatorParams(8.0, 16.0)
-        sol = mode1_solution(ManifoldSpec(n, 1.0), params, SolverOptions())
+        sol = mode1_solution(ManifoldSpec(n, 1.0), params)
         # a solution is on the manifold to its residual (here up to 3e-12)
         back = nehari_scaled(sol.field.scaled(factor), params)
         assert np.max(np.abs(back.coeffs - sol.field.coeffs)) <= 1e-12 * sol.field.mean
@@ -386,17 +389,17 @@ class TestConstantSolution:
     @pytest.mark.parametrize("t", [0.3, 1.0, 4.0])
     @pytest.mark.parametrize("side", [0.5, 2.0])
     def test_is_newton_from_the_exact_constant_without_newton(self, monkeypatch, n, t, side):
-        spec, opts = ManifoldSpec(n, t), SolverOptions()
+        spec = ManifoldSpec(n, t)
         alpha = side * bifurcation_alpha(n, t, 1)
         params = OperatorParams(alpha, alpha * alpha / 4.0)
         u_bar, _ = constant_branch(n, params.a_alpha, product_volume(spec))
-        newton = newton_solve(PeriodicField.constant(spec, u_bar, opts.modes), params, opts)
+        newton = newton_solve(PeriodicField.constant(spec, u_bar, solver_mod._SEED_MODES), params)
 
         def no_newton(*args, **kwargs):
             raise AssertionError("constant_solution called newton_solve")
 
         monkeypatch.setattr(solver_mod, "newton_solve", no_newton)
-        sol = solver_mod.constant_solution(spec, params, opts)
+        sol = solver_mod.constant_solution(spec, params)
         assert_same_solution(sol, newton)
         assert sol.is_constant and sol.newton_iters == 0
 
@@ -410,18 +413,18 @@ class TestEvenSolutions:
         assert_even_about_origin(sol)
 
     def test_mode1_route(self):
-        sol = mode1_solution(SPEC, OperatorParams(8.0, 16.0), SolverOptions())
+        sol = mode1_solution(SPEC, OperatorParams(8.0, 16.0))
         assert not sol.is_constant
         assert_even_about_origin(sol)
 
     def test_continuation_route(self):
-        prev = mode1_solution(SPEC, OperatorParams(8.0, 16.0), SolverOptions())
+        prev = mode1_solution(SPEC, OperatorParams(8.0, 16.0))
         sol = branch_continuation(prev, OperatorParams(12.0, 36.0))
         assert not sol.is_constant
         assert_even_about_origin(sol)
 
     def test_constant_solution_route(self):
-        sol = solver_mod.constant_solution(SPEC, OperatorParams(2.0, 1.0), SolverOptions())
+        sol = solver_mod.constant_solution(SPEC, OperatorParams(2.0, 1.0))
         assert_even_about_origin(sol)
 
     @pytest.mark.parametrize("modes", [64, 256])
@@ -442,7 +445,7 @@ class TestEvenSolutions:
         # prediction was stretched about a trough
         alpha0, alpha1 = 2.7821312384916594, 2.9719885782738964
         params0 = OperatorParams(alpha0, alpha0 * alpha0 / 4.0)
-        prev = mode1_solution(ManifoldSpec(8, 1.0), params0, SolverOptions())
+        prev = mode1_solution(ManifoldSpec(8, 1.0), params0)
         sol = branch_continuation(prev, OperatorParams(alpha1, alpha1 * alpha1 / 4.0))
         assert not sol.is_constant
         assert_even_about_origin(sol)
@@ -451,15 +454,31 @@ class TestEvenSolutions:
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_internal_starts_peak_at_origin(self, n):
-        # the quotient descent and the scaled predictor hand Newton starts
-        # already on their axis, so its grid-maximum translation is by 0
+        # the quotient descent and the scaled predictor hand Newton even
+        # starts, real by type and peaked at s = 0
         params = OperatorParams(8.0, 16.0)
         qm = minimize_quotient(perturbed_init(params.a_alpha, spec=ManifoldSpec(n, 1.0)), params)
+        assert qm.field.coeffs.dtype == np.float64
         assert int(np.argmax(qm.field.fine_values())) == 0
         prev = rescale_to_solution(qm, params)
         for alpha in (6.0, 12.0):
             start = continuation_init(prev, OperatorParams(alpha, alpha * alpha / 4.0))
+            assert start.coeffs.dtype == np.float64, alpha
             assert int(np.argmax(start.fine_values())) == 0, alpha
+
+    def test_real_start_is_used_as_it_is(self, monkeypatch):
+        # only a sampled (complex) start is recentred and projected
+        prev = mode1_solution(SPEC, OperatorParams(8.0, 16.0))
+        params = OperatorParams(12.0, 36.0)
+        start = continuation_init(prev, params)
+
+        def no_shift(self, s0):
+            raise AssertionError("newton_solve translated a real start")
+
+        monkeypatch.setattr(PeriodicField, "shift", no_shift)
+        sol = newton_solve(start, params)
+        assert not sol.is_constant
+        assert_even_about_origin(sol)
 
     def test_off_symmetry_start(self, concentrated):
         # shifted, scaled and pushed off its symmetry axis by a few low
@@ -478,10 +497,11 @@ class TestEvenSolutions:
 class TestLargerModeCap:
     # Cheap linear solves let a concentrated solution go past the default
     # 512-mode cap, where its coefficient tail is still above tail_tol.
-    def test_alpha_256_resolved_at_1024_modes(self):
+    def test_alpha_256_resolved_at_1024_modes(self, monkeypatch):
         params = OperatorParams(256.0, 256.0**2 / 4.0)
-        capped = mode1_solution(SPEC, params, SolverOptions())
-        wide = mode1_solution(SPEC, params, SolverOptions(max_modes=1024))
+        capped = mode1_solution(SPEC, params)
+        monkeypatch.setattr(SolverOptions, "max_modes", 1024)
+        wide = mode1_solution(SPEC, params)
         assert capped.modes == 512
         assert _tail_fraction(capped.field) > SolverOptions().tail_tol
         assert wide.modes == 1024
@@ -615,27 +635,27 @@ class TestScaledPredictor:
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_prediction_beats_previous_field(self, n):
-        prev = mode1_solution(ManifoldSpec(n, 1.0), OperatorParams(64.0, 1024.0), SolverOptions())
+        prev = mode1_solution(ManifoldSpec(n, 1.0), OperatorParams(64.0, 1024.0))
         target = OperatorParams(96.0, 96.0**2 / 4.0)  # k = 1.5
         unmoved = np.max(np.abs(residual(prev.field, target).values))
         predicted = np.max(np.abs(residual(continuation_init(prev, target), target).values))
         assert predicted * 100.0 <= unmoved
 
     def test_downward_continuation_reaches_fresh_solves(self):
-        sol = mode1_solution(SPEC, OperatorParams(64.0, 1024.0), SolverOptions())
+        sol = mode1_solution(SPEC, OperatorParams(64.0, 1024.0))
         for alpha in (48.0, 32.0, 16.0, 8.0, 4.0):
             params = OperatorParams(alpha, alpha * alpha / 4.0)
             sol = branch_continuation(sol, params)
-            fresh = mode1_solution(SPEC, params, SolverOptions())
+            fresh = mode1_solution(SPEC, params)
             assert sol.energy == pytest.approx(fresh.energy, rel=1e-9), alpha
 
     def test_changing_ratio_reaches_fresh_solves(self):
         # a = alpha: a/alpha^2 falls from 1/4, so the scaling is not exact
-        sol = mode1_solution(SPEC, OperatorParams(4.0, 4.0), SolverOptions())
+        sol = mode1_solution(SPEC, OperatorParams(4.0, 4.0))
         for alpha in (8.0, 16.0, 32.0, 64.0, 128.0):
             params = OperatorParams(alpha, alpha)
             sol = branch_continuation(sol, params)
-            fresh = mode1_solution(SPEC, params, SolverOptions())
+            fresh = mode1_solution(SPEC, params)
             assert sol.energy == pytest.approx(fresh.energy, rel=1e-9), alpha
 
 
@@ -893,7 +913,7 @@ class TestLinearization:
         # the quotient minimizer's Morse index is 1; the next eigenvalue is
         # the odd translation mode u' (zero up to rounding, of either sign)
         params = OperatorParams(alpha, alpha * alpha / 4.0)
-        sol = mode1_solution(ManifoldSpec(n, 1.0), params, SolverOptions())
+        sol = mode1_solution(ManifoldSpec(n, 1.0), params)
         assert not sol.is_constant
         eig = linearized_spectrum(sol)
         ref = np.linalg.eigvalsh(reference_linearized_operator(sol.field, params))
@@ -911,7 +931,7 @@ class TestLinearization:
 
     def test_dense_matches_closed_form_at_constant(self):
         params = OperatorParams(2.0, 1.0)
-        sol = newton_solve(constant_init(1.0, modes=32), params, SolverOptions(modes=32))
+        sol = newton_solve(constant_init(1.0, modes=32), params)
         dense = np.linalg.eigvalsh(linearized_operator(sol.field, params))
         closed = constant_eigenvalue(SPEC, params, np.arange(17))
         # each m >= 1 closed-form eigenvalue appears twice in the dense spectrum

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from paneitz import solver as solver_mod
 from paneitz.constants import OperatorParams, constant_branch
 from paneitz.field import PeriodicField, norms
 from paneitz.geometry import ManifoldSpec, product_volume
@@ -107,12 +108,9 @@ class TestRunSweep:
         # not already a solution, so the nonconstant attempts fail; the sweep
         # must still produce rows
         monkeypatch.setattr(SolverOptions, "max_backtracks", 0)
-        config = SweepConfig(
-            spec=SPEC,
-            alphas=(2.0,),
-            solver=SolverOptions(modes=16, max_modes=16),
-        )
-        (rec,) = run_sweep(config)
+        monkeypatch.setattr(SolverOptions, "max_modes", 16)
+        monkeypatch.setattr(solver_mod, "_SEED_MODES", 16)
+        (rec,) = run_sweep(SweepConfig(spec=SPEC, alphas=(2.0,)))
         assert rec.e_nonconst is None
         assert rec.e_m_estimate == rec.e_const
 
@@ -135,7 +133,7 @@ class TestContinuation:
         # across the mode-1 instability threshold
         params0 = OperatorParams(0.5, quarter_square(0.5))
         u0 = PeriodicField.constant(SPEC, quarter_square(0.5) ** 0.125, 32)
-        sol0 = newton_solve(u0, params0, SolverOptions(modes=32))
+        sol0 = newton_solve(u0, params0)
         for alpha in (0.8, 1.5):
             params1 = OperatorParams(alpha, quarter_square(alpha))
             sol1 = branch_continuation(sol0, params1)
@@ -149,7 +147,7 @@ class TestContinuation:
         sol0 = newton_solve(PeriodicField.constant(SPEC, 1.0, 32), params0)
         calls = []
 
-        def failing_solve(init, params, opts=None):
+        def failing_solve(init, params):
             calls.append(params)
             raise cause
 

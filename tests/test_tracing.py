@@ -54,7 +54,7 @@ def test_traced_calls_record_their_quantities(tmp_path):
     path = tmp_path / "u.field"
     try:
         tracer.install()
-        sol = solver.mode1_solution(ManifoldSpec(5, 1.0), OperatorParams(8.0, 16.0), solver.SolverOptions())
+        sol = solver.mode1_solution(ManifoldSpec(5, 1.0), OperatorParams(8.0, 16.0))
         field.save_field(sol.field, path)
         field.load_field(path)
         quadrature.panel_rule(np.array([0.0, 1.0, 2.0]), 8)
