@@ -30,7 +30,7 @@ from .solver import ConvergenceError, PositivityError
 from .solver import constant_solution, mode1_solution, nehari_scaled, newton_solve
 from .sweep import SweepConfig, _json_ready, emit, quarter_square, run_sweep
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,7 +91,9 @@ def _read_schedule_file(path: str) -> list[tuple[float, float]]:
     return rows
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so repeated main calls share one
     parser = _Parser(prog="paneitz", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -140,12 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, help="ball radius (default L/8)")
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parsing leaves the parser unchanged, so repeated main calls share one
-    return build_parser()
 
 
 def _cmd_constants(args) -> int:

@@ -328,35 +328,34 @@ _TRIVIAL_SLACK = 1e-6     # relative slack below the bound max u >= a^((n-4)/8)
 def _newton_fixed(u: PeriodicField, params: OperatorParams):
     """Newton at fixed resolution; returns (field, residual sup, accepted steps).
 
-    Iterates on F(u) = P u - u_+^(2#-1), the residual the solution reports.
-    Converged at tol_eff; after stagnation or ``max_iter`` steps, accepted at
-    the rounding floor 10 tol_eff, else ``ConvergenceError``."""
+    Iterates on F(u) = P u - u_+^(2#-1), the residual the solution reports,
+    until its sup is at most tol_eff = max(tol, rtol max(1, max|u|^(2#-1))).
+    A step that no backtrack makes decrease the sup, or ``max_iter`` steps
+    short of tol_eff, raises ``ConvergenceError``."""
     res = residual(u, params)
     res_sup = float(np.max(np.abs(res.values)))
-    steps, stalled = 0, False
-    while True:
-        tol_eff = max(SolverOptions.tol, SolverOptions.rtol * _nonlinear_scale(u))
-        final = stalled or steps == SolverOptions.max_iter
-        if res_sup <= (10.0 * tol_eff if final else tol_eff):
-            return u, res_sup, steps
-        if final:
-            why = (f"Newton stagnated at residual {res_sup:.3e} after {steps + 1} iterations" if stalled
-                   else f"no convergence after {steps} iterations, residual {res_sup:.3e}")
-            raise ConvergenceError(why, u, res_sup)
+    steps = 0
+    while res_sup > max(SolverOptions.tol, SolverOptions.rtol * _nonlinear_scale(u)):
+        if steps == SolverOptions.max_iter:
+            raise ConvergenceError(f"no convergence after {steps} iterations, residual {res_sup:.3e}", u, res_sup)
         try:
             step = _solve_krylov(u, params, res.coeffs)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"linear solve failed: {exc}", u, res_sup) from exc
-        stalled, eta = True, 1.0
+        eta = 1.0
         for _ in range(SolverOptions.max_backtracks):
             cand = PeriodicField(u.spec, u.coeffs - eta * step)
             cand_res = residual(cand, params)
             cand_sup = float(np.max(np.abs(cand_res.values)))
             if cand_sup < res_sup:
                 u, res, res_sup = cand, cand_res, cand_sup
-                steps, stalled = steps + 1, False
+                steps += 1
                 break
             eta *= 0.5
+        else:
+            why = f"Newton stagnated at residual {res_sup:.3e} after {steps + 1} iterations"
+            raise ConvergenceError(why, u, res_sup)
+    return u, res_sup, steps
 
 
 def _tail_fraction(u: PeriodicField) -> float:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from paneitz import solver as solver_mod
-from paneitz.cli import build_parser, main
+from paneitz.cli import main
 from paneitz.constants import critical_exponent
 from paneitz.field import PeriodicField, load_field, save_field
 from paneitz.geometry import ManifoldSpec
@@ -578,7 +578,7 @@ class TestSweepCommand:
         code, text, err = run_cli(capsys, "solve", "--dim", "5", "--alpha", "128", "--a", "2048")
         assert code == 0, err
         opts, p = SolverOptions(), critical_exponent(5) - 1.0
-        acceptance = 10.0 * max(opts.tol, opts.rtol * json.loads(text)["max_value"] ** p)
+        acceptance = max(opts.tol, opts.rtol * json.loads(text)["max_value"] ** p)
         assert all(float(r["residual_sup"]) <= acceptance for r in rows)
 
     def test_default_grid_columns_pinned(self, capsys, tmp_path):
@@ -717,7 +717,7 @@ class TestSweepCommand:
         code, text, err = run_cli(capsys, "solve", grid[0], grid[1], "--alpha", top)
         assert code == 0, err
         opts, p = SolverOptions(), critical_exponent(int(grid[1])) - 1.0
-        acceptance = 10.0 * max(opts.tol, opts.rtol * json.loads(text)["max_value"] ** p)
+        acceptance = max(opts.tol, opts.rtol * json.loads(text)["max_value"] ** p)
         assert all(float(r["residual_sup"]) <= acceptance for r in rows)
 
 
@@ -850,9 +850,6 @@ class TestRepeatedMain:
         references = run_fresh(solve + ["--field-out", str(fresh_field)], *calls[1:])
         assert seen == references
         assert fresh_field.read_bytes() == written
-
-    def test_build_parser_returns_a_fresh_parser(self):
-        assert build_parser() is not build_parser()
 
 
 class TestHelp:

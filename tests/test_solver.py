@@ -102,9 +102,9 @@ class TestNewton:
         sol = newton_solve(constant_init(1.0, modes=modes), OperatorParams(2.0, 1.0))
         assert sol.modes == modes
 
-    def test_stagnation_acceptance_counts_accepted_steps(self, monkeypatch):
-        # a start within 10 tol_eff that no step improves (no backtracks) is
-        # accepted by stagnation in iteration 1, after 0 accepted steps
+    def test_stagnation_near_tolerance_is_a_failure(self, monkeypatch):
+        # tol_eff is the one acceptance rule: a start within 10 tol_eff that
+        # no step improves (no backtracks) stagnates in iteration 1 and fails
         params = OperatorParams(8.0, 16.0)
         monkeypatch.setattr(solver_mod, "_SEED_MODES", 128)
         monkeypatch.setattr(SolverOptions, "max_modes", 128)
@@ -116,9 +116,10 @@ class TestNewton:
         tol_eff = max(SolverOptions.tol, SolverOptions.rtol * _nonlinear_scale(start))
         start_sup = float(np.max(np.abs(residual(start, params).values)))
         assert tol_eff < start_sup <= 10.0 * tol_eff
-        moved = newton_solve(start, params)
-        assert moved.newton_iters == 0
-        assert np.array_equal(moved.field.coeffs, coeffs)
+        with pytest.raises(ConvergenceError, match=r"Newton stagnated at residual \S+ after 1 iterations") as exc:
+            newton_solve(start, params)
+        assert np.array_equal(exc.value.last.coeffs, coeffs)
+        assert exc.value.residual_sup == start_sup
 
     def test_below_bifurcation_returns_constant(self):
         params = OperatorParams(0.5, 0.0625)
