@@ -852,6 +852,16 @@ class TestRepeatedMain:
         assert fresh_field.read_bytes() == written
 
 
+class TestPackageNamespace:
+    def test_holds_only_modules_and_version(self):
+        # the modules are the API: the package re-exports no function or class
+        public = {k: v for k, v in vars(paneitz).items() if not k.startswith("_")}
+        assert "quadrature" in public
+        assert all(isinstance(v, type(paneitz)) for v in public.values()), sorted(public)
+        assert isinstance(paneitz.__version__, str)
+        assert paneitz.cli.__all__ == ["main"]
+
+
 class TestHelp:
     @pytest.mark.parametrize(
         "cmd", ["constants", "bubble-check", "solve", "sweep", "diagnose"]
