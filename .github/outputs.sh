@@ -8,9 +8,10 @@
 # OUT_DIR is created.  The outputs are the default n = 5 sweep; for n = 5..8
 # the sweeps on 2:128:64:log, on 2:16:8:log at t = 0.3 and on 2:512:9:log;
 # for n = 5..8 at alpha = 2, 8, 32, 128 a mode-1 solve, a solve from its
-# field file and a diagnose of that file; and bubble-check at lambda0 = 1.7
-# for n = 5, 6, 7, 8, 12.  A command that exits nonzero does not stop the
-# others; the script then exits 1 once all have run.
+# field file and a diagnose of that file, and a mode-1 solve at alpha = 512;
+# and bubble-check at lambda0 = 1.7 for n = 5, 6, 7, 8, 12.  A command that
+# exits nonzero does not stop the others; the script then exits 1 once all
+# have run.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -47,6 +48,7 @@ for n in 5 6 7 8; do
         run $stem-file.json solve --dim $n --alpha $alpha --init file --field-in "$out/$stem.field"
         run $stem-diagnose.json diagnose "$out/$stem.field" --alpha $alpha
     done
+    run dim$n-alpha512-solve.json solve --dim $n --alpha 512
 done
 for n in 5 6 7 8 12; do
     run bubble-dim$n.json bubble-check --dim $n --lambda0 1.7

@@ -26,8 +26,7 @@ from .constants import (
 from .diagnostics import concentration_ratios
 from .field import load_field, save_field
 from .geometry import ManifoldSpec
-from .solver import ConvergenceError, PositivityError
-from .solver import constant_solution, mode1_solution, nehari_scaled, newton_solve
+from .solver import ConvergenceError, constant_solution, mode1_solution, nehari_scaled, newton_solve
 from .sweep import SweepConfig, _json_ready, emit, quarter_square, run_sweep
 
 __all__ = ["main"]
@@ -201,6 +200,8 @@ def _solution_payload(sol) -> dict:
         "newton_iters": sol.newton_iters,
         "min_value": float(np.min(sol.field.fine_values())),
         "max_value": float(np.max(sol.field.fine_values())),
+        "positivity_margin": sol.positivity_margin,
+        "tail_fraction": sol.tail_fraction,
     }
 
 
@@ -297,7 +298,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     # LinAlgError subclasses ValueError, so numerical failures come first
-    except (ConvergenceError, PositivityError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (ConvergenceError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"paneitz {args.command}: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -3,8 +3,8 @@
 Covers the critical exponent, the sharp Euclidean second-order Sobolev
 constant K0, the radial extremal's normalization coefficient c_n, the
 Einstein-case operator coefficients, the factorization of P into two
-second-order factors, the constant solution branch, and the validator for
-coefficient schedules a(alpha).
+second-order factors and the minimum of its Green's function on the circle,
+the constant solution branch, and the validator for schedules a(alpha).
 
 Gamma function values come from ``math.gamma`` (a Lanczos-type evaluator
 with near machine-precision relative accuracy).
@@ -25,6 +25,7 @@ __all__ = [
     "bubble_coefficient",
     "einstein_coefficients",
     "factorize",
+    "green_minimum",
     "constant_branch",
     "validate_schedule",
 ]
@@ -111,6 +112,20 @@ def factorize(alpha: float, a: float) -> tuple[float, float]:
     # at the double root a/c can round one ulp above c
     d = min(a / c, c)
     return c, d
+
+
+def green_minimum(c: float, d: float, length: float) -> float:
+    """Minimum, at s = L/2, of the Green's function of (Delta + c)(Delta + d),
+    c >= d > 0, on a circle of length L: (G_d - G_c)/(c - d), G_k = 1/(2 sqrt(k)
+    sinh x_k), x_k = sqrt(k) L/2, rewritten so that nothing cancels or
+    overflows and c = d needs no case: q = (1 - e^(-(sqrt c - sqrt d) L/2)) /
+    (sqrt c - sqrt d), L/2 at c = d, carries the difference quotient."""
+    rc, rd, half = math.sqrt(c), math.sqrt(d), 0.5 * length
+    xc, xd, gap = rc * half, rd * half, rc - rd
+    q = -math.expm1(-gap * half) / gap if gap > 0.0 else half
+    one_c, one_d = -math.expm1(-2.0 * xc), -math.expm1(-2.0 * xd)
+    numerator = math.exp(-xd) * (one_c + rd * (1.0 + math.exp(-xc - xd)) * q)
+    return numerator / (rc + rd) / rc / rd / one_c / one_d  # in turn: their product can underflow to 0
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,9 @@ Two routes produce solutions:
 
 Newton iterates on the equation's own residual F(u) = P u - u_+^(2#-1):
 negative samples add nothing to the nonlinearity.  Each factor of
-P = (Delta + c)(Delta + d) has a positive Green's function, so every
-nontrivial root of F is positive; a converged field that is not strictly
-positive on the fine grid, or the trivial root u = 0, raises
-``PositivityError``.
+P = (Delta + c)(Delta + d) has a positive Green's function, so a root of F
+other than u = 0 (a ``ConvergenceError``) is at least ``positivity_margin``
+= g_min int u_+^(2#-1) ds > 0; no fine-grid sample's sign is tested.
 """
 
 from __future__ import annotations
@@ -51,13 +50,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import OperatorParams, constant_branch, critical_exponent
+from .constants import OperatorParams, constant_branch, critical_exponent, green_minimum
 from .field import PeriodicField, _pad, _pair_counts, _parseval_weights, _truncate, norms, transform
 from .geometry import ManifoldSpec, product_volume
 
 __all__ = [
     "ConvergenceError",
-    "PositivityError",
     "SolverOptions",
     "Solution",
     "residual",
@@ -86,10 +84,6 @@ class ConvergenceError(RuntimeError):
         self.residual_sup = residual_sup
 
 
-class PositivityError(RuntimeError):
-    """Converged to a field that is not strictly positive, or to u = 0."""
-
-
 class SolverOptions:
     """Fixed settings of the solver, read from the class.  ``max_modes``
     bounds the N of every Newton step and with it the (N/2+1)-square block
@@ -112,6 +106,8 @@ class Solution:
     lambda_quotient: float
     is_constant: bool
     newton_iters: int
+    positivity_margin: float    # g_min int u_+^(2#-1) ds, a lower bound of u
+    tail_fraction: float        # coefficient l1 mass above N/4, against tail_tol
 
     @property
     def modes(self) -> int:
@@ -412,8 +408,8 @@ def newton_solve(init: PeriodicField, params: OperatorParams) -> Solution:
     even solution.  A nonconstant solution peaked at L/2 is translated by
     L/2 before it is returned, so its peak is at 0.  The start is not
     scaled; ``nehari_scaled`` puts a field of unknown amplitude on the
-    Nehari manifold first.  A converged field below the bound max u >=
-    a^((n-4)/8), or not strictly positive, raises ``PositivityError``.
+    Nehari manifold first.  A field below max u >= a^((n-4)/8) is the
+    trivial root and raises ``ConvergenceError``.
     """
     if float(np.max(init.values)) <= 0.0:
         raise ValueError("initial guess must be positive somewhere")
@@ -449,21 +445,19 @@ def _checked_solution(
 ) -> Solution:
     """The ``Solution`` at a converged field u.  Mode 0 of the equation,
     a mean(u) = mean(u^(2#-1)) <= max(u)^(2#-2) mean(u), gives max u >= u_bar
-    = a^((n-4)/8) for every positive solution, so a field below that bound
-    is the trivial root u = 0 and raises ``PositivityError``, as does one
-    that is not strictly positive on the fine grid; an energy that underflows
-    float64 raises ``FloatingPointError``."""
-    low, peak = float(np.min(u.fine_values())), float(np.max(u.fine_values()))
+    = a^((n-4)/8) for every positive solution, so a field below that bound is
+    the trivial root u = 0 and raises ``ConvergenceError``.  Any other root is
+    u = P^(-1) u_+^(2#-1) >= g_min a L mean(u), the ``positivity_margin``; an
+    energy that underflows float64 raises ``FloatingPointError``."""
+    peak = float(np.max(u.fine_values()))
     u_bar, _ = constant_branch(u.spec.n, params.a_alpha, product_volume(u.spec))
     if peak < (1.0 - _TRIVIAL_SLACK) * u_bar:
-        raise PositivityError(
-            f"converged to the trivial solution (max {peak:.3e} < a^((n-4)/8) = {u_bar:.3e})"
-        )
-    if low <= 0.0:
-        raise PositivityError(f"converged field is not strictly positive (min {low:.3e})")
+        why = f"converged to the trivial solution (max {peak:.3e} < a^((n-4)/8) = {u_bar:.3e})"
+        raise ConvergenceError(why, u, res_sup)
     report = norms(u, params)
     if not report.energy > 0.0:
         raise FloatingPointError(f"critical energy of the solution underflows float64 ({report.energy!r})")
+    g_min = green_minimum(params.c_alpha, params.d_alpha, u.spec.period)
     return Solution(
         field=u,
         params=params,
@@ -472,6 +466,8 @@ def _checked_solution(
         lambda_quotient=report.pairing / report.energy ** (2.0 / critical_exponent(u.spec.n)),
         is_constant=is_const,
         newton_iters=iters,
+        positivity_margin=g_min * params.a_alpha * u.spec.period * u.mean,
+        tail_fraction=_tail_fraction(u),
     )
 
 

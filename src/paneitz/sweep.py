@@ -25,7 +25,6 @@ from .field import _ball_radius
 from .geometry import ManifoldSpec, product_volume
 from .solver import (
     ConvergenceError,
-    PositivityError,
     Solution,
     constant_eigenvalue,
     constant_solution,
@@ -108,7 +107,7 @@ def branch_continuation(prev: Solution, params: OperatorParams) -> Solution:
     """
     try:
         return newton_solve(continuation_init(prev, params), params)
-    except (ConvergenceError, PositivityError) as exc:
+    except ConvergenceError as exc:
         raise ConvergenceError(
             f"branch lost between alpha={prev.params.alpha} and alpha={params.alpha}: {exc}"
         ) from exc
@@ -122,12 +121,12 @@ def _nonconstant_solution(
             sol = branch_continuation(prev, params)
             if not sol.is_constant:
                 return sol
-        except ConvergenceError:  # branch_continuation re-raises PositivityError as this
+        except ConvergenceError:
             pass
     try:
         sol = mode1_solution(config.spec, params)
         return None if sol.is_constant else sol
-    except (ConvergenceError, PositivityError):
+    except ConvergenceError:
         return None
 
 

@@ -458,6 +458,28 @@ class TestSolveCommand:
         assert "numerical failure" in err
 
 
+    # Margins g_min a L mean(u) of the mode1 solutions at alpha = 512.  Their
+    # fine-grid minima round to -1.6e-13 .. -3.6e-15, which a sign test on
+    # the samples used to refuse with exit 2.  All four stop at the 512-mode
+    # cap, n = 5 and 6 with their coefficient tails above tail_tol.
+    @pytest.mark.parametrize(
+        "n, margin, tail",
+        [(5, 7.69e-20, 4.52e-7), (6, 3.56e-19, 1.17e-9), (7, 1.59e-18, 4.85e-12), (8, 6.96e-18, 2.5e-14)],
+    )
+    def test_alpha_512_solves_with_a_positive_margin(self, capsys, n, margin, tail):
+        code, out, err = run_cli(capsys, "solve", "--dim", str(n), "--alpha", "512", "--init", "mode1")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert not payload["is_constant"]
+        assert payload["positivity_margin"] > 0.0
+        assert payload["positivity_margin"] == pytest.approx(margin, rel=0.01)
+        assert payload["modes"] == SolverOptions.max_modes
+        assert payload["tail_fraction"] == pytest.approx(tail, rel=0.02)
+        assert (payload["tail_fraction"] > SolverOptions.tail_tol) == (n <= 6)
+        if n == 5:
+            assert payload["energy"] == pytest.approx(9.71714285043043e6, rel=1e-13)
+
+
 class TestSweepCommand:
     def test_csv_file(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -700,6 +722,16 @@ class TestSweepCommand:
         run_cli(capsys, *args, str(f1))
         run_cli(capsys, *args, str(f2))
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_wide_grid_keeps_its_alpha_512_branch(self, capsys, tmp_path):
+        # the alpha = 512 row used to fall back to the constant (E_const 1.734e8)
+        out = tmp_path / "wide.csv"
+        code, _, err = run_cli(capsys, "sweep", "--dim", "5", "--alpha", "2:512:9:log", "--out", str(out))
+        assert code == 0, err
+        top = list(csv.DictReader(io.StringIO(out.read_text())))[-1]
+        assert float(top["alpha"]) == 512.0
+        assert top["is_nonconstant"] == "true"
+        assert float(top["E_m_estimate"]) == pytest.approx(9.717e6, rel=1e-4)
 
     # Regression: both sweeps used to stop with "coefficients are not
     # conjugate-symmetric" (exit 1) when a residual's rounding exceeded the

@@ -14,6 +14,7 @@ from paneitz.constants import (
     critical_exponent,
     einstein_coefficients,
     factorize,
+    green_minimum,
     sharp_constant,
     validate_schedule,
 )
@@ -163,6 +164,58 @@ class TestFactorize:
         # alpha = inf used to give NaN roots (inf - inf under the square root)
         with pytest.raises(ValueError, match="must be finite"):
             OperatorParams(alpha, a)
+
+
+def green_minimum_fft(c, d, length, points=65536):
+    """G(L/2) = (1/L) sum_m (-1)^m / ((mu_m + c)(mu_m + d)), mu_m = (2 pi m/L)^2,
+    the inverse FFT of P's symbol on ``points`` samples."""
+    m = np.arange(points // 2 + 1)
+    mu = (2.0 * np.pi * m / length) ** 2
+    return float(np.fft.irfft(1.0 / ((mu + c) * (mu + d)), points)[points // 2] * points / length)
+
+
+class TestGreenMinimum:
+    @pytest.mark.parametrize("c,d", [(1.0, 1.0), (4.0, 4.0), (2.5, 0.3), (3.0, 1.0)])
+    def test_matches_the_inverse_symbol(self, c, d):
+        length = 2.0 * math.pi
+        assert green_minimum(c, d, length) == pytest.approx(green_minimum_fft(c, d, length), rel=1e-13)
+
+    def test_double_root_matches_its_closed_form(self):
+        # at c = d the minimum is (sinh x + x cosh x) / (4 c^(3/2) sinh^2 x)
+        c, length = 256.0, 2.0 * math.pi
+        with mpmath.workdps(50):
+            x = mpmath.sqrt(c) * length / 2
+            exact = (mpmath.sinh(x) + x * mpmath.cosh(x)) / (4 * mpmath.mpf(c) ** 1.5 * mpmath.sinh(x) ** 2)
+            assert green_minimum(c, c, length) == pytest.approx(float(exact), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "grid, t, index",
+        [((2.0, 16.0, 8), 0.3, 6), ((2.0, 128.0, 64), 1.0, 28)],
+        ids=["alpha=11.888", "alpha=12.699"],
+    )
+    def test_roots_one_ulp_apart(self, grid, t, index):
+        # on these sweep grids factorize returns d one ulp below c, where the
+        # partial fraction (G_d - G_c)/(c - d) rounds to exactly 0.0
+        alpha = float(np.geomspace(*grid)[index])
+        c, d = factorize(alpha, alpha * alpha / 4.0)
+        assert 0.0 < c - d <= 2.0 * math.ulp(c)
+        length = 2.0 * math.pi * t
+        assert green_minimum(c, d, length) == pytest.approx(green_minimum(c, c, length), rel=1e-12)
+
+    @pytest.mark.parametrize("length", [1e-2, 2.0 * math.pi, 60.0])
+    def test_finite_and_nonnegative_up_to_large_roots(self, length):
+        roots = np.geomspace(1e-3, 1e6, 19)
+        for c in roots:
+            for d in roots[roots <= c]:
+                g = green_minimum(float(c), float(d), length)
+                assert math.isfinite(g) and g >= 0.0
+
+
+    @pytest.mark.parametrize("c, d", [(1.0, 5e-324), (5e-324, 5e-324)])
+    def test_tiny_roots_overflow_to_inf(self, c, d):
+        # g_min ~ 1/(c d L): the denominator's factors multiplied together
+        # would underflow to 0 and divide by zero
+        assert green_minimum(c, d, 1e-70) == math.inf
 
 
 class TestConstantBranch:

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from paneitz import solver as solver_mod
-from paneitz.constants import OperatorParams, constant_branch, critical_exponent, sharp_constant
+from paneitz.constants import OperatorParams, constant_branch, critical_exponent, green_minimum, sharp_constant
 from paneitz.field import PeriodicField, _pair_counts, _parseval_weights, load_field, norms, save_field
 from paneitz.geometry import ManifoldSpec, product_volume
 from paneitz.solver import (
     ConvergenceError,
-    PositivityError,
     QuotientMinimum,
     SolverOptions,
     bifurcation_alpha,
@@ -222,12 +221,12 @@ class TestNewton:
         params = OperatorParams(8.0, 16.0)
         sol = mode1_solution(spec, params)
         assert float(np.max(sol.field.fine_values())) >= 16.0 ** (1.0 / 8.0)
-        with pytest.raises(PositivityError, match="converged to the trivial solution"):
+        with pytest.raises(ConvergenceError, match="converged to the trivial solution"):
             newton_solve(sol.field.scaled(0.6), params)
 
-    def test_trivial_root_is_named_before_a_negative_sample(self, monkeypatch):
+    def test_trivial_root_with_a_negative_sample_is_named(self, monkeypatch):
         # this start falls to u = 0 with a rounding-level negative fine
-        # sample; the trivial-root bound is checked first, so it is named.
+        # sample; the trivial-root bound, not the sign of a sample, names it.
         # Below the mode-1 threshold (alpha = 2 < 4 at t = 0.5) the start is
         # the polished quotient minimizer, constant up to rounding: from the
         # exact constant the fall ends at exactly 0.0
@@ -244,7 +243,7 @@ class TestNewton:
             return out
 
         monkeypatch.setattr(solver_mod, "_newton_fixed", recording)
-        with pytest.raises(PositivityError, match=r"converged to the trivial solution \(max ") as info:
+        with pytest.raises(ConvergenceError, match=r"converged to the trivial solution \(max ") as info:
             newton_solve(start, params)
         # the printed max is rounding-level; its digits move with the solver's rounding
         assert float(re.search(r"max (\S+) <", str(info.value)).group(1)) < 1e-30
@@ -509,6 +508,31 @@ class TestLargerModeCap:
         assert _tail_fraction(wide.field) < SolverOptions().tail_tol
         assert float(np.min(wide.field.fine_values())) > 0.0
         assert wide.energy == pytest.approx(capped.energy, rel=1e-12)
+
+
+class TestPositivityMargin:
+    # u = P^(-1) u_+^(2#-1) >= g_min int u_+^(2#-1) ds, the reported margin
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    @pytest.mark.parametrize("alpha", [8.0, 32.0, 128.0])
+    def test_margin_bounds_the_resolved_minimum(self, n, alpha):
+        spec, params = ManifoldSpec(n, 1.0), OperatorParams(alpha, alpha * alpha / 4.0)
+        sol = mode1_solution(spec, params)
+        fine = sol.field.fine_values()
+        assert 0.0 < sol.positivity_margin <= float(np.min(fine))
+        # by mode 0 of the equation, a L mean(u) is the integral of u_+^(2#-1)
+        power = spec.period * float(np.mean(np.maximum(fine, 0.0) ** (critical_exponent(n) - 1.0)))
+        g_min = green_minimum(params.c_alpha, params.d_alpha, spec.period)
+        assert sol.positivity_margin == pytest.approx(g_min * power, rel=1e-9)
+        assert sol.tail_fraction == _tail_fraction(sol.field) < SolverOptions.tail_tol
+
+    def test_trivial_root_carries_the_last_iterate(self):
+        spec, params = ManifoldSpec(5, 0.5), OperatorParams(8.0, 16.0)
+        start = mode1_solution(spec, params).field.scaled(0.6)
+        with pytest.raises(ConvergenceError) as info:
+            newton_solve(start, params)
+        last = info.value.last
+        assert float(np.max(np.abs(last.fine_values()))) < 16.0 ** (1.0 / 8.0)
+        assert info.value.residual_sup == float(np.max(np.abs(residual(last, params).values)))
 
 
 def sign_changing_field(modes):

@@ -12,7 +12,6 @@ from paneitz.field import PeriodicField, norms
 from paneitz.geometry import ManifoldSpec, product_volume
 from paneitz.solver import (
     ConvergenceError,
-    PositivityError,
     SolverOptions,
     constant_eigenvalue,
     minimize_quotient,
@@ -141,8 +140,8 @@ class TestContinuation:
             u_bar, _ = constant_branch(5, quarter_square(alpha), V)
             assert sol1.field.mean == pytest.approx(u_bar, rel=1e-10)
 
-    @pytest.mark.parametrize("cause", [ConvergenceError("stub"), PositivityError("stub")])
-    def test_one_solve_per_call(self, monkeypatch, cause):
+    def test_one_solve_per_call(self, monkeypatch):
+        cause = ConvergenceError("stub")
         params0 = OperatorParams(2.0, 1.0)
         sol0 = newton_solve(PeriodicField.constant(SPEC, 1.0, 32), params0)
         calls = []
