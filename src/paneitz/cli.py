@@ -26,7 +26,7 @@ from .constants import (
 from .diagnostics import concentration_ratios
 from .field import load_field, save_field
 from .geometry import ManifoldSpec
-from .solver import ConvergenceError, constant_solution, mode1_solution, nehari_scaled, newton_solve
+from .solver import ConvergenceError, constant_solution, minimize_quotient, mode1_solution, rescale_to_solution
 from .sweep import SweepConfig, _json_ready, emit, quarter_square, run_sweep
 
 __all__ = ["main"]
@@ -113,11 +113,11 @@ def _parser() -> argparse.ArgumentParser:
         "--init",
         choices=("constant", "mode1", "file"),
         default="mode1",
-        help="constant: the exact constant, no Newton step; file: Newton from the "
-        "--field-in field, scaled onto the Nehari manifold <Pu, u> = int u_+^(2#); "
-        "mode1: perturbed-constant seed driven through quotient minimization, "
-        "then Newton-polished (the nonconstant branch past its bifurcation, "
-        "the constant at or below it)",
+        help="constant: the exact constant, no Newton step; mode1: the perturbed-constant "
+        "seed (the nonconstant branch past its bifurcation, the constant at or below it); "
+        "file: the --field-in field.  mode1 and file take one route: quotient "
+        "minimization from the start, then Newton from the minimizer's multiple on "
+        "the Nehari manifold <Pu, u> = int u_+^(2#)",
     )
     p.add_argument("--field-in", help="field file; required with --init file and refused otherwise")
     p.add_argument("--field-out", help="write the solution field to this path")
@@ -223,7 +223,7 @@ def _cmd_solve(args) -> int:
                 f"field file is for n={init.spec.n}, t={init.spec.t}; "
                 f"requested n={spec.n}, t={spec.t}"
             )
-        sol = newton_solve(nehari_scaled(init, params), params)
+        sol = rescale_to_solution(minimize_quotient(init, params), params)
     _print_json(_solution_payload(sol))
     if args.field_out:
         save_field(sol.field, args.field_out)

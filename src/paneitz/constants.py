@@ -109,8 +109,8 @@ def factorize(alpha: float, a: float) -> tuple[float, float]:
             f"no real factorization: a={a} exceeds alpha^2/4={alpha*alpha/4.0}"
         )
     c = alpha / 2.0 + math.sqrt(disc)
-    # at the double root a/c can round one ulp above c
-    d = min(a / c, c)
+    # at the double root a/c rounds an ulp off c; off it sqrt(disc) >~ 1e-8 c
+    d = a / c if disc > 0.0 else c
     return c, d
 
 

@@ -1,40 +1,40 @@
 """Positive solutions of u'''' - alpha u'' + a u = u^(2#-1) on the circle,
 circle-reduced from S^1(t) x S^(n-1).
 
-Two routes produce solutions:
+Every solve enters through ``_even_start``, which checks its start and
+projects a sampled (complex) one onto the even fields.  The equation is
+reversible (s -> -s) and the even fields' half spectra are real, so every
+iterate, residual and step is a cosine series by type.
 
 * ``newton_solve``: damped Newton on even fields, at the start's own mode
-  count, doubled until the coefficient tail is resolved.  The equation is
-  reversible (s -> -s) and the even fields' half spectra are real, so every
-  iterate, residual and step is a cosine series by type.  Every start the
-  solver builds is real already; a sampled (complex) start is translated
-  to put its fine-grid maximum at s = 0 and its odd part dropped, the one
-  projection onto the even fields.  The linear part is the diagonal symbol
-  mu^2 + alpha mu + a (mu = (m/t)^2); the nonlinearity is evaluated on an
-  oversampled grid (dealiased).  At an even field the Jacobian is block
-  diagonal in orthonormal cosine/sine coordinates: the symbol minus T + H
-  and T - H, the Toeplitz and Hankel matrices of multiplication by (2#-1)
-  u_+^(2#-2), both from ``_cosine_block``; a complex half spectrum is
-  refused.  Newton uses the cosine block, which needs no phase condition
-  because the translation mode u' is odd.  One function, ``_solve_krylov``,
-  sets up and solves the Newton step at every N: it assembles that block
-  scaled by symbol^(-1/2) from one FFT of the weight and runs GMRES on the
-  matrix, one matrix-vector product per iteration.
-  ``continuation_init`` predicts the next start of a branch from the exact
-  scaling u -> k^((n-4)/4) u(sqrt(k) s) of alpha -> k alpha, a -> k^2 a,
-  with no linear solve.
+  count, doubled until the coefficient tail is resolved.  The linear part
+  is the diagonal symbol mu^2 + alpha mu + a (mu = (m/t)^2); the
+  nonlinearity is evaluated on an oversampled grid (dealiased).  At an even
+  field the Jacobian is block diagonal in orthonormal cosine/sine
+  coordinates: the symbol minus T + H and T - H, the Toeplitz and Hankel
+  matrices of multiplication by (2#-1) u_+^(2#-2), both from
+  ``_cosine_block``; a complex half spectrum is refused.  Newton uses the
+  cosine block, which needs no phase condition because the translation
+  mode u' is odd.  One function, ``_solve_krylov``, sets up and solves the
+  Newton step at every N: it assembles that block scaled by symbol^(-1/2)
+  from one FFT of the weight and runs GMRES on the matrix, one
+  matrix-vector product per iteration.  Newton is local; on its own it
+  starts only from ``continuation_init``, which predicts the next start of
+  a branch from the exact scaling u -> k^((n-4)/4) u(sqrt(k) s) of
+  alpha -> k alpha, a -> k^2 a, with no linear solve.
 
-* ``minimize_quotient``: the nonlinear inverse power method (Hein &
-  Buehler, NIPS 2010) on the Sobolev quotient Q(u) = <Pu, u> / ||u||_{2#}^2:
-  each step is Q(u) P^{-1} u_+^(2#-1), scaled to unit critical norm.  Q is
-  a ratio of two convex 2-homogeneous functionals, so on positive iterates
-  the step never raises Q and needs no step-size search; P^{-1} =
-  (Delta + c)^{-1} (Delta + d)^{-1} with c, d > 0 keeps iterates positive.
-  ``mode1_solution`` runs it from the mode-1 perturbed constant past the
-  mode-1 threshold, then Newton from the minimizer's ``nehari_scaled``
-  multiple: the one fresh start of the nonconstant branch.  At and below
-  the threshold it returns ``constant_solution``, the exact constant
-  a^((n-4)/8) with no Newton step.
+* Every fresh start, the mode-1 seed of ``mode1_solution`` or a field file,
+  takes one route: ``minimize_quotient``, then ``rescale_to_solution``,
+  Newton from the minimizer's multiple on the Nehari manifold.  The descent
+  is the nonlinear inverse power method (Hein & Buehler, NIPS 2010) on the
+  Sobolev quotient Q(u) = <Pu, u> / ||u||_{2#}^2: each step is
+  Q(u) P^{-1} u_+^(2#-1), scaled to unit critical norm.  Q is a ratio of
+  two convex 2-homogeneous functionals, so on positive iterates the step
+  never raises Q and needs no step-size search; P^{-1} = (Delta + c)^{-1}
+  (Delta + d)^{-1} with c, d > 0 keeps iterates positive.  A solution, a
+  saved tiling too, is a critical point of Q and stops the descent at its
+  first check.  At and below the mode-1 threshold ``mode1_solution``
+  returns ``constant_solution``, the exact constant a^((n-4)/8).
 
 Newton iterates on the equation's own residual F(u) = P u - u_+^(2#-1):
 negative samples add nothing to the nonlinearity.  Each factor of
@@ -60,7 +60,6 @@ __all__ = [
     "Solution",
     "residual",
     "newton_solve",
-    "nehari_scaled",
     "quotient",
     "QuotientMinimum",
     "minimize_quotient",
@@ -362,22 +361,13 @@ def _tail_fraction(u: PeriodicField) -> float:
     return float(np.sum(mags[u.modes // 4 + 1 :])) / total
 
 
-def nehari_scaled(u: PeriodicField, params: OperatorParams) -> PeriodicField:
+def _nehari_scaled(u: PeriodicField, params: OperatorParams) -> PeriodicField:
     """The multiple k u on the Nehari manifold <Pw, w> = int w_+^(2#), which
     holds every solution: k^(2#-2) = <Pu, u> / int u_+^(2#), 2# - 2 =
-    8/(n-4).
-
-    It is the Newton start for a field of unknown amplitude: a field file or
-    a quotient minimizer.
-    Both sums are formed for u over its largest fine sample, so neither
-    leaves float64 before k does.  A field with no positive sample raises
-    ``ValueError``; one whose u^(2#-1) leaves float64 (checked first, as
-    ``newton_solve`` checks its start), or whose k does, raises
-    ``FloatingPointError``.
+    8/(n-4).  Both sums are formed for u over its largest fine sample, so
+    neither leaves float64 before k does; a k outside the float64 range
+    raises ``FloatingPointError``.
     """
-    if float(np.max(u.values)) <= 0.0:
-        raise ValueError("initial guess must be positive somewhere")
-    _nonlinear_scale(u)
     fine, half = u.fine_values(), u.coeffs.size
     peak = float(np.max(fine))
     sym = _symbol(u.spec, params, np.arange(half))
@@ -390,26 +380,20 @@ def nehari_scaled(u: PeriodicField, params: OperatorParams) -> PeriodicField:
     return u.scaled(k)
 
 
-def newton_solve(init: PeriodicField, params: OperatorParams) -> Solution:
-    """Damped Newton from ``init`` at its own mode count; the count doubles
-    until the coefficient tail is resolved (or ``SolverOptions.max_modes`` is
-    reached).  A start with more than ``max_modes`` modes raises
-    ``ValueError``.
+def _even_start(init: PeriodicField) -> PeriodicField:
+    """The start of every solve, checked and made even; Newton and the
+    quotient descent both take it first.  A start with no positive sample or
+    more than ``SolverOptions.max_modes`` modes raises ``ValueError``; one
+    whose u^(2#-1) leaves float64 raises ``FloatingPointError``.
 
-    Every iterate, and so the solution, is an even field with a real half
-    spectrum.  A real start is one already and is used as it is.  A complex
-    (sampled) start is translated to put its maximum at s = 0 and projected
-    onto the even (cosine) fields, which the equation maps to themselves.
-    The maximum is the vertex of the parabola through the fine-grid maximum
-    and its two neighbours, which is within half a fine spacing of it; where
-    their curvature is not negative the grid maximum is kept.  The even
-    fields hold the two translates of a solution peaked at 0 and at L/2, so
-    the projection fixes the axis: a start off it by d is O(d^2) from the
-    even solution.  A nonconstant solution peaked at L/2 is translated by
-    L/2 before it is returned, so its peak is at 0.  The start is not
-    scaled; ``nehari_scaled`` puts a field of unknown amplitude on the
-    Nehari manifold first.  A field below max u >= a^((n-4)/8) is the
-    trivial root and raises ``ConvergenceError``.
+    A real start is even already and is used as it is.  A complex (sampled)
+    start is translated to put its maximum at s = 0 and projected onto the
+    even (cosine) fields.  The maximum is the vertex of the parabola through
+    the fine-grid maximum and its two neighbours, within half a fine spacing
+    of it; where their curvature is not negative the grid maximum is kept.
+    The even fields hold the two translates of a solution peaked at 0 and at
+    L/2, so the projection fixes the axis: a start off it by d is O(d^2) from
+    the even solution.
     """
     if float(np.max(init.values)) <= 0.0:
         raise ValueError("initial guess must be positive somewhere")
@@ -424,7 +408,21 @@ def newton_solve(init: PeriodicField, params: OperatorParams) -> Solution:
         vertex = 0.5 * (left - right) / curvature if curvature < 0.0 else 0.0
         s0 = (j + min(0.5, max(-0.5, vertex))) * (u.spec.period / fine.size)
         u = PeriodicField(u.spec, u.shift(s0).coeffs.real)
-    _nonlinear_scale(u)  # the start's u^(2#-1) is in float64 before its first residual
+    _nonlinear_scale(u)
+    return u
+
+
+def newton_solve(init: PeriodicField, params: OperatorParams) -> Solution:
+    """Damped Newton from ``init`` at its own mode count; the count doubles
+    until the coefficient tail is resolved (or ``SolverOptions.max_modes`` is
+    reached).  The start is checked and made even by ``_even_start``, so
+    every iterate, and the solution, is an even field with a real half
+    spectrum.  A nonconstant solution peaked at L/2 is translated by L/2
+    before it is returned, so its peak is at 0.  The start is not scaled.  A
+    field below max u >= a^((n-4)/8) is the trivial root and raises
+    ``ConvergenceError``.
+    """
+    u = _even_start(init)
     iters = 0
     while True:
         u, res_sup, it = _newton_fixed(u, params)
@@ -500,7 +498,9 @@ _DESCENT_MAX_ITER = 5000
 def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMinimum:
     """Nonlinear inverse power iteration for the minimum of Q on the unit
     critical sphere: each step is u - rho = Q(u) P^{-1} u_+^(2#-1), rho the
-    preconditioned gradient, scaled to unit critical norm.
+    preconditioned gradient, scaled to unit critical norm, from the start
+    ``_even_start`` makes even: from a complex start the descent creeps for
+    thousands of steps along the translation mode, on which Q is flat.
 
     No step raises Q.  With ||u||_{2#} = 1, R(v) = <Pv, v>, lambda = R(u) and
     g = u_+^(2#-1), the step v = lambda P^{-1} g minimizes R(w) - 2 lambda
@@ -519,8 +519,7 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
     is returned as a field of its coefficients, whose samples are
     recomputed on demand.
     """
-    if float(np.max(np.abs(init.values))) == 0.0:
-        raise ValueError("initial guess must be nonzero")
+    init = _even_start(init)
     spec = init.spec
     two_sharp = critical_exponent(spec.n)
     sym = _symbol(spec, params, np.arange(init.coeffs.size))
@@ -572,8 +571,8 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
 
 def rescale_to_solution(minimum: QuotientMinimum, params: OperatorParams) -> Solution:
     """Newton from the quotient minimizer put on the Nehari manifold by
-    ``nehari_scaled``: the solution of P w = w^(2#-1) it is a multiple of."""
-    return newton_solve(nehari_scaled(minimum.field, params), params)
+    ``_nehari_scaled``: the solution of P w = w^(2#-1) it is a multiple of."""
+    return newton_solve(_nehari_scaled(minimum.field, params), params)
 
 
 MODE1_AMPLITUDE = 0.1  # relative amplitude of the mode-1 seed's cosine

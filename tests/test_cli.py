@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from paneitz import solver as solver_mod
 from paneitz.cli import main
-from paneitz.constants import critical_exponent
+from paneitz.constants import OperatorParams, critical_exponent
+from paneitz.diagnostics import concentration_points
 from paneitz.field import PeriodicField, load_field, save_field
 from paneitz.geometry import ManifoldSpec
 import paneitz
@@ -248,16 +249,14 @@ class TestSolveCommand:
 
     def test_trivial_root_is_a_numerical_failure(self, capsys, tmp_path, monkeypatch):
         # 0.6 times a solution is a start that Newton drives to u = 0; the
-        # file route scales it onto the Nehari manifold first, so it reaches
-        # the trivial root only with that projection taken out
-        import paneitz.cli as cli_mod
-
+        # file route scales the quotient minimizer onto the Nehari manifold
+        # first, so it reaches the trivial root only with that step taken out
         solved, start = tmp_path / "b.field", tmp_path / "bs.field"
         args = ("solve", "--dim", "5", "--t", "0.5", "--alpha", "8")
         code, _, err = run_cli(capsys, *args, "--field-out", str(solved))
         assert code == 0, err
         save_field(load_field(solved).scaled(0.6), start)
-        monkeypatch.setattr(cli_mod, "nehari_scaled", lambda u, params: u)
+        monkeypatch.setattr(solver_mod, "_nehari_scaled", lambda u, params: u)
         code, out, err = run_cli(capsys, *args, "--init", "file", "--field-in", str(start))
         assert (code, out) == (2, "")
         assert "numerical failure: converged to the trivial solution" in err
@@ -305,6 +304,45 @@ class TestSolveCommand:
         assert len(steps) == 64
         assert max(steps) <= 1
         assert sum(steps) <= nonconstant == 56
+
+    # the one-peak start 1 + 0.3 cos(s + 0.2) on 64 points, off the axis
+    # s = 0.  Nehari scaling plus Newton alone, with no descent, exits 2 from
+    # it at (5, 32), (5, 128) and (6, 128) and elsewhere reaches 2- to 6-peak
+    # tilings or the constant at 1.83-6.01 times the mode-1 energy
+    @pytest.mark.parametrize(
+        "n, alpha", [(5, 8), (5, 32), (5, 128), (6, 8), (6, 32), (6, 128), (7, 128), (8, 32), (8, 128)]
+    )
+    def test_far_file_start_reaches_the_one_peak_solution(self, capsys, tmp_path, n, alpha):
+        start, solved = tmp_path / "far.field", tmp_path / "sol.field"
+        save_field(PeriodicField.from_function(ManifoldSpec(n, 1.0), lambda s: 1.0 + 0.3 * np.cos(s + 0.2), 64), start)
+        args = ("solve", "--dim", str(n), "--alpha", str(alpha))
+        code, out, err = run_cli(capsys, *args, "--init", "file", "--field-in", str(start), "--field-out", str(solved))
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["is_constant"] is False
+        assert len(concentration_points(load_field(solved))) == 1
+        code, out, err = run_cli(capsys, *args, "--init", "mode1")
+        assert code == 0, err
+        assert payload["energy"] == pytest.approx(json.loads(out)["energy"], rel=1e-14, abs=0.0)
+
+    def test_saved_tiling_comes_back_as_itself(self, capsys, tmp_path):
+        # Nehari scaling plus Newton takes the far start above to a 3-peak
+        # tiling at n = 6, alpha = 32 (28 steps); the tiling is a critical
+        # point of the quotient, so the file route stops the descent at its
+        # first check and returns it, not the one-peak minimizer
+        spec, params = ManifoldSpec(6, 1.0), OperatorParams(32.0, 256.0)
+        start = PeriodicField.from_function(spec, lambda s: 1.0 + 0.3 * np.cos(s + 0.2), 64)
+        tiling = solver_mod.newton_solve(solver_mod._nehari_scaled(start, params), params)
+        assert len(concentration_points(tiling.field)) == 3
+        saved, solved = tmp_path / "tiling.field", tmp_path / "sol.field"
+        save_field(tiling.field, saved)
+        code, out, err = run_cli(
+            capsys, "solve", "--dim", "6", "--alpha", "32", "--init", "file",
+            "--field-in", str(saved), "--field-out", str(solved),
+        )
+        assert (code, err) == (0, "")
+        assert len(concentration_points(load_field(solved))) == 3
+        assert json.loads(out)["energy"] == pytest.approx(tiling.energy, rel=1e-14, abs=0.0)
 
     def test_nonpositive_file_start_is_named(self, capsys, tmp_path):
         # the Nehari scaling needs a positive part; a start without one keeps
@@ -437,7 +475,8 @@ class TestSolveCommand:
         assert "usage" in err
 
     def test_numerical_failure_exit_code(self, capsys, tmp_path, monkeypatch):
-        # a wildly under-resolved, iteration-starved solve cannot converge
+        # a wildly under-resolved, iteration-starved solve cannot converge;
+        # the quotient descent would globalize this start, so it is starved too
         spec = ManifoldSpec(5, 1.0)
         u = PeriodicField.from_function(
             spec,
@@ -449,6 +488,7 @@ class TestSolveCommand:
         monkeypatch.setattr(SolverOptions, "max_iter", 1)
         monkeypatch.setattr(SolverOptions, "max_backtracks", 1)
         monkeypatch.setattr(SolverOptions, "max_modes", 16)
+        monkeypatch.setattr(solver_mod, "_DESCENT_MAX_ITER", 1)
         code, _, err = run_cli(
             capsys,
             "solve", "--dim", "5", "--alpha", "8", "--a", "auto",

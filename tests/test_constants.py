@@ -194,13 +194,16 @@ class TestGreenMinimum:
         ids=["alpha=11.888", "alpha=12.699"],
     )
     def test_roots_one_ulp_apart(self, grid, t, index):
-        # on these sweep grids factorize returns d one ulp below c, where the
-        # partial fraction (G_d - G_c)/(c - d) rounds to exactly 0.0
+        # on these sweep grids a/c rounds one ulp below c at the double root;
+        # factorize returns d = c there, and green_minimum still takes the
+        # one-ulp pair, where the partial fraction (G_d - G_c)/(c - d) rounds
+        # to exactly 0.0
         alpha = float(np.geomspace(*grid)[index])
         c, d = factorize(alpha, alpha * alpha / 4.0)
-        assert 0.0 < c - d <= 2.0 * math.ulp(c)
+        assert c == d and alpha * alpha / 4.0 / c < c
         length = 2.0 * math.pi * t
-        assert green_minimum(c, d, length) == pytest.approx(green_minimum(c, c, length), rel=1e-12)
+        split = green_minimum(c, math.nextafter(c, 0.0), length)
+        assert split == pytest.approx(green_minimum(c, d, length), rel=1e-12)
 
     @pytest.mark.parametrize("length", [1e-2, 2.0 * math.pi, 60.0])
     def test_finite_and_nonnegative_up_to_large_roots(self, length):

@@ -20,7 +20,6 @@ from paneitz.solver import (
     linearized_spectrum,
     minimize_quotient,
     mode1_solution,
-    nehari_scaled,
     newton_solve,
     quotient,
     rescale_to_solution,
@@ -31,6 +30,7 @@ from paneitz.solver import (
     _cosine_amplitudes,
     _cosine_block,
     _jacobian_weight,
+    _nehari_scaled,
     _nonlinear_coeffs,
     _nonlinear_scale,
     _solve_krylov,
@@ -346,7 +346,7 @@ class TestNehariScaled:
         params = OperatorParams(8.0, 16.0)
         sol = mode1_solution(ManifoldSpec(n, 1.0), params)
         # a solution is on the manifold to its residual (here up to 3e-12)
-        back = nehari_scaled(sol.field.scaled(factor), params)
+        back = _nehari_scaled(sol.field.scaled(factor), params)
         assert np.max(np.abs(back.coeffs - sol.field.coeffs)) <= 1e-12 * sol.field.mean
 
     @pytest.mark.parametrize("n", [5, 8])
@@ -355,14 +355,14 @@ class TestNehariScaled:
         params = OperatorParams(16.0, 64.0)
         qm = minimize_quotient(perturbed_init(64.0, spec=ManifoldSpec(n, 1.0)), params)
         closed = qm.field.scaled(qm.lambda_min ** ((n - 4) / 8.0))
-        assert np.max(np.abs(nehari_scaled(qm.field, params).coeffs - closed.coeffs)) <= 1e-14 * closed.mean
+        assert np.max(np.abs(_nehari_scaled(qm.field, params).coeffs - closed.coeffs)) <= 1e-14 * closed.mean
 
     # alphas where lambda^((n-4)/8) and the projection differ in the last bit
     @pytest.mark.parametrize("n, alpha", [(5, 16.0), (8, 45.1)])
     def test_rescale_is_newton_from_the_projection(self, n, alpha):
         params = OperatorParams(alpha, alpha * alpha / 4.0)
         qm = minimize_quotient(perturbed_init(params.a_alpha, spec=ManifoldSpec(n, 1.0)), params)
-        assert_same_solution(rescale_to_solution(qm, params), newton_solve(nehari_scaled(qm.field, params), params))
+        assert_same_solution(rescale_to_solution(qm, params), newton_solve(_nehari_scaled(qm.field, params), params))
 
     def test_constant_start_goes_to_the_constant_solution(self):
         # max |u| = 1e33 at n = 5: u^(2#-1) is in float64 and u^(2#) is not
@@ -370,15 +370,18 @@ class TestNehariScaled:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for value in (1e-30, 1.0, 1e33):
-                start = nehari_scaled(PeriodicField.constant(SPEC, value, 16), params)
+                start = _nehari_scaled(PeriodicField.constant(SPEC, value, 16), params)
                 assert start.mean == pytest.approx(4.0 ** (1.0 / 8.0), rel=1e-15)
 
     def test_named_failures(self):
+        # Newton and the descent both check their start in ``_even_start``
+        # before any work
         params = OperatorParams(4.0, 4.0)
-        with pytest.raises(ValueError, match="initial guess must be positive somewhere"):
-            nehari_scaled(PeriodicField.constant(SPEC, -1.0, 16), params)
-        with pytest.raises(FloatingPointError, match="nonlinear term u\\^\\(2#-1\\) of a field with max"):
-            nehari_scaled(PeriodicField.constant(SPEC, 1e40, 16), params)
+        for route in (newton_solve, minimize_quotient):
+            with pytest.raises(ValueError, match="initial guess must be positive somewhere"):
+                route(PeriodicField.constant(SPEC, -1.0, 16), params)
+            with pytest.raises(FloatingPointError, match="nonlinear term u\\^\\(2#-1\\) of a field with max"):
+                route(PeriodicField.constant(SPEC, 1e40, 16), params)
 
 
 class TestConstantSolution:
@@ -766,6 +769,27 @@ class TestMinimizeQuotient:
             lams.append(quotient(last, params))
         assert all(b <= a for a, b in zip(lams, lams[1:])), lams
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_translated_seed_descends_to_the_even_minimizer(self, n):
+        # kept complex, the translated mode-1 seed carries the translation
+        # mode, along which Q is flat: the descent would creep for 5000 steps
+        # (about 0.3 s) short of its tolerance
+        spec = ManifoldSpec(n, 1.0)
+        params = OperatorParams(128.0, 4096.0)
+        seed = perturbed_init(params.a_alpha, solver_mod.MODE1_AMPLITUDE, spec=spec)
+        qm = minimize_quotient(seed.shift(1.0), params)
+        assert not np.iscomplexobj(qm.field.coeffs)
+        assert qm.grad_norm <= solver_mod._DESCENT_TOL and qm.iterations < 50
+        assert qm.lambda_min == pytest.approx(minimize_quotient(seed, params).lambda_min, rel=1e-13)
+
+    def test_start_above_max_modes_is_refused_before_descent(self, monkeypatch):
+        def no_descent(*args, **kwargs):
+            raise AssertionError("the descent formed a norm")
+
+        monkeypatch.setattr(solver_mod, "norms", no_descent)
+        with pytest.raises(ValueError, match="above max_modes"):
+            minimize_quotient(perturbed_init(1.0, modes=2 * SolverOptions.max_modes), OperatorParams(2.0, 1.0))
+
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_minimum_normalized_and_consistent(self, n):
         spec = ManifoldSpec(n, 1.0)
@@ -777,11 +801,15 @@ class TestMinimizeQuotient:
     @pytest.mark.parametrize(
         "params, init, reason",
         [
-            # the start's own norms overflow
-            (OperatorParams(2.0, 1.0), perturbed_init(1.0).scaled(1e300), "norms of the field"),
+            # the start's u^(2#-1) leaves float64, which the shared entry
+            # names before the start's own norms overflow
+            (OperatorParams(2.0, 1.0), perturbed_init(1.0).scaled(1e300), "nonlinear term u\\^\\(2#-1\\)"),
             # the unit-norm start is fine; the first step u - rho ~ 1e100
             # has a critical energy beyond float64
             (OperatorParams(1e100, 1.0), perturbed_init(1.0), "descent step"),
+            # max |u| = 1.1e33 at n = 5: u^(2#-1) is in float64, the start's
+            # critical energy is not
+            (OperatorParams(2.0, 1.0), perturbed_init(1.0).scaled(1e33), "norms of the field"),
         ],
     )
     def test_overflow_raises_named_error(self, params, init, reason):
