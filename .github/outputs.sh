@@ -10,10 +10,11 @@
 # for n = 5..8 at alpha = 2, 8, 32, 128 a mode-1 solve, a solve from its
 # field file and a diagnose of that file, and a mode-1 solve at alpha = 512;
 # for n = 5..8 the one-peak far start 1 + 0.3 cos(s + 0.2) on 64 points,
-# written by the tree's own `save_field`, and a solve from it at alpha = 32
-# and 128; and bubble-check at lambda0 = 1.7 for n = 5, 6, 7, 8, 12.  A
-# command that exits nonzero does not stop the others; the script then
-# exits 1 once all have run.
+# written by the tree's own `save_field` as it is and scaled by 1e-100 and
+# by 1e100, a solve from it at alpha = 32 and 128, and from each scaled
+# copy at alpha = 32; and bubble-check at lambda0 = 1.7 for n = 5, 6, 7, 8,
+# 12.  A command that exits nonzero does not stop the others; the script
+# then exits 1 once all have run.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -51,17 +52,22 @@ for n in 5 6 7 8; do
         run $stem-diagnose.json diagnose "$out/$stem.field" --alpha $alpha
     done
     run dim$n-alpha512-solve.json solve --dim $n --alpha 512
-    far="$out/dim$n-far.field"
+    far="$out/dim$n-far"
     if ! python -c 'import sys, numpy as np
 from paneitz.field import PeriodicField, save_field
 from paneitz.geometry import ManifoldSpec
 start = PeriodicField.from_function(ManifoldSpec(int(sys.argv[1]), 1.0), lambda s: 1.0 + 0.3 * np.cos(s + 0.2), 64)
-save_field(start, sys.argv[2])' $n "$far"; then
+save_field(start, sys.argv[2] + ".field")
+for scale in ("1e-100", "1e100"):
+    save_field(start.scaled(float(scale)), sys.argv[2] + "-" + scale + ".field")' $n "$far"; then
         echo "$0: failed: far start for n=$n" >&2
         status=1
     fi
     for alpha in 32 128; do
-        run dim$n-alpha$alpha-far.json solve --dim $n --alpha $alpha --init file --field-in "$far"
+        run dim$n-alpha$alpha-far.json solve --dim $n --alpha $alpha --init file --field-in "$far.field"
+    done
+    for scale in 1e-100 1e100; do
+        run dim$n-alpha32-far-$scale.json solve --dim $n --alpha 32 --init file --field-in "$far-$scale.field"
     done
 done
 for n in 5 6 7 8 12; do

@@ -25,16 +25,17 @@ iterate, residual and step is a cosine series by type.
 
 * Every fresh start, the mode-1 seed of ``mode1_solution`` or a field file,
   takes one route: ``minimize_quotient``, then ``rescale_to_solution``,
-  Newton from the minimizer's multiple on the Nehari manifold.  The descent
-  is the nonlinear inverse power method (Hein & Buehler, NIPS 2010) on the
-  Sobolev quotient Q(u) = <Pu, u> / ||u||_{2#}^2: each step is
-  Q(u) P^{-1} u_+^(2#-1), scaled to unit critical norm.  Q is a ratio of
-  two convex 2-homogeneous functionals, so on positive iterates the step
-  never raises Q and needs no step-size search; P^{-1} = (Delta + c)^{-1}
-  (Delta + d)^{-1} with c, d > 0 keeps iterates positive.  A solution, a
-  saved tiling too, is a critical point of Q and stops the descent at its
-  first check.  At and below the mode-1 threshold ``mode1_solution``
-  returns ``constant_solution``, the exact constant a^((n-4)/8).
+  Newton from lambda^((n-4)/8) times the minimizer, its Nehari multiple.
+  The descent is the nonlinear inverse power method (Hein & Buehler, NIPS
+  2010) on the Sobolev quotient Q(u) = <Pu, u> / ||u||_{2#}^2: each step is
+  Q(u) P^{-1} u_+^(2#-1), scaled to unit critical norm, from the start over
+  its peak, so the route is scale-free.  Q is a ratio of two convex
+  2-homogeneous functionals, so on positive iterates the step never raises
+  Q and needs no step-size search; P^{-1} = (Delta + c)^{-1} (Delta + d)^{-1}
+  with c, d > 0 keeps iterates positive.  A solution, a saved tiling too,
+  is a critical point of Q and stops the descent at its first check.  At
+  and below the mode-1 threshold ``mode1_solution`` returns
+  ``constant_solution``, the exact constant a^((n-4)/8).
 
 Newton iterates on the equation's own residual F(u) = P u - u_+^(2#-1):
 negative samples add nothing to the nonlinearity.  Each factor of
@@ -361,30 +362,10 @@ def _tail_fraction(u: PeriodicField) -> float:
     return float(np.sum(mags[u.modes // 4 + 1 :])) / total
 
 
-def _nehari_scaled(u: PeriodicField, params: OperatorParams) -> PeriodicField:
-    """The multiple k u on the Nehari manifold <Pw, w> = int w_+^(2#), which
-    holds every solution: k^(2#-2) = <Pu, u> / int u_+^(2#), 2# - 2 =
-    8/(n-4).  Both sums are formed for u over its largest fine sample, so
-    neither leaves float64 before k does; a k outside the float64 range
-    raises ``FloatingPointError``.
-    """
-    fine, half = u.fine_values(), u.coeffs.size
-    peak = float(np.max(fine))
-    sym = _symbol(u.spec, params, np.arange(half))
-    with np.errstate(over="ignore"):
-        pairing = np.sum(_parseval_weights(half) * sym * np.abs(u.coeffs / peak) ** 2)
-        positive = np.mean(np.where(fine > 0.0, fine / peak, 0.0) ** critical_exponent(u.spec.n))
-        k = float((pairing / positive) ** ((u.spec.n - 4) / 8.0) / peak)
-    if not 0.0 < k < math.inf:
-        raise FloatingPointError(f"Nehari scale of the start is outside the float64 range ({k!r})")
-    return u.scaled(k)
-
-
 def _even_start(init: PeriodicField) -> PeriodicField:
     """The start of every solve, checked and made even; Newton and the
     quotient descent both take it first.  A start with no positive sample or
-    more than ``SolverOptions.max_modes`` modes raises ``ValueError``; one
-    whose u^(2#-1) leaves float64 raises ``FloatingPointError``.
+    more than ``SolverOptions.max_modes`` modes raises ``ValueError``.
 
     A real start is even already and is used as it is.  A complex (sampled)
     start is translated to put its maximum at s = 0 and projected onto the
@@ -408,7 +389,6 @@ def _even_start(init: PeriodicField) -> PeriodicField:
         vertex = 0.5 * (left - right) / curvature if curvature < 0.0 else 0.0
         s0 = (j + min(0.5, max(-0.5, vertex))) * (u.spec.period / fine.size)
         u = PeriodicField(u.spec, u.shift(s0).coeffs.real)
-    _nonlinear_scale(u)
     return u
 
 
@@ -418,11 +398,13 @@ def newton_solve(init: PeriodicField, params: OperatorParams) -> Solution:
     reached).  The start is checked and made even by ``_even_start``, so
     every iterate, and the solution, is an even field with a real half
     spectrum.  A nonconstant solution peaked at L/2 is translated by L/2
-    before it is returned, so its peak is at 0.  The start is not scaled.  A
-    field below max u >= a^((n-4)/8) is the trivial root and raises
-    ``ConvergenceError``.
+    before it is returned, so its peak is at 0.  The start is not scaled: a
+    u^(2#-1) outside float64 raises ``FloatingPointError`` before the first
+    residual.  A field below max u >= a^((n-4)/8) is the trivial root and
+    raises ``ConvergenceError``.
     """
     u = _even_start(init)
+    _nonlinear_scale(u)
     iters = 0
     while True:
         u, res_sup, it = _newton_fixed(u, params)
@@ -510,14 +492,17 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
     <= lambda.  The premise is positive iterates, which P^{-1} keeps.  It
     stops once the relative gradient norm is at most ``_DESCENT_TOL``;
     ``_DESCENT_MAX_ITER`` iterations raise ``ConvergenceError`` with the last
-    iterate.  The iterate's fine samples are carried from step to step: the
-    step's are fine(u) - fine(rho) (the zero-padded inverse FFT is linear),
-    scaled with the coefficients, so each step makes one forward FFT (of
+    iterate.  The start is divided by its largest |fine sample| before any
+    sum is formed, so its critical energy is in [V/nf, V]: neither the
+    descent nor its minimizer depends on the start's scale.  The iterate's
+    fine samples are carried from step to step: the step's are
+    fine(u) - fine(rho) (the zero-padded inverse FFT is linear), scaled
+    with the coefficients, so each step makes one forward FFT (of
     u_+^(2#-1)) and one inverse FFT (of rho).  Its pairing is a
-    symbol-weighted Parseval sum.  A start or step whose energy or pairing
-    leaves the float64 range raises ``FloatingPointError``.  The minimizer
-    is returned as a field of its coefficients, whose samples are
-    recomputed on demand.
+    symbol-weighted Parseval sum.  A step whose energy or pairing leaves
+    the float64 range raises ``FloatingPointError``.  The minimizer is
+    returned as a field of its coefficients, whose samples are recomputed
+    on demand.
     """
     init = _even_start(init)
     spec = init.spec
@@ -527,13 +512,12 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
     volume = product_volume(spec)
     pair_weights = volume * _parseval_weights(init.coeffs.size) * sym
     nf = init.fine_size()
-    report = norms(init, params)
-    e = report.energy
-    if not 0.0 < e < math.inf:
-        raise FloatingPointError(f"critical energy of the field is outside the float64 range ({e!r})")
-    unit = e ** (-1.0 / two_sharp)
-    coeffs, fine = init.coeffs * unit, init.fine_values() * unit
-    q = report.pairing / e ** (2.0 / two_sharp)
+    peak = float(np.max(np.abs(init.fine_values())))
+    start = PeriodicField(spec, init.coeffs / peak)
+    report = norms(start, params)
+    unit = report.energy ** (-1.0 / two_sharp)
+    coeffs, fine = start.coeffs * unit, start.fine_values() * unit
+    q = report.pairing / report.energy ** (2.0 / two_sharp)
     for it in range(1, _DESCENT_MAX_ITER + 1):
         z = _positive_power_coeffs(fine, two_sharp - 1.0, coeffs) / sym   # P^{-1} u_+^(2#-1)
         rho = coeffs - q * z
@@ -570,9 +554,15 @@ def minimize_quotient(init: PeriodicField, params: OperatorParams) -> QuotientMi
 
 
 def rescale_to_solution(minimum: QuotientMinimum, params: OperatorParams) -> Solution:
-    """Newton from the quotient minimizer put on the Nehari manifold by
-    ``_nehari_scaled``: the solution of P w = w^(2#-1) it is a multiple of."""
-    return newton_solve(_nehari_scaled(minimum.field, params), params)
+    """Newton from k u, the minimizer u's multiple on the Nehari manifold
+    <P w, w> = int w_+^(2#), which holds every solution.  At unit critical
+    norm <P u, u> = lambda, so k^(2#-2) = lambda, 2# - 2 = 8/(n-4): k =
+    lambda^((n-4)/8).  A k outside float64 raises ``FloatingPointError``."""
+    with np.errstate(over="ignore"):
+        k = float(np.power(minimum.lambda_min, (minimum.field.spec.n - 4) / 8.0))
+    if not 0.0 < k < math.inf:
+        raise FloatingPointError(f"Nehari multiple lambda^((n-4)/8) is outside the float64 range ({k!r})")
+    return newton_solve(minimum.field.scaled(k), params)
 
 
 MODE1_AMPLITUDE = 0.1  # relative amplitude of the mode-1 seed's cosine
@@ -594,15 +584,13 @@ def constant_solution(spec: ManifoldSpec, params: OperatorParams) -> Solution:
 
 
 def mode1_solution(spec: ManifoldSpec, params: OperatorParams) -> Solution:
-    """Fresh start off the constant branch past the mode-1 bifurcation:
-    quotient descent from u_bar (1 + MODE1_AMPLITUDE cos(s/t)), u_bar =
-    a^((n-4)/8), on ``_SEED_MODES`` points, then rescaling and Newton
-    polish.  At and below it (mode-1 eigenvalue >= 0) it is
-    ``constant_solution``."""
+    """Fresh start past the mode-1 bifurcation: ``rescale_to_solution`` of
+    the descent from 1 + MODE1_AMPLITUDE cos(s/t) on ``_SEED_MODES`` points,
+    at unit mean since the descent is scale-free.  At and below it (mode-1
+    eigenvalue >= 0) it is ``constant_solution``."""
     if constant_eigenvalue(spec, params, 1) >= 0.0:
         return constant_solution(spec, params)
-    u_bar, _ = constant_branch(spec.n, params.a_alpha, product_volume(spec))
-    seed = PeriodicField.cosine(spec, u_bar, MODE1_AMPLITUDE, _SEED_MODES)
+    seed = PeriodicField.cosine(spec, 1.0, MODE1_AMPLITUDE, _SEED_MODES)
     return rescale_to_solution(minimize_quotient(seed, params), params)
 
 

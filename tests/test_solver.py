@@ -30,7 +30,6 @@ from paneitz.solver import (
     _cosine_amplitudes,
     _cosine_block,
     _jacobian_weight,
-    _nehari_scaled,
     _nonlinear_coeffs,
     _nonlinear_scale,
     _solve_krylov,
@@ -339,49 +338,28 @@ class TestMovedStarts:
         assert_even_about_origin(sol)
 
 
-class TestNehariScaled:
-    @pytest.mark.parametrize("n", [5, 7, 8])
-    @pytest.mark.parametrize("factor", [0.6, 1.3])
-    def test_scaled_solution_returns_to_it(self, n, factor):
-        params = OperatorParams(8.0, 16.0)
-        sol = mode1_solution(ManifoldSpec(n, 1.0), params)
-        # a solution is on the manifold to its residual (here up to 3e-12)
-        back = _nehari_scaled(sol.field.scaled(factor), params)
-        assert np.max(np.abs(back.coeffs - sol.field.coeffs)) <= 1e-12 * sol.field.mean
-
-    @pytest.mark.parametrize("n", [5, 8])
-    def test_is_the_minimizer_rescaling(self, n):
-        # on a unit-norm minimizer the projection is lambda^((n-4)/8)
-        params = OperatorParams(16.0, 64.0)
-        qm = minimize_quotient(perturbed_init(64.0, spec=ManifoldSpec(n, 1.0)), params)
-        closed = qm.field.scaled(qm.lambda_min ** ((n - 4) / 8.0))
-        assert np.max(np.abs(_nehari_scaled(qm.field, params).coeffs - closed.coeffs)) <= 1e-14 * closed.mean
-
-    # alphas where lambda^((n-4)/8) and the projection differ in the last bit
-    @pytest.mark.parametrize("n, alpha", [(5, 16.0), (8, 45.1)])
-    def test_rescale_is_newton_from_the_projection(self, n, alpha):
-        params = OperatorParams(alpha, alpha * alpha / 4.0)
-        qm = minimize_quotient(perturbed_init(params.a_alpha, spec=ManifoldSpec(n, 1.0)), params)
-        assert_same_solution(rescale_to_solution(qm, params), newton_solve(_nehari_scaled(qm.field, params), params))
-
-    def test_constant_start_goes_to_the_constant_solution(self):
-        # max |u| = 1e33 at n = 5: u^(2#-1) is in float64 and u^(2#) is not
-        params = OperatorParams(4.0, 4.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            for value in (1e-30, 1.0, 1e33):
-                start = _nehari_scaled(PeriodicField.constant(SPEC, value, 16), params)
-                assert start.mean == pytest.approx(4.0 ** (1.0 / 8.0), rel=1e-15)
-
+class TestStartChecks:
     def test_named_failures(self):
         # Newton and the descent both check their start in ``_even_start``
-        # before any work
+        # before any work; only Newton, whose result depends on the start's
+        # scale, names a u^(2#-1) beyond float64, before its first residual
         params = OperatorParams(4.0, 4.0)
         for route in (newton_solve, minimize_quotient):
             with pytest.raises(ValueError, match="initial guess must be positive somewhere"):
                 route(PeriodicField.constant(SPEC, -1.0, 16), params)
-            with pytest.raises(FloatingPointError, match="nonlinear term u\\^\\(2#-1\\) of a field with max"):
-                route(PeriodicField.constant(SPEC, 1e40, 16), params)
+        with pytest.raises(FloatingPointError, match="nonlinear term u\\^\\(2#-1\\) of a field with max"):
+            newton_solve(PeriodicField.constant(SPEC, 1e40, 16), params)
+
+    def test_constant_start_of_any_scale_goes_to_the_constant_solution(self):
+        # max |u| = 1e33 at n = 5: u^(2#-1) is in float64 and u^(2#) is not;
+        # at 1e40 neither is, at 1e-30 u^(2#) underflows
+        params = OperatorParams(4.0, 4.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for value in (1e-30, 1.0, 1e33, 1e40):
+                sol = rescale_to_solution(minimize_quotient(PeriodicField.constant(SPEC, value, 16), params), params)
+                assert sol.is_constant
+                assert sol.field.mean == pytest.approx(4.0 ** (1.0 / 8.0), rel=1e-15)
 
 
 class TestConstantSolution:
@@ -798,25 +776,29 @@ class TestMinimizeQuotient:
         assert abs(norms(qm.field).energy - 1.0) <= 1e-13
         assert abs(qm.lambda_min - quotient(qm.field, params)) <= 1e-13 * qm.lambda_min
 
-    @pytest.mark.parametrize(
-        "params, init, reason",
-        [
-            # the start's u^(2#-1) leaves float64, which the shared entry
-            # names before the start's own norms overflow
-            (OperatorParams(2.0, 1.0), perturbed_init(1.0).scaled(1e300), "nonlinear term u\\^\\(2#-1\\)"),
-            # the unit-norm start is fine; the first step u - rho ~ 1e100
-            # has a critical energy beyond float64
-            (OperatorParams(1e100, 1.0), perturbed_init(1.0), "descent step"),
-            # max |u| = 1.1e33 at n = 5: u^(2#-1) is in float64, the start's
-            # critical energy is not
-            (OperatorParams(2.0, 1.0), perturbed_init(1.0).scaled(1e33), "norms of the field"),
-        ],
-    )
-    def test_overflow_raises_named_error(self, params, init, reason):
+    def test_overflow_raises_named_error(self):
+        # the unit-norm start is fine; the first step u - rho ~ 1e100 has a
+        # critical energy beyond float64
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(FloatingPointError, match=reason):
-                minimize_quotient(init, params)
+            with pytest.raises(FloatingPointError, match="descent step"):
+                minimize_quotient(perturbed_init(1.0), OperatorParams(1e100, 1.0))
+
+    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize("alpha", [2.0, 8.0])
+    @pytest.mark.parametrize("scale", [1e-300, 1e33, 1e300])
+    def test_minimizer_does_not_depend_on_the_start_scale(self, n, alpha, scale):
+        # the descent divides its start by its peak before it forms a sum;
+        # when it formed the norms of the raw start, 1e300 named u^(2#-1),
+        # 1e33 (n = 5) the norms and 1e-300 the critical energy (0.0)
+        spec, params = ManifoldSpec(n, 1.0), OperatorParams(alpha, alpha * alpha / 4.0)
+        init = perturbed_init(params.a_alpha, spec=spec)
+        ref = minimize_quotient(init, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            qm = minimize_quotient(init.scaled(scale), params)
+        assert qm.lambda_min == pytest.approx(ref.lambda_min, rel=1e-14, abs=0.0)
+        assert np.max(np.abs(qm.field.coeffs - ref.field.coeffs)) <= 1e-14 * np.max(np.abs(ref.field.coeffs))
 
     def test_below_bifurcation_constant_minimizer(self):
         params = OperatorParams(0.5, 0.0625)
@@ -928,6 +910,36 @@ class TestRescale:
         w = rescale_to_solution(qm, params)
         # lambda = 1 leaves the field unchanged before polishing
         assert w.params is params
+
+    @pytest.mark.parametrize("n", [5, 7, 8])
+    @pytest.mark.parametrize("factor", [0.6, 1.3])
+    def test_scaled_solution_returns_to_it(self, n, factor):
+        # a solution is a critical point of Q, on the Nehari manifold to its
+        # residual (here up to 3e-12): the descent stops at its first check
+        # and lambda^((n-4)/8) times the minimizer is the solution again
+        params = OperatorParams(8.0, 16.0)
+        sol = mode1_solution(ManifoldSpec(n, 1.0), params)
+        qm = minimize_quotient(sol.field.scaled(factor), params)
+        back = qm.field.scaled(qm.lambda_min ** ((n - 4) / 8.0))
+        assert qm.iterations == 1
+        assert np.max(np.abs(back.coeffs - sol.field.coeffs)) <= 1e-12 * sol.field.mean
+
+    @pytest.mark.parametrize("n, alpha", [(5, 16.0), (8, 45.1)])
+    def test_rescale_is_newton_from_the_closed_form(self, n, alpha):
+        params = OperatorParams(alpha, alpha * alpha / 4.0)
+        qm = minimize_quotient(perturbed_init(params.a_alpha, spec=ManifoldSpec(n, 1.0)), params)
+        start = qm.field.scaled(qm.lambda_min ** ((n - 4) / 8.0))
+        assert_same_solution(rescale_to_solution(qm, params), newton_solve(start, params))
+
+    def test_multiple_outside_float64_is_named(self):
+        # lambda^((n-4)/8) = (1e300)^4.5 at n = 40 and (1e-300)^4.5 leave float64
+        field = PeriodicField.constant(ManifoldSpec(40, 1.0), 1.0, 16)
+        for lam in (1e300, 1e-300):
+            qm = QuotientMinimum(field=field, lambda_min=lam, iterations=1, grad_norm=0.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FloatingPointError, match=r"Nehari multiple lambda\^\(\(n-4\)/8\) is outside"):
+                    rescale_to_solution(qm, OperatorParams(2.0, 1.0))
 
     def test_energy_equals_lambda_power(self):
         params = OperatorParams(8.0, 16.0)
