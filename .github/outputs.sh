@@ -12,9 +12,11 @@
 # for n = 5..8 the one-peak far start 1 + 0.3 cos(s + 0.2) on 64 points,
 # written by the tree's own `save_field` as it is and scaled by 1e-100 and
 # by 1e100, a solve from it at alpha = 32 and 128, and from each scaled
-# copy at alpha = 32; and bubble-check at lambda0 = 1.7 for n = 5, 6, 7, 8,
-# 12.  A command that exits nonzero does not stop the others; the script
-# then exits 1 once all have run.
+# copy at alpha = 32; bubble-check at lambda0 = 1.7 for n = 5, 6, 7, 8, 12;
+# and bubble-check at lambda0 = 1e-3 and 1e5 for n = 5 and 8, since the
+# ball's depth, max(0, ln(rmax lambda0)) + acosh(e^(80/n)), depends on
+# lambda0.  A command that exits nonzero does not stop the others; the
+# script then exits 1 once all have run.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -72,5 +74,10 @@ for scale in ("1e-100", "1e100"):
 done
 for n in 5 6 7 8 12; do
     run bubble-dim$n.json bubble-check --dim $n --lambda0 1.7
+done
+for n in 5 8; do
+    for lambda0 in 1e-3 1e5; do
+        run bubble-dim$n-lambda$lambda0.json bubble-check --dim $n --lambda0 $lambda0
+    done
 done
 exit $status

@@ -17,6 +17,7 @@ Every radial integral is one trapezoid sum in a log variable: y = ln(lambda0 r)
 for the energy, tau = ln(r / (R - r)) on a ball of radius R.  The integrands
 are analytic in a strip and decay exponentially at both ends, so the sums
 converge geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014) 385).
+Each integrand is evaluated once (``_ball``, ``bubble_energy``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 from typing import Callable
 
 import numpy as np
@@ -68,7 +69,7 @@ class BubbleParams:
         return bubble_coefficient(self.n) * self.lambda0 ** ((self.n - 4) / 2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadialField:
     """A radial function on R^dim with closed-form callbacks.
 
@@ -87,6 +88,7 @@ class RadialField:
     laplacian: Callable[[np.ndarray], np.ndarray]
     bilaplacian: Callable[[np.ndarray], np.ndarray]
     scale: float = 0.0
+    _slot: list = _field(default_factory=list, init=False, repr=False, compare=False)  # _ball's; replace() empties it
 
 
 def _power_profile_laplacian(n: int, m: float, lam: float, r: np.ndarray) -> np.ndarray:
@@ -154,7 +156,13 @@ def bubble_field(params: BubbleParams) -> RadialField:
     return power_profile_field(dim=n, exponent=(n - 4) / 2.0, scale=params.lambda0, amplitude=params.amplitude)
 
 
-def pde_residual(params: BubbleParams, rmax: float = 50.0, field: RadialField | None = None) -> float:
+_TAIL = 80.0   # log-variable sums stop where the integrand has fallen by e^-80
+_REACH = 40.0  # the ball rule's tau window ends here, and starts at -40 for a field with no scale
+_RMAX = 50.0   # the default ball radius of both checks and of bubble-check --rmax
+_PARTS = {"origin": slice(None, -1), "rim": slice(1, None), "interior": slice(1, -1)}  # of a _ball
+
+
+def pde_residual(params: BubbleParams, rmax: float = _RMAX, field: RadialField | None = None) -> float:
     """sup of |Delta^2 v - v^(2#-1)| / v^(2#-1), Delta^2 v the
     field's closed-form callback, over r = 0 (where the callbacks are
     regular) and the nodes of ``_ball_rule(field, rmax)``: the scaling
@@ -162,25 +170,22 @@ def pde_residual(params: BubbleParams, rmax: float = 50.0, field: RadialField | 
     1/scale at every scale.  A normalization that overflows (checked once,
     at the field's peak) or underflows float64 raises ``FloatingPointError``.
     """
-    if not 0 < rmax < math.inf:
-        raise ValueError(f"rmax must be positive and finite, got {rmax!r}")
     f = field if field is not None else bubble_field(params)
-    r = np.append(0.0, _ball_rule(f, rmax)[0])
-    v = np.asarray(f.value(r), dtype=float)
-    if np.any(v < 0):
+    v = _ball(f, rmax, "origin", "value")[2]
+    if (v < 0).any():
         raise ValueError("residual normalization requires a positive field")
     power = params.two_sharp - 1.0
     try:
-        peak = float(np.max(v)) ** power
+        peak = float(v.max()) ** power
     except OverflowError:
         peak = math.inf
     if not math.isfinite(peak):
         raise FloatingPointError("residual normalization v^(2#-1) overflows float64")
     rhs = v**power
-    if not np.all(rhs > 0):
+    if not (rhs > 0).all():
         raise FloatingPointError("residual normalization v^(2#-1) underflows float64")
-    lhs = np.asarray(f.bilaplacian(r), dtype=float)
-    return float(np.max(np.abs(lhs - rhs) / rhs))
+    lhs = _ball(f, rmax, "origin", "bilaplacian")[2]
+    return float((np.abs(lhs - rhs) / rhs).max())
 
 
 def expected_bubble_energy(n: int) -> float:
@@ -189,10 +194,6 @@ def expected_bubble_energy(n: int) -> float:
     ``sharp_constant`` names its float64 failure from n = 172."""
     _, k0_inv_sq = sharp_constant(n)
     return (1.0 / k0_inv_sq) ** (-n / 4.0)
-
-
-_TAIL = 80.0   # log-variable sums stop where the integrand has fallen by e^-80
-_REACH = 40.0  # the ball rule's tau window ends here, and starts at -40 for a field with no scale
 
 
 def _trapezoid_nodes(lo: float, hi: float, step: float) -> np.ndarray:
@@ -225,44 +226,43 @@ def _energy_sum(n: int, step: float, half_d: float | None = None) -> float:
     return float(2.0 * f.sum() - f[0])
 
 
-def _critical_energy(n: int, step: float, half_d: float | None = None) -> float:
-    """omega_(n-1) (n (n-4) (n^2-4) / 16)^(n/4) step ``_energy_sum(n, step,
-    half_d)``: the critical energy of one extremal, or of two at hyperbolic
-    distance 2 half_d.  The prefactor is (amp/2^m)^(2#), amp the lambda0 = 1
-    peak value, with the exact exponent n/4: raising amp/2^m to the rounded
-    2# costs up to 7e-14 at high n.  A prefactor that overflows float64
-    (from n = 162) is named."""
+def _energy_prefactor(n: int) -> float:
+    """omega_(n-1) (n (n-4) (n^2-4) / 16)^(n/4) = (amp/2^m)^(2#), amp the lambda0 = 1 peak, with
+    the exact exponent n/4 (the rounded 2# costs up to 7e-14 at high n); overflow (n >= 162) is named."""
     try:
         prefactor = sphere_volume(n - 1) * (n * (n - 4) * (n * n - 4) / 16.0) ** (n / 4)
     except OverflowError:
         prefactor = math.inf
     if prefactor == math.inf:
         raise FloatingPointError(f"critical-energy integrand for n={n} overflows float64")
-    return prefactor * step * _energy_sum(n, step, half_d)
+    return prefactor
 
 
 def bubble_energy(params: BubbleParams) -> float:
     """Critical energy omega_(n-1) int_0^inf v^(2#) r^(n-1) dr of the extremal.
 
     In y = ln(lambda0 r) the integrand is (amp/2^m)^(2#) sech^n(y), so
-    lambda0 cancels exactly; ``_critical_energy`` forms the prefactor.
+    lambda0 cancels exactly; ``_energy_prefactor`` forms the prefactor.
     sech^n is analytic in a strip that narrows like 1/n, so the sum takes
     step 1/n, folded about y = 0, 85 to 176 nodes; step 1/(2n) checks it,
-    with a warning above 1e-9 relative.
+    with a warning above 1e-9 relative, on nodes whose even entries are the
+    step-1/n nodes ((0.5/n) 2k = k/n exactly), so sech^n is evaluated once.
     """
     n = params.n
-    energy, check = (_critical_energy(n, step) for step in (1.0 / n, 0.5 / n))
+    y = _trapezoid_nodes(0.0, _half_window(n), 1.0 / n)
+    prefactor, f = _energy_prefactor(n), _sech_power((0.5 / n) * np.arange(2 * y.size - 1), n)
+    energy, check = (prefactor * step * float(2.0 * g.sum() - g[0]) for step, g in ((1.0 / n, f[::2]), (0.5 / n, f)))
     if abs(check - energy) > 1e-9 * abs(check):
         warnings.warn(f"critical energy quadrature not converged: {energy!r} vs {check!r}", RuntimeWarning)
     return energy
 
 
 def _ball_rule(w: RadialField, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Radii and weights of the trapezoid sum in tau, r = radius / (1 + e^(-tau)),
-    for int over the ball of a radial integrand: step min(1/8, 2/n), from
-    ``_half_window(n)`` below ln(min(radius, 1/scale) / radius) (-40 with no
-    scale) to 40.  The map is geometric toward 0 and the rim, so a profile
-    concentrated at ``w.scale`` is resolved.  Gaussians, which decay doubly
+    """Radii and weights of the trapezoid sum in tau, r = radius / (1 + e^(-tau)), for int
+    over the ball of a radial integrand: step min(1/8, 2/n), from ``_half_window(n)`` below
+    ln(min(radius, 1/scale) / radius) (-40 with no scale) to 40, where 1 + e^-40 rounds to 1,
+    so the last node is the rim bit for bit.  The map is geometric toward 0 and the rim, so a
+    profile concentrated at ``w.scale`` is resolved.  Gaussians, which decay doubly
     exponentially in tau, read about 1e-13 at radius 5 and 1e-7 at 30."""
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
@@ -278,7 +278,20 @@ def _ball_rule(w: RadialField, radius: float) -> tuple[np.ndarray, np.ndarray]:
     return r, weights
 
 
-def pohozaev_identity_residual(w: RadialField, rmax: float = 40.0) -> float:
+def _ball(w: RadialField, radius: float, part: str, *names: str) -> tuple[np.ndarray, ...]:
+    """Radii, weights and callbacks ``names`` on ``part`` of the one ball a field keeps: r = 0, the ``_ball_rule``
+    nodes and the rim, end weights 0.  A callback runs again only where numpy now raises on more errors."""
+    if not w._slot or w._slot[0][0] != radius:
+        r, weights = (np.concatenate(([0.0], x, [end])) for x, end in zip(_ball_rule(w, radius), (radius, 0.0)))
+        w._slot[:] = [(radius, r, weights, {})]
+    (_, r, weights, values), raising = w._slot[0], {k for k, mode in np.geterr().items() if mode == "raise"}
+    for name in names:
+        if name not in values or not raising <= values[name][1]:
+            values[name] = (np.asarray(getattr(w, name)(r), dtype=float), raising)
+    return tuple(x[_PARTS[part]] for x in (r, weights, *(values[name][0] for name in names)))
+
+
+def pohozaev_identity_residual(w: RadialField, rmax: float = _RMAX) -> float:
     """Normalized defect of the scaling identity on the ball B of radius R = rmax:
 
         int_B Delta^2 w (x . grad w) dx + (n-4)/2 int_B (Delta w)^2 dx
@@ -299,20 +312,18 @@ def pohozaev_identity_residual(w: RadialField, rmax: float = 40.0) -> float:
     raises ``ValueError``.
     """
     n = w.dim
-    r, wq = _ball_rule(w, rmax)
-    r, wq = np.append(r, rmax), np.append(wq, 0.0)  # the rim, weightless, for the flux
     with np.errstate(over="ignore", invalid="ignore"):
-        bilap, d1, lap = (np.asarray(f(r)) for f in (w.bilaplacian, w.deriv1, w.laplacian))
+        r, wq, bilap, d1, lap = _ball(w, rmax, "rim", "bilaplacian", "deriv1", "laplacian")
         moment, lap_sq = bilap * r * d1, lap**2
-        i0, i1, i2 = (float(np.sum(g * wq)) for g in (bilap, moment, lap_sq))
+        i0, i1, i2 = (float((g * wq).sum()) for g in (bilap, moment, lap_sq))
         rim = sphere_volume(n - 1) * np.float64(rmax) ** (n - 1) * lap[-1]
         flux = rmax * d1[-1] * i0 + rim * ((n - 2) * d1[-1] - 0.5 * rmax * lap[-1])
     if not math.isfinite(i0 + i1 + i2 + flux):
         raise FloatingPointError(f"scaling-identity integrands for n={n} overflow float64")
-    if w.scale == 0.0 and not (np.any(lap != 0.0) or np.any(d1 != 0.0)):
+    if w.scale == 0.0 and not ((lap != 0.0).any() or (d1 != 0.0).any()):
         raise ValueError("identity normalization requires a nonzero Laplacian")
     tiny = sys.float_info.min
-    if np.max(lap_sq) < tiny or (np.any(bilap != 0.0) and np.max(np.abs(moment)) < tiny):
+    if lap_sq.max() < tiny or ((bilap != 0.0).any() and np.abs(moment).max() < tiny):
         raise FloatingPointError(f"a scaling-identity integrand for n={n} underflows float64")
     return (i1 + 0.5 * (n - 4) * i2 - float(flux)) / i2
 
@@ -324,13 +335,11 @@ def pohozaev_witness(w: RadialField, lam: float, mu: float, radius: float) -> fl
     the energy identity of the perturbed equation leave this combination,
     which must vanish for any nontrivial finite-energy solution, so a
     strictly positive value witnesses nonexistence for the given (lam, mu).
-    Both integrals are ``_ball_rule``'s trapezoid sums.
+    Both integrals are ``_ball_rule``'s trapezoid sums, on the field's ``_ball``.
     """
     if lam < 0 or mu < 0:
         raise ValueError("witness coefficients must be nonnegative")
     if lam == 0 and mu == 0:
         return 0.0
-    r, wq = _ball_rule(w, radius)
-    grad_sq = float(np.sum(wq * np.asarray(w.deriv1(r)) ** 2))
-    l2 = float(np.sum(wq * np.asarray(w.value(r)) ** 2))
-    return lam * grad_sq + 2.0 * mu * l2
+    _, wq, d1, v = _ball(w, radius, "interior", "deriv1", "value")
+    return lam * float(np.sum(wq * d1**2)) + 2.0 * mu * float(np.sum(wq * v**2))

@@ -102,7 +102,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bubble-check", help="verify the radial extremal")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--lambda0", type=float, default=1.0)
-    p.add_argument("--rmax", type=float, default=50.0)
+    p.add_argument("--rmax", type=float, default=bubble_mod._RMAX)
 
     p = sub.add_parser("solve", help="solve the circle-reduced equation")
     p.add_argument("--dim", type=int, required=True)
@@ -160,15 +160,16 @@ def _cmd_constants(args) -> int:
 
 def _cmd_bubble_check(args) -> int:
     params = bubble_mod.BubbleParams(n=args.dim, lambda0=args.lambda0)
+    if not 0 < args.rmax < np.inf:
+        raise ValueError(f"rmax must be positive and finite, got {args.rmax!r}")
     # the checks work in powers of lambda0 and c_n; one that overflows, or a
     # normalization that underflows, puts the extremal outside float64
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            residual_sup = bubble_mod.pde_residual(params, rmax=args.rmax)
+            field = bubble_mod.bubble_field(params)
+            residual_sup = bubble_mod.pde_residual(params, rmax=args.rmax, field=field)
             energy = bubble_mod.bubble_energy(params)
-            poh = bubble_mod.pohozaev_identity_residual(
-                bubble_mod.bubble_field(params), rmax=args.rmax
-            )
+            poh = bubble_mod.pohozaev_identity_residual(field, rmax=args.rmax)
     except (OverflowError, FloatingPointError) as exc:
         why = f"extremal for n={args.dim} at lambda0={args.lambda0!r} is outside the float64 range ({exc})"
         raise FloatingPointError(why) from None

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubble import BubbleParams, _critical_energy, expected_bubble_energy
+from .bubble import BubbleParams, _energy_prefactor, _energy_sum, expected_bubble_energy
 from .constants import OperatorParams
 from .field import PeriodicField, _ball_masses, _ball_radius, localized_mass, norms
 
@@ -167,7 +167,7 @@ def multi_bubble_energy(n: int, centers: np.ndarray, lambda0s: np.ndarray) -> fl
     about y = D/2.
 
     The rule is ``bubble_energy``'s with two terms and the same prefactor
-    (``bubble._critical_energy``): step 1/n on y >= D/2, doubled, to where
+    (``bubble._energy_prefactor``): step 1/n on y >= D/2, doubled, to where
     sech^n falls below e^-80 (123 nodes at n = 5 and 148 at n = 8 for the
     quantization pair).  A pair whose sinh(D/2) is outside the float64
     range raises ``FloatingPointError``, and so does a prefactor that
@@ -194,7 +194,7 @@ def multi_bubble_energy(n: int, centers: np.ndarray, lambda0s: np.ndarray) -> fl
             f"hyperbolic distance of centers ({c1:.6g}, {c2:.6g}) at scales ({lam1:.6g}, {lam2:.6g}) "
             "is outside the float64 range"
         )
-    return _critical_energy(n, 1.0 / n, math.asinh(sinh_half))
+    return _energy_prefactor(n) * (1.0 / n) * _energy_sum(n, 1.0 / n, math.asinh(sinh_half))
 
 
 def quantization_check(n: int, budget: float) -> QuantizationReport:

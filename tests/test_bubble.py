@@ -11,6 +11,7 @@ from conftest import even_gaussian_field
 from paneitz import bubble as bubble_module
 from paneitz.bubble import (
     BubbleParams,
+    RadialField,
     bubble_energy,
     bubble_field,
     expected_bubble_energy,
@@ -115,6 +116,20 @@ class TestPdeResidual:
         exact = bubble_field(params)
         defect = lambda r: exact.bilaplacian(r) * (1.0 + np.exp(-((np.asarray(r) - 1.0) ** 2)))
         assert pde_residual(params, field=dataclasses.replace(exact, bilaplacian=defect)) >= 0.99
+
+    def test_replaced_callback_starts_with_no_ball(self):
+        # the field keeps its ball; a copy with another callback starts with
+        # none, so the defect is seen even after the exact field was checked
+        params = BubbleParams(5, lambda0=1e-5)
+        exact = bubble_field(params)
+        assert pde_residual(params, rmax=50.0, field=exact) <= 1e-13
+        assert pohozaev_identity_residual(exact, rmax=50.0) <= 1e-14
+        defect = lambda r: exact.bilaplacian(r) * (1.0 + np.exp(-((np.asarray(r) - 1.0) ** 2)))
+        replaced = dataclasses.replace(exact, bilaplacian=defect)
+        assert replaced._slot == [] and [radius for radius, *_ in exact._slot] == [50.0]
+        assert pde_residual(params, rmax=50.0, field=replaced) >= 0.99
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            exact.bilaplacian = defect
 
     def test_scaled_profile_is_not_a_solution(self):
         params = BubbleParams(5)
@@ -235,6 +250,13 @@ class TestBubbleEnergyOracle:
             rel = abs(mpmath.mpf(energy) / wallis_energy(n, 1.0) - 1)
             assert rel <= (2e-15 if n <= 20 else 1e-14), n
 
+    def test_one_evaluation_is_the_step_one_over_n_rule(self):
+        # the check's nodes at step 1/(2n) hold the step-1/n nodes as their even
+        # entries, (0.5/n) 2k = k/n exactly, so one sech^n evaluation gives both
+        for n in range(5, 162):
+            rule = bubble_module._energy_prefactor(n) * (1.0 / n) * bubble_module._energy_sum(n, 1.0 / n)
+            assert bubble_energy(BubbleParams(n)) == rule, n
+
     @pytest.mark.parametrize("n", [5, 8, 20, 161])
     def test_halved_step_agrees(self, n):
         # the convergence check compares the sums with steps 1/n and 1/(2n):
@@ -322,6 +344,96 @@ class TestPohozaevIdentity:
     def test_rejects_bad_radius(self, rmax):
         with pytest.raises(ValueError, match="radius must be positive and finite"):
             pohozaev_identity_residual(bubble_field(BubbleParams(5)), rmax=rmax)
+
+
+def counting_field(w: RadialField, calls: dict) -> RadialField:
+    """``w`` with each callback counting its calls in ``calls``."""
+
+    def counted(name):
+        def callback(r):
+            calls[name] = calls.get(name, 0) + 1
+            return getattr(w, name)(r)
+
+        return callback
+
+    names = ("value", "deriv1", "laplacian", "bilaplacian")
+    return RadialField(w.dim, *(counted(name) for name in names), scale=w.scale)
+
+
+class TestBall:
+    @pytest.mark.parametrize("n", [5, 6, 8, 12, 20, 100])
+    def test_last_node_is_the_rim(self, n):
+        # at tau = 40, 1 + e^-40 rounds to 1: the rim the identity's flux reads
+        # is the last node again, bit for bit
+        for lambda0 in (1e-30, 0.5, 1.7, 1e5):
+            w = bubble_field(BubbleParams(n, lambda0=lambda0))
+            for radius in (1.0, 2.0, 30.0, 50.0, 1e6):
+                assert bubble_module._ball_rule(w, radius)[0][-1] == radius, (lambda0, radius)
+
+    def test_entries_each_check_reads(self):
+        # the ball is r = 0, the rule's nodes and the rim, weights 0 at both
+        # ends; the residual reads it without the rim, the identity without
+        # r = 0 and the witness without either
+        w = bubble_field(BubbleParams(6, lambda0=1.7))
+        r, wq = bubble_module._ball_rule(w, 50.0)
+        for part, (r_part, wq_part) in {
+            "origin": (np.append(0.0, r), np.append(0.0, wq)),
+            "rim": (np.append(r, 50.0), np.append(wq, 0.0)),
+            "interior": (r, wq),
+        }.items():
+            ball_r, ball_wq, d1 = bubble_module._ball(w, 50.0, part, "deriv1")
+            assert np.array_equal(ball_r, r_part) and np.array_equal(ball_wq, wq_part), part
+            assert np.array_equal(d1, w.deriv1(r_part)), part
+        expected = float(np.sum(wq * w.deriv1(r) ** 2)) + 2.0 * float(np.sum(wq * w.value(r) ** 2))
+        assert pohozaev_witness(w, 1.0, 1.0, 50.0) == expected
+
+    def test_each_callback_runs_once_per_radius(self):
+        calls = {}
+        params = BubbleParams(7, lambda0=0.5)
+        w = counting_field(bubble_field(params), calls)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            residual = pde_residual(params, rmax=50.0, field=w)
+            identity = pohozaev_identity_residual(w, rmax=50.0)
+            assert calls == {"value": 1, "deriv1": 1, "laplacian": 1, "bilaplacian": 1}
+            # the values are those of fresh fields
+            assert (residual, identity) == (
+                pde_residual(params, rmax=50.0),
+                pohozaev_identity_residual(bubble_field(params), rmax=50.0),
+            )
+            pde_residual(params, rmax=50.0, field=w)
+            assert set(calls.values()) == {1}
+            # the identity read f' with overflow ignored; the witness, which
+            # would raise on it, reads it again
+            pohozaev_witness(w, 1.0, 1.0, 50.0)
+            assert calls == {"value": 1, "deriv1": 2, "laplacian": 1, "bilaplacian": 1}
+            pohozaev_identity_residual(w, rmax=20.0)
+        assert calls == {"value": 1, "deriv1": 3, "laplacian": 2, "bilaplacian": 2}
+        # the field keeps the last radius' ball only
+        assert [radius for radius, *_ in w._slot] == [20.0]
+
+    def test_default_radii_share_one_ball(self):
+        params = BubbleParams(5)
+        w = bubble_field(params)
+        pde_residual(params, field=w)
+        pohozaev_identity_residual(w)
+        assert [radius for radius, *_ in w._slot] == [50.0]
+
+    def test_residual_after_the_identity_raises_as_on_its_own(self):
+        # the identity evaluates its callbacks with overflow ignored; a residual
+        # that raises on overflow evaluates Delta^2 v again rather than read
+        # the identity's infinite values, in either order
+        params = BubbleParams(5)
+        exact = bubble_field(params)
+        loud = lambda r: exact.bilaplacian(r) * 1e308 * 1e308
+        for first in ("identity", "residual"):
+            w = dataclasses.replace(exact, bilaplacian=loud)
+            if first == "identity":
+                with pytest.raises(FloatingPointError, match="scaling-identity integrands"):
+                    pohozaev_identity_residual(w, rmax=50.0)
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow encountered"):
+                pde_residual(params, rmax=50.0, field=w)
+            with pytest.raises(FloatingPointError, match="scaling-identity integrands"):
+                pohozaev_identity_residual(w, rmax=50.0)
 
 
 class TestPohozaevWitness:

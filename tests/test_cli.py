@@ -202,6 +202,29 @@ class TestBubbleCheckCommand:
         assert (code, out) == (1, "")
         assert err == f"paneitz bubble-check: error: rmax must be positive and finite, got {float(rmax)!r}\n"
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 12, 20])
+    def test_reads_the_checks_of_fresh_fields(self, capsys, n):
+        # both ball checks read one field, which evaluates each callback once;
+        # the report is what each check reads on a field of its own, bit for
+        # bit, and a scale outside float64 fails there as in the command
+        for scale in ("1e-30", "1e-3", "0.5", "1.7", "1e5"):
+            params = paneitz.bubble.BubbleParams(n, float(scale))
+            code, out, err = run_cli(capsys, "bubble-check", "--dim", str(n), "--lambda0", scale)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                checks = (
+                    lambda: paneitz.bubble.pde_residual(params, rmax=50.0),
+                    lambda: paneitz.bubble.bubble_energy(params),
+                    lambda: paneitz.bubble.pohozaev_identity_residual(paneitz.bubble.bubble_field(params), rmax=50.0),
+                )
+                if code == 0:
+                    report = json.loads(out)
+                    fresh = [check() for check in checks]
+                    assert [report[k] for k in ("residual_sup", "energy", "pohozaev_residual")] == fresh, scale
+                else:
+                    assert code == 2 and "float64" in err, (scale, err)
+                    with pytest.raises((FloatingPointError, OverflowError)):
+                        [check() for check in checks]
+
     def test_cold_start_builds_no_gauss_legendre_rule(self, capsys, monkeypatch):
         # every radial integral is a trapezoid sum in a log variable, so a
         # cold bubble-check and quantization check compute no Gauss-Legendre
