@@ -13,10 +13,11 @@
 # written by the tree's own `save_field` as it is and scaled by 1e-100 and
 # by 1e100, a solve from it at alpha = 32 and 128, and from each scaled
 # copy at alpha = 32; bubble-check at lambda0 = 1.7 for n = 5, 6, 7, 8, 12;
-# and bubble-check at lambda0 = 1e-3 and 1e5 for n = 5 and 8, since the
-# ball's depth, max(0, ln(rmax lambda0)) + acosh(e^(80/n)), depends on
-# lambda0.  A command that exits nonzero does not stop the others; the
-# script then exits 1 once all have run.
+# and for n = 5 and 8 bubble-check at lambda0 = 1e-3 and 1e5, and at
+# lambda0 = 1.7 with rmax = 1 and 1e6, since the ball's depth,
+# max(0, ln(rmax lambda0)) + acosh(e^(80/n)), depends on lambda0 and rmax.
+# A command that exits nonzero does not stop the others; the script then
+# exits 1 once all have run.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -78,6 +79,9 @@ done
 for n in 5 8; do
     for lambda0 in 1e-3 1e5; do
         run bubble-dim$n-lambda$lambda0.json bubble-check --dim $n --lambda0 $lambda0
+    done
+    for rmax in 1 1e6; do
+        run bubble-dim$n-rmax$rmax.json bubble-check --dim $n --lambda0 1.7 --rmax $rmax
     done
 done
 exit $status

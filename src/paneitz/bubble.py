@@ -48,7 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BubbleParams:
-    """Radial extremal data: dimension and concentration scale."""
+    """Validated extremal data for ``bubble_field``: dimension n >= 5, scale 0 < lambda0 < inf."""
 
     n: int
     lambda0: float = 1.0
@@ -58,15 +58,6 @@ class BubbleParams:
             raise ValueError(f"dimension must be >= 5, got {self.n}")
         if not 0 < self.lambda0 < math.inf:
             raise ValueError(f"concentration scale must be positive and finite, got {self.lambda0}")
-
-    @property
-    def two_sharp(self) -> float:
-        return critical_exponent(self.n)
-
-    @property
-    def amplitude(self) -> float:
-        """Peak prefactor c_n lambda0^((n-4)/2)."""
-        return bubble_coefficient(self.n) * self.lambda0 ** ((self.n - 4) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -150,31 +141,32 @@ def power_profile_field(
 
 
 def bubble_field(params: BubbleParams) -> RadialField:
-    """The extremal as a RadialField with exact closed-form callbacks:
-    v(r) = c_n (lambda0 / (1 + lambda0^2 r^2))^((n-4)/2) is its ``value``."""
-    n = params.n
-    return power_profile_field(dim=n, exponent=(n - 4) / 2.0, scale=params.lambda0, amplitude=params.amplitude)
+    """The extremal as a RadialField with exact closed-form callbacks: v(r) =
+    c_n (lambda0 / (1 + lambda0^2 r^2))^((n-4)/2), peak c_n lambda0^((n-4)/2), is its ``value``."""
+    n, lam = params.n, params.lambda0
+    peak = bubble_coefficient(n) * lam ** ((n - 4) / 2.0)
+    return power_profile_field(dim=n, exponent=(n - 4) / 2.0, scale=lam, amplitude=peak)
 
 
 _TAIL = 80.0   # log-variable sums stop where the integrand has fallen by e^-80
 _REACH = 40.0  # the ball rule's tau window ends here, and starts at -40 for a field with no scale
 _RMAX = 50.0   # the default ball radius of both checks and of bubble-check --rmax
-_PARTS = {"origin": slice(None, -1), "rim": slice(1, None), "interior": slice(1, -1)}  # of a _ball
+_PARTS = {"origin": slice(None), "nodes": slice(1, None)}  # of a _ball: r = 0 and the nodes, or the nodes alone
 
 
-def pde_residual(params: BubbleParams, rmax: float = _RMAX, field: RadialField | None = None) -> float:
-    """sup of |Delta^2 v - v^(2#-1)| / v^(2#-1), Delta^2 v the
-    field's closed-form callback, over r = 0 (where the callbacks are
-    regular) and the nodes of ``_ball_rule(field, rmax)``: the scaling
-    identity's nodes, geometric toward 0 and the rim and reaching below
-    1/scale at every scale.  A normalization that overflows (checked once,
-    at the field's peak) or underflows float64 raises ``FloatingPointError``.
+def pde_residual(field: RadialField, rmax: float = _RMAX) -> float:
+    """sup of |Delta^2 w - w^(2#-1)| / w^(2#-1) for the radial ``field`` w,
+    2# the critical exponent of ``field.dim`` and Delta^2 w its closed-form
+    callback, over r = 0 (where the callbacks are regular) and the nodes of
+    ``_ball_rule(field, rmax)``: the scaling identity's nodes, geometric
+    toward 0 and the rim and reaching below 1/scale at every scale.  A
+    normalization that overflows (checked once, at the field's peak) or
+    underflows float64 raises ``FloatingPointError``.
     """
-    f = field if field is not None else bubble_field(params)
-    v = _ball(f, rmax, "origin", "value")[2]
+    v = _ball(field, rmax, "origin", "value")[2]
     if (v < 0).any():
         raise ValueError("residual normalization requires a positive field")
-    power = params.two_sharp - 1.0
+    power = critical_exponent(field.dim) - 1.0
     try:
         peak = float(v.max()) ** power
     except OverflowError:
@@ -184,7 +176,7 @@ def pde_residual(params: BubbleParams, rmax: float = _RMAX, field: RadialField |
     rhs = v**power
     if not (rhs > 0).all():
         raise FloatingPointError("residual normalization v^(2#-1) underflows float64")
-    lhs = _ball(f, rmax, "origin", "bilaplacian")[2]
+    lhs = _ball(field, rmax, "origin", "bilaplacian")[2]
     return float((np.abs(lhs - rhs) / rhs).max())
 
 
@@ -279,10 +271,10 @@ def _ball_rule(w: RadialField, radius: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ball(w: RadialField, radius: float, part: str, *names: str) -> tuple[np.ndarray, ...]:
-    """Radii, weights and callbacks ``names`` on ``part`` of the one ball a field keeps: r = 0, the ``_ball_rule``
-    nodes and the rim, end weights 0.  A callback runs again only where numpy now raises on more errors."""
+    """Radii, weights and callbacks ``names`` on ``part`` of the one ball a field keeps: r = 0, weight 0, then
+    the ``_ball_rule`` nodes, the last the rim.  A callback runs again only where numpy now raises on more errors."""
     if not w._slot or w._slot[0][0] != radius:
-        r, weights = (np.concatenate(([0.0], x, [end])) for x, end in zip(_ball_rule(w, radius), (radius, 0.0)))
+        r, weights = (np.append(0.0, x) for x in _ball_rule(w, radius))
         w._slot[:] = [(radius, r, weights, {})]
     (_, r, weights, values), raising = w._slot[0], {k for k, mode in np.geterr().items() if mode == "raise"}
     for name in names:
@@ -313,10 +305,10 @@ def pohozaev_identity_residual(w: RadialField, rmax: float = _RMAX) -> float:
     """
     n = w.dim
     with np.errstate(over="ignore", invalid="ignore"):
-        r, wq, bilap, d1, lap = _ball(w, rmax, "rim", "bilaplacian", "deriv1", "laplacian")
+        r, wq, bilap, d1, lap = _ball(w, rmax, "nodes", "bilaplacian", "deriv1", "laplacian")
         moment, lap_sq = bilap * r * d1, lap**2
         i0, i1, i2 = (float((g * wq).sum()) for g in (bilap, moment, lap_sq))
-        rim = sphere_volume(n - 1) * np.float64(rmax) ** (n - 1) * lap[-1]
+        rim = sphere_volume(n - 1) * np.float64(rmax) ** (n - 1) * lap[-1]  # [-1]: the last node, r = rmax
         flux = rmax * d1[-1] * i0 + rim * ((n - 2) * d1[-1] - 0.5 * rmax * lap[-1])
     if not math.isfinite(i0 + i1 + i2 + flux):
         raise FloatingPointError(f"scaling-identity integrands for n={n} overflow float64")
@@ -341,5 +333,5 @@ def pohozaev_witness(w: RadialField, lam: float, mu: float, radius: float) -> fl
         raise ValueError("witness coefficients must be nonnegative")
     if lam == 0 and mu == 0:
         return 0.0
-    _, wq, d1, v = _ball(w, radius, "interior", "deriv1", "value")
+    _, wq, d1, v = _ball(w, radius, "nodes", "deriv1", "value")
     return lam * float(np.sum(wq * d1**2)) + 2.0 * mu * float(np.sum(wq * v**2))

@@ -167,7 +167,7 @@ def _cmd_bubble_check(args) -> int:
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             field = bubble_mod.bubble_field(params)
-            residual_sup = bubble_mod.pde_residual(params, rmax=args.rmax, field=field)
+            residual_sup = bubble_mod.pde_residual(field, rmax=args.rmax)
             energy = bubble_mod.bubble_energy(params)
             poh = bubble_mod.pohozaev_identity_residual(field, rmax=args.rmax)
     except (OverflowError, FloatingPointError) as exc:

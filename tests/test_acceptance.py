@@ -78,7 +78,7 @@ def test_criterion_2_extremal_exactness():
     worst = 0.0
     for n in (5, 6, 8, 12):
         for lam in (0.5, 1.0, 2.0):
-            worst = max(worst, pde_residual(BubbleParams(n, lambda0=lam), rmax=50.0))
+            worst = max(worst, pde_residual(bubble_field(BubbleParams(n, lambda0=lam)), rmax=50.0))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 1.0
     assert report(2, ok, elapsed, f"radial extremal residual sup {worst:.2e} on (0, 50]")

@@ -26,7 +26,10 @@ from paneitz.geometry import sphere_volume
 
 def radial_energy_oracle(params: BubbleParams) -> float:
     """Independent check of the critical integral: adaptive quadrature of
-    omega_(n-1) int v^(2#) r^(n-1) dr on a split range."""
+    omega_(n-1) int v^(2#) r^(n-1) dr on edges 0, 1, 10, ..., 1e4 over
+    lambda0.  The integrand decays like r^(-n-1), so the tail past the last
+    edge is below 1e-19 of the total for n >= 5; an infinite last edge made
+    ``quad`` warn."""
     n = params.n
     p = 2.0 * n / (n - 4)
     v = bubble_field(params).value
@@ -34,9 +37,10 @@ def radial_energy_oracle(params: BubbleParams) -> float:
     def integrand(r):
         return v(r) ** p * r ** (n - 1)
 
+    edges = [edge / params.lambda0 for edge in (0.0, 1.0, 10.0, 100.0, 1e3, 1e4)]
     total = 0.0
-    for a, b in [(0.0, 1.0), (1.0, 10.0), (10.0, 100.0), (100.0, 2000.0)]:
-        val, _ = quad(integrand, a, b, limit=200)
+    for a, b in zip(edges, edges[1:]):
+        val, _ = quad(integrand, a, b, limit=200, epsabs=0.0, epsrel=1e-13)
         total += val
     return sphere_volume(n - 1) * total
 
@@ -47,7 +51,7 @@ def profile_derivatives(params: BubbleParams, radii, order: int) -> list:
     closed-form w-forms it checks."""
     with mpmath.workdps(40):
         m, lam = mpmath.mpf(params.n - 4) / 2, mpmath.mpf(params.lambda0)
-        amp = mpmath.mpf(params.amplitude)
+        amp = mpmath.mpf(float(bubble_field(params).value(0.0)))
         return [
             list(mpmath.diffs(lambda x: amp * (1 + (lam * x) ** 2) ** (-m), mpmath.mpf(r), order))[1:]
             for r in radii
@@ -99,14 +103,14 @@ class TestPdeResidual:
     @pytest.mark.parametrize("n", [5, 6, 7, 8, 10, 12])
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
     def test_extremal_is_exact(self, n, lam):
-        assert pde_residual(BubbleParams(n, lambda0=lam)) <= 1e-10
+        assert pde_residual(bubble_field(BubbleParams(n, lambda0=lam))) <= 1e-10
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 1.7])
     def test_extremal_is_exact_in_every_dimension(self, lam):
         # sampled at r = 0 and the ball rule's nodes: the sup reads at most
         # 7.1e-14 over n = 5..143
         for n in range(5, 144):
-            assert pde_residual(BubbleParams(n, lambda0=lam)) <= 1e-13, n
+            assert pde_residual(bubble_field(BubbleParams(n, lambda0=lam))) <= 1e-13, n
 
     def test_samples_inside_half_the_radius(self):
         # a geomspace from min(1e-3/lambda0, rmax/2) saw only r = 0 and
@@ -115,30 +119,38 @@ class TestPdeResidual:
         params = BubbleParams(5, lambda0=1e-5)
         exact = bubble_field(params)
         defect = lambda r: exact.bilaplacian(r) * (1.0 + np.exp(-((np.asarray(r) - 1.0) ** 2)))
-        assert pde_residual(params, field=dataclasses.replace(exact, bilaplacian=defect)) >= 0.99
+        assert pde_residual(dataclasses.replace(exact, bilaplacian=defect)) >= 0.99
 
     def test_replaced_callback_starts_with_no_ball(self):
         # the field keeps its ball; a copy with another callback starts with
         # none, so the defect is seen even after the exact field was checked
         params = BubbleParams(5, lambda0=1e-5)
         exact = bubble_field(params)
-        assert pde_residual(params, rmax=50.0, field=exact) <= 1e-13
+        assert pde_residual(exact, rmax=50.0) <= 1e-13
         assert pohozaev_identity_residual(exact, rmax=50.0) <= 1e-14
         defect = lambda r: exact.bilaplacian(r) * (1.0 + np.exp(-((np.asarray(r) - 1.0) ** 2)))
         replaced = dataclasses.replace(exact, bilaplacian=defect)
         assert replaced._slot == [] and [radius for radius, *_ in exact._slot] == [50.0]
-        assert pde_residual(params, rmax=50.0, field=replaced) >= 0.99
+        assert pde_residual(replaced, rmax=50.0) >= 0.99
         with pytest.raises(dataclasses.FrozenInstanceError):
             exact.bilaplacian = defect
 
+    @pytest.mark.parametrize("n", [5, 6, 8, 12])
+    def test_exponent_is_that_of_the_field_dimension(self, n):
+        # 2# comes from field.dim: the same callbacks labelled one dimension
+        # higher are checked against that dimension's exponent, and read
+        # 28.6, 13.7, 5.93 and 2.64 for n = 5, 6, 8, 12
+        exact = bubble_field(BubbleParams(n, lambda0=1.7))
+        assert pde_residual(exact) <= 1e-13
+        assert pde_residual(dataclasses.replace(exact, dim=n + 1)) >= 1.0
+
     def test_scaled_profile_is_not_a_solution(self):
         params = BubbleParams(5)
-        scaled = power_profile_field(5, (5 - 4) / 2, params.lambda0, 1.1 * params.amplitude)
-        assert pde_residual(params, field=scaled) >= 0.1
+        scaled = power_profile_field(5, (5 - 4) / 2, params.lambda0, 1.1 * bubble_field(params).value(0.0))
+        assert pde_residual(scaled) >= 0.1
 
     def test_constant_field_residual_is_one(self):
-        params = BubbleParams(5)
-        res = pde_residual(params, field=power_profile_field(5, 0.0, amplitude=1.0))
+        res = pde_residual(power_profile_field(5, 0.0, amplitude=1.0))
         assert res == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("n", [5, 8, 12])
@@ -192,6 +204,17 @@ class TestBubbleEnergy:
         e1 = bubble_energy(BubbleParams(5, lambda0=1.0))
         e2 = bubble_energy(BubbleParams(5, lambda0=2.0))
         assert e2 == pytest.approx(e1, rel=1e-8)
+
+    @pytest.mark.parametrize("lambda0", [1e-3, 0.5, 2.0, 1e3])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_field_integral_at_every_scale(self, n, lambda0):
+        # the sum never reads lambda0; the oracle integrates the field of that
+        # scale in r, and read within 3.1e-15 of the sum
+        params = BubbleParams(n, lambda0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oracle = radial_energy_oracle(params)
+        assert abs(oracle / bubble_energy(params) - 1) <= 1e-12
 
     def test_n8_against_squared_constant(self):
         energy = bubble_energy(BubbleParams(8))
@@ -297,7 +320,7 @@ class TestPohozaevIdentity:
         # integration by parts holds for every smooth radial field: a scaled
         # extremal and a power profile of another exponent are no solutions
         params = BubbleParams(n, lambda0=1.7)
-        scaled = power_profile_field(n, (n - 4) / 2, params.lambda0, 1.1 * params.amplitude)
+        scaled = power_profile_field(n, (n - 4) / 2, params.lambda0, 1.1 * bubble_field(params).value(0.0))
         for w in (scaled, power_profile_field(n, 0.75 * n, scale=0.3)):
             for radius in (0.5, 4.0, 50.0):
                 assert abs(pohozaev_identity_residual(w, rmax=radius)) <= 1e-14
@@ -371,16 +394,14 @@ class TestBall:
                 assert bubble_module._ball_rule(w, radius)[0][-1] == radius, (lambda0, radius)
 
     def test_entries_each_check_reads(self):
-        # the ball is r = 0, the rule's nodes and the rim, weights 0 at both
-        # ends; the residual reads it without the rim, the identity without
-        # r = 0 and the witness without either
+        # the ball is r = 0 with weight 0 and the rule's nodes, the last of
+        # them the rim; the residual reads all of it, the identity and the
+        # witness the nodes alone
         w = bubble_field(BubbleParams(6, lambda0=1.7))
         r, wq = bubble_module._ball_rule(w, 50.0)
-        for part, (r_part, wq_part) in {
-            "origin": (np.append(0.0, r), np.append(0.0, wq)),
-            "rim": (np.append(r, 50.0), np.append(wq, 0.0)),
-            "interior": (r, wq),
-        }.items():
+        parts = {"origin": (np.append(0.0, r), np.append(0.0, wq)), "nodes": (r, wq)}
+        assert bubble_module._PARTS.keys() == parts.keys()
+        for part, (r_part, wq_part) in parts.items():
             ball_r, ball_wq, d1 = bubble_module._ball(w, 50.0, part, "deriv1")
             assert np.array_equal(ball_r, r_part) and np.array_equal(ball_wq, wq_part), part
             assert np.array_equal(d1, w.deriv1(r_part)), part
@@ -392,15 +413,15 @@ class TestBall:
         params = BubbleParams(7, lambda0=0.5)
         w = counting_field(bubble_field(params), calls)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            residual = pde_residual(params, rmax=50.0, field=w)
+            residual = pde_residual(w, rmax=50.0)
             identity = pohozaev_identity_residual(w, rmax=50.0)
             assert calls == {"value": 1, "deriv1": 1, "laplacian": 1, "bilaplacian": 1}
             # the values are those of fresh fields
             assert (residual, identity) == (
-                pde_residual(params, rmax=50.0),
+                pde_residual(bubble_field(params), rmax=50.0),
                 pohozaev_identity_residual(bubble_field(params), rmax=50.0),
             )
-            pde_residual(params, rmax=50.0, field=w)
+            pde_residual(w, rmax=50.0)
             assert set(calls.values()) == {1}
             # the identity read f' with overflow ignored; the witness, which
             # would raise on it, reads it again
@@ -412,9 +433,8 @@ class TestBall:
         assert [radius for radius, *_ in w._slot] == [20.0]
 
     def test_default_radii_share_one_ball(self):
-        params = BubbleParams(5)
-        w = bubble_field(params)
-        pde_residual(params, field=w)
+        w = bubble_field(BubbleParams(5))
+        pde_residual(w)
         pohozaev_identity_residual(w)
         assert [radius for radius, *_ in w._slot] == [50.0]
 
@@ -422,8 +442,7 @@ class TestBall:
         # the identity evaluates its callbacks with overflow ignored; a residual
         # that raises on overflow evaluates Delta^2 v again rather than read
         # the identity's infinite values, in either order
-        params = BubbleParams(5)
-        exact = bubble_field(params)
+        exact = bubble_field(BubbleParams(5))
         loud = lambda r: exact.bilaplacian(r) * 1e308 * 1e308
         for first in ("identity", "residual"):
             w = dataclasses.replace(exact, bilaplacian=loud)
@@ -431,7 +450,7 @@ class TestBall:
                 with pytest.raises(FloatingPointError, match="scaling-identity integrands"):
                     pohozaev_identity_residual(w, rmax=50.0)
             with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow encountered"):
-                pde_residual(params, rmax=50.0, field=w)
+                pde_residual(w, rmax=50.0)
             with pytest.raises(FloatingPointError, match="scaling-identity integrands"):
                 pohozaev_identity_residual(w, rmax=50.0)
 

@@ -212,7 +212,7 @@ class TestBubbleCheckCommand:
             code, out, err = run_cli(capsys, "bubble-check", "--dim", str(n), "--lambda0", scale)
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 checks = (
-                    lambda: paneitz.bubble.pde_residual(params, rmax=50.0),
+                    lambda: paneitz.bubble.pde_residual(paneitz.bubble.bubble_field(params), rmax=50.0),
                     lambda: paneitz.bubble.bubble_energy(params),
                     lambda: paneitz.bubble.pohozaev_identity_residual(paneitz.bubble.bubble_field(params), rmax=50.0),
                 )
@@ -957,6 +957,36 @@ class TestDiagnoseCommand:
         code, _, err = run_cli(capsys, "diagnose", "missing.field", "--alpha", "2")
         assert code == 1
         assert "missing.field" in err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--dim", "5", "--alpha", "8", "--a", "xyz"], "--a must be a number or 'auto', got 'xyz'"),
+            (["sweep", "--dim", "5", "--alpha", "2:128"], "--alpha expects min:max:count[:log]"),
+            (["sweep", "--dim", "5", "--alpha", "2:128:7:lin"], "unknown alpha grid spacing 'lin'"),
+            (["sweep", "--dim", "5", "--schedule", "{comments}"], "schedule file {comments} is empty"),
+            (["solve", "--dim", "5", "--alpha", "8", "--init", "file"], "--init file requires --field-in PATH"),
+            (
+                ["solve", "--dim", "6", "--alpha", "8", "--init", "file", "--field-in", "{field}"],
+                "field file is for n=5, t=1.0; requested n=6, t=1.0",
+            ),
+            (
+                ["sweep", "--dim", "5", "--alpha", "2:8:3", "--schedule", "{comments}"],
+                "give either --alpha or a schedule file, not both",
+            ),
+        ],
+        ids=["bad-a", "short-grid", "grid-spacing", "empty-schedule", "init-file-no-field", "field-dim", "grid-and-schedule"],
+    )
+    def test_exit_1_with_one_named_line(self, capsys, tmp_path, argv, message):
+        paths = {"comments": tmp_path / "comments.txt", "field": tmp_path / "dim5.field"}
+        paths["comments"].write_text("# alpha a\n\n# none\n")
+        save_field(PeriodicField.constant(ManifoldSpec(5, 1.0), 1.0, 64), paths["field"])
+        argv = [arg.format(**paths) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"paneitz {argv[0]}: error: {message.format(**paths)}\n"
 
 
 def run_fresh(*argvs):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from paneitz import solver as solver_mod
+from paneitz import sweep as sweep_mod
 from paneitz.constants import OperatorParams, constant_branch
 from paneitz.field import PeriodicField, norms
 from paneitz.geometry import ManifoldSpec, product_volume
@@ -112,6 +113,34 @@ class TestRunSweep:
         (rec,) = run_sweep(SweepConfig(spec=SPEC, alphas=(2.0,)))
         assert rec.e_nonconst is None
         assert rec.e_m_estimate == rec.e_const
+
+    def test_failed_continuation_falls_back_to_a_fresh_solve(self, monkeypatch):
+        # continuation raises at alpha = 16 of 2:128:7:log: that row is the
+        # fresh mode-1 solve's, bit for bit, and the next row continues from it
+        config = SweepConfig(spec=SPEC, alphas=tuple(np.geomspace(2.0, 128.0, 7)))
+        plain = run_sweep(config)
+        real_continuation, real_mode1 = sweep_mod.branch_continuation, sweep_mod.mode1_solution
+        continued, fresh = [], []
+
+        def continuation(prev, params):
+            if params.alpha == 16.0:
+                raise ConvergenceError("stub")
+            sol = real_continuation(prev, params)
+            continued.append(params.alpha)
+            return sol
+
+        def mode1(spec, params):
+            fresh.append(params.alpha)
+            return real_mode1(spec, params)
+
+        monkeypatch.setattr(sweep_mod, "branch_continuation", continuation)
+        monkeypatch.setattr(sweep_mod, "mode1_solution", mode1)
+        records = run_sweep(config)
+        row, after = records[3], records[4]
+        assert row.alpha == 16.0 and row.is_nonconstant
+        assert row.e_nonconst == real_mode1(SPEC, config.params[3]).energy
+        assert fresh == [2.0, 16.0] and after.alpha in continued and after.is_nonconstant
+        assert abs(after.e_nonconst - plain[4].e_nonconst) <= 1e-13 * plain[4].e_nonconst
 
 
 class TestContinuation:
